@@ -1,10 +1,11 @@
 """Exact-arithmetic spin double covers of the spatial and spacetime
 symmetry groups, with finite double-group tooling.
 
-The exact layer works over Gaussian rationals, so covering-map identities,
-kernel statements and multiplication tables are verified by exact equality.
-A float backend with a separation audit covers the finite double groups
-whose matrix entries are irrational.
+Matrices work over Gaussian rationals, so covering-map identities, kernel
+statements and multiplication tables are verified by exact equality.  The
+finite double groups, whose matrix entries are irrational, are built as
+monomial matrices with 4n-th roots of unity stored as integer exponents, so
+they are exact too.
 """
 
 from .cover import (

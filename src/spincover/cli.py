@@ -10,16 +10,18 @@ failure, 2 input error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cover import UnitaryMat2
 from .groups import (
+    ISOMORPHISM_ORDER_LIMIT,
     ClosureLimitError,
     FiniteGroup,
     IsomorphismSizeError,
-    SeparationAuditError,
     cyclic,
     dicyclic,
     dihedral,
@@ -38,7 +40,7 @@ from .ptgroup import (
     apply_symmetry,
     spacetime_projection,
 )
-from .scalars import DEFAULT_TOLERANCE, ScalarParseError
+from .scalars import ScalarParseError
 from .verify import run_suites
 
 SCHEMA_VERSION = 1
@@ -153,7 +155,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
             generators = [UnitaryMat2.from_text(g) for g in args.gen]
         except (ScalarParseError, ValueError) as exc:
             raise InputError(f"bad generator: {exc}") from exc
-        group = generate_closure(generators, backend="exact", max_order=args.max_order)
+        try:
+            group = generate_closure(generators, backend="exact", max_order=args.max_order)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         omit_identity = False
     else:
         raise InputError("expected a named group or at least one --gen matrix")
@@ -168,27 +173,41 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # -- iso -----------------------------------------------------------------------
 
 
-def _parse_group_spec(spec: str) -> FiniteGroup:
-    """GPT_hat, GPT_spacetime, Zn, products like Z4xZ2, Dih<order>, Dic<order>."""
+def _parse_group_spec(spec: str) -> Callable[[], FiniteGroup]:
+    """Parse GPT_hat, GPT_spacetime, Zn, products like Z4xZ2, Dih<order> or
+    Dic<order> into a builder for its table.  The order is read off the
+    spec and checked against the search cap here, before any table exists.
+    """
     if spec in _NAMED_TABLES:
-        return _named_group(spec)
-    if spec.startswith("Dih"):
-        return dihedral(_parse_positive(spec[3:], spec))
-    if spec.startswith("Dic"):
-        return dicyclic(_parse_positive(spec[3:], spec))
-    factors = spec.split("x")
-    groups = []
-    for factor in factors:
-        if not factor.startswith("Z"):
-            raise InputError(
-                f"unknown group spec {factor!r}; expected Zn, Dih<order>, Dic<order>, "
-                f"or one of {_NAMED_TABLES}"
-            )
-        groups.append(cyclic(_parse_positive(factor[1:], spec)))
-    result = groups[0]
-    for extra in groups[1:]:
-        result = direct_product(result, extra)
-    return result
+        return functools.partial(_named_group, spec)
+    if spec.startswith(("Dih", "Dic")):
+        constructor = dihedral if spec.startswith("Dih") else dicyclic
+        orders = [_parse_positive(spec[3:], spec)]
+    else:
+        constructor = cyclic
+        orders = []
+        for factor in spec.split("x"):
+            if not factor.startswith("Z"):
+                raise InputError(
+                    f"unknown group spec {factor!r}; expected Zn, Dih<order>, Dic<order>, "
+                    f"or one of {_NAMED_TABLES}"
+                )
+            orders.append(_parse_positive(factor[1:], spec))
+    order = math.prod(orders)
+    if order > ISOMORPHISM_ORDER_LIMIT:
+        raise IsomorphismSizeError(
+            f"{spec} has order {order}; isomorphism search supports orders up to "
+            f"{ISOMORPHISM_ORDER_LIMIT}"
+        )
+
+    def build() -> FiniteGroup:
+        try:
+            groups = [constructor(k) for k in orders]
+        except ValueError as exc:
+            raise InputError(f"bad group spec {spec!r}: {exc}") from exc
+        return functools.reduce(direct_product, groups)
+
+    return build
 
 
 def _parse_positive(text: str, spec: str) -> int:
@@ -202,8 +221,9 @@ def _parse_positive(text: str, spec: str) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
-    group_a = _parse_group_spec(args.group_a)
-    group_b = _parse_group_spec(args.group_b)
+    build_a = _parse_group_spec(args.group_a)
+    build_b = _parse_group_spec(args.group_b)
+    group_a, group_b = build_a(), build_b()
     witness = find_isomorphism(group_a, group_b)
     payload: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -241,7 +261,7 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 
 def _cmd_doublegroup(args: argparse.Namespace) -> int:
     try:
-        verdicts = double_group_verdict(args.n, tolerance=args.tolerance)
+        verdicts = double_group_verdict(args.n)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if args.convention != "both":
@@ -272,6 +292,8 @@ def _cmd_doublegroup(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise InputError("--samples must be at least 1")
     reports = run_suites(args.suite, args.seed, args.samples)
     all_pass = all(r.all_pass for r in reports)
     if args.fmt == "json":
@@ -342,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--convention", choices=("+1", "-1", "both"), default="both",
         help="parity-lift square convention to test",
     )
-    p_double.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     _add_common_flags(p_double)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
@@ -371,7 +392,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (ClosureLimitError, IsomorphismSizeError, SeparationAuditError) as exc:
+    except (ClosureLimitError, IsomorphismSizeError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
 

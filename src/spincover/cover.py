@@ -177,9 +177,6 @@ class UnitaryMat2:
     def sort_key(self) -> tuple:
         return tuple(part for row in self._rows for v in row for part in v.sort_key())
 
-    def to_complex_rows(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        return tuple(tuple(v.to_complex() for v in row) for row in self._rows)
-
     def to_text(self) -> str:
         return ";".join(",".join(format_complex(v) for v in row) for row in self._rows)
 

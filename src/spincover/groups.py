@@ -1,12 +1,10 @@
 """Finite groups: closure generation, Cayley tables, isomorphism search.
 
 Groups live as labelled multiplication tables validated on construction
-(Latin square, identity, two-sided inverses, associativity).  Closure runs
-over one of two scalar backends: exact Gaussian-rational matrices, or plain
-complex floats with a fixed tolerance for the double groups whose entries
-involve cos(pi/n).  The float backend refuses to answer when distinct
-elements come close to the tolerance (the separation audit), so closure can
-never silently merge elements.
+(Latin square, identity, two-sided inverses, associativity).  Closure is
+exact and runs over hashable elements indexed by a dict: Gaussian-rational
+matrices, spacetime symmetries, or the monomial matrices of the double
+groups, whose entries are 4n-th roots of unity stored as integer exponents.
 
 Isomorphism testing is a brute-force backtracking search over element
 images; it either returns a verified witness (the lexicographically
@@ -15,7 +13,6 @@ smallest one) or reports none exists.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -23,14 +20,11 @@ from . import _kernels
 from .cover import (
     IDENTITY2,
     IDENTITY3,
-    PAULI_X,
-    PAULI_Y,
     SPACE_INVERSION,
     UnitaryMat2,
     parity_operator,
 )
 from .ptgroup import SpacetimeSymmetry, time_reversal_operator
-from .scalars import DEFAULT_TOLERANCE, component_distance
 
 #: Hard cap for the isomorphism search.
 ISOMORPHISM_ORDER_LIMIT = 256
@@ -42,10 +36,6 @@ DOUBLE_GROUP_MAX_N = 12
 
 class ClosureLimitError(RuntimeError):
     """Closure exceeded the configured maximum order."""
-
-
-class SeparationAuditError(RuntimeError):
-    """Two distinct float-backend elements came too close to the tolerance."""
 
 
 class IsomorphismSizeError(RuntimeError):
@@ -174,154 +164,79 @@ class FiniteGroup:
         return f"<{name} of order {self.order}>"
 
 
-# -- closure over matrix backends -------------------------------------------
+# -- closure ------------------------------------------------------------------
 
 
-def _close_generic(
+def _close(
     generators: Sequence,
     identity,
     multiply: Callable,
-    find_index: Callable,
     sort_key: Callable,
     max_order: int,
-) -> list:
-    """Breadth-first closure: identity first, then generator layers, new
-    products appended layer by layer in sort-key order."""
+) -> tuple[list, list[list[int]]]:
+    """Breadth-first closure of hashable elements, with its Cayley table.
+
+    Element order: identity first, then the generators, then each new layer
+    of products, every layer sorted by ``sort_key``.  Elements are indexed
+    by a dict, so each pass over all pairs costs O(N^2); the last pass,
+    which finds nothing new, is the multiplication table.
+    """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     elements: list = [identity]
-    first_layer = []
-    for g in generators:
-        if find_index(elements, g) is None and find_index(first_layer, g) is None:
-            first_layer.append(g)
-    elements.extend(sorted(first_layer, key=sort_key))
-    if len(elements) > max_order:
-        raise ClosureLimitError(f"closure exceeded max_order={max_order}")
+    index = {identity: 0}
+    fresh = dict.fromkeys(g for g in generators if g not in index)
     while True:
-        fresh: list = []
+        if len(elements) + len(fresh) > max_order:
+            raise ClosureLimitError(f"closure exceeded max_order={max_order}")
+        for x in sorted(fresh, key=sort_key):
+            index[x] = len(elements)
+            elements.append(x)
+        fresh = {}
+        table = []
         for a in elements:
+            row = []
             for b in elements:
                 p = multiply(a, b)
-                if find_index(elements, p) is None and find_index(fresh, p) is None:
-                    fresh.append(p)
+                i = index.get(p)
+                if i is None and p not in fresh:
+                    fresh[p] = None
                     if len(elements) + len(fresh) > max_order:
                         raise ClosureLimitError(f"closure exceeded max_order={max_order}")
+                row.append(i)
+            table.append(row)
         if not fresh:
-            return elements
-        elements.extend(sorted(fresh, key=sort_key))
+            return elements, table
 
 
-def _build_table(elements: list, multiply: Callable, find_index: Callable) -> list[list[int]]:
-    table = []
-    for a in elements:
-        row = []
-        for b in elements:
-            idx = find_index(elements, multiply(a, b))
-            if idx is None:  # cannot happen for a closed set
-                raise RuntimeError("closure produced a non-closed element set")
-            row.append(idx)
-        table.append(row)
-    return table
-
-
-def _exact_find(elements: list, candidate) -> Optional[int]:
-    for i, e in enumerate(elements):
-        if e == candidate:
-            return i
-    return None
-
-
-_ComplexMat = tuple[tuple[complex, complex], tuple[complex, complex]]
-
-_APPROX_IDENTITY: _ComplexMat = ((1 + 0j, 0j), (0j, 1 + 0j))
-
-
-def _approx_mul(a: _ComplexMat, b: _ComplexMat) -> _ComplexMat:
-    return (
-        (
-            a[0][0] * b[0][0] + a[0][1] * b[1][0],
-            a[0][0] * b[0][1] + a[0][1] * b[1][1],
-        ),
-        (
-            a[1][0] * b[0][0] + a[1][1] * b[1][0],
-            a[1][0] * b[0][1] + a[1][1] * b[1][1],
-        ),
-    )
-
-
-def _approx_distance(a: _ComplexMat, b: _ComplexMat) -> float:
-    return max(
-        component_distance(a[i][j], b[i][j]) for i in range(2) for j in range(2)
-    )
-
-
-def _approx_sort_key(m: _ComplexMat) -> tuple:
-    # Rounding well above float noise and well below the separation floor
-    # keeps the ordering independent of accumulated rounding error.
-    return tuple(
-        round(part, 12) for row in m for v in row for part in (v.real, v.imag)
-    )
+def _closure_group(elements: list, table: list[list[int]], name: str) -> FiniteGroup:
+    labels = [f"e{i}" for i in range(len(elements))]
+    return FiniteGroup(labels, table, 0, dict(zip(labels, elements)), name)
 
 
 def generate_closure(
-    generators: Sequence,
+    generators: Sequence[UnitaryMat2],
     backend: str = "exact",
     max_order: int = 10000,
-    tolerance: float = DEFAULT_TOLERANCE,
     name: str = "",
 ) -> FiniteGroup:
-    """Close a set of 2x2 matrices under multiplication into a finite group.
+    """Close a set of :class:`UnitaryMat2` matrices under multiplication
+    into a finite group, comparing elements by exact equality.
 
-    ``backend="exact"`` takes :class:`UnitaryMat2` generators and compares
-    elements by exact equality.  ``backend="approx"`` takes 2x2 complex
-    tuples and compares entries within ``tolerance``; after closing it runs
-    the separation audit, requiring all distinct elements to stay more than
-    100x the tolerance apart.  Element order is deterministic: identity
-    first, then breadth-first layers sorted by entry order.  Labels are
-    ``e0``, ``e1``, ... in that order.
+    ``backend`` must be ``"exact"``, the only backend.  Element order is
+    deterministic: identity first, then breadth-first layers sorted by
+    entry order.  Labels are ``e0``, ``e1``, ... in that order.
     """
-    if backend == "exact":
-        gens = list(generators)
-        for g in gens:
-            if not isinstance(g, UnitaryMat2):
-                raise TypeError("exact backend takes UnitaryMat2 generators")
-        identity = IDENTITY2
-        elements = _close_generic(
-            gens, identity, lambda a, b: a * b, _exact_find, lambda m: m.sort_key(), max_order
-        )
-        table = _build_table(elements, lambda a, b: a * b, _exact_find)
-    elif backend == "approx":
-        gens = [tuple(tuple(complex(v) for v in row) for row in g) for g in generators]
-
-        def find(elements: list, candidate: _ComplexMat) -> Optional[int]:
-            for i, e in enumerate(elements):
-                if _approx_distance(e, candidate) <= tolerance:
-                    return i
-            return None
-
-        elements = _close_generic(
-            gens, _APPROX_IDENTITY, _approx_mul, find, _approx_sort_key, max_order
-        )
-        _separation_audit(elements, tolerance)
-        table = _build_table(elements, _approx_mul, find)
-    else:
+    if backend != "exact":
         raise ValueError(f"unknown backend {backend!r}")
-
-    labels = [f"e{i}" for i in range(len(elements))]
-    source = dict(zip(labels, elements))
-    return FiniteGroup(labels, table, 0, source, name or f"closure[{backend}]")
-
-
-def _separation_audit(elements: list, tolerance: float) -> None:
-    floor = 100.0 * tolerance
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            d = _approx_distance(elements[i], elements[j])
-            if d <= floor:
-                raise SeparationAuditError(
-                    f"elements {i} and {j} are only {d:.3e} apart; "
-                    f"distinct elements must exceed {floor:.3e}"
-                )
+    gens = list(generators)
+    for g in gens:
+        if not isinstance(g, UnitaryMat2):
+            raise TypeError("generate_closure takes UnitaryMat2 generators")
+    elements, table = _close(
+        gens, IDENTITY2, lambda a, b: a * b, lambda m: m.sort_key(), max_order
+    )
+    return _closure_group(elements, table, name or f"closure[{backend}]")
 
 
 # -- abstract comparison groups ----------------------------------------------
@@ -504,10 +419,7 @@ def spacetime_pt_group() -> FiniteGroup:
     def sort_key(s: SpacetimeSymmetry) -> tuple:
         return (s.time_sign,) + s.spatial.sort_key()
 
-    elements = _close_generic(
-        [p, t], identity, lambda a, b: a * b, _exact_find, sort_key, 16
-    )
-    table = _build_table(elements, lambda a, b: a * b, _exact_find)
+    elements, table = _close([p, t], identity, lambda a, b: a * b, sort_key, 16)
     named = {identity: "1", p: "P", t: "T", p * t: "PT"}
     labels = [named[e] for e in elements]
     group = FiniteGroup(labels, table, 0, {named[e]: e for e in named}, "spacetime-PT")
@@ -517,31 +429,55 @@ def spacetime_pt_group() -> FiniteGroup:
 # -- double groups -------------------------------------------------------------
 
 
-def _principal_axis_generator(n: int) -> _ComplexMat:
-    phase = cmath.exp(-1j * cmath.pi / n)
-    return ((phase, 0j), (0j, phase.conjugate()))
+# A double-group element is a monomial 2x2 matrix whose nonzero entries are
+# powers of w = e^{i pi/2n}, stored exactly as a triple (swap, k1, k2) of
+# exponents mod 4n: swap = 0 is diag(w^k1, w^k2); swap = 1 is the
+# antidiagonal matrix with w^k1 top right and w^k2 bottom left.
+Monomial = tuple[int, int, int]
 
 
-def _half_turn_lift(axis: str) -> _ComplexMat:
-    if axis == "x":
-        m = PAULI_X
-    elif axis == "y":
-        m = PAULI_Y
-    else:
-        raise ValueError("mirror axis must be 'x' or 'y'")
-    rows = m.to_complex_rows()
-    return tuple(tuple(-1j * v for v in row) for row in rows)
+def _monomial_mul(modulus: int) -> Callable[[Monomial, Monomial], Monomial]:
+    def mul(a: Monomial, b: Monomial) -> Monomial:
+        s1, k1, k2 = a
+        s2, l1, l2 = b
+        if s1:
+            l1, l2 = l2, l1
+        return (s1 ^ s2, (k1 + l1) % modulus, (k2 + l2) % modulus)
+
+    return mul
+
+
+def _monomial_sort_key(n: int) -> Callable[[Monomial], tuple]:
+    """Order monomials as their complex entries order by (real, imaginary)
+    parts, row by row, as ``UnitaryMat2.sort_key`` orders exact matrices.
+    The real part of w^k, cos(pi k/2n), falls as min(k, 4n-k)
+    grows and is zero at n; the imaginary part of w^k is the real part of
+    w^(k-n)."""
+    modulus = 4 * n
+
+    def part(k: int) -> int:
+        k %= modulus
+        return -min(k, modulus - k)
+
+    def entry(k: Optional[int]) -> tuple[int, int]:
+        return (-n, -n) if k is None else (part(k), part(k - n))
+
+    def key(m: Monomial) -> tuple:
+        swap, k1, k2 = m
+        entries = (None, k1, k2, None) if swap else (k1, None, None, k2)
+        return tuple(p for k in entries for p in entry(k))
+
+    return key
 
 
 def double_group(
     family: str,
     n: int,
     parity_square: int = -1,
-    tolerance: float = DEFAULT_TOLERANCE,
     mirror_axis: str = "x",
 ) -> FiniteGroup:
     """The spinor double of a rotation or reflection point group of axis
-    order n, closed over the float backend; resulting order is 4n.
+    order n, closed exactly over monomial matrices; resulting order is 4n.
 
     ``family="Dn"``: generators are the principal-axis lift
     diag(e^{-i pi/n}, e^{i pi/n}) and the lift -i*sigma of a perpendicular
@@ -550,7 +486,8 @@ def double_group(
     parity convention is selectable, ``parity_square=-1`` meaning the
     parity lift squares to -I (the mirror lift then squares to +I) and
     ``parity_square=+1`` the reverse.  The mirror axis choice does not
-    affect the isomorphism class.
+    affect the isomorphism class.  ``element_source`` maps each label to
+    its ``(swap, k1, k2)`` triple.
     """
     if not (DOUBLE_GROUP_MIN_N <= n <= DOUBLE_GROUP_MAX_N):
         raise ValueError(
@@ -558,25 +495,24 @@ def double_group(
         )
     if parity_square not in (1, -1):
         raise ValueError("parity_square must be +1 or -1")
-    axis_gen = _principal_axis_generator(n)
-    half_turn = _half_turn_lift(mirror_axis)
-    if family == "Dn":
-        second = half_turn
-    elif family == "Cnv":
-        if parity_square == -1:
-            second = tuple(tuple(1j * v for v in row) for row in half_turn)
-        else:
-            second = half_turn
-    else:
+    if mirror_axis not in ("x", "y"):
+        raise ValueError("mirror axis must be 'x' or 'y'")
+    if family not in ("Cnv", "Dn"):
         raise ValueError("family must be 'Cnv' or 'Dn'")
-    group = generate_closure(
-        [axis_gen, second],
-        backend="approx",
-        max_order=8 * n,
-        tolerance=tolerance,
-        name=f"double[{family}:{n}]",
+    # Per axis: the half-turn lift -i*sigma, and sigma itself.
+    half_turn, pauli = {
+        "x": ((1, 3 * n, 3 * n), (1, 0, 0)),
+        "y": ((1, 2 * n, 0), (1, 3 * n, n)),
+    }[mirror_axis]
+    # The mirror lift is the parity lift (i*I when it squares to -I, else
+    # I) times the half-turn lift.
+    second = pauli if family == "Cnv" and parity_square == -1 else half_turn
+    modulus = 4 * n
+    axis_gen = (0, modulus - 2, 2)
+    elements, table = _close(
+        [axis_gen, second], (0, 0, 0), _monomial_mul(modulus), _monomial_sort_key(n), 8 * n
     )
-    return group
+    return _closure_group(elements, table, f"double[{family}:{n}]")
 
 
 @dataclass(frozen=True)
@@ -604,7 +540,7 @@ class DoubleGroupVerdict:
         return out
 
 
-def double_group_verdict(n: int, tolerance: float = DEFAULT_TOLERANCE) -> list[DoubleGroupVerdict]:
+def double_group_verdict(n: int) -> list[DoubleGroupVerdict]:
     """Compare the reflection and rotation double groups of axis order n
     under both parity conventions, by brute-force isomorphism search.
 
@@ -613,10 +549,10 @@ def double_group_verdict(n: int, tolerance: float = DEFAULT_TOLERANCE) -> list[D
     ``claim_match`` records whether the computed verdict agrees; a mismatch
     is reported, not raised.
     """
-    rotation_double = double_group("Dn", n, tolerance=tolerance)
+    rotation_double = double_group("Dn", n)
     verdicts = []
     for convention in (1, -1):
-        reflection_double = double_group("Cnv", n, parity_square=convention, tolerance=tolerance)
+        reflection_double = double_group("Cnv", n, parity_square=convention)
         witness = find_isomorphism(reflection_double, rotation_double)
         isomorphic = witness is not None
         invariant = None

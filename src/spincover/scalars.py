@@ -1,11 +1,9 @@
-"""Exact complex scalars over the Gaussian rationals, plus the float backend.
+"""Exact complex scalars over the Gaussian rationals.
 
-Every matrix entry in the exact layers of this package is a
+Every matrix entry in the matrix layers of this package is a
 :class:`GaussianRational`: a complex number whose real and imaginary parts
-are arbitrary-precision rationals.  All arithmetic is exact; there is no
-tolerance anywhere in the exact layer.  The float backend (plain ``complex``
-values compared with :func:`approx_equal`) exists only for finite double
-groups whose entries involve cos(pi/n) for general n.
+are arbitrary-precision rationals.  All arithmetic is exact and equality is
+structural; no float value is ever involved.
 """
 
 from __future__ import annotations
@@ -17,9 +15,6 @@ from typing import Union
 # Rational scalars are plain fractions: arbitrary precision, always stored
 # reduced with a positive denominator, structural equality.
 Rational = Fraction
-
-#: Equality tolerance of the float backend, per real/imaginary component.
-DEFAULT_TOLERANCE = 1e-9
 
 _RationalLike = Union[int, Fraction]
 
@@ -40,7 +35,7 @@ class GaussianRational:
     """A complex number with exact rational real and imaginary parts.
 
     Immutable and hashable.  Field operations are exact: associativity,
-    distributivity and inverses hold with no tolerance.
+    distributivity and inverses hold by exact equality.
     """
 
     __slots__ = ("_re", "_im")
@@ -158,9 +153,6 @@ class GaussianRational:
 
     # -- conversion ------------------------------------------------------
 
-    def to_complex(self) -> complex:
-        return complex(float(self._re), float(self._im))
-
     def __str__(self) -> str:
         return format_complex(self)
 
@@ -240,15 +232,3 @@ def format_complex(value: GaussianRational) -> str:
     tail = "i" if magnitude == 1 else f"{magnitude}i"
     return f"{value.re}{sign}{tail}"
 
-
-# -- float backend --------------------------------------------------------
-
-
-def approx_equal(a: complex, b: complex, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """Componentwise comparison used only by the float group backend."""
-    return abs(a.real - b.real) <= tolerance and abs(a.imag - b.imag) <= tolerance
-
-
-def component_distance(a: complex, b: complex) -> float:
-    """Sup distance over the real and imaginary components."""
-    return max(abs(a.real - b.real), abs(a.imag - b.imag))

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, one printed line per verdict.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
-Every numeric expectation here is exact; the only tolerances involved are
-the fixed float-backend tolerance inside the double-group closures and the
-wall-clock budgets, which are asserted where stated.
+Every numeric expectation here is exact, the double groups included; the
+only tolerances involved are the wall-clock budgets, which are asserted
+where stated.
 """
 
 import json

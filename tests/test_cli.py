@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from spincover import cli
 from spincover.cli import main
 
 CONSTANT_FIELD = "0; 0,0,0; 1; 0\n"
@@ -10,6 +13,49 @@ SYMMETRIC_FIELD = (
     "-1; 0,0,0; 1; i\n"
     "0; 0,0,0; 3/5+4/5i; 0\n"
     "1; 0,0,0; 0; 1\n"
+)
+
+
+# Golden `doublegroup 3` output, text and JSON; the CLI output is byte-stable.
+DOUBLEGROUP_3_TEXT = (
+    "n=3 parity_square=+1: isomorphic (matches the expected verdict)\n"
+    "n=3 parity_square=-1: not isomorphic (matches the expected verdict)\n"
+    "  element-order multiset: [1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 6, 6] vs [1, 2, 3, 3, 4, 4, 4, 4, 4, 4, 6, 6]\n"
+)
+
+DOUBLEGROUP_3_JSON = (
+    '{\n'
+    '  "schema_version": 1,\n'
+    '  "verdicts": [\n'
+    '    {\n'
+    '      "convention": 1,\n'
+    '      "isomorphic": true,\n'
+    '      "n": 3,\n'
+    '      "paper_claim_match": true,\n'
+    '      "witness": [\n'
+    '        0,\n'
+    '        1,\n'
+    '        2,\n'
+    '        3,\n'
+    '        4,\n'
+    '        5,\n'
+    '        6,\n'
+    '        7,\n'
+    '        8,\n'
+    '        9,\n'
+    '        10,\n'
+    '        11\n'
+    '      ]\n'
+    '    },\n'
+    '    {\n'
+    '      "convention": -1,\n'
+    '      "invariant_used": "element-order multiset: [1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 6, 6] vs [1, 2, 3, 3, 4, 4, 4, 4, 4, 4, 6, 6]",\n'
+    '      "isomorphic": false,\n'
+    '      "n": 3,\n'
+    '      "paper_claim_match": true\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
 )
 
 
@@ -126,6 +172,10 @@ class TestTable:
     def test_unknown_name(self):
         assert main(["table", "GPT_bogus"]) == 2
 
+    def test_bad_max_order(self, capsys):
+        assert main(["table", "--gen=i,0;0,i", "--max-order", "0"]) == 2
+        assert "max_order" in capsys.readouterr().err
+
 
 class TestIso:
     def test_spinor_group_vs_z4xz2(self, capsys):
@@ -152,8 +202,22 @@ class TestIso:
     def test_size_limit_exit_code(self):
         assert main(["iso", "Z32xZ16", "Z32xZ16"]) == 3
 
-    def test_bad_spec(self):
+    def test_bad_spec(self, capsys):
         assert main(["iso", "Q8", "Z8"]) == 2
+        assert main(["iso", "Dih3", "Z3"]) == 2
+        assert main(["iso", "Dic6", "Z6"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_size_cap_checked_before_building(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("group table built for an over-size spec")
+
+        for name in ("cyclic", "dihedral", "dicyclic", "direct_product"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert main(["iso", "Z300", "Z300"]) == 3
+        assert main(["iso", "Z4", "Z32xZ16"]) == 3
+        assert main(["iso", "GPT_hat", "Z2x" * 8 + "Z2"]) == 3
+        assert main(["iso", "Dih512", "Dic512"]) == 3
 
 
 class TestDoubleGroup:
@@ -174,6 +238,17 @@ class TestDoubleGroup:
     def test_out_of_range(self, capsys):
         assert main(["doublegroup", "13"]) == 2
         assert main(["doublegroup", "1"]) == 2
+
+    def test_golden_n3(self, capsys):
+        assert main(["doublegroup", "3"]) == 0
+        assert capsys.readouterr().out == DOUBLEGROUP_3_TEXT
+        assert main(["doublegroup", "3", "--format", "json"]) == 0
+        assert capsys.readouterr().out == DOUBLEGROUP_3_JSON
+
+    def test_tolerance_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["doublegroup", "3", "--tolerance", "0.5"])
+        assert exc.value.code == 2
 
 
 class TestVerify:
@@ -202,6 +277,13 @@ class TestVerify:
         assert main(["verify", "all", "--seed", "1", "--samples", "20"]) == 0
         payload = capsys.readouterr().out
         assert "all suites passed" in payload
+
+    def test_samples_must_be_positive(self, capsys):
+        assert main(["verify", "cover", "--samples", "0"]) == 2
+        assert main(["verify", "cover", "--samples", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert "all suites passed" not in captured.out
+        assert "--samples" in captured.err
 
     def test_byte_identical_across_processes(self):
         cmd = [

@@ -1,13 +1,13 @@
+import cmath
 import itertools
 
 import pytest
 
-from spincover.cover import PAULI_X, PAULI_Y, PAULI_Z
+from spincover.cover import PAULI_X, PAULI_Y, PAULI_Z, UnitaryMat2
 from spincover.groups import (
     ClosureLimitError,
     FiniteGroup,
     IsomorphismSizeError,
-    SeparationAuditError,
     cyclic,
     dicyclic,
     dihedral,
@@ -21,6 +21,20 @@ from spincover.groups import (
     verify_isomorphism,
 )
 from spincover.scalars import GaussianRational
+
+
+def monomial_to_complex(element, n):
+    """The 2x2 complex matrix of a (swap, k1, k2) double-group element,
+    whose entries are powers of w = e^{i pi/2n}."""
+    swap, k1, k2 = element
+    w1, w2 = (cmath.exp(1j * cmath.pi * k / (2 * n)) for k in (k1, k2))
+    return ((0j, w1), (w2, 0j)) if swap else ((w1, 0j), (0j, w2))
+
+
+def complex_matmul(a, b):
+    return tuple(
+        tuple(sum(a[r][k] * b[k][c] for k in range(2)) for c in range(2)) for r in range(2)
+    )
 
 
 def brute_force_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
@@ -106,49 +120,28 @@ class TestClosure:
             for j in range(n):
                 assert 0 <= group.table[i][j] < n
 
-    def test_approx_backend_matches_exact_on_pt(self, parity, treverse):
-        exact = generate_closure([parity, treverse], backend="exact")
-        approx = generate_closure(
-            [parity.to_complex_rows(), treverse.to_complex_rows()], backend="approx"
-        )
-        assert approx.order == exact.order
-        assert approx.table == exact.table
-        for label in exact.labels:
-            em = exact.element_source[label].to_complex_rows()
-            am = approx.element_source[label]
-            assert all(
-                abs(em[r][c] - am[r][c]) < 1e-12 for r in range(2) for c in range(2)
-            )
-
     def test_approx_backend_matches_exact_on_order2_double(self):
         # the axis-order-2 double group has Gaussian-rational generators
-        # diag(-i, i) and -i*sigma_x, so both backends can build it; higher
-        # axis orders need e^{i pi/n} and live only on the float backend
+        # diag(-i, i) and -i*sigma_x; its monomial exponents are all even,
+        # so every element converts exactly to a UnitaryMat2
         i = GaussianRational(0, 1)
+        powers_of_i = [GaussianRational(1), i, GaussianRational(-1), -i]
         axis = PAULI_Z.scalar_mul(-i)
         half_turn = PAULI_X.scalar_mul(-i)
         exact = generate_closure([axis, half_turn], backend="exact")
-        approx = double_group("Dn", 2)
-        assert exact.order == approx.order == 8
-        assert exact.table == approx.table
+        monomial = double_group("Dn", 2)
+        assert exact.order == monomial.order == 8
+        assert exact.table == monomial.table
         for label in exact.labels:
-            em = exact.element_source[label].to_complex_rows()
-            am = approx.element_source[label]
-            assert all(
-                abs(em[r][c] - am[r][c]) < 1e-12 for r in range(2) for c in range(2)
-            )
+            swap, k1, k2 = monomial.element_source[label]
+            assert k1 % 2 == 0 and k2 % 2 == 0
+            z1, z2 = powers_of_i[k1 // 2], powers_of_i[k2 // 2]
+            rows = ((0, z1), (z2, 0)) if swap else ((z1, 0), (0, z2))
+            assert exact.element_source[label] == UnitaryMat2(rows)
 
-    def test_separation_audit_fires_on_coarse_tolerance(self):
-        # order-4 closure completes, but all distances are ~1 while the
-        # audit floor is 100 * 0.5; distinctness is then not trustworthy
-        gen = ((1j, 0j), (0j, -1j))
-        with pytest.raises(SeparationAuditError):
-            generate_closure([gen], backend="approx", tolerance=0.5)
-
-    def test_runaway_float_closure_hits_order_limit(self):
-        gen = ((complex(0.999, 0), 0j), (0j, complex(0.999, 0)))
-        with pytest.raises(ClosureLimitError):
-            generate_closure([gen], backend="approx", tolerance=1e-9, max_order=64)
+    def test_backend_keyword_accepts_only_exact(self, parity):
+        with pytest.raises(ValueError):
+            generate_closure([parity], backend="approx")
 
 
 class TestAbstractGroups:
@@ -385,6 +378,24 @@ class TestDoubleGroups:
             double_group("Dn", 13)
         with pytest.raises(ValueError):
             double_group("Dn", 1)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_table_is_the_matrix_product(self, n):
+        for family in ("Dn", "Cnv"):
+            for convention in (1, -1):
+                for axis in ("x", "y"):
+                    g = double_group(family, n, parity_square=convention, mirror_axis=axis)
+                    assert g.order == 4 * n
+                    mats = [monomial_to_complex(g.element_source[l], n) for l in g.labels]
+                    for i, a in enumerate(mats):
+                        for j, b in enumerate(mats):
+                            product = complex_matmul(a, b)
+                            expected = mats[g.table[i][j]]
+                            assert all(
+                                abs(product[r][c] - expected[r][c]) < 1e-9
+                                for r in range(2)
+                                for c in range(2)
+                            ), (family, n, convention, axis, i, j)
 
     def test_float_backend_determinism(self):
         a = double_group("Cnv", 5, parity_square=-1)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from spincover.scalars import (
     GaussianRational,
     ScalarParseError,
-    approx_equal,
     format_complex,
     format_rational,
     parse_complex,
@@ -124,9 +123,3 @@ class TestTextGrammar:
         text = format_complex(x)
         assert format_complex(parse_complex(text)) == text
 
-
-class TestApproxBackend:
-    def test_componentwise_tolerance(self):
-        assert approx_equal(1 + 1j, 1 + 1j + 1e-10)
-        assert not approx_equal(1 + 1j, 1 + 1j + 1e-8)
-        assert approx_equal(1.0, 1.0 + 5e-10 + 5e-10j)
