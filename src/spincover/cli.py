@@ -61,8 +61,11 @@ def _json_dump(payload: dict) -> str:
 
 def _write_output(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(str(exc)) from exc
     else:
         sys.stdout.write(text)
 
@@ -102,9 +105,9 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     try:
         with open(args.field, "r", encoding="utf-8") as handle:
             field = SpinorSampleField.from_text(handle.read())
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InputError(str(exc)) from exc
-    except FieldParseError as exc:
+    except (UnicodeDecodeError, FieldParseError) as exc:
         raise InputError(f"{args.field}: {exc}") from exc
     try:
         transformed = apply_symmetry(symmetry, field)

@@ -1,7 +1,8 @@
 """Finite groups: closure generation, Cayley tables, isomorphism search.
 
-Groups live as labelled multiplication tables validated on construction
-(Latin square, identity, two-sided inverses, associativity).  Closure is
+Groups live as labelled multiplication tables validated exhaustively on
+construction (Latin square, identity, two-sided inverses, and
+associativity by Light's test, at every order).  Closure is
 exact and runs over hashable elements indexed by a dict: Gaussian-rational
 matrices, spacetime symmetries, or the monomial matrices of the double
 groups, whose entries are 4n-th roots of unity stored as integer exponents.
@@ -47,7 +48,9 @@ class FiniteGroup:
 
     ``table[i][j]`` is the index of element i times element j.  Labels are
     display names; ``element_source`` optionally maps each label back to the
-    matrix (or other object) it came from.
+    matrix (or other object) it came from.  Construction raises
+    ``ValueError`` unless the table satisfies every group axiom; no axiom
+    is checked on a sample.
     """
 
     def __init__(
@@ -67,11 +70,11 @@ class FiniteGroup:
             raise ValueError("element labels must be unique")
         if len(self.labels) != len(self.table):
             raise ValueError("label count does not match table size")
-        self._validate()
-        self._inverses = _kernels.inverse_table(self.table, self.identity_index)
+        self._inverses = self._validate()
         self._orders = _kernels.element_orders(self.table, self.identity_index)
 
-    def _validate(self) -> None:
+    def _validate(self) -> list[int]:
+        """Check the group axioms exhaustively; return the inverse table."""
         bad = _kernels.latin_square_violation(self.table)
         if bad is not None:
             raise ValueError(f"table is not a Latin square (violation at {bad})")
@@ -80,11 +83,13 @@ class FiniteGroup:
             self.table[i][e] != i for i in range(self.order)
         ):
             raise ValueError(f"element {e} is not a two-sided identity")
-        if _kernels.inverse_table(self.table, e) is None:
+        inverses = _kernels.inverse_table(self.table, e)
+        if inverses is None:
             raise ValueError("some element has no two-sided inverse")
-        triple = _kernels.associativity_violation(self.table)
+        triple = _kernels.associativity_violation(self.table, e)
         if triple is not None:
             raise ValueError(f"multiplication is not associative at triple {triple}")
+        return inverses
 
     @property
     def order(self) -> int:

@@ -120,8 +120,12 @@ class TestApply:
         assert main(["apply", "T", field]) == 2
         assert "missing the event" in capsys.readouterr().err
 
-    def test_missing_file(self, tmp_path):
-        assert main(["apply", "P", str(tmp_path / "nope.txt")]) == 2
+    def test_missing_file(self, tmp_path, capsys):
+        binary = tmp_path / "binary.dat"
+        binary.write_bytes(b"\x7fELF\x02\x01\xd0\xff\n")
+        for path in (tmp_path / "nope.txt", tmp_path, binary):
+            assert main(["apply", "P", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_transform(self, tmp_path):
         field = write_field(tmp_path, CONSTANT_FIELD)
@@ -293,3 +297,16 @@ class TestVerify:
         runs = [subprocess.run(cmd, capture_output=True, check=True) for _ in range(2)]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout.strip()
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [["table", "GPT_hat"], ["verify", "cover", "--samples", "1"]],
+        ids=["table", "verify"],
+    )
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "x"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

@@ -71,8 +71,25 @@ class TestFiniteGroupValidation:
             [3, 2, 4, 0, 1],
             [4, 3, 1, 2, 0],
         ]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not associative"):
             FiniteGroup(["e", "a", "b", "c", "d"], table, 0)
+        # Z128 with the intercalate at rows 1, 65 and columns 2, 66 swapped:
+        # still a Latin square with the same identity and inverses, so only
+        # the associativity check can reject it
+        z128 = cyclic(128)
+        table = [list(row) for row in z128.table]
+        for r in (1, 65):
+            table[r][2], table[r][66] = table[r][66], table[r][2]
+        with pytest.raises(ValueError, match="not associative"):
+            FiniteGroup(z128.labels, table, z128.identity_index)
+
+    def test_accepts_order_256_groups(self):
+        # each constructor validates its table exhaustively
+        z2_8 = cyclic(2)
+        for _ in range(7):
+            z2_8 = direct_product(z2_8, cyclic(2))
+        for group in (dicyclic(256), dihedral(256), direct_product(cyclic(16), cyclic(16)), z2_8):
+            assert group.order == 256
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):

@@ -1,20 +1,33 @@
-"""Parity tests between the compiled table kernels and the pure fallback."""
+"""Tests of the table kernels, with a brute-force oracle for associativity.
 
-import pytest
+``associativity_violation`` checks only a generating set (Light's test);
+the oracle here checks every triple, on group tables and on perturbed
+copies of them that break associativity.
+"""
+
+import random
 
 from spincover import _kernels
-from spincover._kernels import tables_py
 from spincover.groups import cyclic, dicyclic, dihedral, direct_product, spinor_pt_group
 
-try:
-    from spincover._kernels import _tables as tables_c
-except ImportError:
-    tables_c = None
+# A Latin square with two-sided identity 0 that is not associative.
+LOOP_5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
 
-BACKENDS = [tables_py] + ([tables_c] if tables_c is not None else [])
+
+def loop_times_z2(loop):
+    """Direct product of a loop with Z2, the Z2 bit in the low position, so
+    the first element after the identity is central and associates."""
+    n = 2 * len(loop)
+    return [[loop[i >> 1][j >> 1] << 1 | (i ^ j) & 1 for j in range(n)] for i in range(n)]
 
 
-def sample_tables():
+def sample_groups():
     return [
         cyclic(1),
         cyclic(7),
@@ -26,87 +39,123 @@ def sample_tables():
     ]
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
+def intercalates(table, identity):
+    """Every (i, j, a, b) with i < j, a < b, t[i][a] == t[j][b] and
+    t[i][b] == t[j][a], none of the rows, columns or entries the identity."""
+    n = len(table)
+    found = []
+    for i in range(n):
+        column_of = {v: c for c, v in enumerate(table[i])}
+        for j in range(i + 1, n):
+            for a in range(n):
+                b = column_of[table[j][a]]
+                if a < b and table[j][b] == table[i][a]:
+                    if identity not in (i, j, a, b, table[i][a], table[i][b]):
+                        found.append((i, j, a, b))
+    return found
+
+
+def swap_intercalate(table, i, j, a, b):
+    """A copy of ``table`` with the entries at columns a and b swapped in
+    rows i and j; the result is still a Latin square with the same
+    identity and inverses."""
+    perturbed = [list(row) for row in table]
+    for r in (i, j):
+        perturbed[r][a], perturbed[r][b] = perturbed[r][b], perturbed[r][a]
+    return perturbed
+
+
+def is_violation(table, triple):
+    x, y, z = triple
+    return table[table[x][y]][z] != table[x][table[y][z]]
+
+
+def oracle_is_associative(table):
+    n = len(table)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return False
+    return True
+
+
 class TestKernelBasics:
-    def test_find_identity(self, impl):
-        for group in sample_tables():
-            assert impl.find_identity(group.table) == group.identity_index
+    def test_latin_square(self):
+        for group in sample_groups():
+            assert _kernels.latin_square_violation(group.table) is None
+        assert _kernels.latin_square_violation([[0, 0], [1, 1]]) is not None
 
-    def test_latin_square(self, impl):
-        for group in sample_tables():
-            assert impl.latin_square_violation(group.table) is None
-        assert impl.latin_square_violation([[0, 0], [1, 1]]) is not None
-
-    def test_inverse_table(self, impl):
+    def test_inverse_table(self):
         g = dihedral(8)
-        inverses = impl.inverse_table(g.table, g.identity_index)
+        inverses = _kernels.inverse_table(g.table, g.identity_index)
         for i, inv in enumerate(inverses):
             assert g.table[i][inv] == g.identity_index
             assert g.table[inv][i] == g.identity_index
 
-    def test_associativity_accepts_groups(self, impl):
-        for group in sample_tables():
-            assert impl.associativity_violation(group.table) is None
+    def test_associativity_accepts_groups(self):
+        for group in sample_groups():
+            assert _kernels.associativity_violation(group.table, group.identity_index) is None
 
-    def test_associativity_detects_violation(self, impl):
-        table = [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ]
-        assert impl.associativity_violation(table) is not None
+    def test_associativity_detects_violation(self):
+        triple = _kernels.associativity_violation(LOOP_5, 0)
+        assert triple is not None
+        assert is_violation(LOOP_5, triple)
 
-    def test_element_orders(self, impl):
+    def test_element_orders(self):
         g = dicyclic(8)
-        orders = impl.element_orders(g.table, g.identity_index)
+        orders = _kernels.element_orders(g.table, g.identity_index)
         assert sorted(orders) == [1, 2, 4, 4, 4, 4, 4, 4]
 
-    def test_is_abelian(self, impl):
-        assert impl.is_abelian(cyclic(6).table)
-        assert not impl.is_abelian(dihedral(6).table)
+    def test_is_abelian(self):
+        assert _kernels.is_abelian(cyclic(6).table)
+        assert not _kernels.is_abelian(dihedral(6).table)
 
-    def test_check_isomorphism(self, impl):
+    def test_check_isomorphism(self):
         g = cyclic(4)
-        assert impl.check_isomorphism(g.table, g.table, [0, 1, 2, 3])
-        assert not impl.check_isomorphism(g.table, g.table, [0, 2, 1, 3])
-        assert not impl.check_isomorphism(g.table, g.table, [0, 1, 2, 2])
+        assert _kernels.check_isomorphism(g.table, g.table, [0, 1, 2, 3])
+        assert not _kernels.check_isomorphism(g.table, g.table, [0, 2, 1, 3])
+        assert not _kernels.check_isomorphism(g.table, g.table, [0, 1, 2, 2])
 
 
-@pytest.mark.skipif(tables_c is None, reason="compiled kernels not built")
-class TestBackendAgreement:
-    def test_identical_isomorphism_witnesses(self):
-        pairs = [
-            (spinor_pt_group(), direct_product(cyclic(4), cyclic(2))),
-            (dihedral(12), dihedral(12)),
-            (dicyclic(16), dicyclic(16)),
-            (cyclic(8), direct_product(cyclic(2), cyclic(4))),
-            (dihedral(16), dicyclic(16)),
-        ]
-        for g, h in pairs:
-            py_result = tables_py.find_isomorphism(
-                g.table, h.table, g.identity_index, h.identity_index
-            )
-            c_result = tables_c.find_isomorphism(
-                g.table, h.table, g.identity_index, h.identity_index
-            )
-            assert py_result == c_result
+class TestAssociativityOracle:
+    GROUPS = [
+        cyclic(8),
+        dihedral(8),
+        dicyclic(8),
+        direct_product(cyclic(2), direct_product(cyclic(2), cyclic(2))),
+        dihedral(12),
+        dicyclic(16),
+        direct_product(cyclic(4), cyclic(4)),
+        direct_product(cyclic(2), dihedral(12)),
+        dihedral(24),
+        dicyclic(32),
+        direct_product(cyclic(2), dicyclic(16)),
+        cyclic(64),
+        dihedral(64),
+        direct_product(cyclic(8), cyclic(8)),
+    ]
 
-    def test_identical_orders_and_audits(self):
-        for group in sample_tables():
-            assert tables_py.element_orders(group.table, group.identity_index) == list(
-                tables_c.element_orders(group.table, group.identity_index)
-            )
-            assert tables_py.inverse_table(group.table, group.identity_index) == list(
-                tables_c.inverse_table(group.table, group.identity_index)
-            )
-
-    def test_large_table_sampled_associativity(self):
-        g = direct_product(cyclic(16), cyclic(8))  # order 128 > exhaustive limit
-        assert tables_py.associativity_violation(g.table) is None
-        assert tables_c.associativity_violation(g.table) is None
-
-    def test_selected_backend_exports(self):
-        assert _kernels.BACKEND in ("compiled", "python")
-        assert callable(_kernels.find_isomorphism)
+    def test_matches_brute_force_on_perturbed_groups(self):
+        # Order-8 groups get every intercalate swap, which includes tables
+        # whose first greedy generator associates; so does the loop x Z2.
+        rng = random.Random(2004)
+        tables = [(LOOP_5, 0), (loop_times_z2(LOOP_5), 0)]
+        for group in self.GROUPS:
+            e = group.identity_index
+            tables.append((group.table, e))
+            if group.order == 8:
+                swaps = intercalates(group.table, e)
+            else:
+                swaps = rng.sample(intercalates(group.table, e), 6)
+            tables += [(swap_intercalate(group.table, *swap), e) for swap in swaps]
+        rejected = 0
+        for table, identity in tables:
+            triple = _kernels.associativity_violation(table, identity)
+            assert (triple is None) == oracle_is_associative(table)
+            if triple is not None:
+                assert is_violation(table, triple)
+                rejected += 1
+        # the perturbations must mostly break associativity, or the
+        # comparison above shows little
+        assert rejected > len(tables) // 2
