@@ -19,7 +19,6 @@ from .cover import (
     OrthogonalMat3,
     UnitaryMat2,
     UnitQuaternion,
-    check_exact_sequence,
     covering_map,
     determinant_section,
     extended_covering_map,
@@ -66,7 +65,6 @@ from .ptgroup import (
 from .scalars import GaussianRational, Rational
 from .semidirect import (
     SemidirectElement,
-    Z2Rep,
     compose,
     from_unitary,
     parity_element,
@@ -74,5 +72,6 @@ from .semidirect import (
     to_unitary,
     twist_automorphism,
 )
+from .verify import check_exact_sequence
 
 __version__ = "0.1.0"

@@ -22,8 +22,8 @@ def latin_square_violation(table: list[list[int]]) -> Optional[tuple[str, int]]:
             return ("row-length", i)
         if set(table[i]) != full:
             return ("row", i)
-    for j in range(n):
-        if {table[i][j] for i in range(n)} != full:
+    for j, column in enumerate(zip(*table)):
+        if set(column) != full:
             return ("column", j)
     return None
 

@@ -5,7 +5,10 @@ part is SU(2) and the det = -1 coset is reached by multiplying with the
 parity lift i*Identity.  The two-to-one projection onto rotations is
 :func:`covering_map`, and :func:`extended_covering_map` extends it over the
 det = -1 coset so that the image is all of O(3) with the same kernel
-{I, -I}.
+{I, -I}.  :func:`determinant_section` is the homomorphic section of det,
++1 -> I and -1 -> diag(-1, 1), and the only place that section is chosen;
+the finite checks that it splits the extension by Z2 are
+:func:`spincover.verify.check_exact_sequence`.
 
 Everything is computed over Gaussian rationals, so homomorphism and kernel
 statements are checked by exact equality, never by closeness.  Topology is
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .scalars import (
     GaussianRational,
@@ -58,23 +61,8 @@ class UnitaryMat2:
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("expected a 2x2 matrix")
         m = tuple(tuple(_entry(v) for v in r) for r in rows)
-        (a, b), (c, d) = m
-        # M * M^dagger = I, checked entry by entry.
-        if (
-            a * a.conjugate() + b * b.conjugate() != _ONE
-            or c * c.conjugate() + d * d.conjugate() != _ONE
-            or not (a * c.conjugate() + b * d.conjugate()).is_zero()
-        ):
-            raise ValueError("matrix is not unitary")
-        det = a * d - b * c
-        if det == _ONE:
-            sign = 1
-        elif det == -_ONE:
-            sign = -1
-        else:
-            raise ValueError(f"determinant must be +1 or -1, got {det}")
         object.__setattr__(self, "_rows", m)
-        object.__setattr__(self, "_det_sign", sign)
+        object.__setattr__(self, "_det_sign", _unitary_det_sign(m))
 
     @classmethod
     def _trusted(cls, rows: tuple[Row2, Row2], det_sign: int) -> "UnitaryMat2":
@@ -99,14 +87,7 @@ class UnitaryMat2:
 
     def is_unitary(self) -> bool:
         """Recheck the defining equations (used by the invariant tests)."""
-        (a, b), (c, d) = self._rows
-        det = a * d - b * c
-        return (
-            a * a.conjugate() + b * b.conjugate() == _ONE
-            and c * c.conjugate() + d * d.conjugate() == _ONE
-            and (a * c.conjugate() + b * d.conjugate()).is_zero()
-            and det == GaussianRational(self._det_sign)
-        )
+        return _recheck(_unitary_det_sign, self._rows, self._det_sign)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("UnitaryMat2 is immutable")
@@ -200,24 +181,8 @@ class OrthogonalMat3:
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("expected a 3x3 matrix")
         m = tuple(tuple(Fraction(v) for v in r) for r in rows)
-        for i in range(3):
-            for j in range(3):
-                dot = sum(m[i][k] * m[j][k] for k in range(3))
-                if dot != (1 if i == j else 0):
-                    raise ValueError("matrix is not orthogonal")
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        if det == 1:
-            sign = 1
-        elif det == -1:
-            sign = -1
-        else:  # unreachable for an exactly orthogonal matrix
-            raise ValueError(f"determinant must be +1 or -1, got {det}")
         object.__setattr__(self, "_rows", m)
-        object.__setattr__(self, "_det_sign", sign)
+        object.__setattr__(self, "_det_sign", _orthogonal_det_sign(m))
 
     @classmethod
     def _trusted(cls, rows: tuple, det_sign: int) -> "OrthogonalMat3":
@@ -237,17 +202,7 @@ class OrthogonalMat3:
 
     def is_orthogonal(self) -> bool:
         """Recheck the defining equations (used by the invariant tests)."""
-        m = self._rows
-        for i in range(3):
-            for j in range(3):
-                if sum(m[i][k] * m[j][k] for k in range(3)) != (1 if i == j else 0):
-                    return False
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        return det == self._det_sign
+        return _recheck(_orthogonal_det_sign, self._rows, self._det_sign)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("OrthogonalMat3 is immutable")
@@ -302,6 +257,47 @@ class OrthogonalMat3:
 
     def __repr__(self) -> str:
         return f"OrthogonalMat3.from_text({self.to_text()!r})"
+
+
+def _det_sign(det) -> int:
+    if det == 1:
+        return 1
+    if det == -1:
+        return -1
+    raise ValueError(f"determinant must be +1 or -1, got {det}")
+
+
+def _unitary_det_sign(m: tuple[Row2, Row2]) -> int:
+    """The sign of det M; ValueError unless M * M^dagger = I and det = +/-1."""
+    (a, b), (c, d) = m
+    # M * M^dagger = I, checked entry by entry.
+    if (
+        a * a.conjugate() + b * b.conjugate() != _ONE
+        or c * c.conjugate() + d * d.conjugate() != _ONE
+        or not (a * c.conjugate() + b * d.conjugate()).is_zero()
+    ):
+        raise ValueError("matrix is not unitary")
+    return _det_sign(a * d - b * c)
+
+
+def _orthogonal_det_sign(m: tuple[tuple[Fraction, ...], ...]) -> int:
+    """The sign of det R; ValueError unless R * R^T = I."""
+    for i in range(3):
+        for j in range(3):
+            if sum(m[i][k] * m[j][k] for k in range(3)) != (1 if i == j else 0):
+                raise ValueError("matrix is not orthogonal")
+    return _det_sign(  # +/-1 for every exactly orthogonal matrix
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def _recheck(det_sign_of, rows, det_sign: int) -> bool:
+    try:
+        return det_sign_of(rows) == det_sign
+    except ValueError:
+        return False
 
 
 def _parse_rows(text: str, scalar_parser, size: int) -> list[list]:
@@ -401,6 +397,9 @@ def extended_covering_map(matrix: UnitaryMat2) -> OrthogonalMat3:
     return -covering_map(special_part)
 
 
+_MINUS_SECTION = -PAULI_Z
+
+
 def determinant_section(sign: int) -> UnitaryMat2:
     """The homomorphic right inverse of det: +1 -> I, -1 -> diag(-1, 1).
 
@@ -410,95 +409,8 @@ def determinant_section(sign: int) -> UnitaryMat2:
     if sign == 1:
         return IDENTITY2
     if sign == -1:
-        return -PAULI_Z
+        return _MINUS_SECTION
     raise ValueError(f"sign must be +1 or -1, got {sign}")
-
-
-@dataclass(frozen=True)
-class SequenceAssertion:
-    name: str
-    passed: bool
-    witness: Optional[str] = None
-
-    def to_json(self) -> dict:
-        return {"assertion": self.name, "pass": self.passed, "witness": self.witness}
-
-
-@dataclass(frozen=True)
-class ExactSequenceReport:
-    """Results of the finite checks behind the split extension by Z2."""
-
-    assertions: tuple[SequenceAssertion, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(a.passed for a in self.assertions)
-
-    def to_json(self) -> dict:
-        return {
-            "all_pass": self.all_pass,
-            "assertions": [a.to_json() for a in self.assertions],
-        }
-
-
-def check_exact_sequence(samples: Iterable[UnitaryMat2]) -> ExactSequenceReport:
-    """Check, on the given samples, that det splits the extension by Z2.
-
-    The checks: the kernel of det coincides with the embedded special
-    subgroup on the samples, det is surjective onto {+1, -1} (witnessed by
-    the identity and the parity lift), and the section s -> diag(+/-1, 1)
-    is a homomorphic right inverse of det (all four products checked).
-    """
-    results: list[SequenceAssertion] = []
-
-    kernel_witness: Optional[str] = None
-    for m in samples:
-        in_kernel = m.is_special()
-        (z, w), (c, d) = m.rows
-        canonical = c == -w.conjugate() and d == z.conjugate()
-        if in_kernel != canonical:
-            kernel_witness = m.to_text()
-            break
-    results.append(
-        SequenceAssertion(
-            "kernel of det equals the embedded special subgroup on samples",
-            kernel_witness is None,
-            kernel_witness,
-        )
-    )
-
-    parity = parity_operator()
-    surjective = IDENTITY2.det_sign == 1 and parity.det_sign == -1
-    results.append(
-        SequenceAssertion(
-            "det is surjective onto {+1,-1} (witnesses: identity, parity lift)",
-            surjective,
-            None if surjective else parity.to_text(),
-        )
-    )
-
-    right_inverse = all(determinant_section(s).det_sign == s for s in (1, -1))
-    results.append(
-        SequenceAssertion(
-            "section is a right inverse of det on both signs",
-            right_inverse,
-        )
-    )
-
-    hom_witness: Optional[str] = None
-    for s in (1, -1):
-        for t in (1, -1):
-            if determinant_section(s) * determinant_section(t) != determinant_section(s * t):
-                hom_witness = f"signs ({s}, {t})"
-    results.append(
-        SequenceAssertion(
-            "section is a homomorphism on Z2 (all four products)",
-            hom_witness is None,
-            hom_witness,
-        )
-    )
-
-    return ExactSequenceReport(tuple(results))
 
 
 def rational_unit_quaternion(x: Fraction, y: Fraction, z: Fraction) -> UnitQuaternion:

@@ -110,9 +110,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return _kernels.is_abelian(self.table)
 
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
-
     def reordered(self, new_labels: Sequence[str]) -> "FiniteGroup":
         """The same group with elements permuted into the given label order."""
         if sorted(new_labels) != sorted(self.labels):
@@ -137,19 +134,15 @@ class FiniteGroup:
 
     # -- rendering --------------------------------------------------------
 
-    def render_order(self, omit_identity: bool = False) -> list[int]:
-        indices = list(range(self.order))
-        if omit_identity:
-            indices.remove(self.identity_index)
-        return indices
-
     def cayley_text(self, omit_identity: bool = False) -> str:
         """Aligned text table; rows and columns in element order.
 
         With ``omit_identity`` the identity row and column are left out,
         which is the conventional compact form for the named groups here.
         """
-        indices = self.render_order(omit_identity)
+        indices = list(range(self.order))
+        if omit_identity:
+            indices.remove(self.identity_index)
         header = [""] + [self.labels[j] for j in indices]
         body = [
             [self.labels[i]] + [self.labels[self.table[i][j]] for j in indices]
@@ -321,14 +314,13 @@ def _power_label(symbol: str, k: int) -> str:
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     labels = [f"({a},{b})" for a in g.labels for b in h.labels]
     order_h = h.order
-
-    def mul(i: int, j: int) -> int:
-        a1, b1 = divmod(i, order_h)
-        a2, b2 = divmod(j, order_h)
-        return g.table[a1][a2] * order_h + h.table[b1][b2]
-
-    n = g.order * order_h
-    table = [[mul(i, j) for j in range(n)] for i in range(n)]
+    # Element (a, b) has index a * |H| + b, so row (a1, b1) is built from
+    # row a1 of G and row b1 of H.
+    table = [
+        [a * order_h + b for a in g_row for b in h_row]
+        for g_row in g.table
+        for h_row in h.table
+    ]
     identity = g.identity_index * order_h + h.identity_index
     name = f"{g.name}x{h.name}" if g.name and h.name else ""
     return FiniteGroup(labels, table, identity, name=name)

@@ -16,7 +16,7 @@ checked by exact equality on the sampled events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -252,14 +252,11 @@ class FieldParseError(ValueError):
 class SpinorSampleField:
     """A finite exact map from events to spinor values.
 
-    ``closure_group`` declares the rotations the sample domain is meant to
-    be closed under; it is metadata for callers building fields.  The
-    transformations themselves simply look up the rebound source events and
-    raise :class:`DomainClosureError` naming the first missing one.
+    The transformations look up the rebound source events and raise
+    :class:`DomainClosureError` naming the first missing one.
     """
 
     samples: Mapping[Event, SpinorValue]
-    closure_group: tuple[OrthogonalMat3, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", dict(self.samples))
@@ -274,7 +271,7 @@ class SpinorSampleField:
             raise DomainClosureError(event) from None
 
     def map_values(self, fn) -> "SpinorSampleField":
-        return SpinorSampleField({e: fn(v) for e, v in self.samples.items()}, self.closure_group)
+        return SpinorSampleField({e: fn(v) for e, v in self.samples.items()})
 
     def scale(self, factor: GaussianRational) -> "SpinorSampleField":
         return self.map_values(lambda v: v.scale(factor))
@@ -331,6 +328,18 @@ def constant_field(value: SpinorValue, events: Iterable[Event]) -> SpinorSampleF
 # -- the four actions -------------------------------------------------------
 
 
+def _act(
+    matrix: UnitaryMat2, f: SpinorSampleField, rebind, antiunitary: bool
+) -> SpinorSampleField:
+    """g(event) = matrix * f(rebind(event)), the value conjugated first in an
+    antiunitary sector; a missing source event raises DomainClosureError."""
+    out = {}
+    for event in f.events():
+        value = f.value_at(rebind(event))
+        out[event] = transform_value(matrix, value.conjugate() if antiunitary else value)
+    return SpinorSampleField(out)
+
+
 def apply_rotation(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSampleField:
     """Unitary sector with trivial time sign: g(t, x) = A f(t, R x).
 
@@ -339,33 +348,21 @@ def apply_rotation(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSampleFie
     surfaced by :func:`composition_defect`.
     """
     rotation = covering_map(matrix)
-    out = {}
-    for event in f.events():
-        source = event.rotated(rotation)
-        out[event] = transform_value(matrix, f.value_at(source))
-    return SpinorSampleField(out, f.closure_group)
+    return _act(matrix, f, lambda event: event.rotated(rotation), False)
 
 
 def apply_time_reversal(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSampleField:
     """Antiunitary sector: g(t, x) = A conj(f(-t, x))."""
     if not matrix.is_special():
         raise ValueError("time-reversal sector takes a det = +1 matrix")
-    out = {}
-    for event in f.events():
-        source = event.time_flipped()
-        out[event] = transform_value(matrix, f.value_at(source).conjugate())
-    return SpinorSampleField(out, f.closure_group)
+    return _act(matrix, f, Event.time_flipped, True)
 
 
 def apply_parity(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSampleField:
     """Improper sector: g(t, y) = B f(t, -y)."""
     if matrix.is_special():
         raise ValueError("parity sector takes a det = -1 matrix")
-    out = {}
-    for event in f.events():
-        source = event.space_flipped()
-        out[event] = transform_value(matrix, f.value_at(source))
-    return SpinorSampleField(out, f.closure_group)
+    return _act(matrix, f, Event.space_flipped, False)
 
 
 def apply_parity_time(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSampleField:
@@ -374,11 +371,7 @@ def apply_parity_time(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSample
     if matrix.is_special():
         raise ValueError("parity-time sector takes a det = -1 matrix")
     combined = matrix * time_reversal_operator()
-    out = {}
-    for event in f.events():
-        source = event.time_flipped().space_flipped()
-        out[event] = transform_value(combined, f.value_at(source).conjugate())
-    return SpinorSampleField(out, f.closure_group)
+    return _act(combined, f, lambda event: event.time_flipped().space_flipped(), True)
 
 
 def apply_symmetry(g: SpinorSymmetry, f: SpinorSampleField) -> SpinorSampleField:

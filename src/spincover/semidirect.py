@@ -1,10 +1,14 @@
 """The twisted-pair form of the det = +/-1 unitary group.
 
-A pair (A, B) holds a det = +1 matrix A and a section matrix B in
-{I, diag(-1, 1)}.  Pairs compose with a twist: the left factor's section
-conjugates the right factor's special part.  Fusing a pair into the single
-matrix A*B is an isomorphism onto the det = +/-1 group, and the bundle
-projection onto O(3) transports along it.
+A pair (A, s) holds a det = +1 matrix A and a sign s in {+1, -1}, the Z2
+factor.  The sign stands for the section matrix
+:func:`~spincover.cover.determinant_section` (s), which is I or
+diag(-1, 1); that function is the only place the section is chosen.  Pairs
+compose with a twist: the left factor's section conjugates the right
+factor's special part, and the signs multiply.  Fusing a pair into the
+single matrix A * section(s) is an isomorphism onto the det = +/-1 group,
+and the bundle projection onto O(3) transports along it.  In text a pair
+is written ``(A | B)`` with B the section matrix.
 """
 
 from __future__ import annotations
@@ -13,50 +17,17 @@ from dataclasses import dataclass
 
 from .cover import (
     IDENTITY2,
-    PAULI_Z,
     OrthogonalMat3,
     UnitaryMat2,
     XY_MIRROR,
     covering_map,
+    determinant_section,
     parity_operator,
 )
 
-#: The image of -1 under the section: diag(-1, 1), an involution of det -1.
-SECTION_MIRROR = -PAULI_Z
 
-
-@dataclass(frozen=True)
-class Z2Rep:
-    """One of the two section matrices {I, diag(-1, 1)} representing Z2."""
-
-    matrix: UnitaryMat2
-
-    def __post_init__(self) -> None:
-        if self.matrix not in (IDENTITY2, SECTION_MIRROR):
-            raise ValueError("section matrix must be I or diag(-1, 1)")
-
-    @classmethod
-    def from_sign(cls, sign: int) -> "Z2Rep":
-        if sign == 1:
-            return cls(IDENTITY2)
-        if sign == -1:
-            return cls(SECTION_MIRROR)
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-
-    @property
-    def sign(self) -> int:
-        return self.matrix.det_sign
-
-    def __mul__(self, other: "Z2Rep") -> "Z2Rep":
-        return Z2Rep.from_sign(self.sign * other.sign)
-
-
-Z2_IDENTITY = Z2Rep(IDENTITY2)
-Z2_MIRROR = Z2Rep(SECTION_MIRROR)
-
-
-def twist_automorphism(b: Z2Rep, a: UnitaryMat2) -> UnitaryMat2:
-    """Conjugate a det = +1 matrix by a section matrix.
+def twist_automorphism(sign: int, a: UnitaryMat2) -> UnitaryMat2:
+    """Conjugate a det = +1 matrix by the section matrix of ``sign``.
 
     This is the Z2 action defining the twisted composition.  The identity
     section acts trivially; the mirror section acts as the involution
@@ -64,21 +35,23 @@ def twist_automorphism(b: Z2Rep, a: UnitaryMat2) -> UnitaryMat2:
     """
     if not a.is_special():
         raise ValueError("the twist acts on det = +1 matrices")
-    if b.sign == 1:
+    section = determinant_section(sign)
+    if sign == 1:
         return a
-    return b.matrix * a * b.matrix.inverse()
+    return section * a * section.inverse()
 
 
 @dataclass(frozen=True)
 class SemidirectElement:
-    """A pair (special part, section part) under the twisted composition."""
+    """A pair (special part, section sign) under the twisted composition."""
 
     su2_part: UnitaryMat2
-    z2_part: Z2Rep
+    sign: int
 
     def __post_init__(self) -> None:
         if not self.su2_part.is_special():
             raise ValueError("special part must have det = +1")
+        determinant_section(self.sign)  # ValueError unless the sign is +1 or -1
 
     def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
         return compose(self, other)
@@ -87,7 +60,7 @@ class SemidirectElement:
         return from_unitary(to_unitary(self).inverse())
 
     def to_text(self) -> str:
-        return f"({self.su2_part.to_text()} | {self.z2_part.matrix.to_text()})"
+        return f"({self.su2_part.to_text()} | {determinant_section(self.sign).to_text()})"
 
     @classmethod
     def from_text(cls, text: str) -> "SemidirectElement":
@@ -97,43 +70,49 @@ class SemidirectElement:
         left, sep, right = body[1:-1].partition("|")
         if not sep:
             raise ValueError(f"expected '(A | B)', got {text!r}")
-        return cls(UnitaryMat2.from_text(left), Z2Rep(UnitaryMat2.from_text(right)))
+        su2_part = UnitaryMat2.from_text(left)
+        section = UnitaryMat2.from_text(right)
+        if section != determinant_section(section.det_sign):
+            raise ValueError("section matrix must be I or diag(-1, 1)")
+        return cls(su2_part, section.det_sign)
 
 
-IDENTITY_ELEMENT = SemidirectElement(IDENTITY2, Z2_IDENTITY)
+IDENTITY_ELEMENT = SemidirectElement(IDENTITY2, 1)
 
 
 def compose(e1: SemidirectElement, e2: SemidirectElement) -> SemidirectElement:
-    """Twisted composition: (A', B') (A, B) = (A' B' A B'^-1, B' B)."""
-    twisted = twist_automorphism(e1.z2_part, e2.su2_part)
-    return SemidirectElement(e1.su2_part * twisted, e1.z2_part * e2.z2_part)
+    """Twisted composition: (A', s') (A, s) = (A' B' A B'^-1, s' s), B' the
+    section matrix of s'."""
+    twisted = twist_automorphism(e1.sign, e2.su2_part)
+    return SemidirectElement(e1.su2_part * twisted, e1.sign * e2.sign)
 
 
 def to_unitary(e: SemidirectElement) -> UnitaryMat2:
     """Fuse a pair into the single matrix A * B; det matches the section sign."""
-    return e.su2_part * e.z2_part.matrix
+    return e.su2_part * determinant_section(e.sign)
 
 
 def from_unitary(c: UnitaryMat2) -> SemidirectElement:
     """Split a det = +/-1 matrix back into a pair; inverse of :func:`to_unitary`."""
     if c.is_special():
-        return SemidirectElement(c, Z2_IDENTITY)
-    return SemidirectElement(c * SECTION_MIRROR, Z2_MIRROR)
+        return SemidirectElement(c, 1)
+    # The section matrix of -1 is an involution, so c = (c B) B.
+    return SemidirectElement(c * determinant_section(-1), -1)
 
 
 def project_to_o3(e: SemidirectElement) -> OrthogonalMat3:
     """The bundle projection of a pair onto O(3).
 
-    Identity section: the rotation of the special part.  Mirror section:
-    that rotation followed by the xy-plane mirror diag(1, 1, -1).  Always
-    equal to the extended covering map of the fused matrix.
+    Sign +1: the rotation of the special part.  Sign -1: that rotation
+    followed by the xy-plane mirror diag(1, 1, -1).  Always equal to the
+    extended covering map of the fused matrix.
     """
     rotation = covering_map(e.su2_part)
-    if e.z2_part.sign == 1:
+    if e.sign == 1:
         return rotation
     return rotation * XY_MIRROR
 
 
 def parity_element() -> SemidirectElement:
-    """The pair that fuses to the parity lift i*I: (diag(-i, i), mirror)."""
+    """The pair that fuses to the parity lift i*I: (diag(-i, i), -1)."""
     return from_unitary(parity_operator())

@@ -3,7 +3,10 @@
 Each suite is a fixed ordered list of named assertions over exact samples
 drawn from a seeded generator, so a given (suite, seed, samples) triple
 always produces the identical report.  Assertions never raise on failure;
-they record a witness string instead.
+they record a witness string instead, the one for the first item that
+breaks the assertion (:meth:`_Checks.check`).  :class:`CheckResult` and
+:class:`SuiteReport` are the only assertion records, also for the split
+extension checks of :func:`check_exact_sequence`.
 """
 
 from __future__ import annotations
@@ -11,14 +14,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from itertools import chain, product
+from typing import Callable, Iterable, Optional
 
 from .cover import (
     IDENTITY2,
     IDENTITY3,
     SPACE_INVERSION,
     UnitaryMat2,
-    check_exact_sequence,
     covering_map,
     determinant_section,
     extended_covering_map,
@@ -26,7 +29,7 @@ from .cover import (
     quaternion_to_su2,
     rational_unit_quaternion,
 )
-from .groups import spinor_pt_group
+from .groups import _close, spinor_pt_group
 from .ptgroup import (
     Event,
     SpacetimeSymmetry,
@@ -42,8 +45,6 @@ from .ptgroup import (
 from .scalars import GaussianRational
 from .semidirect import (
     SemidirectElement,
-    Z2_IDENTITY,
-    Z2_MIRROR,
     compose,
     from_unitary,
     project_to_o3,
@@ -80,6 +81,17 @@ class SuiteReport:
         }
 
 
+class _Checks(list):
+    """The ordered :class:`CheckResult` list of one suite run."""
+
+    def check(self, name: str, items: Iterable, predicate: Callable[..., Optional[str]]) -> None:
+        """Append assertion ``name``.  ``predicate`` returns a witness string
+        for an item that breaks the assertion and None otherwise; the
+        assertion fails with the witness of the first such item."""
+        witness = next((w for w in map(predicate, items) if w is not None), None)
+        self.append(CheckResult(name, witness is None, witness))
+
+
 # -- seeded exact sampling ----------------------------------------------------
 
 
@@ -102,8 +114,8 @@ def sample_extended(rng: random.Random) -> UnitaryMat2:
 
 
 def sample_pair_element(rng: random.Random) -> SemidirectElement:
-    section = Z2_MIRROR if rng.randint(0, 1) else Z2_IDENTITY
-    return SemidirectElement(sample_su2(rng), section)
+    sign = -1 if rng.randint(0, 1) else 1
+    return SemidirectElement(sample_su2(rng), sign)
 
 
 def sample_symmetry(rng: random.Random) -> SpinorSymmetry:
@@ -117,16 +129,6 @@ def sample_unit_spinor(rng: random.Random) -> SpinorValue:
     return SpinorValue(GaussianRational(q.a, q.b), GaussianRational(q.c, q.d))
 
 
-def _first_failure(
-    count: int, producer: Callable[[int], Optional[str]]
-) -> Optional[str]:
-    for k in range(count):
-        witness = producer(k)
-        if witness is not None:
-            return witness
-    return None
-
-
 def _order8_matrices() -> list[UnitaryMat2]:
     group = spinor_pt_group()
     assert group.element_source is not None
@@ -136,38 +138,69 @@ def _order8_matrices() -> list[UnitaryMat2]:
 # -- cover suite ---------------------------------------------------------------
 
 
+def check_exact_sequence(samples: Iterable[UnitaryMat2]) -> SuiteReport:
+    """Check, on the given samples, that det splits the extension by Z2.
+
+    The checks: the kernel of det coincides with the embedded special
+    subgroup on the samples, det is surjective onto {+1, -1} (witnessed by
+    the identity and the parity lift), and the section s -> diag(+/-1, 1)
+    is a homomorphic right inverse of det (all four products checked).
+    """
+    checks = _Checks()
+
+    def kernel(m):
+        (z, w), (c, d) = m.rows
+        canonical = c == -w.conjugate() and d == z.conjugate()
+        if m.is_special() != canonical:
+            return m.to_text()
+
+    checks.check("kernel of det equals the embedded special subgroup on samples", samples, kernel)
+
+    def has_sign(item):
+        m, sign = item
+        if m.det_sign != sign:
+            return m.to_text()
+
+    surjection = [(IDENTITY2, 1), (parity_operator(), -1)]
+    checks.check("det is surjective onto {+1,-1} (witnesses: identity, parity lift)", surjection, has_sign)
+
+    right_inverse = all(determinant_section(s).det_sign == s for s in (1, -1))
+    checks.append(CheckResult("section is a right inverse of det on both signs", right_inverse))
+
+    def homomorphic(signs):
+        s, t = signs
+        if determinant_section(s) * determinant_section(t) != determinant_section(s * t):
+            return f"signs ({s}, {t})"
+
+    checks.check("section is a homomorphism on Z2 (all four products)", product((1, -1), repeat=2), homomorphic)
+    return SuiteReport("exact-sequence", tuple(checks))
+
+
 def run_cover_suite(seed: int, samples: int) -> SuiteReport:
     rng = random.Random(seed)
     pairs = [(sample_su2(rng), sample_su2(rng)) for _ in range(samples)]
-    checks: list[CheckResult] = []
+    specials = [a for a, _ in pairs]
+    checks = _Checks()
 
-    def rotation_hom(k: int) -> Optional[str]:
-        a, b = pairs[k]
+    def rotation_hom(pair):
+        a, b = pair
         if covering_map(a * b) != covering_map(a) * covering_map(b):
             return f"{a.to_text()} ; {b.to_text()}"
-        return None
 
-    witness = _first_failure(len(pairs), rotation_hom)
-    checks.append(CheckResult("rotation projection is multiplicative on sampled pairs", witness is None, witness))
+    checks.check("rotation projection is multiplicative on sampled pairs", pairs, rotation_hom)
 
-    def antipodal(k: int) -> Optional[str]:
-        a, _ = pairs[k]
+    def antipodal(a):
         if covering_map(a) != covering_map(-a):
             return a.to_text()
-        return None
 
-    witness = _first_failure(len(pairs), antipodal)
-    checks.append(CheckResult("antipodal matrices project to the same rotation", witness is None, witness))
+    checks.check("antipodal matrices project to the same rotation", specials, antipodal)
 
-    def proper_image(k: int) -> Optional[str]:
-        a, _ = pairs[k]
+    def proper_image(a):
         image = covering_map(a)
         if image.det_sign != 1 or not image.is_orthogonal():
             return a.to_text()
-        return None
 
-    witness = _first_failure(len(pairs), proper_image)
-    checks.append(CheckResult("projected rotations are orthogonal with det +1", witness is None, witness))
+    checks.check("projected rotations are orthogonal with det +1", specials, proper_image)
 
     parity = parity_operator()
     extended_pairs = [
@@ -175,62 +208,48 @@ def run_cover_suite(seed: int, samples: int) -> SuiteReport:
         for k, (a, b) in enumerate(pairs)
     ]
 
-    def extended_hom(k: int) -> Optional[str]:
-        c, d = extended_pairs[k]
+    def extended_hom(pair):
+        c, d = pair
         if extended_covering_map(c * d) != extended_covering_map(c) * extended_covering_map(d):
             return f"{c.to_text()} ; {d.to_text()}"
-        return None
 
-    witness = _first_failure(len(extended_pairs), extended_hom)
-    checks.append(CheckResult("extended projection is multiplicative across both components", witness is None, witness))
+    checks.check("extended projection is multiplicative across both components", extended_pairs, extended_hom)
 
     kernel_pool = [m for pair in extended_pairs for m in pair] + _order8_matrices()
 
-    def kernel(k: int) -> Optional[str]:
-        c = kernel_pool[k]
+    def kernel(c):
         in_kernel = extended_covering_map(c) == IDENTITY3
         central = c in (IDENTITY2, -IDENTITY2)
         if in_kernel != central:
             return c.to_text()
-        return None
 
-    witness = _first_failure(len(kernel_pool), kernel)
-    checks.append(CheckResult("extended projection kernel is exactly {I, -I}", witness is None, witness))
+    checks.check("extended projection kernel is exactly {I, -I}", kernel_pool, kernel)
 
-    def diagram(k: int) -> Optional[str]:
-        a, _ = pairs[k]
+    def diagram(a):
         if extended_covering_map(a) != covering_map(a):
             return a.to_text()
-        return None
 
-    witness = _first_failure(len(pairs), diagram)
-    checks.append(CheckResult("embedding commutes with the two projections on det +1", witness is None, witness))
+    checks.check("embedding commutes with the two projections on det +1", specials, diagram)
 
-    def normality(k: int) -> Optional[str]:
-        a, _ = pairs[k]
-        b = extended_pairs[k][1]
+    def normality(pair):
+        a, b = pair
         if (b * a * b.inverse()).det_sign != 1:
             return f"{b.to_text()} ; {a.to_text()}"
-        return None
 
-    witness = _first_failure(len(pairs), normality)
-    checks.append(CheckResult("det +1 subgroup is normal in the extension", witness is None, witness))
+    conjugators = [d for _, d in extended_pairs]
+    checks.check("det +1 subgroup is normal in the extension", zip(specials, conjugators), normality)
 
-    def det_mult(k: int) -> Optional[str]:
-        c, d = extended_pairs[k]
+    def det_mult(pair):
+        c, d = pair
         if (c * d).det_sign != c.det_sign * d.det_sign:
             return f"{c.to_text()} ; {d.to_text()}"
-        return None
 
-    witness = _first_failure(len(extended_pairs), det_mult)
-    checks.append(CheckResult("determinant is multiplicative on the extension", witness is None, witness))
+    checks.check("determinant is multiplicative on the extension", extended_pairs, det_mult)
 
     sequence_samples = [IDENTITY2, -IDENTITY2, parity, determinant_section(-1)] + [
         m for pair in extended_pairs[: max(1, samples // 10)] for m in pair
     ]
-    for assertion in check_exact_sequence(sequence_samples).assertions:
-        checks.append(CheckResult(assertion.name, assertion.passed, assertion.witness))
-
+    checks.extend(check_exact_sequence(sequence_samples).checks)
     return SuiteReport("cover", tuple(checks))
 
 
@@ -240,79 +259,64 @@ def run_cover_suite(seed: int, samples: int) -> SuiteReport:
 def run_semidirect_suite(seed: int, samples: int) -> SuiteReport:
     rng = random.Random(seed)
     pairs = [(sample_pair_element(rng), sample_pair_element(rng)) for _ in range(samples)]
-    checks: list[CheckResult] = []
+    firsts = [e for e, _ in pairs]
+    checks = _Checks()
 
-    def fuse_hom(k: int) -> Optional[str]:
-        e1, e2 = pairs[k]
+    def fuse_hom(pair):
+        e1, e2 = pair
         if to_unitary(compose(e1, e2)) != to_unitary(e1) * to_unitary(e2):
             return f"{e1.to_text()} ; {e2.to_text()}"
-        return None
 
-    witness = _first_failure(len(pairs), fuse_hom)
-    checks.append(CheckResult("fusing pairs to matrices preserves products", witness is None, witness))
+    checks.check("fusing pairs to matrices preserves products", pairs, fuse_hom)
 
     order8 = _order8_matrices()
 
-    def round_trip_matrix(k: int) -> Optional[str]:
-        c = order8[k] if k < len(order8) else to_unitary(pairs[k - len(order8)][0])
+    def round_trip_matrix(c):
         if to_unitary(from_unitary(c)) != c:
             return c.to_text()
-        return None
 
-    witness = _first_failure(len(order8) + len(pairs), round_trip_matrix)
-    checks.append(CheckResult("matrix -> pair -> matrix round trip is the identity", witness is None, witness))
+    matrices = chain(order8, (to_unitary(e) for e in firsts))
+    checks.check("matrix -> pair -> matrix round trip is the identity", matrices, round_trip_matrix)
 
-    def round_trip_pair(k: int) -> Optional[str]:
-        e = pairs[k][0]
+    def round_trip_pair(e):
         if from_unitary(to_unitary(e)) != e:
             return e.to_text()
-        return None
 
-    witness = _first_failure(len(pairs), round_trip_pair)
-    checks.append(CheckResult("pair -> matrix -> pair round trip is the identity", witness is None, witness))
+    checks.check("pair -> matrix -> pair round trip is the identity", firsts, round_trip_pair)
 
     projection_pool = [from_unitary(c) for c in order8] + [e for pair in pairs for e in pair]
 
-    def projections_agree(k: int) -> Optional[str]:
-        e = projection_pool[k]
+    def projections_agree(e):
         if project_to_o3(e) != extended_covering_map(to_unitary(e)):
             return e.to_text()
-        return None
 
-    witness = _first_failure(len(projection_pool), projections_agree)
-    checks.append(CheckResult("pair projection equals the matrix projection", witness is None, witness))
+    checks.check("pair projection equals the matrix projection", projection_pool, projections_agree)
 
     spinors = [sample_unit_spinor(rng) for _ in range(min(samples, 50))]
 
-    def action_triangle(k: int) -> Optional[str]:
-        e = pairs[k % len(pairs)][0]
-        value = spinors[k % len(spinors)]
-        stepwise = transform_value(e.su2_part, transform_value(e.z2_part.matrix, value))
-        fused = transform_value(to_unitary(e), value)
-        if stepwise != fused:
+    def action_triangle(item):
+        e, value = item
+        stepwise = transform_value(e.su2_part, transform_value(determinant_section(e.sign), value))
+        if stepwise != transform_value(to_unitary(e), value):
             return e.to_text()
-        return None
 
-    witness = _first_failure(len(spinors), action_triangle)
-    checks.append(CheckResult("pair action on spinor values equals the fused-matrix action", witness is None, witness))
+    checks.check(
+        "pair action on spinor values equals the fused-matrix action", zip(firsts, spinors), action_triangle
+    )
 
-    def fiber(k: int) -> Optional[str]:
-        e = pairs[k][0]
+    def fiber(pair):
+        e, other = pair
         partner = from_unitary(-to_unitary(e))
         if project_to_o3(partner) != project_to_o3(e):
             return e.to_text()
         if to_unitary(partner) == to_unitary(e):
             return e.to_text()
-        other = pairs[k][1]
         same_base = project_to_o3(other) == project_to_o3(e)
         antipodal = to_unitary(other) in (to_unitary(e), -to_unitary(e))
         if same_base != antipodal:
             return f"{e.to_text()} ; {other.to_text()}"
-        return None
 
-    witness = _first_failure(len(pairs), fiber)
-    checks.append(CheckResult("projection fibers are exactly antipodal matrix pairs", witness is None, witness))
-
+    checks.check("projection fibers are exactly antipodal matrix pairs", pairs, fiber)
     return SuiteReport("semidirect", tuple(checks))
 
 
@@ -351,43 +355,28 @@ def _canonical_symmetries() -> list[SpinorSymmetry]:
     return out
 
 
-def _lifted_subgroup() -> list[SpinorSymmetry]:
-    """The order-8 subgroup generated by the canonical parity and
-    time-reversal pairs (matrix, time sign)."""
-    generators = [SpinorSymmetry.parity(), SpinorSymmetry.time_reversal()]
-    elements = [SpinorSymmetry.identity()]
-    while True:
-        fresh = []
-        for a in elements + fresh:
-            for g in generators:
-                p = a * g
-                if p not in elements and p not in fresh:
-                    fresh.append(p)
-        if not fresh:
-            return elements
-        elements.extend(fresh)
-
-
 def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     rng = random.Random(seed)
-    checks: list[CheckResult] = []
+    checks = _Checks()
 
-    exhaustive = []
-    for g in _canonical_symmetries():
-        for h in _canonical_symmetries():
-            exhaustive.append((g, h))
-    for g in _lifted_subgroup():
-        for h in _lifted_subgroup():
-            exhaustive.append((g, h))
+    # The order-8 subgroup generated by the canonical parity and
+    # time-reversal pairs; the constant sort key keeps discovery order.
+    lifted, _ = _close(
+        [SpinorSymmetry.parity(), SpinorSymmetry.time_reversal()],
+        SpinorSymmetry.identity(),
+        lambda a, b: a * b,
+        lambda s: 0,
+        16,
+    )
+    canonical = _canonical_symmetries()
+    exhaustive = chain(product(canonical, repeat=2), product(lifted, repeat=2))
 
-    def hom_exhaustive(k: int) -> Optional[str]:
-        g, h = exhaustive[k]
+    def multiplicative(pair):
+        g, h = pair
         if spacetime_projection(g * h) != spacetime_projection(g) * spacetime_projection(h):
             return f"{g.to_text()} ; {h.to_text()}"
-        return None
 
-    witness = _first_failure(len(exhaustive), hom_exhaustive)
-    checks.append(CheckResult("spacetime projection is multiplicative on the canonical pairs", witness is None, witness))
+    checks.check("spacetime projection is multiplicative on the canonical pairs", exhaustive, multiplicative)
 
     expected_values = [
         (SpinorSymmetry.time_reversal(), SpacetimeSymmetry(IDENTITY3, -1)),
@@ -398,28 +387,20 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
         ),
     ]
 
-    def canonical_values(k: int) -> Optional[str]:
-        element, expected = expected_values[k]
+    def canonical_values(item):
+        element, expected = item
         if spacetime_projection(element) != expected:
             return element.to_text()
-        return None
 
-    witness = _first_failure(len(expected_values), canonical_values)
-    checks.append(CheckResult("canonical reversals project to pure time flip, inversion, full reversal", witness is None, witness))
+    checks.check(
+        "canonical reversals project to pure time flip, inversion, full reversal", expected_values, canonical_values
+    )
 
     sampled_pairs = [(sample_symmetry(rng), sample_symmetry(rng)) for _ in range(max(samples, 500))]
+    checks.check("spacetime projection is multiplicative on sampled pairs", sampled_pairs, multiplicative)
 
-    def hom_sampled(k: int) -> Optional[str]:
-        g, h = sampled_pairs[k]
-        if spacetime_projection(g * h) != spacetime_projection(g) * spacetime_projection(h):
-            return f"{g.to_text()} ; {h.to_text()}"
-        return None
-
-    witness = _first_failure(len(sampled_pairs), hom_sampled)
-    checks.append(CheckResult("spacetime projection is multiplicative on sampled pairs", witness is None, witness))
-
-    def two_to_one(k: int) -> Optional[str]:
-        g, h = sampled_pairs[k]
+    def two_to_one(pair):
+        g, h = pair
         negated = SpinorSymmetry(-g.matrix, g.time_sign)
         if spacetime_projection(negated) != spacetime_projection(g):
             return g.to_text()
@@ -427,10 +408,8 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
         antipodal = h.time_sign == g.time_sign and h.matrix in (g.matrix, -g.matrix)
         if same != antipodal:
             return f"{g.to_text()} ; {h.to_text()}"
-        return None
 
-    witness = _first_failure(len(sampled_pairs), two_to_one)
-    checks.append(CheckResult("spacetime projection identifies exactly antipodal elements", witness is None, witness))
+    checks.check("spacetime projection identifies exactly antipodal elements", sampled_pairs, two_to_one)
 
     field = _standard_field()
     parity = parity_operator()
@@ -454,48 +433,31 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     )
     checks.append(CheckResult("the parity-time matrix squares to +I and its double action is trivial", pt_squares))
 
-    def time_reversal_formula(k: int) -> Optional[str]:
-        transformed = apply_symmetry(t_elem, field)
-        for event in field.events():
-            source = field.value_at(event.time_flipped())
-            expected = SpinorValue(-source.v.conjugate(), source.u.conjugate())
-            if transformed.value_at(event) != expected:
+    def follows(element, source_of, formula):
+        """Predicate on events: the transformed value at an event is
+        ``formula`` of the field value at ``source_of(event)``."""
+        transformed = apply_symmetry(element, field)
+
+        def mismatch(event):
+            if formula(field.value_at(source_of(event))) != transformed.value_at(event):
                 return event.to_text()
-        return None
 
-    witness = _first_failure(1, time_reversal_formula)
-    checks.append(CheckResult("time reversal matches its componentwise formula", witness is None, witness))
+        return mismatch
 
-    def parity_formula(k: int) -> Optional[str]:
-        transformed = apply_symmetry(p_elem, field)
-        i_unit = GaussianRational(0, 1)
-        for event in field.events():
-            source = field.value_at(event.space_flipped())
-            expected = SpinorValue(i_unit * source.u, i_unit * source.v)
-            if transformed.value_at(event) != expected:
-                return event.to_text()
-        return None
-
-    witness = _first_failure(1, parity_formula)
-    checks.append(CheckResult("parity matches its componentwise formula", witness is None, witness))
-
-    def parity_time_formula(k: int) -> Optional[str]:
-        # The improper antiunitary sector entered with the parity matrix;
-        # the action supplies the time-reversal factor itself, so the
-        # applied matrix is parity * time-reversal.
-        transformed = apply_symmetry(SpinorSymmetry(parity, -1), field)
-        i_unit = GaussianRational(0, 1)
-        for event in field.events():
-            source = field.value_at(event.time_flipped().space_flipped())
-            expected = SpinorValue(
-                -i_unit * source.v.conjugate(), i_unit * source.u.conjugate()
-            )
-            if transformed.value_at(event) != expected:
-                return event.to_text()
-        return None
-
-    witness = _first_failure(1, parity_time_formula)
-    checks.append(CheckResult("parity-time matches its componentwise formula", witness is None, witness))
+    i_unit = GaussianRational(0, 1)
+    reversal = follows(t_elem, Event.time_flipped, lambda s: SpinorValue(-s.v.conjugate(), s.u.conjugate()))
+    checks.check("time reversal matches its componentwise formula", field.events(), reversal)
+    inversion = follows(p_elem, Event.space_flipped, lambda s: SpinorValue(i_unit * s.u, i_unit * s.v))
+    checks.check("parity matches its componentwise formula", field.events(), inversion)
+    # The improper antiunitary sector entered with the parity matrix; the
+    # action supplies the time-reversal factor itself, so the applied
+    # matrix is parity * time-reversal.
+    full_reversal = follows(
+        SpinorSymmetry(parity, -1),
+        lambda e: e.time_flipped().space_flipped(),
+        lambda s: SpinorValue(-i_unit * s.v.conjugate(), i_unit * s.u.conjugate()),
+    )
+    checks.check("parity-time matches its componentwise formula", field.events(), full_reversal)
 
     spinors = [sample_unit_spinor(rng) for _ in range(min(samples, 100))]
     phases = [
@@ -507,24 +469,18 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
         GaussianRational(Fraction(3, 5), Fraction(-4, 5)),
     ]
 
-    def phase_invariance(k: int) -> Optional[str]:
-        value = spinors[k // len(phases)]
-        phase = phases[k % len(phases)]
+    def phase_invariance(item):
+        value, phase = item
         if ray_project(value.scale(phase)) != ray_project(value):
             return value.to_text()
-        return None
 
-    witness = _first_failure(len(spinors) * len(phases), phase_invariance)
-    checks.append(CheckResult("rays are invariant under unit phases", witness is None, witness))
+    checks.check("rays are invariant under unit phases", product(spinors, phases), phase_invariance)
 
-    def parity_on_rays(k: int) -> Optional[str]:
-        value = spinors[k]
+    def parity_on_rays(value):
         if ray_project(transform_value(parity, value)) != ray_project(value):
             return value.to_text()
-        return None
 
-    witness = _first_failure(len(spinors), parity_on_rays)
-    checks.append(CheckResult("parity acts trivially on rays", witness is None, witness))
+    checks.check("parity acts trivially on rays", spinors, parity_on_rays)
 
     basis_distinct = ray_project(SpinorValue(GaussianRational(1), GaussianRational(0))) != ray_project(
         SpinorValue(GaussianRational(0), GaussianRational(1))

@@ -17,7 +17,6 @@ from spincover.cover import (
     IDENTITY2,
     IDENTITY3,
     SPACE_INVERSION,
-    check_exact_sequence,
     covering_map,
     determinant_section,
     extended_covering_map,
@@ -48,6 +47,7 @@ from spincover.ptgroup import (
 from spincover.scalars import GaussianRational
 from spincover.semidirect import compose, from_unitary, project_to_o3, to_unitary
 from spincover.verify import (
+    check_exact_sequence,
     sample_extended,
     sample_pair_element,
     sample_su2,

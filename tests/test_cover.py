@@ -11,7 +11,6 @@ from spincover.cover import (
     OrthogonalMat3,
     UnitQuaternion,
     UnitaryMat2,
-    check_exact_sequence,
     covering_map,
     determinant_section,
     extended_covering_map,
@@ -21,7 +20,13 @@ from spincover.cover import (
     su2_from_zw,
 )
 from spincover.scalars import GaussianRational
-from spincover.verify import sample_extended, sample_su2
+from spincover.verify import (
+    CheckResult,
+    SuiteReport,
+    check_exact_sequence,
+    sample_extended,
+    sample_su2,
+)
 
 
 class TestMatrixTypes:
@@ -171,9 +176,15 @@ class TestDeterminantSection:
 class TestExactSequence:
     def test_canonical_samples_pass(self, parity):
         report = check_exact_sequence([IDENTITY2, -IDENTITY2, parity, -PAULI_Z])
+        assert isinstance(report, SuiteReport)
         assert report.all_pass
-        names = [a.name for a in report.assertions]
-        assert len(names) == 4
+        assert [c.name for c in report.checks] == [
+            "kernel of det equals the embedded special subgroup on samples",
+            "det is surjective onto {+1,-1} (witnesses: identity, parity lift)",
+            "section is a right inverse of det on both signs",
+            "section is a homomorphism on Z2 (all four products)",
+        ]
+        assert all(isinstance(c, CheckResult) and c.witness is None for c in report.checks)
 
     def test_sampled_extension_passes(self, rng):
         samples = [sample_extended(rng) for _ in range(100)]
@@ -181,9 +192,14 @@ class TestExactSequence:
 
     def test_json_shape(self, parity):
         payload = check_exact_sequence([parity]).to_json()
-        assert set(payload) == {"all_pass", "assertions"}
+        assert set(payload) == {"suite", "all_pass", "assertions"}
         for entry in payload["assertions"]:
             assert set(entry) == {"assertion", "pass", "witness"}
+
+    def test_package_export(self):
+        import spincover
+
+        assert spincover.check_exact_sequence is check_exact_sequence
 
 
 class TestQuaternions:

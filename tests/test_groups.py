@@ -173,6 +173,15 @@ class TestAbstractGroups:
         assert g.is_abelian()
         assert g.order_multiset() == (1, 2, 2, 2, 4, 4, 4, 4)
 
+    def test_direct_product_table(self):
+        g, h = dihedral(6), cyclic(4)
+        product = direct_product(g, h)
+        for i in range(product.order):
+            a1, b1 = divmod(i, h.order)
+            for j in range(product.order):
+                a2, b2 = divmod(j, h.order)
+                assert product.table[i][j] == g.table[a1][a2] * h.order + h.table[b1][b2]
+
     def test_dihedral_involution_count(self):
         g = dihedral(8)
         involutions = sum(1 for i in range(g.order) if g.element_order(i) == 2)

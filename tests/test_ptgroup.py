@@ -133,7 +133,7 @@ class TestSemidirectBridge:
         e, sign = to_semidirect(SpinorSymmetry.time_reversal())
         assert sign == -1
         assert e == from_unitary(treverse)
-        assert e.z2_part.sign == 1
+        assert e.sign == 1
 
     def test_round_trip(self, rng):
         for _ in range(50):
@@ -444,15 +444,3 @@ class TestClosureMetadata:
         f = varied_field()
         assert f.closed_under(Event.time_flipped) is None
         assert f.closed_under(Event.space_flipped) is None
-
-    def test_declared_closure_group_is_carried(self, treverse):
-        from spincover.cover import covering_map
-
-        rotation = covering_map(treverse)
-        events = symmetric_events()
-        f = SpinorSampleField(
-            {e: SpinorValue(gr(1), gr(0)) for e in events}, closure_group=(rotation,)
-        )
-        assert f.closure_group == (rotation,)
-        g = apply_rotation(treverse, f)
-        assert g.closure_group == (rotation,)

@@ -5,6 +5,7 @@ from spincover.cover import (
     PAULI_Z,
     XY_MIRROR,
     covering_map,
+    determinant_section,
     extended_covering_map,
     parity_operator,
 )
@@ -12,11 +13,7 @@ from spincover.groups import spinor_pt_group
 from spincover.scalars import GaussianRational
 from spincover.semidirect import (
     IDENTITY_ELEMENT,
-    SECTION_MIRROR,
     SemidirectElement,
-    Z2_IDENTITY,
-    Z2_MIRROR,
-    Z2Rep,
     compose,
     from_unitary,
     parity_element,
@@ -33,46 +30,57 @@ def order8_matrices():
 
 
 class TestZ2Rep:
+    """The Z2 factor is a sign; its section matrix is determinant_section."""
+
     def test_only_two_matrices_allowed(self):
-        Z2Rep(IDENTITY2)
-        Z2Rep(SECTION_MIRROR)
-        with pytest.raises(ValueError):
-            Z2Rep(PAULI_Z)
+        for b, sign in ((IDENTITY2, 1), (determinant_section(-1), -1)):
+            e = SemidirectElement.from_text(f"(1,0;0,1 | {b.to_text()})")
+            assert e == SemidirectElement(IDENTITY2, sign)
+        with pytest.raises(ValueError, match="section matrix"):
+            SemidirectElement.from_text(f"(1,0;0,1 | {PAULI_Z.to_text()})")
+        for sign in (0, 2, -2):
+            with pytest.raises(ValueError):
+                SemidirectElement(IDENTITY2, sign)
 
     def test_signs(self):
-        assert Z2_IDENTITY.sign == 1
-        assert Z2_MIRROR.sign == -1
+        for sign in (1, -1):
+            e = SemidirectElement(IDENTITY2, sign)
+            assert e.sign == sign
+            assert to_unitary(e) == determinant_section(sign)
+            assert e.to_text() == f"(1,0;0,1 | {determinant_section(sign).to_text()})"
 
     def test_multiplication(self):
-        assert Z2_MIRROR * Z2_MIRROR == Z2_IDENTITY
-        assert Z2_MIRROR * Z2_IDENTITY == Z2_MIRROR
+        identity, mirror = (SemidirectElement(IDENTITY2, s) for s in (1, -1))
+        assert compose(mirror, mirror) == identity
+        assert compose(mirror, identity) == mirror
+        assert compose(identity, mirror) == mirror
 
 
 class TestTwist:
     def test_identity_section_acts_trivially(self, rng):
         for _ in range(20):
             a = sample_su2(rng)
-            assert twist_automorphism(Z2_IDENTITY, a) == a
+            assert twist_automorphism(1, a) == a
 
     def test_mirror_twist_formula(self, rng):
         for _ in range(20):
             a = sample_su2(rng)
             z, w = a.su2_components()
-            twisted = twist_automorphism(Z2_MIRROR, a)
+            twisted = twist_automorphism(-1, a)
             tz, tw = twisted.su2_components()
             assert (tz, tw) == (z, -w)
 
     def test_mirror_twist_is_involutive(self, rng):
         for _ in range(20):
             a = sample_su2(rng)
-            assert twist_automorphism(Z2_MIRROR, twist_automorphism(Z2_MIRROR, a)) == a
+            assert twist_automorphism(-1, twist_automorphism(-1, a)) == a
 
     def test_twist_is_an_automorphism(self, rng):
         for _ in range(50):
             a, b = sample_su2(rng), sample_su2(rng)
-            assert twist_automorphism(Z2_MIRROR, a * b) == twist_automorphism(
-                Z2_MIRROR, a
-            ) * twist_automorphism(Z2_MIRROR, b)
+            assert twist_automorphism(-1, a * b) == twist_automorphism(
+                -1, a
+            ) * twist_automorphism(-1, b)
 
 
 class TestCompose:
@@ -83,12 +91,12 @@ class TestCompose:
 
     def test_special_parts_embed(self, rng):
         a, b = sample_su2(rng), sample_su2(rng)
-        e = compose(SemidirectElement(a, Z2_IDENTITY), SemidirectElement(b, Z2_IDENTITY))
-        assert e == SemidirectElement(a * b, Z2_IDENTITY)
+        e = compose(SemidirectElement(a, 1), SemidirectElement(b, 1))
+        assert e == SemidirectElement(a * b, 1)
 
     def test_parity_element_squares(self):
         p = parity_element()
-        assert compose(p, p) == SemidirectElement(-IDENTITY2, Z2_IDENTITY)
+        assert compose(p, p) == SemidirectElement(-IDENTITY2, 1)
 
     def test_associativity_on_samples(self, rng):
         for _ in range(50):
@@ -105,7 +113,7 @@ class TestCompose:
 class TestFusion:
     def test_special_element_fuses_to_itself(self, rng):
         a = sample_su2(rng)
-        assert to_unitary(SemidirectElement(a, Z2_IDENTITY)) == a
+        assert to_unitary(SemidirectElement(a, 1)) == a
 
     def test_parity_element_fuses_to_parity(self):
         assert to_unitary(parity_element()) == parity_operator()
@@ -113,11 +121,11 @@ class TestFusion:
     def test_parity_element_value(self):
         p = parity_element()
         minus_i_sigma3 = IDENTITY2.scalar_mul(GaussianRational(0, -1)) * PAULI_Z
-        assert p == SemidirectElement(minus_i_sigma3, Z2_MIRROR)
+        assert p == SemidirectElement(minus_i_sigma3, -1)
 
     def test_mirror_fusion_has_det_minus_one(self):
-        e = SemidirectElement(IDENTITY2, Z2_MIRROR)
-        assert to_unitary(e) == SECTION_MIRROR
+        e = SemidirectElement(IDENTITY2, -1)
+        assert to_unitary(e) == determinant_section(-1)
         assert to_unitary(e).det_sign == -1
 
     def test_round_trips_on_order8(self):
@@ -136,22 +144,22 @@ class TestFusion:
 
     def test_det_tracks_section(self, rng):
         e = sample_pair_element(rng)
-        assert to_unitary(e).det_sign == e.z2_part.sign
+        assert to_unitary(e).det_sign == e.sign
 
 
 class TestProjection:
     def test_identity_section_projects_by_covering_map(self, rng):
         a = sample_su2(rng)
-        assert project_to_o3(SemidirectElement(a, Z2_IDENTITY)) == covering_map(a)
+        assert project_to_o3(SemidirectElement(a, 1)) == covering_map(a)
 
     def test_mirror_section_appends_xy_mirror(self):
-        e = SemidirectElement(IDENTITY2, Z2_MIRROR)
+        e = SemidirectElement(IDENTITY2, -1)
         assert project_to_o3(e) == XY_MIRROR
 
     def test_mirror_section_general(self, rng):
         for _ in range(30):
             a = sample_su2(rng)
-            e = SemidirectElement(a, Z2_MIRROR)
+            e = SemidirectElement(a, -1)
             assert project_to_o3(e) == covering_map(a) * XY_MIRROR
 
     def test_agrees_with_extended_covering_map(self, rng):
