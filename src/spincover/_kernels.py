@@ -3,7 +3,8 @@
 All functions take a table as a list of rows of 0-based element indices,
 ``table[i][j]`` being the index of element i times element j.  Every check
 is exhaustive: associativity uses Light's test on a generating set, so a
-table is never accepted on a sample of triples.
+table is never accepted on a sample of triples.  The isomorphism search
+branches only on the images of that same generating set.
 """
 
 from __future__ import annotations
@@ -29,34 +30,23 @@ def latin_square_violation(table: list[list[int]]) -> Optional[tuple[str, int]]:
 
 
 def inverse_table(table: list[list[int]], identity: int) -> Optional[list[int]]:
-    """Two-sided inverses for every element, or None if one is missing."""
-    n = len(table)
-    inverses = [-1] * n
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] == identity and table[j][i] == identity:
-                inverses[i] = j
-                break
-        if inverses[i] < 0:
-            return None
+    """Two-sided inverses for every element, or None if one is missing.
+
+    ``table`` must be a Latin square, so each row holds ``identity`` once.
+    """
+    inverses = [row.index(identity) for row in table]
+    if any(table[j][i] != identity for i, j in enumerate(inverses)):
+        return None
     return inverses
 
 
-def associativity_violation(
-    table: list[list[int]], identity: int
-) -> Optional[tuple[int, int, int]]:
-    """First triple (x, g, y) with (x*g)*y != x*(g*y), or None.
+def generating_set(table: list[list[int]], identity: int) -> list[int]:
+    """Generators of ``table`` from ``identity``, picked greedily.
 
-    Light's associativity test (Clifford & Preston, *The Algebraic Theory
-    of Semigroups* I, 1961, section 1.2).  The elements g for which
-    (x*g)*y == x*(g*y) holds for all x, y are closed under products, so it
-    suffices to check g over a set that generates every element from
-    ``identity``, which must be a two-sided identity of ``table``.
-    Generators are picked greedily: close the reached set under right
-    multiplication by the generators so far, then take the first element
-    not yet reached.  For a group each new generator at least doubles the
-    reached subgroup, so there are at most log2(n) of them and the check
-    costs O(n^2 log n); for any other table it stays exhaustive.
+    Close the reached set under right multiplication by the generators so
+    far, then take the first element not yet reached, so every index below
+    a generator is reached from the ones before it.  For a group each new
+    generator at least doubles the reached subgroup: at most log2(n) of them.
     """
     n = len(table)
     generators: list[int] = []
@@ -74,8 +64,24 @@ def associativity_violation(
                 if not reached[xh]:
                     reached[xh] = True
                     frontier.append(xh)
+    return generators
 
-    for g in generators:
+
+def associativity_violation(
+    table: list[list[int]], identity: int
+) -> Optional[tuple[int, int, int]]:
+    """First triple (x, g, y) with (x*g)*y != x*(g*y), or None.
+
+    Light's associativity test (Clifford & Preston, *The Algebraic Theory
+    of Semigroups* I, 1961, section 1.2).  The elements g for which
+    (x*g)*y == x*(g*y) holds for all x, y are closed under products, so it
+    suffices to check g over :func:`generating_set`, which reaches every
+    element from ``identity``, a two-sided identity of ``table``.  For a
+    group that is at most log2(n) generators and O(n^2 log n) work; for any
+    other table the check stays exhaustive.
+    """
+    n = len(table)
+    for g in generating_set(table, identity):
         row_g = table[g]
         for x in range(n):
             row_x = table[x]
@@ -113,75 +119,67 @@ def find_isomorphism(
     h_table: list[list[int]],
     g_identity: int,
     h_identity: int,
+    g_orders: list[int],
+    h_orders: list[int],
 ) -> Optional[list[int]]:
-    """Lexicographically smallest isomorphism between two group tables.
+    """Lexicographically smallest isomorphism between two group tables of
+    equal order, given their element orders; None if there is none.
 
-    Backtracking over images in element-index order.  Whenever both factors
-    of a product are assigned, the image of the product is forced, so the
-    search only branches on elements outside the subgroup generated so far;
-    candidate images are constrained to matching element order and tried in
-    increasing index order, which makes the first completed mapping the
-    lexicographic minimum.
+    Branches only on the images of :func:`generating_set` of G, trying for
+    each generator the unused elements of H of its order in increasing
+    index.  Each choice extends the map over the subgroup generated so far
+    by right multiplication with the chosen generators, and the branch is
+    cut at the first product where the map stops being a well-defined
+    injective homomorphism; as in Light's test, respecting every generator
+    makes the map a homomorphism.  Every index below the next generator is
+    already mapped, so the first complete map is the smallest.
     """
     n = len(g_table)
-    if len(h_table) != n:
-        return None
-    g_orders = element_orders(g_table, g_identity)
-    h_orders = element_orders(h_table, h_identity)
-    if sorted(g_orders) != sorted(h_orders):
-        return None
-
+    generators = generating_set(g_table, g_identity)
     phi = [-1] * n
     used = [False] * n
-    assigned: list[int] = []
+    phi[g_identity] = h_identity
+    used[h_identity] = True
 
-    def force(g_el: int, h_el: int, trail: list[int]) -> bool:
-        queue = [(g_el, h_el)]
-        while queue:
-            x, y = queue.pop()
-            if phi[x] >= 0:
-                if phi[x] != y:
+    def extend(chosen: list[int], trail: list[int]) -> bool:
+        frontier = [x for x in range(n) if phi[x] >= 0]
+        while frontier:
+            x = frontier.pop()
+            row_x = g_table[x]
+            image_row = h_table[phi[x]]
+            for s in chosen:
+                y = row_x[s]
+                image = image_row[phi[s]]
+                if phi[y] < 0:
+                    if used[image]:
+                        return False
+                    phi[y] = image
+                    used[image] = True
+                    trail.append(y)
+                    frontier.append(y)
+                elif phi[y] != image:
                     return False
-                continue
-            if used[y] or g_orders[x] != h_orders[y]:
-                return False
-            phi[x] = y
-            used[y] = True
-            trail.append(x)
-            assigned.append(x)
-            for other in assigned:
-                queue.append((g_table[x][other], h_table[y][phi[other]]))
-                queue.append((g_table[other][x], h_table[phi[other]][y]))
         return True
 
-    def undo(trail: list[int]) -> None:
-        for x in reversed(trail):
-            used[phi[x]] = False
-            phi[x] = -1
-            assigned.pop()
-
-    def search(start: int) -> bool:
-        k = start
-        while k < n and phi[k] >= 0:
-            k += 1
-        if k == n:
+    def search(depth: int) -> bool:
+        if depth == len(generators):
             return True
-        target_order = g_orders[k]
+        s = generators[depth]
+        chosen = generators[: depth + 1]
         for candidate in range(n):
-            if used[candidate] or h_orders[candidate] != target_order:
+            if used[candidate] or h_orders[candidate] != g_orders[s]:
                 continue
-            trail: list[int] = []
-            if force(k, candidate, trail) and search(k + 1):
+            phi[s] = candidate
+            used[candidate] = True
+            trail = [s]
+            if extend(chosen, trail) and search(depth + 1):
                 return True
-            undo(trail)
+            for x in trail:
+                used[phi[x]] = False
+                phi[x] = -1
         return False
 
-    root: list[int] = []
-    if not force(g_identity, h_identity, root):
-        return None
-    if not search(0):
-        return None
-    return list(phi)
+    return phi if search(0) else None
 
 
 def check_isomorphism(

@@ -7,9 +7,9 @@ exact and runs over hashable elements indexed by a dict: Gaussian-rational
 matrices, spacetime symmetries, or the monomial matrices of the double
 groups, whose entries are 4n-th roots of unity stored as integer exponents.
 
-Isomorphism testing is a brute-force backtracking search over element
-images; it either returns a verified witness (the lexicographically
-smallest one) or reports none exists.
+Isomorphism testing refutes on element orders, then backtracks over the
+images of a generating set; it either returns a verified witness (the
+lexicographically smallest one) or reports none exists.
 """
 
 from __future__ import annotations
@@ -110,28 +110,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return _kernels.is_abelian(self.table)
 
-    def reordered(self, new_labels: Sequence[str]) -> "FiniteGroup":
-        """The same group with elements permuted into the given label order."""
-        if sorted(new_labels) != sorted(self.labels):
-            raise ValueError("new label order must be a permutation of the labels")
-        old_index = {label: i for i, label in enumerate(self.labels)}
-        perm = [old_index[label] for label in new_labels]
-        position = {old: new for new, old in enumerate(perm)}
-        table = [
-            [position[self.table[perm[i]][perm[j]]] for j in range(self.order)]
-            for i in range(self.order)
-        ]
-        source = None
-        if self.element_source is not None:
-            source = {label: self.element_source[label] for label in new_labels}
-        return FiniteGroup(
-            list(new_labels),
-            table,
-            position[self.identity_index],
-            source,
-            self.name,
-        )
-
     # -- rendering --------------------------------------------------------
 
     def cayley_text(self, omit_identity: bool = False) -> str:
@@ -224,6 +202,10 @@ def generate_closure(
     ``backend`` must be ``"exact"``, the only backend.  Element order is
     deterministic: identity first, then breadth-first layers sorted by
     entry order.  Labels are ``e0``, ``e1``, ... in that order.
+
+    A generator of infinite order raises :class:`ClosureLimitError` at once:
+    a finite-order matrix over Q(i) has eigenvalues of degree at most 2 over
+    Q(i), so in the 8th or 12th roots of unity, and satisfies g^24 = I.
     """
     if backend != "exact":
         raise ValueError(f"unknown backend {backend!r}")
@@ -231,6 +213,13 @@ def generate_closure(
     for g in gens:
         if not isinstance(g, UnitaryMat2):
             raise TypeError("generate_closure takes UnitaryMat2 generators")
+        power = g * g * g
+        for _ in range(3):
+            power = power * power
+        if power != IDENTITY2:
+            raise ClosureLimitError(
+                f"generator {g.to_text()} has infinite order: its 24th power is not I"
+            )
     elements, table = _close(
         gens, IDENTITY2, lambda a, b: a * b, lambda m: m.sort_key(), max_order
     )
@@ -348,18 +337,19 @@ def verify_isomorphism(g: FiniteGroup, h: FiniteGroup, mapping: Sequence[int]) -
 def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> Optional[IsomorphismWitness]:
     """Search for an isomorphism; None if the groups are not isomorphic.
 
-    Sound and complete up to order 256 (raises above); any witness returned
-    has been verified exhaustively and is the lexicographically smallest
-    mapping by element index.
+    Sound and complete up to order 256 (raises above); different
+    element-order multisets are refuted without a search.  Any witness
+    returned has been verified exhaustively and is the lexicographically
+    smallest mapping by element index.
     """
     if g.order > ISOMORPHISM_ORDER_LIMIT or h.order > ISOMORPHISM_ORDER_LIMIT:
         raise IsomorphismSizeError(
             f"isomorphism search supports orders up to {ISOMORPHISM_ORDER_LIMIT}"
         )
-    if g.order != h.order:
+    if g.order != h.order or g.order_multiset() != h.order_multiset():
         return None
     mapping = _kernels.find_isomorphism(
-        g.table, h.table, g.identity_index, h.identity_index
+        g.table, h.table, g.identity_index, h.identity_index, g._orders, h._orders
     )
     if mapping is None:
         return None
@@ -376,6 +366,26 @@ SPINOR_PT_LABEL_ORDER = ("P", "T", "PT", "-P", "-T", "-PT", "-I", "I")
 SPACETIME_PT_LABEL_ORDER = ("P", "T", "PT", "1")
 
 
+def _named_closure(
+    generators: list, identity, named: dict, label_order: Sequence[str], name: str
+) -> FiniteGroup:
+    """Close ``generators`` under multiplication, name each element by
+    ``named`` and build the group with its elements in ``label_order``."""
+    elements, table = _close(
+        generators, identity, lambda a, b: a * b, lambda e: 0, len(label_order)
+    )
+    old = {named[e]: i for i, e in enumerate(elements)}
+    perm = [old[label] for label in label_order]
+    new = {i: k for k, i in enumerate(perm)}
+    return FiniteGroup(
+        label_order,
+        [[new[table[i][j]] for j in perm] for i in perm],
+        new[0],
+        {label: elements[old[label]] for label in label_order},
+        name,
+    )
+
+
 def spinor_pt_group() -> FiniteGroup:
     """The order-8 group generated by the parity and time-reversal lifts.
 
@@ -384,8 +394,6 @@ def spinor_pt_group() -> FiniteGroup:
     """
     parity = parity_operator()
     treverse = time_reversal_operator()
-    group = generate_closure([parity, treverse], backend="exact", name="spinor-PT")
-    assert group.element_source is not None
     named = {
         IDENTITY2: "I",
         -IDENTITY2: "-I",
@@ -396,14 +404,9 @@ def spinor_pt_group() -> FiniteGroup:
         parity * treverse: "PT",
         -(parity * treverse): "-PT",
     }
-    relabelled = FiniteGroup(
-        [named[group.element_source[label]] for label in group.labels],
-        group.table,
-        group.identity_index,
-        {named[m]: m for m in named},
-        "spinor-PT",
+    return _named_closure(
+        [parity, treverse], IDENTITY2, named, SPINOR_PT_LABEL_ORDER, "spinor-PT"
     )
-    return relabelled.reordered(SPINOR_PT_LABEL_ORDER)
 
 
 def spacetime_pt_group() -> FiniteGroup:
@@ -412,15 +415,8 @@ def spacetime_pt_group() -> FiniteGroup:
     p = SpacetimeSymmetry(SPACE_INVERSION, 1)
     t = SpacetimeSymmetry(IDENTITY3, -1)
     identity = SpacetimeSymmetry(IDENTITY3, 1)
-
-    def sort_key(s: SpacetimeSymmetry) -> tuple:
-        return (s.time_sign,) + s.spatial.sort_key()
-
-    elements, table = _close([p, t], identity, lambda a, b: a * b, sort_key, 16)
     named = {identity: "1", p: "P", t: "T", p * t: "PT"}
-    labels = [named[e] for e in elements]
-    group = FiniteGroup(labels, table, 0, {named[e]: e for e in named}, "spacetime-PT")
-    return group.reordered(SPACETIME_PT_LABEL_ORDER)
+    return _named_closure([p, t], identity, named, SPACETIME_PT_LABEL_ORDER, "spacetime-PT")
 
 
 # -- double groups -------------------------------------------------------------

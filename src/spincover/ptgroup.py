@@ -252,17 +252,19 @@ class FieldParseError(ValueError):
 class SpinorSampleField:
     """A finite exact map from events to spinor values.
 
-    The transformations look up the rebound source events and raise
+    ``samples`` is sorted by event once, when the field is built.  The
+    transformations look up the rebound source events and raise
     :class:`DomainClosureError` naming the first missing one.
     """
 
     samples: Mapping[Event, SpinorValue]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", dict(self.samples))
+        samples = self.samples
+        object.__setattr__(self, "samples", {e: samples[e] for e in sorted(samples)})
 
     def events(self) -> list[Event]:
-        return sorted(self.samples)
+        return list(self.samples)
 
     def value_at(self, event: Event) -> SpinorValue:
         try:
@@ -282,7 +284,7 @@ class SpinorSampleField:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpinorSampleField):
             return NotImplemented
-        return dict(self.samples) == dict(other.samples)
+        return self.samples == other.samples
 
     def closed_under(self, rebind) -> Optional[Event]:
         """Return the first event whose rebound source is missing, if any."""
@@ -292,7 +294,7 @@ class SpinorSampleField:
         return None
 
     def to_lines(self) -> list[str]:
-        return [f"{e.to_text()}; {self.samples[e].to_text()}" for e in self.events()]
+        return [f"{e.to_text()}; {v.to_text()}" for e, v in self.samples.items()]
 
     def to_text(self) -> str:
         return "\n".join(self.to_lines()) + "\n"

@@ -177,7 +177,10 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ScalarParseError(f"not a rational scalar: {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ScalarParseError(f"zero denominator in rational scalar: {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:

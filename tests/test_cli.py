@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from spincover import cli
 from spincover.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 CONSTANT_FIELD = "0; 0,0,0; 1; 0\n"
 
@@ -114,6 +117,12 @@ class TestApply:
         field = write_field(tmp_path, "not a field\n")
         assert main(["apply", "P", field]) == 2
         assert "line 1" in capsys.readouterr().err
+        field = write_field(tmp_path, "0; 0,0,0; 1/0; 0\n", "zero.txt")
+        assert main(["apply", "P", field]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        field = write_field(tmp_path, CONSTANT_FIELD, "constant.txt")
+        assert main(["apply", "1/0,0;0,1", field]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_closure_violation_is_input_error(self, tmp_path, capsys):
         field = write_field(tmp_path, "1; 0,0,0; 1; 0\n")
@@ -180,6 +189,18 @@ class TestTable:
         assert main(["table", "--gen=i,0;0,i", "--max-order", "0"]) == 2
         assert "max_order" in capsys.readouterr().err
 
+    def test_zero_denominator_is_input_error(self, capsys):
+        assert main(["table", "--gen", "1/0,0;0,1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_infinite_order_generator_is_refused(self, capsys):
+        # diag(a, conj a) with a = 3/5+4/5i, which is no root of unity
+        argv = ["table", "--gen", "i,0;0,i", "--gen", "3/5+4/5i,0;0,3/5-4/5i"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: generator 3/5+4/5i,0;0,3/5-4/5i ")
+        assert "infinite order" in err
+
 
 class TestIso:
     def test_spinor_group_vs_z4xz2(self, capsys):
@@ -211,6 +232,23 @@ class TestIso:
         assert main(["iso", "Dih3", "Z3"]) == 2
         assert main(["iso", "Dic6", "Z6"]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "group_a, group_b",
+        [
+            ("GPT_hat", "Z4xZ2"),
+            ("GPT_spacetime", "Z2xZ2"),
+            ("Z2xZ4", "Z4xZ2"),
+            ("Dih4", "Z2xZ2"),
+            ("Dic4", "Z4"),
+            ("Z6", "Z2xZ3"),
+            ("Z12", "Z4xZ3"),
+        ],
+    )
+    def test_golden_witness(self, capsys, group_a, group_b):
+        assert main(["iso", group_a, group_b, "--format", "json"]) == 0
+        golden = GOLDEN / f"iso_{group_a}_{group_b}.json"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_size_cap_checked_before_building(self, monkeypatch):
         def refuse(*args):
@@ -248,6 +286,12 @@ class TestDoubleGroup:
         assert capsys.readouterr().out == DOUBLEGROUP_3_TEXT
         assert main(["doublegroup", "3", "--format", "json"]) == 0
         assert capsys.readouterr().out == DOUBLEGROUP_3_JSON
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_golden_json(self, capsys, n):
+        assert main(["doublegroup", str(n), "--format", "json"]) == 0
+        golden = GOLDEN / f"doublegroup_n{n}.json"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_tolerance_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

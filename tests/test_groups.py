@@ -37,19 +37,21 @@ def complex_matmul(a, b):
     )
 
 
-def brute_force_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
-    """Independent oracle: try every bijection of element indices."""
+def brute_force_isomorphism(g: FiniteGroup, h: FiniteGroup):
+    """Independent oracle: the first bijection of element indices that
+    preserves every product, or None.  ``itertools.permutations`` yields
+    the bijections in lexicographic order, so this is the smallest one."""
     n = g.order
     if h.order != n:
-        return False
+        return None
     for perm in itertools.permutations(range(n)):
         if all(
             perm[g.table[i][j]] == h.table[perm[i]][perm[j]]
             for i in range(n)
             for j in range(n)
         ):
-            return True
-    return False
+            return perm
+    return None
 
 
 class TestFiniteGroupValidation:
@@ -129,6 +131,16 @@ class TestClosure:
     def test_max_order_enforced(self, parity, treverse):
         with pytest.raises(ClosureLimitError):
             generate_closure([parity, treverse], backend="exact", max_order=4)
+
+    def test_infinite_order_generator_refused(self, parity):
+        # i times an order-6 element of the binary tetrahedral group has
+        # order 12 and passes the g^24 = I test; diag(a, conj a) with
+        # a = 3/5+4/5i, which is no root of unity, fails it at once.
+        order6 = UnitaryMat2.from_text("1/2+1/2i,1/2+1/2i;-1/2+1/2i,1/2-1/2i")
+        assert generate_closure([order6.scalar_mul(GaussianRational(0, 1))]).order == 12
+        irrational = UnitaryMat2.from_text("3/5+4/5i,0;0,3/5-4/5i")
+        with pytest.raises(ClosureLimitError, match="infinite order"):
+            generate_closure([parity, irrational], max_order=10**9)
 
     def test_closed_under_products(self, parity, treverse):
         group = generate_closure([parity, treverse], backend="exact")
@@ -241,11 +253,26 @@ class TestIsomorphism:
         for order, groups in catalog.items():
             for a in groups:
                 for b in groups:
-                    expected = brute_force_isomorphic(a, b)
+                    expected = brute_force_isomorphism(a, b)
                     witness = find_isomorphism(a, b)
-                    assert (witness is not None) == expected, (a.name, b.name)
+                    mapping = None if witness is None else witness.mapping
+                    assert mapping == expected, (a.name, b.name)
                     if witness is not None:
                         assert verify_isomorphism(a, b, witness.mapping)
+
+    def test_binary_polyhedral_self_isomorphisms(self):
+        # In the binary tetrahedral (24) and octahedral (48) groups the new
+        # elements found after a generator is chosen must be closed over
+        # every chosen generator, not only the newest one.
+        rotation_120 = UnitaryMat2.from_text("1/2-1/2i,-1/2-1/2i;1/2-1/2i,1/2+1/2i")
+        half_turn = UnitaryMat2.from_text("0,-1;1,0")
+        tetrahedral = generate_closure([rotation_120, half_turn])
+        octahedral = generate_closure([rotation_120, half_turn, UnitaryMat2.from_text("i,0;0,i")])
+        for group, order in ((tetrahedral, 24), (octahedral, 48)):
+            assert group.order == order
+            witness = find_isomorphism(group, group)
+            assert witness is not None
+            assert list(witness.mapping) == list(range(order))
 
     def test_expected_verdicts_up_to_16(self):
         pairs = [

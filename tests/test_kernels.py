@@ -95,6 +95,63 @@ class TestKernelBasics:
         for i, inv in enumerate(inverses):
             assert g.table[i][inv] == g.identity_index
             assert g.table[inv][i] == g.identity_index
+        # A loop with identity 0 in which 2*3 == 0 but 3*2 == 1.
+        one_sided = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 3, 4, 0, 1],
+            [3, 4, 1, 2, 0],
+            [4, 2, 0, 1, 3],
+        ]
+        assert _kernels.inverse_table(one_sided, 0) is None
+
+    def test_generating_set(self):
+        assert _kernels.generating_set(cyclic(1).table, 0) == []
+        assert _kernels.generating_set(cyclic(8).table, 0) == [1]
+        assert _kernels.generating_set(direct_product(cyclic(2), cyclic(2)).table, 0) == [1, 2]
+        for group in sample_groups():
+            table, e = group.table, group.identity_index
+            generators = _kernels.generating_set(table, e)
+            assert 2 ** len(generators) <= group.order
+            # Every index below a generator lies in the subgroup generated
+            # by the generators before it; all of them generate the group.
+            reached = {e}
+            for g in generators + [group.order]:
+                assert all(x in reached for x in range(g))
+                if g == group.order:
+                    break
+                frontier = [g]
+                reached.add(g)
+                while frontier:
+                    x = frontier.pop()
+                    for y in list(reached):
+                        for z in (table[x][y], table[y][x]):
+                            if z not in reached:
+                                reached.add(z)
+                                frontier.append(z)
+            assert len(reached) == group.order
+
+    def test_find_isomorphism(self):
+        def search(g, h):
+            g_orders = _kernels.element_orders(g.table, g.identity_index)
+            h_orders = _kernels.element_orders(h.table, h.identity_index)
+            return _kernels.find_isomorphism(
+                g.table, h.table, g.identity_index, h.identity_index, g_orders, h_orders
+            )
+
+        # Same element orders (1, three of order 2, twelve of order 4), one
+        # abelian and one not: the search itself must refute the pair, in
+        # both directions.
+        abelian = direct_product(cyclic(4), cyclic(4))
+        quaternionic = direct_product(dicyclic(8), cyclic(2))
+        assert search(abelian, quaternionic) is None
+        assert search(quaternionic, abelian) is None
+        # The spinor group keeps its identity last, at index 7.
+        g, h = spinor_pt_group(), direct_product(cyclic(4), cyclic(2))
+        mapping = search(g, h)
+        assert mapping is not None
+        assert mapping[g.identity_index] == h.identity_index
+        assert _kernels.check_isomorphism(g.table, h.table, mapping)
 
     def test_associativity_accepts_groups(self):
         for group in sample_groups():

@@ -401,6 +401,15 @@ class TestFieldFiles:
         times = [Fraction(p) for p in parsed_back]
         assert times == sorted(times)
 
+    def test_samples_kept_in_event_order(self):
+        a, b, c = Event.make(-1, 0, 0, 0), Event.make(0, 2, 0, 0), Event.make(0, 1, 0, 0)
+        one, i = SpinorValue(gr(1), gr(0)), SpinorValue(gr(0), gr(1))
+        f = SpinorSampleField({a: one, b: i, c: one})
+        assert list(f.samples) == f.events() == [a, c, b]
+        assert f == SpinorSampleField({c: one, b: i, a: one})
+        assert f != SpinorSampleField({a: one, b: one, c: one})
+        assert f.to_lines() == ["-1; 0,0,0; 1; 0", "0; 1,0,0; 1; 0", "0; 2,0,0; 0; 1"]
+
     def test_grammar_example(self):
         text = "0; 0,0,0; 1; i\n1; 1/2,0,-1; 3/5+4/5i; 0\n"
         f = SpinorSampleField.from_text(text)

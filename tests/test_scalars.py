@@ -104,7 +104,9 @@ class TestTextGrammar:
     def test_parse(self, text, expected):
         assert parse_complex(text) == expected
 
-    @pytest.mark.parametrize("bad", ["", "x", "1.5", "1+", "i2", "2/-3i", "+-i", "1e3"])
+    @pytest.mark.parametrize(
+        "bad", ["", "x", "1.5", "1+", "i2", "2/-3i", "+-i", "1e3", "1/0", "1/0i", "1+2/0i"]
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(ScalarParseError):
             parse_complex(bad)
