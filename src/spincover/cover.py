@@ -24,6 +24,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .scalars import (
+    I_UNIT,
+    ONE,
+    ZERO,
     GaussianRational,
     ScalarParseError,
     format_complex,
@@ -31,10 +34,6 @@ from .scalars import (
     parse_complex,
     parse_rational,
 )
-
-_ZERO = GaussianRational(0)
-_ONE = GaussianRational(1)
-_I = GaussianRational(0, 1)
 
 Entry = GaussianRational
 Row2 = tuple[Entry, Entry]
@@ -112,9 +111,9 @@ class UnitaryMat2:
     def scalar_mul(self, phase: GaussianRational) -> "UnitaryMat2":
         """Multiply by a fourth root of unity; det scales by phase squared."""
         ph2 = phase * phase
-        if ph2 == _ONE:
+        if ph2 == ONE:
             sign = self._det_sign
-        elif ph2 == -_ONE:
+        elif ph2 == -ONE:
             sign = -self._det_sign
         else:
             raise ValueError("scalar factor must be one of 1, -1, i, -i")
@@ -272,8 +271,8 @@ def _unitary_det_sign(m: tuple[Row2, Row2]) -> int:
     (a, b), (c, d) = m
     # M * M^dagger = I, checked entry by entry.
     if (
-        a * a.conjugate() + b * b.conjugate() != _ONE
-        or c * c.conjugate() + d * d.conjugate() != _ONE
+        a * a.conjugate() + b * b.conjugate() != ONE
+        or c * c.conjugate() + d * d.conjugate() != ONE
         or not (a * c.conjugate() + b * d.conjugate()).is_zero()
     ):
         raise ValueError("matrix is not unitary")
@@ -332,10 +331,10 @@ class UnitQuaternion:
 
 # -- fixed matrices ---------------------------------------------------------
 
-IDENTITY2 = UnitaryMat2([[_ONE, _ZERO], [_ZERO, _ONE]])
-PAULI_X = UnitaryMat2([[_ZERO, _ONE], [_ONE, _ZERO]])
-PAULI_Y = UnitaryMat2([[_ZERO, -_I], [_I, _ZERO]])
-PAULI_Z = UnitaryMat2([[_ONE, _ZERO], [_ZERO, -_ONE]])
+IDENTITY2 = UnitaryMat2([[ONE, ZERO], [ZERO, ONE]])
+PAULI_X = UnitaryMat2([[ZERO, ONE], [ONE, ZERO]])
+PAULI_Y = UnitaryMat2([[ZERO, -I_UNIT], [I_UNIT, ZERO]])
+PAULI_Z = UnitaryMat2([[ONE, ZERO], [ZERO, -ONE]])
 
 IDENTITY3 = OrthogonalMat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 SPACE_INVERSION = OrthogonalMat3([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
@@ -347,7 +346,7 @@ XY_MIRROR = OrthogonalMat3([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
 
 def parity_operator() -> UnitaryMat2:
     """The spinor lift of spatial inversion: i * Identity, squaring to -I."""
-    return IDENTITY2.scalar_mul(_I)
+    return IDENTITY2.scalar_mul(I_UNIT)
 
 
 def su2_from_zw(z: GaussianRational, w: GaussianRational) -> UnitaryMat2:
@@ -393,7 +392,7 @@ def extended_covering_map(matrix: UnitaryMat2) -> OrthogonalMat3:
     """
     if matrix.is_special():
         return covering_map(matrix)
-    special_part = matrix.scalar_mul(-_I)
+    special_part = matrix.scalar_mul(-I_UNIT)
     return -covering_map(special_part)
 
 

@@ -36,7 +36,7 @@ DOUBLE_GROUP_MAX_N = 12
 
 
 class ClosureLimitError(RuntimeError):
-    """Closure exceeded the configured maximum order."""
+    """Closure passed the most elements a finite group of its generators can have."""
 
 
 class IsomorphismSizeError(RuntimeError):
@@ -147,24 +147,29 @@ def _close(
     generators: Sequence,
     identity,
     multiply: Callable,
-    sort_key: Callable,
-    max_order: int,
+    sort_key: Optional[Callable],
+    bound: int,
 ) -> tuple[list, list[list[int]]]:
     """Breadth-first closure of hashable elements, with its Cayley table.
 
     Element order: identity first, then the generators, then each new layer
-    of products, every layer sorted by ``sort_key``.  Elements are indexed
-    by a dict, so each pass over all pairs costs O(N^2); the last pass,
-    which finds nothing new, is the multiplication table.
+    of products, every layer sorted by ``sort_key`` (by the elements
+    themselves when it is None).  Elements are indexed by a dict, so each
+    pass over all pairs costs O(N^2); the last pass, which finds nothing
+    new, is the multiplication table.  ``bound`` is the most elements a
+    finite group of these generators can have.  A pass stops after the row
+    that passes it, and :class:`ClosureLimitError` is raised, so no pass
+    costs more than bound^2 products.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
     elements: list = [identity]
     index = {identity: 0}
     fresh = dict.fromkeys(g for g in generators if g not in index)
     while True:
-        if len(elements) + len(fresh) > max_order:
-            raise ClosureLimitError(f"closure exceeded max_order={max_order}")
+        if len(elements) + len(fresh) > bound:
+            raise ClosureLimitError(
+                f"closure passed {bound} elements, the bound for a finite group "
+                "of these generators, so the group is infinite"
+            )
         for x in sorted(fresh, key=sort_key):
             index[x] = len(elements)
             elements.append(x)
@@ -175,12 +180,12 @@ def _close(
             for b in elements:
                 p = multiply(a, b)
                 i = index.get(p)
-                if i is None and p not in fresh:
+                if i is None:
                     fresh[p] = None
-                    if len(elements) + len(fresh) > max_order:
-                        raise ClosureLimitError(f"closure exceeded max_order={max_order}")
                 row.append(i)
             table.append(row)
+            if len(elements) + len(fresh) > bound:
+                break
         if not fresh:
             return elements, table
 
@@ -190,12 +195,11 @@ def _closure_group(elements: list, table: list[list[int]], name: str) -> FiniteG
     return FiniteGroup(labels, table, 0, dict(zip(labels, elements)), name)
 
 
-def generate_closure(
-    generators: Sequence[UnitaryMat2],
-    backend: str = "exact",
-    max_order: int = 10000,
-    name: str = "",
-) -> FiniteGroup:
+#: The most elements a finite group of :class:`UnitaryMat2` matrices can have.
+UNITARY_CLOSURE_BOUND = 48
+
+
+def generate_closure(generators: Sequence[UnitaryMat2], backend: str = "exact") -> FiniteGroup:
     """Close a set of :class:`UnitaryMat2` matrices under multiplication
     into a finite group, comparing elements by exact equality.
 
@@ -203,9 +207,30 @@ def generate_closure(
     deterministic: identity first, then breadth-first layers sorted by
     entry order.  Labels are ``e0``, ``e1``, ... in that order.
 
-    A generator of infinite order raises :class:`ClosureLimitError` at once:
-    a finite-order matrix over Q(i) has eigenvalues of degree at most 2 over
-    Q(i), so in the 8th or 12th roots of unity, and satisfies g^24 = I.
+    A generator of infinite order raises :class:`ClosureLimitError` at once,
+    and so does a closure that passes 48 elements, because every finite
+    group of det +/-1 unitaries over Q(i) has at most 48:
+
+    1. A finite-order element g has roots of unity as eigenvalues, of
+       degree at most 2 over Q(i) (the characteristic polynomial has
+       coefficients in Q(i)).  So they are in {+-1, +-i}, or a Q(i)-conjugate
+       pair of primitive 3rd, 6th, 8th or 12th roots.  A conjugate pair of
+       primitive 8th roots, z and -z, has product -z^2 = -+i, not det = +-1.
+       Hence g^24 = I, the test applied to each generator.
+    2. The ratio of the two eigenvalues therefore has order at most 3: it is
+       +-1 for eigenvalues in {+-1, +-i} with product +-1, and a primitive
+       cube root of unity for the conjugate pairs (z, 1/z) of primitive 3rd
+       and 6th roots and (z, z^5) of primitive 12th roots.
+    3. The image of the group in PGL2(C) is a finite group whose elements
+       have order at most 3 (a unitary element's image has the order of its
+       eigenvalue ratio).  By Klein's classification of the finite
+       subgroups of PGL2(C) (cyclic, dihedral, A4, S4, A5) it is C1, C2,
+       C3, V4, S3 or A4, with at most 12 elements.
+    4. The kernel of that map is the scalars in the group, lI with
+       det = l^2 = +-1, so l is in {+-1, +-i}.  The group has at most
+       4 x 12 = 48 elements.
+
+    The bound is attained: the binary tetrahedral group times <iI>.
     """
     if backend != "exact":
         raise ValueError(f"unknown backend {backend!r}")
@@ -221,9 +246,9 @@ def generate_closure(
                 f"generator {g.to_text()} has infinite order: its 24th power is not I"
             )
     elements, table = _close(
-        gens, IDENTITY2, lambda a, b: a * b, lambda m: m.sort_key(), max_order
+        gens, IDENTITY2, lambda a, b: a * b, lambda m: m.sort_key(), UNITARY_CLOSURE_BOUND
     )
-    return _closure_group(elements, table, name or f"closure[{backend}]")
+    return _closure_group(elements, table, f"closure[{backend}]")
 
 
 # -- abstract comparison groups ----------------------------------------------
@@ -360,29 +385,15 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> Optional[IsomorphismWitn
 
 # -- the named parity/time-reversal groups ------------------------------------
 
-#: Row/column order used when rendering the order-8 spinor group.
-SPINOR_PT_LABEL_ORDER = ("P", "T", "PT", "-P", "-T", "-PT", "-I", "I")
-#: Row/column order used when rendering the order-4 spacetime group.
-SPACETIME_PT_LABEL_ORDER = ("P", "T", "PT", "1")
 
-
-def _named_closure(
-    generators: list, identity, named: dict, label_order: Sequence[str], name: str
-) -> FiniteGroup:
-    """Close ``generators`` under multiplication, name each element by
-    ``named`` and build the group with its elements in ``label_order``."""
-    elements, table = _close(
-        generators, identity, lambda a, b: a * b, lambda e: 0, len(label_order)
-    )
-    old = {named[e]: i for i, e in enumerate(elements)}
-    perm = [old[label] for label in label_order]
-    new = {i: k for k, i in enumerate(perm)}
+def _listed_group(named: dict, identity, name: str) -> FiniteGroup:
+    """The group of the keys of ``named``, labelled by its values, with its
+    elements in the order listed; :class:`FiniteGroup` validates it."""
+    elements = list(named)
+    index = {e: k for k, e in enumerate(elements)}
+    table = [[index[a * b] for b in elements] for a in elements]
     return FiniteGroup(
-        label_order,
-        [[new[table[i][j]] for j in perm] for i in perm],
-        new[0],
-        {label: elements[old[label]] for label in label_order},
-        name,
+        named.values(), table, index[identity], {named[e]: e for e in elements}, name
     )
 
 
@@ -395,18 +406,16 @@ def spinor_pt_group() -> FiniteGroup:
     parity = parity_operator()
     treverse = time_reversal_operator()
     named = {
-        IDENTITY2: "I",
-        -IDENTITY2: "-I",
         parity: "P",
-        -parity: "-P",
         treverse: "T",
-        -treverse: "-T",
         parity * treverse: "PT",
+        -parity: "-P",
+        -treverse: "-T",
         -(parity * treverse): "-PT",
+        -IDENTITY2: "-I",
+        IDENTITY2: "I",
     }
-    return _named_closure(
-        [parity, treverse], IDENTITY2, named, SPINOR_PT_LABEL_ORDER, "spinor-PT"
-    )
+    return _listed_group(named, IDENTITY2, "spinor-PT")
 
 
 def spacetime_pt_group() -> FiniteGroup:
@@ -415,8 +424,7 @@ def spacetime_pt_group() -> FiniteGroup:
     p = SpacetimeSymmetry(SPACE_INVERSION, 1)
     t = SpacetimeSymmetry(IDENTITY3, -1)
     identity = SpacetimeSymmetry(IDENTITY3, 1)
-    named = {identity: "1", p: "P", t: "T", p * t: "PT"}
-    return _named_closure([p, t], identity, named, SPACETIME_PT_LABEL_ORDER, "spacetime-PT")
+    return _listed_group({p: "P", t: "T", p * t: "PT", identity: "1"}, identity, "spacetime-PT")
 
 
 # -- double groups -------------------------------------------------------------
@@ -438,29 +446,6 @@ def _monomial_mul(modulus: int) -> Callable[[Monomial, Monomial], Monomial]:
         return (s1 ^ s2, (k1 + l1) % modulus, (k2 + l2) % modulus)
 
     return mul
-
-
-def _monomial_sort_key(n: int) -> Callable[[Monomial], tuple]:
-    """Order monomials as their complex entries order by (real, imaginary)
-    parts, row by row, as ``UnitaryMat2.sort_key`` orders exact matrices.
-    The real part of w^k, cos(pi k/2n), falls as min(k, 4n-k)
-    grows and is zero at n; the imaginary part of w^k is the real part of
-    w^(k-n)."""
-    modulus = 4 * n
-
-    def part(k: int) -> int:
-        k %= modulus
-        return -min(k, modulus - k)
-
-    def entry(k: Optional[int]) -> tuple[int, int]:
-        return (-n, -n) if k is None else (part(k), part(k - n))
-
-    def key(m: Monomial) -> tuple:
-        swap, k1, k2 = m
-        entries = (None, k1, k2, None) if swap else (k1, None, None, k2)
-        return tuple(p for k in entries for p in entry(k))
-
-    return key
 
 
 def double_group(
@@ -503,7 +488,7 @@ def double_group(
     modulus = 4 * n
     axis_gen = (0, modulus - 2, 2)
     elements, table = _close(
-        [axis_gen, second], (0, 0, 0), _monomial_mul(modulus), _monomial_sort_key(n), 8 * n
+        [axis_gen, second], (0, 0, 0), _monomial_mul(modulus), None, modulus
     )
     return _closure_group(elements, table, f"double[{family}:{n}]")
 

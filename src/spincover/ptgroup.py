@@ -30,6 +30,8 @@ from .cover import (
     parity_operator,
 )
 from .scalars import (
+    ONE,
+    ZERO,
     GaussianRational,
     ScalarParseError,
     format_complex,
@@ -39,10 +41,6 @@ from .scalars import (
 )
 from .semidirect import SemidirectElement, from_unitary, to_unitary
 
-_ZERO = GaussianRational(0)
-_ONE = GaussianRational(1)
-_MINUS_ONE = GaussianRational(-1)
-
 
 def time_reversal_operator() -> UnitaryMat2:
     """The unitary part of time reversal: ((0, -1), (1, 0)), det +1.
@@ -50,7 +48,7 @@ def time_reversal_operator() -> UnitaryMat2:
     It squares to -I, and the full time-reversal action pairs it with
     entrywise conjugation of the field values.
     """
-    return UnitaryMat2([[_ZERO, _MINUS_ONE], [_ONE, _ZERO]])
+    return UnitaryMat2([[ZERO, -ONE], [ONE, ZERO]])
 
 
 def _check_sign(sign: int) -> int:
@@ -454,7 +452,7 @@ def composition_defect(
         e for e in f.events() if two_step.value_at(e) != one_step.value_at(e)
     )
     law_holds = not witnesses
-    sign = GaussianRational(1) if law_holds else _global_ratio(two_step, one_step)
+    sign = ONE if law_holds else _global_ratio(two_step, one_step)
     right_matrix = h.matrix.conjugate() if g.time_sign == -1 else h.matrix
     return CompositionDefect(
         left=g,

@@ -18,7 +18,7 @@ Rational = Fraction
 
 _RationalLike = Union[int, Fraction]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 
 class ScalarParseError(ValueError):
@@ -170,7 +170,9 @@ I_UNIT = GaussianRational(0, 1)
 # Rationals:   p/q with the /q omitted when q = 1, e.g. "3/5", "-2", "0".
 # Complex:     a+bi / a-bi, compressed: "0", "3/5", "i", "-i", "2i",
 #              "1+i", "1-2/3i".  Printing always emits the reduced
-#              canonical form; the parser accepts exactly this grammar.
+#              canonical form.  The parser also accepts a leading "+",
+#              leading zeros, unreduced fractions and zero coefficients
+#              ("2/4", "+0i", "1+0i"), but no whitespace inside a scalar.
 
 
 def parse_rational(text: str) -> Fraction:
@@ -197,9 +199,11 @@ def _parse_imag_coefficient(token: str) -> Fraction:
 
 def parse_complex(text: str) -> GaussianRational:
     """Parse ``a+bi`` / ``a-bi`` and its compressed forms."""
-    s = text.strip().replace(" ", "")
+    s = text.strip()
     if not s:
         raise ScalarParseError("empty scalar")
+    if any(c.isspace() for c in s):
+        raise ScalarParseError(f"not a complex scalar: {text!r}")
     if not s.endswith("i"):
         return GaussianRational(parse_rational(s), 0)
     body = s[:-1]

@@ -42,7 +42,7 @@ from .ptgroup import (
     time_reversal_operator,
     transform_value,
 )
-from .scalars import GaussianRational
+from .scalars import I_UNIT, GaussianRational
 from .semidirect import (
     SemidirectElement,
     compose,
@@ -366,7 +366,7 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
         SpinorSymmetry.identity(),
         lambda a, b: a * b,
         lambda s: 0,
-        16,
+        8,
     )
     canonical = _canonical_symmetries()
     exhaustive = chain(product(canonical, repeat=2), product(lifted, repeat=2))
@@ -444,10 +444,9 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
 
         return mismatch
 
-    i_unit = GaussianRational(0, 1)
     reversal = follows(t_elem, Event.time_flipped, lambda s: SpinorValue(-s.v.conjugate(), s.u.conjugate()))
     checks.check("time reversal matches its componentwise formula", field.events(), reversal)
-    inversion = follows(p_elem, Event.space_flipped, lambda s: SpinorValue(i_unit * s.u, i_unit * s.v))
+    inversion = follows(p_elem, Event.space_flipped, lambda s: SpinorValue(I_UNIT * s.u, I_UNIT * s.v))
     checks.check("parity matches its componentwise formula", field.events(), inversion)
     # The improper antiunitary sector entered with the parity matrix; the
     # action supplies the time-reversal factor itself, so the applied
@@ -455,7 +454,7 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     full_reversal = follows(
         SpinorSymmetry(parity, -1),
         lambda e: e.time_flipped().space_flipped(),
-        lambda s: SpinorValue(-i_unit * s.v.conjugate(), i_unit * s.u.conjugate()),
+        lambda s: SpinorValue(-I_UNIT * s.v.conjugate(), I_UNIT * s.u.conjugate()),
     )
     checks.check("parity-time matches its componentwise formula", field.events(), full_reversal)
 

@@ -139,6 +139,8 @@ class TestApply:
     def test_bad_transform(self, tmp_path):
         field = write_field(tmp_path, CONSTANT_FIELD)
         assert main(["apply", "1,1;0,1", field]) == 2
+        assert main(["apply", "i,0;0,i@0", field]) == 2
+        assert main(["apply", "i,0;0,i@", field]) == 2
 
     def test_inverse_round_trip(self, tmp_path):
         original = "-2; 0,0,0; 1/3-i; 0\n0; 0,0,0; 1; i\n2; 0,0,0; 0; 2/7\n"
@@ -185,9 +187,10 @@ class TestTable:
     def test_unknown_name(self):
         assert main(["table", "GPT_bogus"]) == 2
 
-    def test_bad_max_order(self, capsys):
-        assert main(["table", "--gen=i,0;0,i", "--max-order", "0"]) == 2
-        assert "max_order" in capsys.readouterr().err
+    def test_max_order_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--gen=i,0;0,i", "--max-order", "5"])
+        assert exc.value.code == 2
 
     def test_zero_denominator_is_input_error(self, capsys):
         assert main(["table", "--gen", "1/0,0;0,1"]) == 2
@@ -200,6 +203,14 @@ class TestTable:
         err = capsys.readouterr().err
         assert err.startswith("resource limit: generator 3/5+4/5i,0;0,3/5-4/5i ")
         assert "infinite order" in err
+
+    def test_infinite_group_is_refused(self, capsys):
+        # two order-4 generators whose product has trace -8/5, so infinite order
+        argv = ["table", "--gen", "0,i;i,0", "--gen", "3/5i,4/5i;4/5i,-3/5i"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: closure passed 48 elements")
+        assert "infinite" in err
 
 
 class TestIso:
@@ -231,6 +242,8 @@ class TestIso:
         assert main(["iso", "Q8", "Z8"]) == 2
         assert main(["iso", "Dih3", "Z3"]) == 2
         assert main(["iso", "Dic6", "Z6"]) == 2
+        for spec in ("Z+2", "Z\u0663", "Z1_000", "Dih+8"):
+            assert main(["iso", spec, "Z2"]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(

@@ -105,7 +105,11 @@ class TestTextGrammar:
         assert parse_complex(text) == expected
 
     @pytest.mark.parametrize(
-        "bad", ["", "x", "1.5", "1+", "i2", "2/-3i", "+-i", "1e3", "1/0", "1/0i", "1+2/0i"]
+        "bad",
+        [
+            "", "x", "1.5", "1+", "i2", "2/-3i", "+-i", "1e3", "1/0", "1/0i", "1+2/0i",
+            "1 + i", "1 +i", "- i", "3 /5i", "\u0663",
+        ],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ScalarParseError):
