@@ -18,7 +18,6 @@ from .cover import (
     SPACE_INVERSION,
     OrthogonalMat3,
     UnitaryMat2,
-    UnitQuaternion,
     covering_map,
     determinant_section,
     extended_covering_map,
@@ -55,14 +54,11 @@ from .ptgroup import (
     apply_symmetry,
     apply_time_reversal,
     composition_defect,
-    from_semidirect,
-    pair_spacetime_projection,
     ray_project,
     spacetime_projection,
     time_reversal_operator,
-    to_semidirect,
 )
-from .scalars import GaussianRational, Rational
+from .scalars import GaussianRational
 from .semidirect import (
     SemidirectElement,
     compose,

@@ -41,7 +41,7 @@ from .ptgroup import (
     spacetime_projection,
 )
 from .scalars import ScalarParseError
-from .verify import run_suites
+from .verify import SUITE_NAMES, run_suites
 
 SCHEMA_VERSION = 1
 
@@ -136,15 +136,16 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
 # -- table ---------------------------------------------------------------------
 
-_NAMED_TABLES = ("GPT_hat", "GPT_spacetime")
+_NAMED_GROUPS: dict[str, Callable[[], FiniteGroup]] = {
+    "GPT_hat": spinor_pt_group,
+    "GPT_spacetime": spacetime_pt_group,
+}
 
 
 def _named_group(token: str) -> FiniteGroup:
-    if token == "GPT_hat":
-        return spinor_pt_group()
-    if token == "GPT_spacetime":
-        return spacetime_pt_group()
-    raise InputError(f"unknown named group {token!r}; expected one of {_NAMED_TABLES}")
+    if token not in _NAMED_GROUPS:
+        raise InputError(f"unknown named group {token!r}; expected one of {tuple(_NAMED_GROUPS)}")
+    return _NAMED_GROUPS[token]()
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -178,8 +179,8 @@ def _parse_group_spec(spec: str) -> Callable[[], FiniteGroup]:
     Dic<order> into a builder for its table.  The order is read off the
     spec and checked against the search cap here, before any table exists.
     """
-    if spec in _NAMED_TABLES:
-        return functools.partial(_named_group, spec)
+    if spec in _NAMED_GROUPS:
+        return _NAMED_GROUPS[spec]
     if spec.startswith(("Dih", "Dic")):
         constructor = dihedral if spec.startswith("Dih") else dicyclic
         orders = [_parse_positive(spec[3:], spec)]
@@ -190,7 +191,7 @@ def _parse_group_spec(spec: str) -> Callable[[], FiniteGroup]:
             if not factor.startswith("Z"):
                 raise InputError(
                     f"unknown group spec {factor!r}; expected Zn, Dih<order>, Dic<order>, "
-                    f"or one of {_NAMED_TABLES}"
+                    f"or one of {tuple(_NAMED_GROUPS)}"
                 )
             orders.append(_parse_positive(factor[1:], spec))
     order = math.prod(orders)
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_apply)
 
     p_table = sub.add_parser("table", help="render a Cayley table")
-    p_table.add_argument("group", nargs="?", help=f"named group: {', '.join(_NAMED_TABLES)}")
+    p_table.add_argument("group", nargs="?", help=f"named group: {', '.join(_NAMED_GROUPS)}")
     p_table.add_argument(
         "--gen",
         action="append",
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_double)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
-    p_verify.add_argument("suite", choices=("cover", "semidirect", "ptgroup", "all"))
+    p_verify.add_argument("suite", choices=(*SUITE_NAMES, "all"))
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--samples", type=int, default=1000)
     _add_common_flags(p_verify)

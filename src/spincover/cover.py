@@ -19,7 +19,6 @@ depends on connectivity statements, only on finite algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,6 +28,7 @@ from .scalars import (
     ZERO,
     GaussianRational,
     ScalarParseError,
+    as_rational,
     format_complex,
     format_rational,
     parse_complex,
@@ -37,6 +37,8 @@ from .scalars import (
 
 Entry = GaussianRational
 Row2 = tuple[Entry, Entry]
+#: A quaternion (a, b, c, d) with rational components.
+Quaternion = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
 def _entry(value) -> GaussianRational:
@@ -179,7 +181,7 @@ class OrthogonalMat3:
     def __init__(self, rows: Sequence[Sequence[object]]) -> None:
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("expected a 3x3 matrix")
-        m = tuple(tuple(Fraction(v) for v in r) for r in rows)
+        m = tuple(tuple(as_rational(v) for v in r) for r in rows)
         object.__setattr__(self, "_rows", m)
         object.__setattr__(self, "_det_sign", _orthogonal_det_sign(m))
 
@@ -258,10 +260,11 @@ class OrthogonalMat3:
         return f"OrthogonalMat3.from_text({self.to_text()!r})"
 
 
-def _det_sign(det) -> int:
-    if det == 1:
+def _det_sign(det, one) -> int:
+    """+1 or -1 as det equals ``one`` or ``-one``, the unit of its own type."""
+    if det == one:
         return 1
-    if det == -1:
+    if det == -one:
         return -1
     raise ValueError(f"determinant must be +1 or -1, got {det}")
 
@@ -276,7 +279,7 @@ def _unitary_det_sign(m: tuple[Row2, Row2]) -> int:
         or not (a * c.conjugate() + b * d.conjugate()).is_zero()
     ):
         raise ValueError("matrix is not unitary")
-    return _det_sign(a * d - b * c)
+    return _det_sign(a * d - b * c, ONE)
 
 
 def _orthogonal_det_sign(m: tuple[tuple[Fraction, ...], ...]) -> int:
@@ -288,7 +291,8 @@ def _orthogonal_det_sign(m: tuple[tuple[Fraction, ...], ...]) -> int:
     return _det_sign(  # +/-1 for every exactly orthogonal matrix
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]),
+        1,
     )
 
 
@@ -310,23 +314,6 @@ def _parse_rows(text: str, scalar_parser, size: int) -> list[list]:
             raise ScalarParseError(f"expected {size} entries per row, got {len(cells)}")
         parsed.append([scalar_parser(cell) for cell in cells])
     return parsed
-
-
-@dataclass(frozen=True)
-class UnitQuaternion:
-    """A quaternion with rational components and exact unit norm."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def __post_init__(self) -> None:
-        if self.a**2 + self.b**2 + self.c**2 + self.d**2 != 1:
-            raise ValueError("components must have unit sum of squares")
-
-    def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
 
 
 # -- fixed matrices ---------------------------------------------------------
@@ -412,21 +399,21 @@ def determinant_section(sign: int) -> UnitaryMat2:
     raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 
-def rational_unit_quaternion(x: Fraction, y: Fraction, z: Fraction) -> UnitQuaternion:
-    """Map a rational 3-vector to a rational point of the unit 3-sphere.
+def rational_unit_quaternion(x: Fraction, y: Fraction, z: Fraction) -> Quaternion:
+    """Map a rational 3-vector to a rational point (a, b, c, d) of the unit 3-sphere.
 
     Inverse stereographic projection: with s = x^2 + y^2 + z^2 the image is
     ((1-s)/(1+s), 2x/(1+s), 2y/(1+s), 2z/(1+s)).  Every rational input gives
     an exactly unit quaternion; only (-1, 0, 0, 0) is unreachable.
     """
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    x, y, z = as_rational(x), as_rational(y), as_rational(z)
     s = x * x + y * y + z * z
-    return UnitQuaternion((1 - s) / (1 + s), 2 * x / (1 + s), 2 * y / (1 + s), 2 * z / (1 + s))
+    return ((1 - s) / (1 + s), 2 * x / (1 + s), 2 * y / (1 + s), 2 * z / (1 + s))
 
 
-def quaternion_to_su2(q: UnitQuaternion) -> UnitaryMat2:
+def quaternion_to_su2(q: Quaternion) -> UnitaryMat2:
     """Identify a unit quaternion (a, b, c, d) with the det = +1 matrix
-    built from z = a + b i and w = c + d i."""
-    z = GaussianRational(q.a, q.b)
-    w = GaussianRational(q.c, q.d)
-    return su2_from_zw(z, w)
+    built from z = a + b i and w = c + d i; the matrix's unitarity check
+    raises ValueError unless |z|^2 + |w|^2 = 1."""
+    a, b, c, d = q
+    return su2_from_zw(GaussianRational(a, b), GaussianRational(c, d))

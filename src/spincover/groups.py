@@ -264,57 +264,42 @@ def cyclic(n: int) -> FiniteGroup:
 
 
 def dihedral(order: int) -> FiniteGroup:
-    """The dihedral group of the given (even) order 2m.
-
-    Presentation <r, s | r^m = s^2 = 1, s r s = r^-1>; elements are the m
-    rotations followed by the m reflections s r^k.
-    """
+    """The dihedral group of the given (even) order 2m:
+    <r, s | r^m = s^2 = 1, s r s^-1 = r^-1>.  Elements are the m rotations
+    r^k followed by the m reflections r^k·s."""
     if order < 2 or order % 2 != 0:
         raise ValueError("dihedral order must be an even number >= 2")
-    m = order // 2
-
-    def encode(a: int, e: int) -> int:
-        return a % m + m * e
-
-    def mul(i: int, j: int) -> int:
-        a, e = i % m, i // m
-        b, f = j % m, j // m
-        if e == 0:
-            return encode(a + b, f)
-        return encode(a - b, 1 - f)
-
-    labels = [_power_label("r", k) for k in range(m)] + [
-        "s" if k == 0 else f"s·{_power_label('r', k)}" for k in range(m)
-    ]
-    table = [[mul(i, j) for j in range(order)] for i in range(order)]
-    return FiniteGroup(labels, table, 0, name=f"Dih{order}")
+    return _inverting_extension(order // 2, 0, "r", "s", f"Dih{order}")
 
 
 def dicyclic(order: int) -> FiniteGroup:
     """The dicyclic group of the given order 4n (order 8 is the quaternion
-    group): <a, b | a^{2n} = 1, b^2 = a^n, b a b^-1 = a^-1>."""
+    group): <a, b | a^{2n} = 1, b^2 = a^n, b a b^-1 = a^-1>.  Elements are
+    the powers a^k followed by the a^k·b."""
     if order < 4 or order % 4 != 0:
         raise ValueError("dicyclic order must be a multiple of 4, at least 4")
-    n = order // 4
-    m = 2 * n
+    return _inverting_extension(order // 2, order // 4, "a", "b", f"Dic{order}")
 
-    def encode(k: int, e: int) -> int:
-        return k % m + m * e
+
+def _inverting_extension(m: int, square: int, x: str, y: str, name: str) -> FiniteGroup:
+    """<x, y | x^m = 1, y^2 = x^square, y x y^-1 = x^-1>, of order 2m;
+    index k is x^k and index m + k is x^k·y, for 0 <= k < m."""
 
     def mul(i: int, j: int) -> int:
+        # y x^l = x^-l y, and y y = x^square.
         k, e = i % m, i // m
         l, f = j % m, j // m
         if e == 0:
-            return encode(k + l, f)
+            return (k + l) % m + m * f
         if f == 0:
-            return encode(k - l, 1)
-        return encode(k - l + n, 0)
+            return (k - l) % m + m
+        return (k - l + square) % m
 
-    labels = [_power_label("a", k) for k in range(m)] + [
-        "b" if k == 0 else f"{_power_label('a', k)}·b" for k in range(m)
+    labels = [_power_label(x, k) for k in range(m)] + [
+        y if k == 0 else f"{_power_label(x, k)}·{y}" for k in range(m)
     ]
-    table = [[mul(i, j) for j in range(order)] for i in range(order)]
-    return FiniteGroup(labels, table, 0, name=f"Dic{order}")
+    table = [[mul(i, j) for j in range(2 * m)] for i in range(2 * m)]
+    return FiniteGroup(labels, table, 0, name=name)
 
 
 def _power_label(symbol: str, k: int) -> str:

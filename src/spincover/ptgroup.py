@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .cover import (
     HALF_TURN_Y,
@@ -34,12 +34,12 @@ from .scalars import (
     ZERO,
     GaussianRational,
     ScalarParseError,
+    as_rational,
     format_complex,
     format_rational,
     parse_complex,
     parse_rational,
 )
-from .semidirect import SemidirectElement, from_unitary, to_unitary
 
 
 def time_reversal_operator() -> UnitaryMat2:
@@ -150,20 +150,6 @@ def spacetime_projection(g: SpinorSymmetry) -> SpacetimeSymmetry:
     return SpacetimeSymmetry(spatial, g.time_sign)
 
 
-def from_semidirect(e: SemidirectElement, time_sign: int) -> SpinorSymmetry:
-    """Fuse a twisted pair with a time sign into a double-cover element."""
-    return SpinorSymmetry(to_unitary(e), _check_sign(time_sign))
-
-
-def to_semidirect(g: SpinorSymmetry) -> tuple[SemidirectElement, int]:
-    return from_unitary(g.matrix), g.time_sign
-
-
-def pair_spacetime_projection(e: SemidirectElement, time_sign: int) -> SpacetimeSymmetry:
-    """Spacetime projection of a twisted pair; kernel {(I,I,+1), (-I,I,+1)}."""
-    return spacetime_projection(from_semidirect(e, time_sign))
-
-
 # -- spinor values and sample fields ---------------------------------------
 
 
@@ -211,7 +197,7 @@ class Event:
 
     @classmethod
     def make(cls, t, x1, x2, x3) -> "Event":
-        return cls(Fraction(t), (Fraction(x1), Fraction(x2), Fraction(x3)))
+        return cls(as_rational(t), (as_rational(x1), as_rational(x2), as_rational(x3)))
 
     def time_flipped(self) -> "Event":
         return Event(-self.t, self.x)
@@ -319,10 +305,6 @@ class SpinorSampleField:
                 raise FieldParseError(number, f"duplicate event ({event.to_text()})")
             samples[event] = value
         return cls(samples)
-
-
-def constant_field(value: SpinorValue, events: Iterable[Event]) -> SpinorSampleField:
-    return SpinorSampleField({e: value for e in events})
 
 
 # -- the four actions -------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Every matrix entry in the matrix layers of this package is a
 :class:`GaussianRational`: a complex number whose real and imaginary parts
-are arbitrary-precision rationals.  All arithmetic is exact and equality is
-structural; no float value is ever involved.
+are arbitrary-precision rationals.  A caller's number enters the exact
+layer only through :func:`as_rational`, which takes ints and Fractions and
+refuses everything else, and a :class:`GaussianRational` combines and
+compares only with another :class:`GaussianRational`.  All arithmetic is
+exact and equality is structural; no float value is ever involved.
 """
 
 from __future__ import annotations
@@ -11,10 +14,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from typing import Union
-
-# Rational scalars are plain fractions: arbitrary precision, always stored
-# reduced with a positive denominator, structural equality.
-Rational = Fraction
 
 _RationalLike = Union[int, Fraction]
 
@@ -25,10 +24,14 @@ class ScalarParseError(ValueError):
     """Raised when a scalar string is not in the wire grammar."""
 
 
-def _as_fraction(value: _RationalLike) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError(f"exact scalars do not accept {type(value).__name__} values")
-    return Fraction(value)
+def as_rational(value: _RationalLike) -> Fraction:
+    """The one way a caller's number enters the exact layer: an int (not a
+    bool) or a Fraction.  Anything else, a float or a str too, is a TypeError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(f"exact scalars take int or Fraction values, not {type(value).__name__}")
 
 
 class GaussianRational:
@@ -41,8 +44,8 @@ class GaussianRational:
     __slots__ = ("_re", "_im")
 
     def __init__(self, re: _RationalLike = 0, im: _RationalLike = 0) -> None:
-        object.__setattr__(self, "_re", _as_fraction(re))
-        object.__setattr__(self, "_im", _as_fraction(im))
+        object.__setattr__(self, "_re", as_rational(re))
+        object.__setattr__(self, "_im", as_rational(im))
 
     @classmethod
     def _wrap(cls, re: Fraction, im: Fraction) -> "GaussianRational":
@@ -65,61 +68,31 @@ class GaussianRational:
 
     # -- ring structure -------------------------------------------------
 
-    def _coerce(self, other: object) -> "GaussianRational | None":
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return GaussianRational(other)
-        return None
-
     def __add__(self, other: object) -> "GaussianRational":
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, GaussianRational):
             return NotImplemented
-        return GaussianRational._wrap(self._re + rhs._re, self._im + rhs._im)
-
-    __radd__ = __add__
+        return GaussianRational._wrap(self._re + other._re, self._im + other._im)
 
     def __sub__(self, other: object) -> "GaussianRational":
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, GaussianRational):
             return NotImplemented
-        return GaussianRational._wrap(self._re - rhs._re, self._im - rhs._im)
-
-    def __rsub__(self, other: object) -> "GaussianRational":
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs - self
+        return GaussianRational._wrap(self._re - other._re, self._im - other._im)
 
     def __mul__(self, other: object) -> "GaussianRational":
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, GaussianRational):
             return NotImplemented
         return GaussianRational._wrap(
-            self._re * rhs._re - self._im * rhs._im,
-            self._re * rhs._im + self._im * rhs._re,
+            self._re * other._re - self._im * other._im,
+            self._re * other._im + self._im * other._re,
         )
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other: object) -> "GaussianRational":
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self * rhs.inverse()
-
-    def __rtruediv__(self, other: object) -> "GaussianRational":
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs * self.inverse()
+        return self * other.inverse()
 
     def __neg__(self) -> "GaussianRational":
         return GaussianRational._wrap(-self._re, -self._im)
-
-    def __pos__(self) -> "GaussianRational":
-        return self
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational._wrap(self._re, -self._im)
@@ -140,10 +113,9 @@ class GaussianRational:
     # -- comparison and hashing -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self._re == rhs._re and self._im == rhs._im
+        return self._re == other._re and self._im == other._im
 
     def __hash__(self) -> int:
         return hash((self._re, self._im))
@@ -186,7 +158,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(as_rational(value))
 
 
 def _parse_imag_coefficient(token: str) -> Fraction:

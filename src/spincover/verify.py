@@ -51,8 +51,6 @@ from .semidirect import (
     to_unitary,
 )
 
-SUITE_NAMES = ("cover", "semidirect", "ptgroup")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -123,10 +121,10 @@ def sample_symmetry(rng: random.Random) -> SpinorSymmetry:
 
 
 def sample_unit_spinor(rng: random.Random) -> SpinorValue:
-    q = rational_unit_quaternion(
+    a, b, c, d = rational_unit_quaternion(
         sample_rational(rng, 3), sample_rational(rng, 3), sample_rational(rng, 3)
     )
-    return SpinorValue(GaussianRational(q.a, q.b), GaussianRational(q.c, q.d))
+    return SpinorValue(GaussianRational(a, b), GaussianRational(c, d))
 
 
 def _order8_matrices() -> list[UnitaryMat2]:
@@ -494,6 +492,7 @@ _SUITE_RUNNERS = {
     "semidirect": run_semidirect_suite,
     "ptgroup": run_ptgroup_suite,
 }
+SUITE_NAMES = tuple(_SUITE_RUNNERS)
 
 
 def run_suites(suite: str, seed: int, samples: int) -> list[SuiteReport]:

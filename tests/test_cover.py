@@ -9,7 +9,6 @@ from spincover.cover import (
     PAULI_Z,
     SPACE_INVERSION,
     OrthogonalMat3,
-    UnitQuaternion,
     UnitaryMat2,
     covering_map,
     determinant_section,
@@ -62,8 +61,8 @@ class TestMatrixTypes:
             assert (a * b).is_unitary()
 
     def test_quaternion_unit_norm_enforced(self):
-        with pytest.raises(ValueError):
-            UnitQuaternion(Fraction(1), Fraction(1), Fraction(0), Fraction(0))
+        with pytest.raises(ValueError, match="not unitary"):
+            quaternion_to_su2((Fraction(1), Fraction(1), Fraction(0), Fraction(0)))
 
 
 class TestCoveringMap:
@@ -205,39 +204,38 @@ class TestExactSequence:
 class TestQuaternions:
     def test_origin_maps_to_identity_quaternion(self):
         q = rational_unit_quaternion(Fraction(0), Fraction(0), Fraction(0))
-        assert q.components() == (1, 0, 0, 0)
+        assert q == (1, 0, 0, 0)
 
     def test_unit_x(self):
         q = rational_unit_quaternion(Fraction(1), Fraction(0), Fraction(0))
-        assert q.components() == (0, 1, 0, 0)
+        assert q == (0, 1, 0, 0)
 
     def test_half_x(self):
         q = rational_unit_quaternion(Fraction(1, 2), Fraction(0), Fraction(0))
-        assert q.components() == (Fraction(3, 5), Fraction(4, 5), 0, 0)
+        assert q == (Fraction(3, 5), Fraction(4, 5), 0, 0)
 
     def test_always_unit(self, rng):
         for _ in range(200):
-            q = rational_unit_quaternion(
+            a, b, c, d = rational_unit_quaternion(
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
             )
-            a, b, c, d = q.components()
             assert a * a + b * b + c * c + d * d == 1
 
     def test_identity_quaternion_to_identity_matrix(self):
-        q = UnitQuaternion(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        q = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
         assert quaternion_to_su2(q) == IDENTITY2
 
     def test_pure_b_component(self):
-        q = UnitQuaternion(Fraction(0), Fraction(1), Fraction(0), Fraction(0))
+        q = (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
         m = quaternion_to_su2(q)
         i = GaussianRational(0, 1)
         assert m == UnitaryMat2([[i, 0], [0, -i]])
         assert m.det_sign == 1
 
     def test_rational_point(self):
-        q = UnitQuaternion(Fraction(3, 5), Fraction(4, 5), Fraction(0), Fraction(0))
+        q = (Fraction(3, 5), Fraction(4, 5), Fraction(0), Fraction(0))
         m = quaternion_to_su2(q)
         z, w = m.su2_components()
         assert z == GaussianRational(Fraction(3, 5), Fraction(4, 5))

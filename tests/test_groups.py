@@ -215,6 +215,23 @@ class TestAbstractGroups:
         )
         assert find_isomorphism(dicyclic(8), q8) is not None
 
+    def test_labels_name_their_elements(self):
+        # Index 1 % m is the rotation generator and index m the other one;
+        # each label, read as a word in them, evaluates to its own index.
+        groups = [dihedral(order) for order in range(2, 65, 2)]
+        groups += [dicyclic(order) for order in range(4, 65, 4)]
+        for group in groups:
+            m = group.order // 2
+            x, y = ("r", "s") if group.name.startswith("Dih") else ("a", "b")
+            generators = {x: 1 % m, y: m}
+            for index, label in enumerate(group.labels):
+                value = group.identity_index
+                for factor in [] if label == "1" else label.split("·"):
+                    symbol, _, power = factor.partition("^")
+                    for _ in range(int(power or 1)):
+                        value = group.mul(value, generators[symbol])
+                assert value == index, f"{group.name}: {label}"
+
     def test_dihedral_6_nonabelian(self):
         assert not dihedral(6).is_abelian()
 

@@ -24,16 +24,13 @@ from spincover.ptgroup import (
     apply_symmetry,
     apply_time_reversal,
     composition_defect,
-    from_semidirect,
     inner_product,
-    pair_spacetime_projection,
     ray_project,
     spacetime_projection,
-    to_semidirect,
     transform_value,
 )
 from spincover.scalars import GaussianRational
-from spincover.semidirect import from_unitary, parity_element
+from spincover.semidirect import from_unitary, parity_element, to_unitary
 from spincover.verify import sample_symmetry, sample_unit_spinor
 
 G = GaussianRational
@@ -125,12 +122,16 @@ class TestSpacetimeProjection:
 
 
 class TestSemidirectBridge:
+    """A twisted pair with a time sign is the double-cover element
+    (to_unitary(pair), sign), and from_unitary splits its matrix back."""
+
     def test_parity_pair(self):
-        g = from_semidirect(parity_element(), 1)
+        g = SpinorSymmetry(to_unitary(parity_element()), 1)
         assert g == SpinorSymmetry.parity()
 
     def test_time_reversal_pair(self, treverse):
-        e, sign = to_semidirect(SpinorSymmetry.time_reversal())
+        g = SpinorSymmetry.time_reversal()
+        e, sign = from_unitary(g.matrix), g.time_sign
         assert sign == -1
         assert e == from_unitary(treverse)
         assert e.sign == 1
@@ -138,17 +139,16 @@ class TestSemidirectBridge:
     def test_round_trip(self, rng):
         for _ in range(50):
             g = sample_symmetry(rng)
-            e, sign = to_semidirect(g)
-            assert from_semidirect(e, sign) == g
+            e, sign = from_unitary(g.matrix), g.time_sign
+            assert SpinorSymmetry(to_unitary(e), sign) == g
 
     def test_pair_projection_values(self):
-        assert pair_spacetime_projection(parity_element(), 1) == SpacetimeSymmetry(
-            SPACE_INVERSION, 1
-        )
-        identity_pair = from_unitary(IDENTITY2)
-        assert pair_spacetime_projection(identity_pair, 1) == SpacetimeSymmetry(IDENTITY3, 1)
-        minus_pair = from_unitary(-IDENTITY2)
-        assert pair_spacetime_projection(minus_pair, 1) == SpacetimeSymmetry(IDENTITY3, 1)
+        def projection(e):
+            return spacetime_projection(SpinorSymmetry(to_unitary(e), 1))
+
+        assert projection(parity_element()) == SpacetimeSymmetry(SPACE_INVERSION, 1)
+        assert projection(from_unitary(IDENTITY2)) == SpacetimeSymmetry(IDENTITY3, 1)
+        assert projection(from_unitary(-IDENTITY2)) == SpacetimeSymmetry(IDENTITY3, 1)
 
 
 class TestRotationAction:

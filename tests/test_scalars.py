@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spincover.cover import OrthogonalMat3, quaternion_to_su2, rational_unit_quaternion
+from spincover.ptgroup import Event
 from spincover.scalars import (
     GaussianRational,
     ScalarParseError,
@@ -17,6 +19,16 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 gaussians = st.builds(GaussianRational, rationals, rationals)
 nonzero_gaussians = gaussians.filter(lambda g: not g.is_zero())
 
+# Every exact constructor of caller input, fed one bad component.
+EXACT_CONSTRUCTORS = {
+    "GaussianRational": GaussianRational,
+    "OrthogonalMat3": lambda v: OrthogonalMat3([[v, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    "Event.make": lambda v: Event.make(v, 0, 0, 0),
+    "rational_unit_quaternion": lambda v: rational_unit_quaternion(v, 0, 0),
+    "quaternion_to_su2": lambda v: quaternion_to_su2((v, 0, 0, 0)),
+}
+NOT_EXACT = {"float": 0.5, "bool": True, "str": "1/2"}
+
 
 class TestArithmetic:
     def test_i_squared(self):
@@ -29,7 +41,7 @@ class TestArithmetic:
 
     def test_scalar_multiply(self):
         z = GaussianRational(Fraction(1, 2), Fraction(1, 3))
-        assert z * 2 == GaussianRational(1, Fraction(2, 3))
+        assert GaussianRational(2) * z == GaussianRational(1, Fraction(2, 3))
 
     def test_conjugate_examples(self):
         assert GaussianRational(1, 2).conjugate() == GaussianRational(1, -2)
@@ -43,9 +55,45 @@ class TestArithmetic:
         assert GaussianRational(0).norm_sq() == 0
         assert GaussianRational(1, 1).norm_sq() == 2
 
-    def test_floats_rejected(self):
+    @pytest.mark.parametrize(
+        "build,value",
+        [
+            pytest.param(build, value, id=f"{name}-{kind}")
+            for name, build in EXACT_CONSTRUCTORS.items()
+            for kind, value in NOT_EXACT.items()
+        ],
+    )
+    def test_floats_rejected(self, build, value):
         with pytest.raises(TypeError):
-            GaussianRational(0.5)
+            build(value)
+
+    def test_accepts_ints_and_fractions(self):
+        for build in EXACT_CONSTRUCTORS.values():
+            build(1)
+            build(Fraction(1))
+
+    def test_no_mixed_equality(self):
+        one = GaussianRational(1)
+        assert one != 1
+        assert one != Fraction(1)
+        assert one not in {1}
+        assert one in {GaussianRational(1)}
+
+    @pytest.mark.parametrize(
+        "combine",
+        [
+            lambda z: z * 2,
+            lambda z: 2 * z,
+            lambda z: z + 1,
+            lambda z: 1 - z,
+            lambda z: z / Fraction(2),
+            lambda z: 1 / z,
+        ],
+        ids=["z*2", "2*z", "z+1", "1-z", "z/Fraction", "1/z"],
+    )
+    def test_no_mixed_arithmetic(self, combine):
+        with pytest.raises(TypeError):
+            combine(GaussianRational(Fraction(1, 2), 3))
 
     def test_zero_inverse_rejected(self):
         with pytest.raises(ZeroDivisionError):
