@@ -40,7 +40,7 @@ from .ptgroup import (
     apply_symmetry,
     spacetime_projection,
 )
-from .scalars import ScalarParseError
+from .scalars import ScalarParseError, ScalarSizeError
 from .verify import SUITE_NAMES, run_suites
 
 SCHEMA_VERSION = 1
@@ -388,7 +388,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (ClosureLimitError, IsomorphismSizeError) as exc:
+    except (ClosureLimitError, IsomorphismSizeError, ScalarSizeError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
 

@@ -11,15 +11,22 @@ the finite checks that it splits the extension by Z2 are
 :func:`spincover.verify.check_exact_sequence`.
 
 Everything is computed over Gaussian rationals, so homomorphism and kernel
-statements are checked by exact equality, never by closeness.  Topology is
-out of scope: the two-component group here double-covers O(3) but, being
-disconnected, is not a universal cover; nothing in this package asserts or
-depends on connectivity statements, only on finite algebra.
+statements are checked by exact equality, never by closeness.  A
+:class:`UnitaryMat2` holds four :class:`~spincover.scalars.GaussianRational`
+entries.  An :class:`OrthogonalMat3` holds nine integer numerators over
+one positive denominator in lowest terms, so a product is an integer 3x3
+matmul plus one gcd; its ``rows`` are Fractions.  :func:`covering_map`
+writes those numerators straight from the integer triples of z and w.
+
+Topology is out of scope: the two-component group here double-covers O(3)
+but, being disconnected, is not a universal cover; nothing in this package
+asserts or depends on connectivity statements, only on finite algebra.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .scalars import (
@@ -88,7 +95,7 @@ class UnitaryMat2:
 
     def is_unitary(self) -> bool:
         """Recheck the defining equations (used by the invariant tests)."""
-        return _recheck(_unitary_det_sign, self._rows, self._det_sign)
+        return _recheck(_unitary_det_sign, (self._rows,), self._det_sign)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("UnitaryMat2 is immutable")
@@ -174,28 +181,44 @@ class UnitaryMat2:
 
 
 class OrthogonalMat3:
-    """A 3x3 rational orthogonal matrix; R * R^T = I exactly, det = +/-1."""
+    """A 3x3 rational orthogonal matrix; R * R^T = I exactly, det = +/-1.
 
-    __slots__ = ("_rows", "_det_sign")
+    Stored as nine integer numerators, row by row, over one positive
+    denominator, in lowest terms, so equal matrices have equal storage.
+    ``rows`` and indexing give the entries as Fractions.
+    """
+
+    __slots__ = ("_num", "_den", "_det_sign")
 
     def __init__(self, rows: Sequence[Sequence[object]]) -> None:
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("expected a 3x3 matrix")
-        m = tuple(tuple(as_rational(v) for v in r) for r in rows)
-        object.__setattr__(self, "_rows", m)
-        object.__setattr__(self, "_det_sign", _orthogonal_det_sign(m))
+        entries = [as_rational(v) for r in rows for v in r]
+        den = lcm(*(v.denominator for v in entries))
+        # Every entry is in lowest terms, so the numerators over the least
+        # common denominator have no common factor with it.
+        num = tuple(v.numerator * (den // v.denominator) for v in entries)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_det_sign", _orthogonal_det_sign(num, den))
 
     @classmethod
-    def _trusted(cls, rows: tuple, det_sign: int) -> "OrthogonalMat3":
-        # Internal: for operations preserving orthogonality by construction.
+    def _reduced(cls, num: tuple[int, ...], den: int, det_sign: int) -> "OrthogonalMat3":
+        # Internal: for operations preserving orthogonality by construction;
+        # ``num``/``den`` (den > 0) is brought to lowest terms.
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = tuple(n // g for n in num), den // g
         self = object.__new__(cls)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_det_sign", det_sign)
         return self
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
+        n, d = self._num, self._den
+        return tuple(tuple(Fraction(v, d) for v in n[i : i + 3]) for i in (0, 3, 6))
 
     @property
     def det_sign(self) -> int:
@@ -203,51 +226,53 @@ class OrthogonalMat3:
 
     def is_orthogonal(self) -> bool:
         """Recheck the defining equations (used by the invariant tests)."""
-        return _recheck(_orthogonal_det_sign, self._rows, self._det_sign)
+        return _recheck(_orthogonal_det_sign, (self._num, self._den), self._det_sign)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("OrthogonalMat3 is immutable")
 
     def __getitem__(self, index: int) -> tuple[Fraction, ...]:
-        return self._rows[index]
+        return self.rows[index]
 
     def __mul__(self, other: "OrthogonalMat3") -> "OrthogonalMat3":
         if not isinstance(other, OrthogonalMat3):
             return NotImplemented
-        a, b = self._rows, other._rows
-        rows = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-            for i in range(3)
+        a, b = self._num, other._num
+        num = tuple(
+            a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
+            for i in (0, 3, 6)
+            for j in (0, 1, 2)
         )
-        return OrthogonalMat3._trusted(rows, self._det_sign * other._det_sign)
+        return OrthogonalMat3._reduced(num, self._den * other._den, self._det_sign * other._det_sign)
 
     def __neg__(self) -> "OrthogonalMat3":
-        rows = tuple(tuple(-v for v in row) for row in self._rows)
-        return OrthogonalMat3._trusted(rows, -self._det_sign)
+        return OrthogonalMat3._reduced(tuple(-n for n in self._num), self._den, -self._det_sign)
 
     def transpose(self) -> "OrthogonalMat3":
-        rows = tuple(tuple(self._rows[j][i] for j in range(3)) for i in range(3))
-        return OrthogonalMat3._trusted(rows, self._det_sign)
+        n = self._num
+        num = (n[0], n[3], n[6], n[1], n[4], n[7], n[2], n[5], n[8])
+        return OrthogonalMat3._reduced(num, self._den, self._det_sign)
 
     def inverse(self) -> "OrthogonalMat3":
         return self.transpose()
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
-        return tuple(sum(self._rows[i][k] * v[k] for k in range(3)) for i in range(3))
+        v = [as_rational(c) for c in v]
+        common = lcm(*(c.denominator for c in v))
+        x, y, z = (c.numerator * (common // c.denominator) for c in v)
+        n, den = self._num, self._den * common
+        return tuple(Fraction(n[i] * x + n[i + 1] * y + n[i + 2] * z, den) for i in (0, 3, 6))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrthogonalMat3):
             return NotImplemented
-        return self._rows == other._rows
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def sort_key(self) -> tuple:
-        return tuple(v for row in self._rows for v in row)
+        return hash((self._num, self._den))
 
     def to_text(self) -> str:
-        return ";".join(",".join(format_rational(v) for v in row) for row in self._rows)
+        return ";".join(",".join(format_rational(v) for v in row) for row in self.rows)
 
     @classmethod
     def from_text(cls, text: str) -> "OrthogonalMat3":
@@ -260,15 +285,6 @@ class OrthogonalMat3:
         return f"OrthogonalMat3.from_text({self.to_text()!r})"
 
 
-def _det_sign(det, one) -> int:
-    """+1 or -1 as det equals ``one`` or ``-one``, the unit of its own type."""
-    if det == one:
-        return 1
-    if det == -one:
-        return -1
-    raise ValueError(f"determinant must be +1 or -1, got {det}")
-
-
 def _unitary_det_sign(m: tuple[Row2, Row2]) -> int:
     """The sign of det M; ValueError unless M * M^dagger = I and det = +/-1."""
     (a, b), (c, d) = m
@@ -279,26 +295,32 @@ def _unitary_det_sign(m: tuple[Row2, Row2]) -> int:
         or not (a * c.conjugate() + b * d.conjugate()).is_zero()
     ):
         raise ValueError("matrix is not unitary")
-    return _det_sign(a * d - b * c, ONE)
+    det = a * d - b * c
+    if det == ONE:
+        return 1
+    if det == -ONE:
+        return -1
+    raise ValueError(f"determinant must be +1 or -1, got {det}")
 
 
-def _orthogonal_det_sign(m: tuple[tuple[Fraction, ...], ...]) -> int:
-    """The sign of det R; ValueError unless R * R^T = I."""
-    for i in range(3):
-        for j in range(3):
-            if sum(m[i][k] * m[j][k] for k in range(3)) != (1 if i == j else 0):
+def _orthogonal_det_sign(n: tuple[int, ...], d: int) -> int:
+    """The sign of det R for R = N/d; ValueError unless N * N^T = d^2 I."""
+    d2 = d * d
+    for i in (0, 3, 6):
+        for j in (0, 3, 6):
+            if n[i] * n[j] + n[i + 1] * n[j + 1] + n[i + 2] * n[j + 2] != (d2 if i == j else 0):
                 raise ValueError("matrix is not orthogonal")
-    return _det_sign(  # +/-1 for every exactly orthogonal matrix
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]),
-        1,
+    det = (
+        n[0] * (n[4] * n[8] - n[5] * n[7])
+        - n[1] * (n[3] * n[8] - n[5] * n[6])
+        + n[2] * (n[3] * n[7] - n[4] * n[6])
     )
+    return 1 if det > 0 else -1  # det N = +/-d^3 for every orthogonal N/d
 
 
-def _recheck(det_sign_of, rows, det_sign: int) -> bool:
+def _recheck(det_sign_of, args: tuple, det_sign: int) -> bool:
     try:
-        return det_sign_of(rows) == det_sign
+        return det_sign_of(*args) == det_sign
     except ValueError:
         return False
 
@@ -354,19 +376,21 @@ def covering_map(matrix: UnitaryMat2) -> OrthogonalMat3:
     """
     if not matrix.is_special():
         raise ValueError("covering_map requires det = +1; use extended_covering_map")
+    # With z = (a + b i)/p and w = (c + e i)/q every entry is an integer
+    # over p^2 q^2.  Orthogonality with det +1 is automatic for unit (z, w);
+    # the invariant suites recheck it sample by sample via is_orthogonal().
     z, w = matrix.su2_components()
-    z2 = z * z
-    w2 = w * w
-    zw = z * w
-    zwc = z * w.conjugate()
-    # Orthogonality with det +1 is automatic for unit (z, w); the invariant
-    # suites recheck it sample by sample via is_orthogonal().
-    rows = (
-        (z2.re - w2.re, z2.im + w2.im, -2 * zw.re),
-        (-(z2.im - w2.im), z2.re + w2.re, 2 * zw.im),
-        (2 * zwc.re, 2 * zwc.im, z.norm_sq() - w.norm_sq()),
+    a, b, p = z.as_integer_triple()
+    c, e, q = w.as_integer_triple()
+    p2, q2, pq = p * p, q * q, p * q
+    z2_re, w2_re = (a * a - b * b) * q2, (c * c - e * e) * p2
+    z2_im, w2_im = 2 * a * b * q2, 2 * c * e * p2
+    num = (
+        z2_re - w2_re, z2_im + w2_im, -2 * (a * c - b * e) * pq,
+        w2_im - z2_im, z2_re + w2_re, 2 * (a * e + b * c) * pq,
+        2 * (a * c + b * e) * pq, 2 * (b * c - a * e) * pq, (a * a + b * b) * q2 - (c * c + e * e) * p2,
     )
-    return OrthogonalMat3._trusted(rows, 1)
+    return OrthogonalMat3._reduced(num, p2 * q2, 1)
 
 
 def extended_covering_map(matrix: UnitaryMat2) -> OrthogonalMat3:

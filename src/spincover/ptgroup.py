@@ -160,6 +160,10 @@ class SpinorValue:
     u: GaussianRational
     v: GaussianRational
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.u, GaussianRational) and isinstance(self.v, GaussianRational)):
+            raise TypeError("SpinorValue takes two GaussianRational components")
+
     def conjugate(self) -> "SpinorValue":
         return SpinorValue(self.u.conjugate(), self.v.conjugate())
 
@@ -190,10 +194,23 @@ def inner_product(a: SpinorValue, b: SpinorValue) -> GaussianRational:
 
 @dataclass(frozen=True, order=True)
 class Event:
-    """A sample point (t, x) with rational coordinates."""
+    """A sample point (t, x) with Fraction coordinates; :meth:`make` also
+    takes ints."""
 
     t: Fraction
     x: tuple[Fraction, Fraction, Fraction]
+
+    def __post_init__(self) -> None:
+        t, x = self.t, self.x
+        if not (
+            isinstance(t, Fraction)
+            and isinstance(x, tuple)
+            and len(x) == 3
+            and isinstance(x[0], Fraction)
+            and isinstance(x[1], Fraction)
+            and isinstance(x[2], Fraction)
+        ):
+            raise TypeError("Event takes a Fraction t and a tuple of three Fraction coordinates")
 
     @classmethod
     def make(cls, t, x1, x2, x3) -> "Event":

@@ -1,18 +1,26 @@
 """Exact complex scalars over the Gaussian rationals.
 
 Every matrix entry in the matrix layers of this package is a
-:class:`GaussianRational`: a complex number whose real and imaginary parts
-are arbitrary-precision rationals.  A caller's number enters the exact
-layer only through :func:`as_rational`, which takes ints and Fractions and
-refuses everything else, and a :class:`GaussianRational` combines and
-compares only with another :class:`GaussianRational`.  All arithmetic is
-exact and equality is structural; no float value is ever involved.
+:class:`GaussianRational`, a complex number (a + b i)/d stored as three
+Python ints with d > 0 and gcd(a, b, d) = 1.  That canonical triple is the
+only representation of its value, so a sum or a product is integer
+arithmetic plus one gcd, and equality and hashing compare the triple.
+``re``, ``im`` and ``norm_sq()`` return :class:`fractions.Fraction`
+values; the text grammar below is read into and written from the ints.
+
+A caller's number enters the exact layer only through :func:`as_rational`,
+which takes ints and Fractions and refuses everything else, and a
+:class:`GaussianRational` combines and compares only with another
+:class:`GaussianRational`.  All arithmetic is exact; no float value is
+ever involved.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 _RationalLike = Union[int, Fraction]
@@ -22,6 +30,16 @@ _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 class ScalarParseError(ValueError):
     """Raised when a scalar string is not in the wire grammar."""
+
+
+class ScalarDigitsError(ScalarParseError):
+    """Raised when a scalar in the input has more digits than Python reads
+    into an int (``sys.get_int_max_str_digits()``, 4300 by default)."""
+
+
+class ScalarSizeError(ValueError):
+    """Raised when a scalar has more digits than Python converts to text
+    (``sys.get_int_max_str_digits()``, 4300 by default)."""
 
 
 def as_rational(value: _RationalLike) -> Fraction:
@@ -41,27 +59,28 @@ class GaussianRational:
     distributivity and inverses hold by exact equality.
     """
 
-    __slots__ = ("_re", "_im")
+    __slots__ = ("_abd",)
 
     def __init__(self, re: _RationalLike = 0, im: _RationalLike = 0) -> None:
-        object.__setattr__(self, "_re", as_rational(re))
-        object.__setattr__(self, "_im", as_rational(im))
+        re, im = as_rational(re), as_rational(im)
+        p, q = re.denominator, im.denominator
+        d = p // gcd(p, q) * q
+        # re and im are in lowest terms, so gcd(a, b, d) = 1 already.
+        _set_abd(self, (re.numerator * (d // p), im.numerator * (d // q), d))
 
-    @classmethod
-    def _wrap(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        # Internal fast path: components are already Fraction instances.
-        self = object.__new__(cls)
-        object.__setattr__(self, "_re", re)
-        object.__setattr__(self, "_im", im)
-        return self
+    def as_integer_triple(self) -> tuple[int, int, int]:
+        """(a, b, d) with self = (a + b i)/d, d > 0 and gcd(a, b, d) = 1."""
+        return self._abd
 
     @property
     def re(self) -> Fraction:
-        return self._re
+        a, _, d = self._abd
+        return Fraction(a, d)
 
     @property
     def im(self) -> Fraction:
-        return self._im
+        _, b, d = self._abd
+        return Fraction(b, d)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GaussianRational is immutable")
@@ -71,20 +90,23 @@ class GaussianRational:
     def __add__(self, other: object) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return GaussianRational._wrap(self._re + other._re, self._im + other._im)
+        a, b, d = self._abd
+        c, e, f = other._abd
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other: object) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return GaussianRational._wrap(self._re - other._re, self._im - other._im)
+        a, b, d = self._abd
+        c, e, f = other._abd
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __mul__(self, other: object) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return GaussianRational._wrap(
-            self._re * other._re - self._im * other._im,
-            self._re * other._im + self._im * other._re,
-        )
+        a, b, d = self._abd
+        c, e, f = other._abd
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     def __truediv__(self, other: object) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
@@ -92,36 +114,41 @@ class GaussianRational:
         return self * other.inverse()
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational._wrap(-self._re, -self._im)
+        a, b, d = self._abd
+        return _canonical(-a, -b, d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational._wrap(self._re, -self._im)
+        a, b, d = self._abd
+        return _canonical(a, -b, d)
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm_sq()
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+        a, b, d = self._abd
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return GaussianRational._wrap(self._re / n, -self._im / n)
+        return _reduced(d * a, -d * b, n)
 
     def norm_sq(self) -> Fraction:
         """Exact squared modulus re^2 + im^2, a nonnegative rational."""
-        return self._re * self._re + self._im * self._im
+        a, b, d = self._abd
+        return Fraction(a * a + b * b, d * d)
 
     def is_zero(self) -> bool:
-        return self._re == 0 and self._im == 0
+        return self._abd[0] == 0 and self._abd[1] == 0
 
     # -- comparison and hashing -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self._re == other._re and self._im == other._im
+        return self._abd == other._abd
 
     def __hash__(self) -> int:
-        return hash((self._re, self._im))
+        return hash(self._abd)
 
     def sort_key(self) -> tuple:
-        return (self._re, self._im)
+        return (self.re, self.im)
 
     # -- conversion ------------------------------------------------------
 
@@ -129,7 +156,25 @@ class GaussianRational:
         return format_complex(self)
 
     def __repr__(self) -> str:
-        return f"GaussianRational({self._re!r}, {self._im!r})"
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_set_abd = GaussianRational._abd.__set__
+
+
+def _canonical(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b i)/d of a triple already in canonical form."""
+    z = object.__new__(GaussianRational)
+    _set_abd(z, (a, b, d))
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b i)/d for any d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _canonical(a // g, b // g, d // g)
+    return _canonical(a, b, d)
 
 
 ZERO = GaussianRational(0)
@@ -147,26 +192,52 @@ I_UNIT = GaussianRational(0, 1)
 #              ("2/4", "+0i", "1+0i"), but no whitespace inside a scalar.
 
 
-def parse_rational(text: str) -> Fraction:
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """(n, d) with d > 0 for a rational scalar in the grammar, unreduced."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ScalarParseError(f"not a rational scalar: {text!r}")
+    numerator, _, denominator = s.partition("/")
     try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ScalarParseError(f"zero denominator in rational scalar: {text!r}") from None
+        n, d = int(numerator), int(denominator or 1)
+    except ValueError:  # more digits than int() reads
+        raise ScalarDigitsError(
+            f"rational scalar has more than {sys.get_int_max_str_digits()} digits, "
+            "the most Python reads"
+        ) from None
+    if d == 0:
+        raise ScalarParseError(f"zero denominator in rational scalar: {text!r}")
+    return n, d
+
+
+def parse_rational(text: str) -> Fraction:
+    return Fraction(*_parse_ratio(text))
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """Canonical text of n/d for d > 0."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # more digits than str() writes
+        raise ScalarSizeError(
+            f"a scalar has more than {sys.get_int_max_str_digits()} digits, the most Python prints"
+        ) from None
 
 
 def format_rational(value: Fraction) -> str:
-    return str(as_rational(value))
+    value = as_rational(value)
+    return _ratio_text(value.numerator, value.denominator)
 
 
-def _parse_imag_coefficient(token: str) -> Fraction:
+def _parse_imag_coefficient(token: str) -> tuple[int, int]:
     if token in ("", "+"):
-        return Fraction(1)
+        return 1, 1
     if token == "-":
-        return Fraction(-1)
-    return parse_rational(token)
+        return -1, 1
+    return _parse_ratio(token)
 
 
 def parse_complex(text: str) -> GaussianRational:
@@ -177,7 +248,8 @@ def parse_complex(text: str) -> GaussianRational:
     if any(c.isspace() for c in s):
         raise ScalarParseError(f"not a complex scalar: {text!r}")
     if not s.endswith("i"):
-        return GaussianRational(parse_rational(s), 0)
+        n, d = _parse_ratio(s)
+        return _reduced(n, 0, d)
     body = s[:-1]
     split = 0
     for k in range(len(body) - 1, 0, -1):
@@ -186,28 +258,27 @@ def parse_complex(text: str) -> GaussianRational:
             break
     re_token, im_token = body[:split], body[split:]
     try:
-        im_part = _parse_imag_coefficient(im_token)
-        re_part = parse_rational(re_token) if re_token else Fraction(0)
+        im_n, im_d = _parse_imag_coefficient(im_token)
+        re_n, re_d = _parse_ratio(re_token) if re_token else (0, 1)
+    except ScalarDigitsError:
+        raise
     except ScalarParseError:
         raise ScalarParseError(f"not a complex scalar: {text!r}") from None
-    return GaussianRational(re_part, im_part)
+    return _reduced(re_n * im_d, im_n * re_d, re_d * im_d)
 
 
-def _imag_str(coefficient: Fraction) -> str:
-    if coefficient == 1:
-        return "i"
-    if coefficient == -1:
-        return "-i"
-    return f"{coefficient}i"
+def _imag_text(b: int, d: int) -> str:
+    """The imaginary term of b/d i, signed, with a unit coefficient omitted."""
+    coefficient = _ratio_text(b, d)
+    if coefficient in ("1", "-1"):
+        return coefficient[:-1] + "i"
+    return coefficient + "i"
 
 
 def format_complex(value: GaussianRational) -> str:
-    if value.im == 0:
-        return format_rational(value.re)
-    if value.re == 0:
-        return _imag_str(value.im)
-    sign = "+" if value.im > 0 else "-"
-    magnitude = abs(value.im)
-    tail = "i" if magnitude == 1 else f"{magnitude}i"
-    return f"{value.re}{sign}{tail}"
-
+    a, b, d = value._abd
+    if b == 0:
+        return _ratio_text(a, d)
+    if a == 0:
+        return _imag_text(b, d)
+    return _ratio_text(a, d) + ("+" if b > 0 else "") + _imag_text(b, d)

@@ -62,6 +62,17 @@ DOUBLEGROUP_3_JSON = (
 )
 
 
+@pytest.fixture
+def int_digit_limit():
+    """Python's default int <-> str digit limit, pinned for the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python (before 3.10.7) has no int <-> str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
 def write_field(tmp_path, text, name="field.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -124,6 +135,31 @@ class TestApply:
         assert main(["apply", "1/0,0;0,1", field]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_oversized_input_scalar_is_input_error(self, tmp_path, capsys, int_digit_limit):
+        # One more digit than Python reads into an int.
+        digits = "1" + "0" * int_digit_limit
+        for line in (
+            f"0; 0,0,0; {digits}; 0",
+            f"0; 0,0,0; 1+{digits}i; 0",
+            f"0; 0,0,0; {digits}+i; 0",
+        ):
+            field = write_field(tmp_path, line + "\n")
+            assert main(["apply", "P", field]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "more than 4300 digits" in err
+            assert digits not in err
+
+    def test_unprintable_result_scalar_is_resource_limit(self, tmp_path, capsys, int_digit_limit):
+        # u = 1/(9 * 10^4299) prints; the rotation doubles its denominator
+        # to 18 * 10^4299, one digit more than Python writes.
+        field = write_field(tmp_path, f"0; 0,0,0; 1/9{'0' * (int_digit_limit - 1)}; 0\n")
+        rotation = "1/2-1/2i,-1/2-1/2i;1/2-1/2i,1/2+1/2i"
+        for fmt in ("text", "json"):
+            assert main(["apply", rotation, field, "--format", fmt]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1].startswith("resource limit: ")
+
     def test_closure_violation_is_input_error(self, tmp_path, capsys):
         field = write_field(tmp_path, "1; 0,0,0; 1; 0\n")
         assert main(["apply", "T", field]) == 2
@@ -179,6 +215,14 @@ class TestTable:
         assert payload["schema_version"] == 1
         assert payload["elements"] == ["P", "T", "PT", "-P", "-T", "-PT", "-I", "I"]
         assert len(payload["table"]) == 8
+
+    def test_generated_octahedral_golden(self, capsys):
+        # Pins the closure order: identity, generators, then sorted layers.
+        generators = ["1/2-1/2i,-1/2-1/2i;1/2-1/2i,1/2+1/2i", "0,-1;1,0", "i,0;0,i"]
+        argv = ["table", *(f"--gen={g}" for g in generators), "--format", "json"]
+        assert main(argv) == 0
+        golden = GOLDEN / "table_gen_octahedral.json"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_requires_exactly_one_source(self, capsys):
         assert main(["table"]) == 2

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spincover.cover import (
     HALF_TURN_Y,
@@ -104,6 +106,55 @@ class TestCoveringMap:
         for _ in range(100):
             a = sample_su2(rng)
             assert covering_map(a) == covering_map(-a)
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+vectors = st.tuples(rationals, rationals, rationals)
+quaternions = vectors.map(lambda v: rational_unit_quaternion(*v))
+
+
+def reference_rotation(q) -> list[list[Fraction]]:
+    """The covering_map docstring formula on Fraction (re, im) pairs, for
+    z = a + b i and w = c + d i."""
+    a, b, c, d = q
+    z2, w2 = (a * a - b * b, 2 * a * b), (c * c - d * d, 2 * c * d)
+    zw, zwc = (a * c - b * d, a * d + b * c), (a * c + b * d, b * c - a * d)
+    return [
+        [z2[0] - w2[0], z2[1] + w2[1], -2 * zw[0]],
+        [-(z2[1] - w2[1]), z2[0] + w2[0], 2 * zw[1]],
+        [2 * zwc[0], 2 * zwc[1], a * a + b * b - c * c - d * d],
+    ]
+
+
+def entries(m: OrthogonalMat3) -> list[list[Fraction]]:
+    return [list(row) for row in m.rows]
+
+
+class TestIntegerOrthogonal:
+    """Integer-numerator O(3) matrices against Fraction reference arithmetic."""
+
+    @given(quaternions)
+    def test_covering_map_formula(self, q):
+        image = covering_map(quaternion_to_su2(q))
+        assert entries(image) == reference_rotation(q)
+        assert image.det_sign == 1
+
+    @given(quaternions, quaternions, vectors)
+    def test_operations(self, q1, q2, v):
+        r1, r2 = reference_rotation(q1), reference_rotation(q2)
+        m1, m2 = covering_map(quaternion_to_su2(q1)), covering_map(quaternion_to_su2(q2))
+        product = [[sum(r1[i][k] * r2[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+        assert entries(m1 * m2) == product
+        assert entries(-m1) == [[-x for x in row] for row in r1]
+        assert (-m1).det_sign == -1
+        assert entries(m1.transpose()) == [list(col) for col in zip(*r1)]
+        assert m1.apply(v) == tuple(sum(r1[i][k] * v[k] for k in range(3)) for i in range(3))
+        # Stored in lowest terms: equal to, and hashing like, the matrix
+        # rebuilt from its Fraction entries.
+        for m in (m1, m1 * m2, -m1, m1.transpose()):
+            rebuilt = OrthogonalMat3(m.rows)
+            assert m == rebuilt and hash(m) == hash(rebuilt) and m.det_sign == rebuilt.det_sign
+            assert m.is_orthogonal()
 
 
 class TestExtendedCoveringMap:

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from spincover.cover import OrthogonalMat3, quaternion_to_su2, rational_unit_quaternion
-from spincover.ptgroup import Event
+from spincover.ptgroup import Event, SpinorValue
 from spincover.scalars import (
     GaussianRational,
     ScalarParseError,
@@ -28,6 +29,16 @@ EXACT_CONSTRUCTORS = {
     "quaternion_to_su2": lambda v: quaternion_to_su2((v, 0, 0, 0)),
 }
 NOT_EXACT = {"float": 0.5, "bool": True, "str": "1/2"}
+# The plain records store what they are given, so they take only the types
+# they store; Event.make is the converting constructor.
+WRONG_RECORD_TYPES = {
+    "Event-floats": (lambda v: Event(v, (0.1, 0, 0)), 0.5),
+    "Event-int-t": (lambda v: Event(v, (Fraction(0),) * 3), 1),
+    "Event-list-x": (lambda v: Event(Fraction(0), v), [Fraction(0)] * 3),
+    "Event-two-coordinates": (lambda v: Event(Fraction(0), v), (Fraction(0),) * 2),
+    "SpinorValue-ints": (lambda v: SpinorValue(v, 2), 1),
+    "SpinorValue-Fraction": (lambda v: SpinorValue(GaussianRational(0), v), Fraction(1, 2)),
+}
 
 
 class TestArithmetic:
@@ -61,7 +72,8 @@ class TestArithmetic:
             pytest.param(build, value, id=f"{name}-{kind}")
             for name, build in EXACT_CONSTRUCTORS.items()
             for kind, value in NOT_EXACT.items()
-        ],
+        ]
+        + [pytest.param(build, value, id=name) for name, (build, value) in WRONG_RECORD_TYPES.items()],
     )
     def test_floats_rejected(self, build, value):
         with pytest.raises(TypeError):
@@ -130,6 +142,66 @@ class TestFieldAxioms:
         n = x.norm_sq()
         assert isinstance(n, Fraction)
         assert n >= 0
+
+
+def pair(z: GaussianRational) -> tuple[Fraction, Fraction]:
+    return z.re, z.im
+
+
+def assert_canonical(z: GaussianRational) -> None:
+    a, b, d = z.as_integer_triple()
+    assert d > 0 and gcd(a, b, d) == 1
+    rebuilt = GaussianRational(z.re, z.im)
+    assert rebuilt.as_integer_triple() == (a, b, d) and hash(rebuilt) == hash(z)
+
+
+class TestIntegerTriples:
+    """The integer-triple operators against a (Fraction, Fraction) reference."""
+
+    @given(gaussians)
+    def test_canonical_triple(self, x):
+        assert_canonical(x)
+        a, b, d = x.as_integer_triple()
+        assert (x.re, x.im) == (Fraction(a, d), Fraction(b, d))
+
+    @given(rationals, rationals, st.integers(1, 12))
+    def test_equal_values_have_equal_triples(self, re, im, k):
+        # The same value built from scaled-up components.
+        x = GaussianRational(re, im)
+        y = GaussianRational(Fraction(re.numerator * k, re.denominator * k), im)
+        z = parse_complex(f"{re.numerator * k}/{re.denominator * k}+{im}i".replace("+-", "-"))
+        assert x.as_integer_triple() == y.as_integer_triple() == z.as_integer_triple()
+        assert x == y == z and hash(x) == hash(y) == hash(z)
+
+    @given(gaussians, gaussians)
+    def test_ring_operations(self, x, y):
+        (p, q), (r, s) = pair(x), pair(y)
+        assert pair(x + y) == (p + r, q + s)
+        assert pair(x - y) == (p - r, q - s)
+        assert pair(x * y) == (p * r - q * s, p * s + q * r)
+        assert pair(-x) == (-p, -q)
+        assert pair(x.conjugate()) == (p, -q)
+        assert x.norm_sq() == p * p + q * q
+        assert (x == y) == ((p, q) == (r, s))
+        assert (hash(x) == hash(y)) or (p, q) != (r, s)
+
+    @given(gaussians, nonzero_gaussians)
+    def test_division(self, x, y):
+        (p, q), (r, s) = pair(x), pair(y)
+        n = r * r + s * s
+        assert pair(y.inverse()) == (r / n, -s / n)
+        assert pair(x / y) == ((p * r + q * s) / n, (q * r - p * s) / n)
+        assert_canonical(y.inverse())
+        assert_canonical(x / y)
+
+    @given(gaussians, gaussians)
+    def test_results_are_canonical(self, x, y):
+        for z in (x + y, x - y, x * y, -x, x.conjugate()):
+            assert_canonical(z)
+
+    def test_zero_is_one_triple(self):
+        x = GaussianRational(Fraction(1, 3), 2)
+        assert (x - x).as_integer_triple() == (0, 0, 1) == GaussianRational(0).as_integer_triple()
 
 
 class TestTextGrammar:
