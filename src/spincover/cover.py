@@ -256,12 +256,23 @@ class OrthogonalMat3:
     def inverse(self) -> "OrthogonalMat3":
         return self.transpose()
 
+    def integer_apply(self, x: int, y: int, z: int) -> tuple[int, int, int, int]:
+        """(X, Y, Z, d) with R (x, y, z)/e = (X, Y, Z)/(d e) for every e > 0:
+        the integer numerators times (x, y, z), then the denominator."""
+        n = self._num
+        return (
+            n[0] * x + n[1] * y + n[2] * z,
+            n[3] * x + n[4] * y + n[5] * z,
+            n[6] * x + n[7] * y + n[8] * z,
+            self._den,
+        )
+
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
         v = [as_rational(c) for c in v]
         common = lcm(*(c.denominator for c in v))
-        x, y, z = (c.numerator * (common // c.denominator) for c in v)
-        n, den = self._num, self._den * common
-        return tuple(Fraction(n[i] * x + n[i + 1] * y + n[i + 2] * z, den) for i in (0, 3, 6))
+        x, y, z, den = self.integer_apply(*(c.numerator * (common // c.denominator) for c in v))
+        den *= common
+        return (Fraction(x, den), Fraction(y, den), Fraction(z, den))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrthogonalMat3):

@@ -8,16 +8,21 @@ that the canonical time-reversal pair projects to a pure time flip with no
 spatial rotation.
 
 Spinor fields are finite exact sample maps from events (t, x) to
-two-component Gaussian-rational values.  The four actions (rotation, time
-reversal, parity, parity-time) rebind arguments literally and conjugate
-values entrywise in the antiunitary sectors, so every transformation law is
-checked by exact equality on the sampled events.
+two-component Gaussian-rational values.  An :class:`Event` is four integer
+numerators over one denominator in lowest terms, read straight from the
+field text, so hashing, sorting and rebinding events is integer work.  The
+four actions (rotation, time reversal, parity, parity-time) rebind
+arguments literally and conjugate values entrywise in the antiunitary
+sectors, so every transformation law is checked by exact equality on the
+sampled events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
+from math import gcd, lcm
 from typing import Mapping, Optional
 
 from .cover import (
@@ -36,9 +41,9 @@ from .scalars import (
     ScalarParseError,
     as_rational,
     format_complex,
-    format_rational,
+    format_ratio,
     parse_complex,
-    parse_rational,
+    parse_ratio,
 )
 
 
@@ -192,16 +197,20 @@ def inner_product(a: SpinorValue, b: SpinorValue) -> GaussianRational:
     return a.u.conjugate() * b.u + a.v.conjugate() * b.v
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Event:
-    """A sample point (t, x) with Fraction coordinates; :meth:`make` also
-    takes ints."""
+    """A sample point (t, x), ordered by value: by t, then by x.
 
-    t: Fraction
-    x: tuple[Fraction, Fraction, Fraction]
+    Stored as four integer numerators (t, x1, x2, x3) over one positive
+    denominator, with gcd 1, so equal events have equal storage: ``==`` and
+    ``hash`` compare one int tuple and ``<`` cross-multiplies once.  ``t``
+    and ``x`` give the coordinates as Fractions.  The constructor takes a
+    Fraction t and a tuple of three Fractions; :meth:`make` also takes ints.
+    """
 
-    def __post_init__(self) -> None:
-        t, x = self.t, self.x
+    __slots__ = ("_key",)
+
+    def __init__(self, t: Fraction, x: tuple[Fraction, Fraction, Fraction]) -> None:
         if not (
             isinstance(t, Fraction)
             and isinstance(x, tuple)
@@ -211,23 +220,92 @@ class Event:
             and isinstance(x[2], Fraction)
         ):
             raise TypeError("Event takes a Fraction t and a tuple of three Fraction coordinates")
+        _set_key(self, _common_key([(c.numerator, c.denominator) for c in (t, *x)]))
 
     @classmethod
     def make(cls, t, x1, x2, x3) -> "Event":
         return cls(as_rational(t), (as_rational(x1), as_rational(x2), as_rational(x3)))
 
+    def as_integer_tuple(self) -> tuple[int, int, int, int, int]:
+        """(t, x1, x2, x3, d) with the event (t, x1, x2, x3)/d, d > 0 and gcd 1."""
+        return self._key
+
+    @property
+    def t(self) -> Fraction:
+        key = self._key
+        return Fraction(key[0], key[4])
+
+    @property
+    def x(self) -> tuple[Fraction, Fraction, Fraction]:
+        _, a, b, c, d = self._key
+        return (Fraction(a, d), Fraction(b, d), Fraction(c, d))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Event is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Event):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Event):
+            return NotImplemented
+        t, a, b, c, d = self._key
+        u, p, q, r, e = other._key
+        return (t * e, a * e, b * e, c * e) < (u * d, p * d, q * d, r * d)
+
     def time_flipped(self) -> "Event":
-        return Event(-self.t, self.x)
+        t, a, b, c, d = self._key
+        return _from_key((-t, a, b, c, d))
 
     def space_flipped(self) -> "Event":
-        return Event(self.t, tuple(-c for c in self.x))
+        t, a, b, c, d = self._key
+        return _from_key((t, -a, -b, -c, d))
 
     def rotated(self, rotation: OrthogonalMat3) -> "Event":
-        return Event(self.t, rotation.apply(self.x))
+        t, a, b, c, d = self._key
+        x1, x2, x3, e = rotation.integer_apply(a, b, c)
+        return _from_key(_lowest_terms(t * e, x1, x2, x3, d * e))
 
     def to_text(self) -> str:
-        coords = ",".join(format_rational(c) for c in self.x)
-        return f"{format_rational(self.t)}; {coords}"
+        t, a, b, c, d = self._key
+        return f"{format_ratio(t, d)}; {format_ratio(a, d)},{format_ratio(b, d)},{format_ratio(c, d)}"
+
+    def __repr__(self) -> str:
+        return f"Event(t={self.t!r}, x={self.x!r})"
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild from the key; __setattr__ refuses them.
+        return (_from_key, (self._key,))
+
+
+_set_key = Event._key.__set__
+
+
+def _from_key(key: tuple[int, int, int, int, int]) -> Event:
+    """The event of a key already in lowest terms with d > 0."""
+    event = object.__new__(Event)
+    _set_key(event, key)
+    return event
+
+
+def _lowest_terms(t: int, a: int, b: int, c: int, d: int) -> tuple[int, int, int, int, int]:
+    g = gcd(t, a, b, c, d)
+    if g != 1:
+        return (t // g, a // g, b // g, c // g, d // g)
+    return (t, a, b, c, d)
+
+
+def _common_key(ratios: list[tuple[int, int]]) -> tuple[int, int, int, int, int]:
+    """The key of the event whose coordinates (t, x1, x2, x3) are the four
+    ratios n/d, d > 0, in any terms."""
+    (t, p), (a, q), (b, r), (c, s) = ratios
+    d = lcm(p, q, r, s)
+    return _lowest_terms(t * (d // p), a * (d // q), b * (d // r), c * (d // s), d)
 
 
 class DomainClosureError(KeyError):
@@ -298,7 +376,8 @@ class SpinorSampleField:
         return [f"{e.to_text()}; {v.to_text()}" for e, v in self.samples.items()]
 
     def to_text(self) -> str:
-        return "\n".join(self.to_lines()) + "\n"
+        """One line per sample, each ending in a newline; "" for no samples."""
+        return "".join(f"{line}\n" for line in self.to_lines())
 
     @classmethod
     def from_text(cls, text: str) -> "SpinorSampleField":
@@ -314,7 +393,7 @@ class SpinorSampleField:
             if len(coords) != 3:
                 raise FieldParseError(number, f"expected three spatial coordinates, got {parts[1]!r}")
             try:
-                event = Event(parse_rational(parts[0]), tuple(parse_rational(c) for c in coords))
+                event = _from_key(_common_key([parse_ratio(parts[0]), *map(parse_ratio, coords)]))
                 value = SpinorValue(parse_complex(parts[2]), parse_complex(parts[3]))
             except ScalarParseError as exc:
                 raise FieldParseError(number, str(exc)) from None

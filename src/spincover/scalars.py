@@ -26,6 +26,9 @@ from typing import Union
 _RationalLike = Union[int, Fraction]
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+# \s in a str pattern matches exactly the characters for which str.isspace()
+# is true.
+_SPACE_RE = re.compile(r"\s")
 
 
 class ScalarParseError(ValueError):
@@ -192,7 +195,7 @@ I_UNIT = GaussianRational(0, 1)
 #              ("2/4", "+0i", "1+0i"), but no whitespace inside a scalar.
 
 
-def _parse_ratio(text: str) -> tuple[int, int]:
+def parse_ratio(text: str) -> tuple[int, int]:
     """(n, d) with d > 0 for a rational scalar in the grammar, unreduced."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
@@ -211,10 +214,10 @@ def _parse_ratio(text: str) -> tuple[int, int]:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(*_parse_ratio(text))
+    return Fraction(*parse_ratio(text))
 
 
-def _ratio_text(n: int, d: int) -> str:
+def format_ratio(n: int, d: int) -> str:
     """Canonical text of n/d for d > 0."""
     g = gcd(n, d)
     if g != 1:
@@ -229,7 +232,7 @@ def _ratio_text(n: int, d: int) -> str:
 
 def format_rational(value: Fraction) -> str:
     value = as_rational(value)
-    return _ratio_text(value.numerator, value.denominator)
+    return format_ratio(value.numerator, value.denominator)
 
 
 def _parse_imag_coefficient(token: str) -> tuple[int, int]:
@@ -237,7 +240,7 @@ def _parse_imag_coefficient(token: str) -> tuple[int, int]:
         return 1, 1
     if token == "-":
         return -1, 1
-    return _parse_ratio(token)
+    return parse_ratio(token)
 
 
 def parse_complex(text: str) -> GaussianRational:
@@ -245,10 +248,10 @@ def parse_complex(text: str) -> GaussianRational:
     s = text.strip()
     if not s:
         raise ScalarParseError("empty scalar")
-    if any(c.isspace() for c in s):
+    if _SPACE_RE.search(s):
         raise ScalarParseError(f"not a complex scalar: {text!r}")
     if not s.endswith("i"):
-        n, d = _parse_ratio(s)
+        n, d = parse_ratio(s)
         return _reduced(n, 0, d)
     body = s[:-1]
     split = 0
@@ -259,7 +262,7 @@ def parse_complex(text: str) -> GaussianRational:
     re_token, im_token = body[:split], body[split:]
     try:
         im_n, im_d = _parse_imag_coefficient(im_token)
-        re_n, re_d = _parse_ratio(re_token) if re_token else (0, 1)
+        re_n, re_d = parse_ratio(re_token) if re_token else (0, 1)
     except ScalarDigitsError:
         raise
     except ScalarParseError:
@@ -269,7 +272,7 @@ def parse_complex(text: str) -> GaussianRational:
 
 def _imag_text(b: int, d: int) -> str:
     """The imaginary term of b/d i, signed, with a unit coefficient omitted."""
-    coefficient = _ratio_text(b, d)
+    coefficient = format_ratio(b, d)
     if coefficient in ("1", "-1"):
         return coefficient[:-1] + "i"
     return coefficient + "i"
@@ -278,7 +281,7 @@ def _imag_text(b: int, d: int) -> str:
 def format_complex(value: GaussianRational) -> str:
     a, b, d = value._abd
     if b == 0:
-        return _ratio_text(a, d)
+        return format_ratio(a, d)
     if a == 0:
         return _imag_text(b, d)
-    return _ratio_text(a, d) + ("+" if b > 0 else "") + _imag_text(b, d)
+    return format_ratio(a, d) + ("+" if b > 0 else "") + _imag_text(b, d)

@@ -18,6 +18,20 @@ SYMMETRIC_FIELD = (
     "1; 0,0,0; 0; 1\n"
 )
 
+ROTATION_120 = "1/2-1/2i,-1/2-1/2i;1/2-1/2i,1/2+1/2i"
+# The six transforms of the benchmark's apply workload, by golden file name.
+# Their goldens transform apply_field.txt: t in {-2/3, 0, 2/3} and x in
+# {-3/7, -1/5, 0, 1/5, 3/7}^3, closed under negation and cyclic axis
+# permutation, lines shuffled and every fifth coordinate unreduced.
+APPLY_GOLDEN_TRANSFORMS = {
+    "P": "P",
+    "T": "T",
+    "PT": "PT",
+    "half_turn_z": "i,0;0,-i",
+    "rotation_120": ROTATION_120,
+    "rotation_120_time": ROTATION_120 + "@-1",
+}
+
 
 # Golden `doublegroup 3` output, text and JSON; the CLI output is byte-stable.
 DOUBLEGROUP_3_TEXT = (
@@ -153,12 +167,42 @@ class TestApply:
         # u = 1/(9 * 10^4299) prints; the rotation doubles its denominator
         # to 18 * 10^4299, one digit more than Python writes.
         field = write_field(tmp_path, f"0; 0,0,0; 1/9{'0' * (int_digit_limit - 1)}; 0\n")
-        rotation = "1/2-1/2i,-1/2-1/2i;1/2-1/2i,1/2+1/2i"
         for fmt in ("text", "json"):
-            assert main(["apply", rotation, field, "--format", fmt]) == 3
+            assert main(["apply", ROTATION_120, field, "--format", fmt]) == 3
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.splitlines()[-1].startswith("resource limit: ")
+
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    @pytest.mark.parametrize("name", list(APPLY_GOLDEN_TRANSFORMS))
+    def test_golden_field(self, capsys, name, fmt, suffix):
+        field = str(GOLDEN / "apply_field.txt")
+        assert main(["apply", APPLY_GOLDEN_TRANSFORMS[name], field, "--format", fmt]) == 0
+        golden = GOLDEN / f"apply_{name}.{suffix}"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_missing_fractional_event(self, tmp_path, capsys):
+        field = write_field(tmp_path, "2/6; 2/4,-2/7,0; 1; 0\n")
+        missing = {
+            "T": "-1/3; 1/2,-2/7,0",
+            "P": "1/3; -1/2,2/7,0",
+            "PT": "-1/3; -1/2,2/7,0",
+            "i,0;0,-i": "1/3; -1/2,2/7,0",
+            ROTATION_120: "1/3; 0,1/2,-2/7",
+        }
+        for token, event in missing.items():
+            assert main(["apply", token, field]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: field domain is missing the event ({event})\n"
+
+    def test_empty_field_prints_nothing(self, tmp_path, capsys):
+        for text in ("", "\n\n"):
+            field = write_field(tmp_path, text)
+            assert main(["apply", "P", field]) == 0
+            assert capsys.readouterr().out == ""
+            assert main(["apply", "P", field, "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["field"] == []
 
     def test_closure_violation_is_input_error(self, tmp_path, capsys):
         field = write_field(tmp_path, "1; 0,0,0; 1; 0\n")

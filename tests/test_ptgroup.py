@@ -1,6 +1,11 @@
+import copy
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spincover.cover import (
     HALF_TURN_Y,
@@ -8,6 +13,9 @@ from spincover.cover import (
     IDENTITY3,
     PAULI_Z,
     SPACE_INVERSION,
+    covering_map,
+    quaternion_to_su2,
+    rational_unit_quaternion,
 )
 from spincover.ptgroup import (
     DomainClosureError,
@@ -453,3 +461,107 @@ class TestClosureMetadata:
         f = varied_field()
         assert f.closed_under(Event.time_flipped) is None
         assert f.closed_under(Event.space_flipped) is None
+
+
+# -- integer events against a Fraction-tuple reference ------------------------
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+# (t, x1, x2, x3)
+coordinates = st.tuples(rationals, rationals, rationals, rationals)
+
+
+def orthogonal(x, y, z, improper):
+    rotation = covering_map(quaternion_to_su2(rational_unit_quaternion(x, y, z)))
+    return -rotation if improper else rotation
+
+
+orthogonals = st.builds(orthogonal, rationals, rationals, rationals, st.booleans())
+
+
+def reference(event: Event) -> tuple[Fraction, ...]:
+    return (event.t, *event.x)
+
+
+def unreduced(q: Fraction, k: int) -> str:
+    """q written with numerator and denominator scaled by k; zero as -0 or 0/k."""
+    if q == 0:
+        return "-0" if k % 2 else f"0/{k}"
+    return f"{q.numerator * k}/{q.denominator * k}"
+
+
+def field_line(c, k: int) -> str:
+    t, x1, x2, x3 = (unreduced(q, k) for q in c)
+    return f"{t}; {x1},{x2},{x3}; 1; 0\n"
+
+
+def parsed(c, k: int) -> Event:
+    return SpinorSampleField.from_text(field_line(c, k)).events()[0]
+
+
+def assert_canonical(event: Event) -> None:
+    t, a, b, c, d = event.as_integer_tuple()
+    assert d > 0 and gcd(t, a, b, c, d) == 1
+    assert reference(event) == (Fraction(t, d), Fraction(a, d), Fraction(b, d), Fraction(c, d))
+
+
+class TestIntegerEvents:
+    """Integer-numerator events against (t, x1, x2, x3) Fraction tuples."""
+
+    @given(coordinates, st.integers(1, 12), orthogonals)
+    def test_equal_values_are_equal_events(self, c, k, r):
+        built = Event(c[0], c[1:])
+        same = [
+            built,
+            Event.make(*c),
+            parsed(c, k),
+            built.time_flipped().time_flipped(),
+            built.space_flipped().space_flipped(),
+            built.rotated(IDENTITY3),
+            built.rotated(r).rotated(r.transpose()),
+        ]
+        for event in same:
+            assert reference(event) == c
+            assert event == built and hash(event) == hash(built)
+            assert event.as_integer_tuple() == built.as_integer_tuple()
+            assert_canonical(event)
+
+    # Few distinct values, so equal leading coordinates over different
+    # denominators are common.
+    @given(st.lists(st.tuples(*[st.fractions(-1, 1, max_denominator=4)] * 4), min_size=2, max_size=6))
+    def test_order_is_value_order(self, cs):
+        events = [Event.make(*c) for c in cs]
+        assert [reference(e) for e in sorted(events)] == sorted(cs)
+        a, b = events[0], events[1]
+        ra, rb = reference(a), reference(b)
+        assert (a < b, a <= b, a > b, a >= b, a == b) == (ra < rb, ra <= rb, ra > rb, ra >= rb, ra == rb)
+
+    @given(coordinates, orthogonals)
+    def test_derived_events(self, c, r):
+        t, *x = c
+        event = Event.make(*c)
+        assert event.rotated(r) == Event(t, r.apply(x))
+        assert reference(event.rotated(r)) == (t, *r.apply(x))
+        assert reference(event.time_flipped()) == (-t, *x)
+        assert reference(event.space_flipped()) == (t, *(-q for q in x))
+        for derived in (event.rotated(r), event.time_flipped(), event.space_flipped()):
+            assert_canonical(derived)
+
+    @given(coordinates, st.integers(2, 12))
+    def test_unreduced_text_is_a_duplicate(self, c, k):
+        with pytest.raises(FieldParseError) as err:
+            SpinorSampleField.from_text(field_line(c, 1) + field_line(c, k))
+        assert err.value.line_number == 2
+        assert f"duplicate event ({Event.make(*c).to_text()})" in str(err.value)
+
+    def test_half_and_two_quarters_are_one_event(self):
+        with pytest.raises(FieldParseError, match=r"line 2: duplicate event \(1/2; 0,0,0\)"):
+            SpinorSampleField.from_text("1/2; 0,0,0; 1; 0\n2/4; 0,0,0; 0; 1\n")
+
+    def test_immutable_and_compared_only_with_events(self):
+        event = Event.make(Fraction(1, 2), 0, 0, 0)
+        with pytest.raises(AttributeError):
+            event.t = Fraction(0)
+        assert copy.copy(event) == pickle.loads(pickle.dumps(event)) == event
+        assert event != event.as_integer_tuple()
+        with pytest.raises(TypeError):
+            event < (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0))

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -29,8 +30,8 @@ EXACT_CONSTRUCTORS = {
     "quaternion_to_su2": lambda v: quaternion_to_su2((v, 0, 0, 0)),
 }
 NOT_EXACT = {"float": 0.5, "bool": True, "str": "1/2"}
-# The plain records store what they are given, so they take only the types
-# they store; Event.make is the converting constructor.
+# Event and SpinorValue take only the types of their coordinates and
+# components; Event.make is the converting constructor.
 WRONG_RECORD_TYPES = {
     "Event-floats": (lambda v: Event(v, (0.1, 0, 0)), 0.5),
     "Event-int-t": (lambda v: Event(v, (Fraction(0),) * 3), 1),
@@ -228,12 +229,21 @@ class TestTextGrammar:
         "bad",
         [
             "", "x", "1.5", "1+", "i2", "2/-3i", "+-i", "1e3", "1/0", "1/0i", "1+2/0i",
-            "1 + i", "1 +i", "- i", "3 /5i", "\u0663",
+            "1 + i", "1 +i", "- i", "3 /5i", "\u0663", "1\u00a0+i", "1+\u2003i",
         ],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ScalarParseError):
             parse_complex(bad)
+
+    def test_inner_whitespace_is_what_isspace_says(self):
+        spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+        assert "\u00a0" in spaces and "\u2003" in spaces and "\u200b" not in spaces
+        for space in spaces:
+            for text in (f"1{space}+i", f"1+{space}i", f"3{space}/5"):
+                with pytest.raises(ScalarParseError) as err:
+                    parse_complex(text)
+                assert str(err.value) == f"not a complex scalar: {text!r}"
 
     def test_rational_canonical_form(self):
         assert format_rational(parse_rational("6/4")) == "3/2"
