@@ -11,12 +11,15 @@ the finite checks that it splits the extension by Z2 are
 :func:`spincover.verify.check_exact_sequence`.
 
 Everything is computed over Gaussian rationals, so homomorphism and kernel
-statements are checked by exact equality, never by closeness.  A
-:class:`UnitaryMat2` holds four :class:`~spincover.scalars.GaussianRational`
-entries.  An :class:`OrthogonalMat3` holds nine integer numerators over
-one positive denominator in lowest terms, so a product is an integer 3x3
-matmul plus one gcd; its ``rows`` are Fractions.  :func:`covering_map`
-writes those numerators straight from the integer triples of z and w.
+statements are checked by exact equality, never by closeness.  Both
+matrix types are :class:`~spincover.scalars.ExactKey` values: a
+:class:`UnitaryMat2` is the real and imaginary parts of its four entries,
+eight integer numerators, and an :class:`OrthogonalMat3` its nine entries,
+each over one positive denominator in lowest terms.  A product is integer
+matrix work plus one gcd, negation and conjugation only flip signs, and
+the det sign is read off the key.  ``rows`` gives GaussianRational and
+Fraction entries.  :func:`covering_map` writes the rotation's numerators
+over d^2 straight from the numerators of z and w over d.
 
 Topology is out of scope: the two-component group here double-covers O(3)
 but, being disconnected, is not a universal cover; nothing in this package
@@ -26,148 +29,145 @@ asserts or depends on connectivity statements, only on finite algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
 from .scalars import (
     I_UNIT,
     ONE,
     ZERO,
+    ExactKey,
     GaussianRational,
     ScalarParseError,
+    _reduced,
     as_rational,
+    as_sign,
+    common_key,
     format_complex,
     format_rational,
+    lowest_terms,
     parse_complex,
     parse_rational,
 )
 
-Entry = GaussianRational
-Row2 = tuple[Entry, Entry]
 #: A quaternion (a, b, c, d) with rational components.
 Quaternion = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
-def _entry(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational(value)
-
-
-class UnitaryMat2:
+class UnitaryMat2(ExactKey):
     """A 2x2 unitary matrix over Gaussian rationals with det in {+1, -1}.
 
     Unitarity and the determinant constraint are validated exactly on
     construction, so every instance is an element of the det = +/-1
     unitary group.  For det = +1 the matrix automatically has the form
     ((z, w), (-conj w, conj z)) with |z|^2 + |w|^2 = 1.
+
+    Stored as eight integer numerators, the real and imaginary parts of
+    each entry row by row, over one positive denominator, in lowest terms.
+    ``rows`` and indexing give the entries as GaussianRationals.
     """
 
-    __slots__ = ("_rows", "_det_sign")
+    __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence[object]]) -> None:
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("expected a 2x2 matrix")
-        m = tuple(tuple(_entry(v) for v in r) for r in rows)
-        object.__setattr__(self, "_rows", m)
-        object.__setattr__(self, "_det_sign", _unitary_det_sign(m))
-
-    @classmethod
-    def _trusted(cls, rows: tuple[Row2, Row2], det_sign: int) -> "UnitaryMat2":
-        # Internal: for results of operations that preserve unitarity and
-        # the det = +/-1 constraint by construction (products, negation,
-        # conjugation).  External inputs always go through __init__.
-        self = object.__new__(cls)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_det_sign", det_sign)
-        return self
+        entries = [v if isinstance(v, GaussianRational) else GaussianRational(v) for r in rows for v in r]
+        key = common_key([(n, z._key[2]) for z in entries for n in z._key[:2]])
+        _check_unitary(key)
+        super().__init__(key)
 
     @property
-    def rows(self) -> tuple[Row2, Row2]:
-        return self._rows
+    def rows(self) -> tuple[tuple[GaussianRational, GaussianRational], ...]:
+        *n, d = self._key
+        return tuple((_reduced(n[i], n[i + 1], d), _reduced(n[i + 2], n[i + 3], d)) for i in (0, 4))
 
     @property
     def det_sign(self) -> int:
-        return self._det_sign
+        # det = +1 exactly when the second row is (-conj w, conj z); for a
+        # det = -1 matrix that would force z = w = 0.
+        a, b, c, e, f, g, h, k, _ = self._key
+        return 1 if (f, g, h, k) == (-c, e, a, -b) else -1
 
     def is_special(self) -> bool:
-        return self._det_sign == 1
+        return self.det_sign == 1
 
     def is_unitary(self) -> bool:
         """Recheck the defining equations (used by the invariant tests)."""
-        return _recheck(_unitary_det_sign, (self._rows,), self._det_sign)
+        return _recheck(_check_unitary, self._key)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("UnitaryMat2 is immutable")
-
-    def __getitem__(self, index: int) -> Row2:
-        return self._rows[index]
+    def __getitem__(self, index: int) -> tuple[GaussianRational, GaussianRational]:
+        return self.rows[index]
 
     def __mul__(self, other: "UnitaryMat2") -> "UnitaryMat2":
         if not isinstance(other, UnitaryMat2):
             return NotImplemented
-        a, b = self._rows, other._rows
-        rows = (
-            (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-        )
-        return UnitaryMat2._trusted(rows, self._det_sign * other._det_sign)
+        a, b, c, e, f, g, h, k, d = self._key
+        p, q, r, s, t, u, v, w, m = other._key
+        # (a + b i, c + e i; f + g i, h + k i) (p + q i, r + s i; t + u i, v + w i)
+        return UnitaryMat2._from_key(lowest_terms((
+            a * p - b * q + c * t - e * u, a * q + b * p + c * u + e * t,
+            a * r - b * s + c * v - e * w, a * s + b * r + c * w + e * v,
+            f * p - g * q + h * t - k * u, f * q + g * p + h * u + k * t,
+            f * r - g * s + h * v - k * w, f * s + g * r + h * w + k * v,
+            d * m,
+        )))
 
     def __neg__(self) -> "UnitaryMat2":
-        rows = tuple(tuple(-v for v in row) for row in self._rows)
-        return UnitaryMat2._trusted(rows, self._det_sign)
+        *n, d = self._key
+        return UnitaryMat2._from_key((*[-x for x in n], d))
 
     def scalar_mul(self, phase: GaussianRational) -> "UnitaryMat2":
         """Multiply by a fourth root of unity; det scales by phase squared."""
-        ph2 = phase * phase
-        if ph2 == ONE:
-            sign = self._det_sign
-        elif ph2 == -ONE:
-            sign = -self._det_sign
-        else:
+        p, q, den = phase._key if isinstance(phase, GaussianRational) else (0, 0, 0)
+        if den != 1 or p * p + q * q != 1:
             raise ValueError("scalar factor must be one of 1, -1, i, -i")
-        rows = tuple(tuple(phase * v for v in row) for row in self._rows)
-        return UnitaryMat2._trusted(rows, sign)
+        a, b, c, e, f, g, h, k, d = self._key
+        # Times the unit p + q i, the key stays in lowest terms.
+        return UnitaryMat2._from_key((
+            a * p - b * q, a * q + b * p, c * p - e * q, c * q + e * p,
+            f * p - g * q, f * q + g * p, h * p - k * q, h * q + k * p, d,
+        ))
 
     def conjugate(self) -> "UnitaryMat2":
         """Entrywise complex conjugate (still unitary with the same det)."""
-        rows = tuple(tuple(v.conjugate() for v in row) for row in self._rows)
-        return UnitaryMat2._trusted(rows, self._det_sign)
+        a, b, c, e, f, g, h, k, d = self._key
+        return UnitaryMat2._from_key((a, -b, c, -e, f, -g, h, -k, d))
 
     def conjugate_transpose(self) -> "UnitaryMat2":
-        r = self._rows
-        rows = (
-            (r[0][0].conjugate(), r[1][0].conjugate()),
-            (r[0][1].conjugate(), r[1][1].conjugate()),
-        )
-        return UnitaryMat2._trusted(rows, self._det_sign)
+        a, b, c, e, f, g, h, k, d = self._key
+        return UnitaryMat2._from_key((a, -b, f, -g, c, -e, h, -k, d))
 
     def inverse(self) -> "UnitaryMat2":
         return self.conjugate_transpose()
 
     def apply(self, u: GaussianRational, v: GaussianRational) -> tuple[GaussianRational, GaussianRational]:
-        r = self._rows
-        return (r[0][0] * u + r[0][1] * v, r[1][0] * u + r[1][1] * v)
+        if not (isinstance(u, GaussianRational) and isinstance(v, GaussianRational)):
+            raise TypeError("UnitaryMat2.apply takes two GaussianRational components")
+        a, b, c, e, f, g, h, k, d = self._key
+        p, q, m = u._key
+        r, s, n = v._key
+        # Entry times u over d m, entry times v over d n: both over d m n.
+        x, y = p * n, q * n
+        z, w = r * m, s * m
+        den = d * m * n
+        return (
+            _reduced(a * x - b * y + c * z - e * w, a * y + b * x + c * w + e * z, den),
+            _reduced(f * x - g * y + h * z - k * w, f * y + g * x + h * w + k * z, den),
+        )
 
     def su2_components(self) -> tuple[GaussianRational, GaussianRational]:
         """Return (z, w) for a det = +1 matrix ((z, w), (-conj w, conj z))."""
-        if self._det_sign != 1:
+        if self.det_sign != 1:
             raise ValueError("only det = +1 matrices have SU(2) components")
-        return self._rows[0][0], self._rows[0][1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UnitaryMat2):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
+        return self.rows[0]
 
     def sort_key(self) -> tuple:
-        return tuple(part for row in self._rows for v in row for part in v.sort_key())
+        """The real and imaginary parts of the entries, row by row, by value."""
+        *n, d = self._key
+        return tuple(Fraction(x, d) for x in n)
 
     def to_text(self) -> str:
-        return ";".join(",".join(format_complex(v) for v in row) for row in self._rows)
+        return ";".join(",".join(format_complex(v) for v in row) for row in self.rows)
 
     @classmethod
     def from_text(cls, text: str) -> "UnitaryMat2":
@@ -180,7 +180,7 @@ class UnitaryMat2:
         return f"UnitaryMat2.from_text({self.to_text()!r})"
 
 
-class OrthogonalMat3:
+class OrthogonalMat3(ExactKey):
     """A 3x3 rational orthogonal matrix; R * R^T = I exactly, det = +/-1.
 
     Stored as nine integer numerators, row by row, over one positive
@@ -188,48 +188,33 @@ class OrthogonalMat3:
     ``rows`` and indexing give the entries as Fractions.
     """
 
-    __slots__ = ("_num", "_den", "_det_sign")
+    __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence[object]]) -> None:
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("expected a 3x3 matrix")
-        entries = [as_rational(v) for r in rows for v in r]
-        den = lcm(*(v.denominator for v in entries))
-        # Every entry is in lowest terms, so the numerators over the least
-        # common denominator have no common factor with it.
-        num = tuple(v.numerator * (den // v.denominator) for v in entries)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_det_sign", _orthogonal_det_sign(num, den))
-
-    @classmethod
-    def _reduced(cls, num: tuple[int, ...], den: int, det_sign: int) -> "OrthogonalMat3":
-        # Internal: for operations preserving orthogonality by construction;
-        # ``num``/``den`` (den > 0) is brought to lowest terms.
-        g = gcd(den, *num)
-        if g != 1:
-            num, den = tuple(n // g for n in num), den // g
-        self = object.__new__(cls)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_det_sign", det_sign)
-        return self
+        key = common_key([(v.numerator, v.denominator) for r in rows for v in map(as_rational, r)])
+        _check_orthogonal(key)
+        super().__init__(key)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        n, d = self._num, self._den
+        *n, d = self._key
         return tuple(tuple(Fraction(v, d) for v in n[i : i + 3]) for i in (0, 3, 6))
 
     @property
     def det_sign(self) -> int:
-        return self._det_sign
+        n = self._key
+        det = (
+            n[0] * (n[4] * n[8] - n[5] * n[7])
+            - n[1] * (n[3] * n[8] - n[5] * n[6])
+            + n[2] * (n[3] * n[7] - n[4] * n[6])
+        )
+        return 1 if det > 0 else -1  # det N = +/-d^3 for every orthogonal N/d
 
     def is_orthogonal(self) -> bool:
         """Recheck the defining equations (used by the invariant tests)."""
-        return _recheck(_orthogonal_det_sign, (self._num, self._den), self._det_sign)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("OrthogonalMat3 is immutable")
+        return _recheck(_check_orthogonal, self._key)
 
     def __getitem__(self, index: int) -> tuple[Fraction, ...]:
         return self.rows[index]
@@ -237,21 +222,19 @@ class OrthogonalMat3:
     def __mul__(self, other: "OrthogonalMat3") -> "OrthogonalMat3":
         if not isinstance(other, OrthogonalMat3):
             return NotImplemented
-        a, b = self._num, other._num
-        num = tuple(
-            a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
-            for i in (0, 3, 6)
-            for j in (0, 1, 2)
-        )
-        return OrthogonalMat3._reduced(num, self._den * other._den, self._det_sign * other._det_sign)
+        a, b = self._key, other._key
+        return OrthogonalMat3._from_key(lowest_terms((
+            *[a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6] for i in (0, 3, 6) for j in (0, 1, 2)],
+            a[9] * b[9],
+        )))
 
     def __neg__(self) -> "OrthogonalMat3":
-        return OrthogonalMat3._reduced(tuple(-n for n in self._num), self._den, -self._det_sign)
+        *n, d = self._key
+        return OrthogonalMat3._from_key((*[-x for x in n], d))
 
     def transpose(self) -> "OrthogonalMat3":
-        n = self._num
-        num = (n[0], n[3], n[6], n[1], n[4], n[7], n[2], n[5], n[8])
-        return OrthogonalMat3._reduced(num, self._den, self._det_sign)
+        n = self._key
+        return OrthogonalMat3._from_key((n[0], n[3], n[6], n[1], n[4], n[7], n[2], n[5], n[8], n[9]))
 
     def inverse(self) -> "OrthogonalMat3":
         return self.transpose()
@@ -259,28 +242,18 @@ class OrthogonalMat3:
     def integer_apply(self, x: int, y: int, z: int) -> tuple[int, int, int, int]:
         """(X, Y, Z, d) with R (x, y, z)/e = (X, Y, Z)/(d e) for every e > 0:
         the integer numerators times (x, y, z), then the denominator."""
-        n = self._num
+        n = self._key
         return (
             n[0] * x + n[1] * y + n[2] * z,
             n[3] * x + n[4] * y + n[5] * z,
             n[6] * x + n[7] * y + n[8] * z,
-            self._den,
+            n[9],
         )
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
-        v = [as_rational(c) for c in v]
-        common = lcm(*(c.denominator for c in v))
-        x, y, z, den = self.integer_apply(*(c.numerator * (common // c.denominator) for c in v))
-        den *= common
-        return (Fraction(x, den), Fraction(y, den), Fraction(z, den))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrthogonalMat3):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
-
-    def __hash__(self) -> int:
-        return hash((self._num, self._den))
+        *xyz, e = common_key([(c.numerator, c.denominator) for c in map(as_rational, v)])
+        x, y, z, d = self.integer_apply(*xyz)
+        return (Fraction(x, d * e), Fraction(y, d * e), Fraction(z, d * e))
 
     def to_text(self) -> str:
         return ";".join(",".join(format_rational(v) for v in row) for row in self.rows)
@@ -296,44 +269,38 @@ class OrthogonalMat3:
         return f"OrthogonalMat3.from_text({self.to_text()!r})"
 
 
-def _unitary_det_sign(m: tuple[Row2, Row2]) -> int:
-    """The sign of det M; ValueError unless M * M^dagger = I and det = +/-1."""
-    (a, b), (c, d) = m
-    # M * M^dagger = I, checked entry by entry.
+def _check_unitary(key: tuple[int, ...]) -> None:
+    """ValueError unless M * M^dagger = I and det M = +/-1 for the key of M."""
+    a, b, c, e, f, g, h, k, d = key
+    d2 = d * d
+    # M * M^dagger = d^2 I for the numerators, checked entry by entry.
     if (
-        a * a.conjugate() + b * b.conjugate() != ONE
-        or c * c.conjugate() + d * d.conjugate() != ONE
-        or not (a * c.conjugate() + b * d.conjugate()).is_zero()
+        a * a + b * b + c * c + e * e != d2
+        or f * f + g * g + h * h + k * k != d2
+        or a * f + b * g + c * h + e * k != 0
+        or b * f - a * g + e * h - c * k != 0
     ):
         raise ValueError("matrix is not unitary")
-    det = a * d - b * c
-    if det == ONE:
-        return 1
-    if det == -ONE:
-        return -1
-    raise ValueError(f"determinant must be +1 or -1, got {det}")
+    det_re, det_im = a * h - b * k - c * f + e * g, a * k + b * h - c * g - e * f
+    if det_im != 0 or det_re not in (d2, -d2):
+        raise ValueError(f"determinant must be +1 or -1, got {_reduced(det_re, det_im, d2)}")
 
 
-def _orthogonal_det_sign(n: tuple[int, ...], d: int) -> int:
-    """The sign of det R for R = N/d; ValueError unless N * N^T = d^2 I."""
-    d2 = d * d
+def _check_orthogonal(n: tuple[int, ...]) -> None:
+    """ValueError unless R * R^T = I for the key of R, that is N * N^T = d^2 I."""
+    d2 = n[9] * n[9]
     for i in (0, 3, 6):
         for j in (0, 3, 6):
             if n[i] * n[j] + n[i + 1] * n[j + 1] + n[i + 2] * n[j + 2] != (d2 if i == j else 0):
                 raise ValueError("matrix is not orthogonal")
-    det = (
-        n[0] * (n[4] * n[8] - n[5] * n[7])
-        - n[1] * (n[3] * n[8] - n[5] * n[6])
-        + n[2] * (n[3] * n[7] - n[4] * n[6])
-    )
-    return 1 if det > 0 else -1  # det N = +/-d^3 for every orthogonal N/d
 
 
-def _recheck(det_sign_of, args: tuple, det_sign: int) -> bool:
+def _recheck(check, key: tuple[int, ...]) -> bool:
     try:
-        return det_sign_of(*args) == det_sign
+        check(key)
     except ValueError:
         return False
+    return True
 
 
 def _parse_rows(text: str, scalar_parser, size: int) -> list[list]:
@@ -387,21 +354,17 @@ def covering_map(matrix: UnitaryMat2) -> OrthogonalMat3:
     """
     if not matrix.is_special():
         raise ValueError("covering_map requires det = +1; use extended_covering_map")
-    # With z = (a + b i)/p and w = (c + e i)/q every entry is an integer
-    # over p^2 q^2.  Orthogonality with det +1 is automatic for unit (z, w);
-    # the invariant suites recheck it sample by sample via is_orthogonal().
-    z, w = matrix.su2_components()
-    a, b, p = z.as_integer_triple()
-    c, e, q = w.as_integer_triple()
-    p2, q2, pq = p * p, q * q, p * q
-    z2_re, w2_re = (a * a - b * b) * q2, (c * c - e * e) * p2
-    z2_im, w2_im = 2 * a * b * q2, 2 * c * e * p2
-    num = (
-        z2_re - w2_re, z2_im + w2_im, -2 * (a * c - b * e) * pq,
-        w2_im - z2_im, z2_re + w2_re, 2 * (a * e + b * c) * pq,
-        2 * (a * c + b * e) * pq, 2 * (b * c - a * e) * pq, (a * a + b * b) * q2 - (c * c + e * e) * p2,
-    )
-    return OrthogonalMat3._reduced(num, p2 * q2, 1)
+    # With z = (a + b i)/d and w = (c + e i)/d every entry is an integer
+    # over d^2.  Orthogonality with det +1 is automatic for unit (z, w); the
+    # invariant suites recheck it sample by sample via is_orthogonal().
+    a, b, c, e, *_, d = matrix._key
+    z2_re, w2_re, z2_im, w2_im = a * a - b * b, c * c - e * e, 2 * a * b, 2 * c * e
+    return OrthogonalMat3._from_key(lowest_terms((
+        z2_re - w2_re, z2_im + w2_im, -2 * (a * c - b * e),
+        w2_im - z2_im, z2_re + w2_re, 2 * (a * e + b * c),
+        2 * (a * c + b * e), 2 * (b * c - a * e), a * a + b * b - c * c - e * e,
+        d * d,
+    )))
 
 
 def extended_covering_map(matrix: UnitaryMat2) -> OrthogonalMat3:
@@ -427,11 +390,7 @@ def determinant_section(sign: int) -> UnitaryMat2:
     diag(1, -1) would serve equally well; the single fixed choice keeps the
     twisted-pair form of the extension canonical.
     """
-    if sign == 1:
-        return IDENTITY2
-    if sign == -1:
-        return _MINUS_SECTION
-    raise ValueError(f"sign must be +1 or -1, got {sign}")
+    return IDENTITY2 if as_sign(sign) == 1 else _MINUS_SECTION
 
 
 def rational_unit_quaternion(x: Fraction, y: Fraction, z: Fraction) -> Quaternion:

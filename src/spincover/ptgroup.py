@@ -8,13 +8,14 @@ that the canonical time-reversal pair projects to a pure time flip with no
 spatial rotation.
 
 Spinor fields are finite exact sample maps from events (t, x) to
-two-component Gaussian-rational values.  An :class:`Event` is four integer
-numerators over one denominator in lowest terms, read straight from the
-field text, so hashing, sorting and rebinding events is integer work.  The
-four actions (rotation, time reversal, parity, parity-time) rebind
-arguments literally and conjugate values entrywise in the antiunitary
-sectors, so every transformation law is checked by exact equality on the
-sampled events.
+two-component Gaussian-rational values.  An :class:`Event` is an
+:class:`~spincover.scalars.ExactKey` of four integer numerators (t, x1, x2,
+x3) over one denominator, read straight from the field text, so hashing,
+sorting and rebinding events is integer work.  Time signs are checked by
+:func:`~spincover.scalars.as_sign`.  The four actions (rotation, time
+reversal, parity, parity-time) rebind arguments literally and conjugate
+values entrywise in the antiunitary sectors, so every transformation law
+is checked by exact equality on the sampled events.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd, lcm
 from typing import Mapping, Optional
 
 from .cover import (
@@ -37,11 +37,15 @@ from .cover import (
 from .scalars import (
     ONE,
     ZERO,
+    ExactKey,
     GaussianRational,
     ScalarParseError,
     as_rational,
+    as_sign,
+    common_key,
     format_complex,
     format_ratio,
+    lowest_terms,
     parse_complex,
     parse_ratio,
 )
@@ -56,12 +60,6 @@ def time_reversal_operator() -> UnitaryMat2:
     return UnitaryMat2([[ZERO, -ONE], [ONE, ZERO]])
 
 
-def _check_sign(sign: int) -> int:
-    if sign not in (1, -1):
-        raise ValueError(f"time sign must be +1 or -1, got {sign}")
-    return sign
-
-
 @dataclass(frozen=True)
 class SpinorSymmetry:
     """A double-cover element: (matrix, time sign), componentwise product."""
@@ -70,7 +68,7 @@ class SpinorSymmetry:
     time_sign: int
 
     def __post_init__(self) -> None:
-        _check_sign(self.time_sign)
+        as_sign(self.time_sign, "time sign")
 
     def __mul__(self, other: "SpinorSymmetry") -> "SpinorSymmetry":
         return SpinorSymmetry(self.matrix * other.matrix, self.time_sign * other.time_sign)
@@ -125,7 +123,7 @@ class SpacetimeSymmetry:
     time_sign: int
 
     def __post_init__(self) -> None:
-        _check_sign(self.time_sign)
+        as_sign(self.time_sign, "time sign")
 
     def __mul__(self, other: "SpacetimeSymmetry") -> "SpacetimeSymmetry":
         rhs_spatial = other.spatial
@@ -198,7 +196,7 @@ def inner_product(a: SpinorValue, b: SpinorValue) -> GaussianRational:
 
 
 @total_ordering
-class Event:
+class Event(ExactKey):
     """A sample point (t, x), ordered by value: by t, then by x.
 
     Stored as four integer numerators (t, x1, x2, x3) over one positive
@@ -208,7 +206,7 @@ class Event:
     Fraction t and a tuple of three Fractions; :meth:`make` also takes ints.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ()
 
     def __init__(self, t: Fraction, x: tuple[Fraction, Fraction, Fraction]) -> None:
         if not (
@@ -220,7 +218,7 @@ class Event:
             and isinstance(x[2], Fraction)
         ):
             raise TypeError("Event takes a Fraction t and a tuple of three Fraction coordinates")
-        _set_key(self, _common_key([(c.numerator, c.denominator) for c in (t, *x)]))
+        super().__init__(common_key([(c.numerator, c.denominator) for c in (t, *x)]))
 
     @classmethod
     def make(cls, t, x1, x2, x3) -> "Event":
@@ -240,17 +238,6 @@ class Event:
         _, a, b, c, d = self._key
         return (Fraction(a, d), Fraction(b, d), Fraction(c, d))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Event is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, Event):
             return NotImplemented
@@ -260,16 +247,16 @@ class Event:
 
     def time_flipped(self) -> "Event":
         t, a, b, c, d = self._key
-        return _from_key((-t, a, b, c, d))
+        return Event._from_key((-t, a, b, c, d))
 
     def space_flipped(self) -> "Event":
         t, a, b, c, d = self._key
-        return _from_key((t, -a, -b, -c, d))
+        return Event._from_key((t, -a, -b, -c, d))
 
     def rotated(self, rotation: OrthogonalMat3) -> "Event":
         t, a, b, c, d = self._key
         x1, x2, x3, e = rotation.integer_apply(a, b, c)
-        return _from_key(_lowest_terms(t * e, x1, x2, x3, d * e))
+        return Event._from_key(lowest_terms((t * e, x1, x2, x3, d * e)))
 
     def to_text(self) -> str:
         t, a, b, c, d = self._key
@@ -277,35 +264,6 @@ class Event:
 
     def __repr__(self) -> str:
         return f"Event(t={self.t!r}, x={self.x!r})"
-
-    def __reduce__(self) -> tuple:
-        # copy and pickle rebuild from the key; __setattr__ refuses them.
-        return (_from_key, (self._key,))
-
-
-_set_key = Event._key.__set__
-
-
-def _from_key(key: tuple[int, int, int, int, int]) -> Event:
-    """The event of a key already in lowest terms with d > 0."""
-    event = object.__new__(Event)
-    _set_key(event, key)
-    return event
-
-
-def _lowest_terms(t: int, a: int, b: int, c: int, d: int) -> tuple[int, int, int, int, int]:
-    g = gcd(t, a, b, c, d)
-    if g != 1:
-        return (t // g, a // g, b // g, c // g, d // g)
-    return (t, a, b, c, d)
-
-
-def _common_key(ratios: list[tuple[int, int]]) -> tuple[int, int, int, int, int]:
-    """The key of the event whose coordinates (t, x1, x2, x3) are the four
-    ratios n/d, d > 0, in any terms."""
-    (t, p), (a, q), (b, r), (c, s) = ratios
-    d = lcm(p, q, r, s)
-    return _lowest_terms(t * (d // p), a * (d // q), b * (d // r), c * (d // s), d)
 
 
 class DomainClosureError(KeyError):
@@ -331,7 +289,8 @@ class FieldParseError(ValueError):
 class SpinorSampleField:
     """A finite exact map from events to spinor values.
 
-    ``samples`` is sorted by event once, when the field is built.  The
+    ``samples`` is sorted by event once, when the field is built; fields
+    derived from a sorted one keep its order and are not sorted again.  The
     transformations look up the rebound source events and raise
     :class:`DomainClosureError` naming the first missing one.
     """
@@ -341,6 +300,13 @@ class SpinorSampleField:
     def __post_init__(self) -> None:
         samples = self.samples
         object.__setattr__(self, "samples", {e: samples[e] for e in sorted(samples)})
+
+    @classmethod
+    def _in_order(cls, samples: dict[Event, SpinorValue]) -> "SpinorSampleField":
+        """The field of samples already sorted by event, without sorting again."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "samples", samples)
+        return field
 
     def events(self) -> list[Event]:
         return list(self.samples)
@@ -352,7 +318,7 @@ class SpinorSampleField:
             raise DomainClosureError(event) from None
 
     def map_values(self, fn) -> "SpinorSampleField":
-        return SpinorSampleField({e: fn(v) for e, v in self.samples.items()})
+        return SpinorSampleField._in_order({e: fn(v) for e, v in self.samples.items()})
 
     def scale(self, factor: GaussianRational) -> "SpinorSampleField":
         return self.map_values(lambda v: v.scale(factor))
@@ -393,7 +359,7 @@ class SpinorSampleField:
             if len(coords) != 3:
                 raise FieldParseError(number, f"expected three spatial coordinates, got {parts[1]!r}")
             try:
-                event = _from_key(_common_key([parse_ratio(parts[0]), *map(parse_ratio, coords)]))
+                event = Event._from_key(common_key([parse_ratio(parts[0]), *map(parse_ratio, coords)]))
                 value = SpinorValue(parse_complex(parts[2]), parse_complex(parts[3]))
             except ScalarParseError as exc:
                 raise FieldParseError(number, str(exc)) from None
@@ -415,7 +381,7 @@ def _act(
     for event in f.events():
         value = f.value_at(rebind(event))
         out[event] = transform_value(matrix, value.conjugate() if antiunitary else value)
-    return SpinorSampleField(out)
+    return SpinorSampleField._in_order(out)
 
 
 def apply_rotation(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSampleField:

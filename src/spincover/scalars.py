@@ -1,18 +1,22 @@
-"""Exact complex scalars over the Gaussian rationals.
+"""Exact values as canonical integer keys, and the Gaussian rationals.
 
-Every matrix entry in the matrix layers of this package is a
-:class:`GaussianRational`, a complex number (a + b i)/d stored as three
-Python ints with d > 0 and gcd(a, b, d) = 1.  That canonical triple is the
-only representation of its value, so a sum or a product is integer
-arithmetic plus one gcd, and equality and hashing compare the triple.
-``re``, ``im`` and ``norm_sq()`` return :class:`fractions.Fraction`
-values; the text grammar below is read into and written from the ints.
+Every exact value in this package (a scalar, a matrix, a sample event) is
+an :class:`ExactKey`: one tuple of Python ints holding its numerators and
+then one positive denominator, in lowest terms (gcd 1).  That key is the
+only representation of its value, so equality and hashing compare it, copy
+and pickle rebuild from it, and arithmetic is integer work plus one gcd.
+:func:`lowest_terms` and :func:`common_key` are the one place the form is
+made.
+
+A :class:`GaussianRational` is the key (a, b, d) of (a + b i)/d.  ``re``,
+``im`` and ``norm_sq()`` return :class:`fractions.Fraction` values; the
+text grammar below is read into and written from the ints.
 
 A caller's number enters the exact layer only through :func:`as_rational`,
 which takes ints and Fractions and refuses everything else, and a
 :class:`GaussianRational` combines and compares only with another
-:class:`GaussianRational`.  All arithmetic is exact; no float value is
-ever involved.
+:class:`GaussianRational`.  A sign enters only through :func:`as_sign`.
+All arithmetic is exact; no float value is ever involved.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd
-from typing import Union
+from math import gcd, lcm
+from typing import Sequence, Union
 
 _RationalLike = Union[int, Fraction]
 
@@ -55,60 +59,117 @@ def as_rational(value: _RationalLike) -> Fraction:
     raise TypeError(f"exact scalars take int or Fraction values, not {type(value).__name__}")
 
 
-class GaussianRational:
+def as_sign(value: int, name: str = "sign") -> int:
+    """The one check of a sign: the int 1 or -1.  Any other type, a bool
+    or a float too, is a TypeError; any other int is a ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be the int 1 or -1, not {type(value).__name__}")
+    if value != 1 and value != -1:
+        raise ValueError(f"{name} must be +1 or -1, got {value}")
+    return value
+
+
+class ExactKey:
+    """An immutable exact value stored as one canonical integer key.
+
+    ``_key`` holds the numerators, then one positive denominator, with gcd
+    1, so equal values have equal keys: ``==`` and ``hash`` compare the key
+    and copy and pickle rebuild from it.  A subclass gives the numerators
+    their meaning, and its constructor checks a caller's value and passes
+    the key on to this one.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, key: tuple[int, ...]) -> None:
+        _set_key(self, key)
+
+    @classmethod
+    def _from_key(cls, key: tuple[int, ...]):
+        """The value of a key already in lowest terms with d > 0."""
+        value = object.__new__(cls)
+        _set_key(value, key)
+        return value
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __reduce__(self) -> tuple:
+        return (type(self)._from_key, (self._key,))
+
+
+_set_key = ExactKey._key.__set__
+
+
+def lowest_terms(key: tuple[int, ...]) -> tuple[int, ...]:
+    """A key (numerators, then d > 0) in any terms, divided by its gcd."""
+    g = gcd(*key)
+    return key if g == 1 else tuple(n // g for n in key)
+
+
+def common_key(ratios: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """The key of the ratios n/d, d > 0 and in any terms, over their least
+    common denominator."""
+    d = lcm(*[q for _, q in ratios])
+    return lowest_terms((*[n * (d // q) for n, q in ratios], d))
+
+
+class GaussianRational(ExactKey):
     """A complex number with exact rational real and imaginary parts.
 
     Immutable and hashable.  Field operations are exact: associativity,
     distributivity and inverses hold by exact equality.
     """
 
-    __slots__ = ("_abd",)
+    __slots__ = ()
 
     def __init__(self, re: _RationalLike = 0, im: _RationalLike = 0) -> None:
         re, im = as_rational(re), as_rational(im)
-        p, q = re.denominator, im.denominator
-        d = p // gcd(p, q) * q
-        # re and im are in lowest terms, so gcd(a, b, d) = 1 already.
-        _set_abd(self, (re.numerator * (d // p), im.numerator * (d // q), d))
+        super().__init__(common_key([(re.numerator, re.denominator), (im.numerator, im.denominator)]))
 
     def as_integer_triple(self) -> tuple[int, int, int]:
         """(a, b, d) with self = (a + b i)/d, d > 0 and gcd(a, b, d) = 1."""
-        return self._abd
+        return self._key
 
     @property
     def re(self) -> Fraction:
-        a, _, d = self._abd
+        a, _, d = self._key
         return Fraction(a, d)
 
     @property
     def im(self) -> Fraction:
-        _, b, d = self._abd
+        _, b, d = self._key
         return Fraction(b, d)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GaussianRational is immutable")
 
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other: object) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        a, b, d = self._abd
-        c, e, f = other._abd
+        a, b, d = self._key
+        c, e, f = other._key
         return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other: object) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        a, b, d = self._abd
-        c, e, f = other._abd
+        a, b, d = self._key
+        c, e, f = other._key
         return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __mul__(self, other: object) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        a, b, d = self._abd
-        c, e, f = other._abd
+        a, b, d = self._key
+        c, e, f = other._key
         return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     def __truediv__(self, other: object) -> "GaussianRational":
@@ -117,16 +178,16 @@ class GaussianRational:
         return self * other.inverse()
 
     def __neg__(self) -> "GaussianRational":
-        a, b, d = self._abd
-        return _canonical(-a, -b, d)
+        a, b, d = self._key
+        return GaussianRational._from_key((-a, -b, d))
 
     def conjugate(self) -> "GaussianRational":
-        a, b, d = self._abd
-        return _canonical(a, -b, d)
+        a, b, d = self._key
+        return GaussianRational._from_key((a, -b, d))
 
     def inverse(self) -> "GaussianRational":
         # d / (a + b i) = d (a - b i) / (a^2 + b^2)
-        a, b, d = self._abd
+        a, b, d = self._key
         n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
@@ -134,24 +195,15 @@ class GaussianRational:
 
     def norm_sq(self) -> Fraction:
         """Exact squared modulus re^2 + im^2, a nonnegative rational."""
-        a, b, d = self._abd
+        a, b, d = self._key
         return Fraction(a * a + b * b, d * d)
 
     def is_zero(self) -> bool:
-        return self._abd[0] == 0 and self._abd[1] == 0
+        return self._key[0] == 0 and self._key[1] == 0
 
-    # -- comparison and hashing -----------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self._abd == other._abd
-
-    def __hash__(self) -> int:
-        return hash(self._abd)
-
-    def sort_key(self) -> tuple:
-        return (self.re, self.im)
+    # Named in this class too, so perfbench/tracer.py can wrap them by name.
+    __eq__ = ExactKey.__eq__
+    __hash__ = ExactKey.__hash__
 
     # -- conversion ------------------------------------------------------
 
@@ -162,22 +214,13 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-_set_abd = GaussianRational._abd.__set__
-
-
-def _canonical(a: int, b: int, d: int) -> GaussianRational:
-    """The value (a + b i)/d of a triple already in canonical form."""
-    z = object.__new__(GaussianRational)
-    _set_abd(z, (a, b, d))
-    return z
-
-
 def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    """The value (a + b i)/d for any d > 0."""
+    """The value (a + b i)/d for any d > 0: :func:`lowest_terms` for three
+    ints, without building a generic key."""
     g = gcd(a, b, d)
     if g != 1:
-        return _canonical(a // g, b // g, d // g)
-    return _canonical(a, b, d)
+        return GaussianRational._from_key((a // g, b // g, d // g))
+    return GaussianRational._from_key((a, b, d))
 
 
 ZERO = GaussianRational(0)
@@ -279,7 +322,7 @@ def _imag_text(b: int, d: int) -> str:
 
 
 def format_complex(value: GaussianRational) -> str:
-    a, b, d = value._abd
+    a, b, d = value._key
     if b == 0:
         return format_ratio(a, d)
     if a == 0:

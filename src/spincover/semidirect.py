@@ -51,7 +51,7 @@ class SemidirectElement:
     def __post_init__(self) -> None:
         if not self.su2_part.is_special():
             raise ValueError("special part must have det = +1")
-        determinant_section(self.sign)  # ValueError unless the sign is +1 or -1
+        determinant_section(self.sign)  # raises unless the sign is the int 1 or -1
 
     def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
         return compose(self, other)

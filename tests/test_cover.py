@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -155,6 +156,74 @@ class TestIntegerOrthogonal:
             rebuilt = OrthogonalMat3(m.rows)
             assert m == rebuilt and hash(m) == hash(rebuilt) and m.det_sign == rebuilt.det_sign
             assert m.is_orthogonal()
+
+
+def unitary_from(q, special: bool) -> UnitaryMat2:
+    """((z, w), (-conj w, conj z)) for det +1, ((z, w), (conj w, -conj z)) for det -1."""
+    z, w = GaussianRational(q[0], q[1]), GaussianRational(q[2], q[3])
+    if special:
+        return UnitaryMat2([[z, w], [-w.conjugate(), z.conjugate()]])
+    return UnitaryMat2([[z, w], [w.conjugate(), -z.conjugate()]])
+
+
+# The eight unit quaternions on the axes give the matrices with zero
+# entries, such as i*I, where z or w vanishes.
+AXES = [tuple(Fraction(s if k == j else 0) for k in range(4)) for j in range(4) for s in (1, -1)]
+unitaries = st.builds(unitary_from, st.sampled_from(AXES) | quaternions, st.booleans())
+small_gaussians = st.builds(GaussianRational, rationals, rationals)
+PHASES = (GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1), GaussianRational(0, -1))
+
+
+def matmul(x, y) -> list[list[GaussianRational]]:
+    return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]
+
+
+def assert_canonical_unitary(m: UnitaryMat2, rows) -> None:
+    """m has the entries ``rows``, is stored in lowest terms and equals,
+    hashes and has the det sign of the matrix rebuilt from its rows."""
+    assert [list(row) for row in m.rows] == [list(row) for row in rows]
+    *n, d = m._key
+    assert len(n) == 8 and d > 0 and gcd(d, *n) == 1
+    (a, b), (c, e) = m.rows
+    assert a * e - b * c == GaussianRational(m.det_sign)
+    rebuilt = UnitaryMat2(m.rows)
+    assert m == rebuilt and hash(m) == hash(rebuilt) and m.det_sign == rebuilt.det_sign
+    assert m.is_unitary()
+
+
+class TestIntegerUnitary:
+    """Integer-numerator unitaries against GaussianRational-entry arithmetic
+    on their rows."""
+
+    @given(unitaries, unitaries, st.sampled_from(PHASES))
+    def test_operations(self, m1, m2, phase):
+        r1 = m1.rows
+        assert_canonical_unitary(m1, r1)
+        assert_canonical_unitary(m1 * m2, matmul(r1, m2.rows))
+        assert_canonical_unitary(-m1, [[-x for x in row] for row in r1])
+        assert_canonical_unitary(m1.conjugate(), [[x.conjugate() for x in row] for row in r1])
+        assert_canonical_unitary(
+            m1.conjugate_transpose(), [[r1[j][i].conjugate() for j in range(2)] for i in range(2)]
+        )
+        assert_canonical_unitary(m1.scalar_mul(phase), [[phase * x for x in row] for row in r1])
+        assert m1 * m1.inverse() == IDENTITY2
+
+    @given(unitaries, small_gaussians, small_gaussians)
+    def test_apply(self, m, u, v):
+        (a, b), (c, e) = m.rows
+        assert m.apply(u, v) == (a * u + b * v, c * u + e * v)
+
+    @given(unitaries)
+    def test_covering_map(self, m):
+        if not m.is_special():
+            m = m * determinant_section(-1)
+        z, w = m.rows[0]
+        assert m.su2_components() == (z, w)
+        assert entries(covering_map(m)) == reference_rotation((z.re, z.im, w.re, w.im))
+
+    def test_rejects_other_phases(self):
+        with pytest.raises(ValueError, match="scalar factor must be one of 1, -1, i, -i"):
+            IDENTITY2.scalar_mul(GaussianRational(Fraction(3, 5), Fraction(4, 5)))
 
 
 class TestExtendedCoveringMap:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 from fractions import Fraction
 from math import gcd
@@ -6,8 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spincover.cover import OrthogonalMat3, quaternion_to_su2, rational_unit_quaternion
-from spincover.ptgroup import Event, SpinorValue
+from spincover.cover import (
+    IDENTITY2,
+    IDENTITY3,
+    OrthogonalMat3,
+    covering_map,
+    determinant_section,
+    quaternion_to_su2,
+    rational_unit_quaternion,
+)
+from spincover.ptgroup import Event, SpacetimeSymmetry, SpinorSymmetry, SpinorValue
+from spincover.semidirect import SemidirectElement
 from spincover.scalars import (
     GaussianRational,
     ScalarParseError,
@@ -40,6 +51,51 @@ WRONG_RECORD_TYPES = {
     "SpinorValue-ints": (lambda v: SpinorValue(v, 2), 1),
     "SpinorValue-Fraction": (lambda v: SpinorValue(GaussianRational(0), v), Fraction(1, 2)),
 }
+
+# Every constructor of a sign, with the name its ValueError gives the sign.
+SIGNED = {
+    "determinant_section": (determinant_section, "sign"),
+    "SemidirectElement": (lambda s: SemidirectElement(IDENTITY2, s), "sign"),
+    "SpinorSymmetry": (lambda s: SpinorSymmetry(IDENTITY2, s), "time sign"),
+    "SpacetimeSymmetry": (lambda s: SpacetimeSymmetry(IDENTITY3, s), "time sign"),
+}
+
+
+class TestSigns:
+    """A sign is the int 1 or -1: other types are a TypeError, other ints a
+    ValueError."""
+
+    @pytest.mark.parametrize("name", SIGNED)
+    @pytest.mark.parametrize("value", [1.0, -1.0, True, False, Fraction(-1), "1"], ids=repr)
+    def test_other_types_rejected(self, name, value):
+        build, _ = SIGNED[name]
+        with pytest.raises(TypeError, match="must be the int 1 or -1"):
+            build(value)
+
+    @pytest.mark.parametrize("name", SIGNED)
+    def test_other_ints_rejected(self, name):
+        build, what = SIGNED[name]
+        for value in (0, 2, -2):
+            with pytest.raises(ValueError, match=f"^{what} must be \\+1 or -1, got {value}$"):
+                build(value)
+
+    @pytest.mark.parametrize("name", SIGNED)
+    def test_signs_accepted(self, name):
+        build, _ = SIGNED[name]
+        assert build(1) != build(-1)
+
+
+def test_exact_values_copy_pickle_and_refuse_setattr():
+    z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    m = quaternion_to_su2((Fraction(3, 5), Fraction(0), Fraction(0), Fraction(4, 5)))
+    values = [z, m, covering_map(m), Event.make(Fraction(1, 2), 0, -3, Fraction(2, 7)), SpinorValue(z, -z)]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+            assert repr(twin) == repr(value)
+        for name in ("_key", "re", "rows", "t", "u", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
 
 
 class TestArithmetic:
