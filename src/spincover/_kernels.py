@@ -1,15 +1,17 @@
-"""Multiplication-table kernels: validation, element orders, isomorphism.
+"""Multiplication-table kernels: validation, element invariants, isomorphism.
 
 All functions take a table as a list of rows of 0-based element indices,
 ``table[i][j]`` being the index of element i times element j.  Every check
 is exhaustive: associativity uses Light's test on a generating set, so a
 table is never accepted on a sample of triples.  The isomorphism search
-branches only on the images of that same generating set.
+branches only on the images of that same generating set, and counts its
+nodes against a budget.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from operator import eq
+from typing import Hashable, Optional, Sequence
 
 #: Name of the kernel implementation, reported in benchmark run records.
 BACKEND = "python"
@@ -110,8 +112,37 @@ def element_orders(table: list[list[int]], identity: int) -> list[int]:
 
 
 def is_abelian(table: list[list[int]]) -> bool:
-    n = len(table)
-    return all(table[i][j] == table[j][i] for i in range(n) for j in range(i + 1, n))
+    return all(row == list(column) for row, column in zip(table, zip(*table)))
+
+
+def element_signatures(
+    table: list[list[int]], orders: list[int]
+) -> list[tuple[int, int, int]]:
+    """(order, centralizer size, number of square roots) of every element.
+
+    Every isomorphism maps an element to one with the same signature.  The
+    centralizer of x counts the y with x*y == y*x: row x of the table
+    against column x, from one transpose.  O(n^2) in all.
+    """
+    roots = [0] * len(table)
+    for y, row in enumerate(table):
+        roots[row[y]] += 1
+    return [
+        (orders[x], sum(map(eq, row, column)), roots[x])
+        for x, (row, column) in enumerate(zip(table, zip(*table)))
+    ]
+
+
+class NodeBudgetError(RuntimeError):
+    """An isomorphism search entered more nodes than its budget allows."""
+
+
+class SearchNodes:
+    """The nodes one isomorphism search has entered, and the most it may."""
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.count = 0
 
 
 def find_isomorphism(
@@ -119,20 +150,28 @@ def find_isomorphism(
     h_table: list[list[int]],
     g_identity: int,
     h_identity: int,
-    g_orders: list[int],
-    h_orders: list[int],
+    g_keys: Sequence[Hashable],
+    h_keys: Sequence[Hashable],
+    nodes: SearchNodes,
 ) -> Optional[list[int]]:
     """Lexicographically smallest isomorphism between two group tables of
-    equal order, given their element orders; None if there is none.
+    equal order; None if there is none.
 
-    Branches only on the images of :func:`generating_set` of G, trying for
-    each generator the unused elements of H of its order in increasing
-    index.  Each choice extends the map over the subgroup generated so far
-    by right multiplication with the chosen generators, and the branch is
-    cut at the first product where the map stops being a well-defined
-    injective homomorphism; as in Light's test, respecting every generator
-    makes the map a homomorphism.  Every index below the next generator is
-    already mapped, so the first complete map is the smallest.
+    ``g_keys`` and ``h_keys`` hold an invariant of every element that any
+    isomorphism preserves, such as its order or its signature from
+    :func:`element_signatures`.  The search branches only on the images of
+    :func:`generating_set` of G, trying for each generator the unused
+    elements of H with its key in increasing index.  Each choice extends
+    the map over the subgroup generated so far by right multiplication with
+    the chosen generators, and the branch is cut at the first product where
+    the map stops being a well-defined injective homomorphism; as in
+    Light's test, respecting every generator makes the map a homomorphism.
+    Every index below the next generator is already mapped, so the first
+    complete map is the smallest; the key filter drops only candidates no
+    isomorphism can take, so it does not change which map that is.
+
+    Every call of the inner ``search`` is one node, counted in ``nodes``;
+    passing ``nodes.budget`` raises :class:`NodeBudgetError`.
     """
     n = len(g_table)
     generators = generating_set(g_table, g_identity)
@@ -161,13 +200,20 @@ def find_isomorphism(
                     return False
         return True
 
+    candidates: dict[Hashable, list[int]] = {}
+    for y, key in enumerate(h_keys):
+        candidates.setdefault(key, []).append(y)
+
     def search(depth: int) -> bool:
+        nodes.count += 1
+        if nodes.count > nodes.budget:
+            raise NodeBudgetError(f"isomorphism search passed its budget of {nodes.budget} nodes")
         if depth == len(generators):
             return True
         s = generators[depth]
         chosen = generators[: depth + 1]
-        for candidate in range(n):
-            if used[candidate] or h_orders[candidate] != g_orders[s]:
+        for candidate in candidates.get(g_keys[s], ()):
+            if used[candidate]:
                 continue
             phi[s] = candidate
             used[candidate] = True

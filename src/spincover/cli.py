@@ -19,15 +19,17 @@ from typing import Callable, Optional, Sequence
 from .cover import UnitaryMat2
 from .groups import (
     ISOMORPHISM_ORDER_LIMIT,
+    ORDER_MULTISET,
     ClosureLimitError,
     FiniteGroup,
     IsomorphismSizeError,
+    IsomorphismWitness,
     cyclic,
+    decide_isomorphism,
     dicyclic,
     dihedral,
     direct_product,
     double_group_verdict,
-    find_isomorphism,
     generate_closure,
     spacetime_pt_group,
     spinor_pt_group,
@@ -175,26 +177,24 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _parse_group_spec(spec: str) -> Callable[[], FiniteGroup]:
-    """Parse GPT_hat, GPT_spacetime, Zn, products like Z4xZ2, Dih<order> or
-    Dic<order> into a builder for its table.  The order is read off the
-    spec and checked against the search cap here, before any table exists.
+    """Parse GPT_hat, GPT_spacetime, or a direct product of factors Zn,
+    Dih<order> and Dic<order> joined by x (Z4xZ2, Dic8xZ2xZ2) into a builder
+    for its table.  The order is read off the spec and checked against the
+    search cap here, before any table exists.
     """
     if spec in _NAMED_GROUPS:
         return _NAMED_GROUPS[spec]
-    if spec.startswith(("Dih", "Dic")):
-        constructor = dihedral if spec.startswith("Dih") else dicyclic
-        orders = [_parse_positive(spec[3:], spec)]
-    else:
-        constructor = cyclic
-        orders = []
-        for factor in spec.split("x"):
-            if not factor.startswith("Z"):
-                raise InputError(
-                    f"unknown group spec {factor!r}; expected Zn, Dih<order>, Dic<order>, "
-                    f"or one of {tuple(_NAMED_GROUPS)}"
-                )
-            orders.append(_parse_positive(factor[1:], spec))
-    order = math.prod(orders)
+    constructors = {"Dih": dihedral, "Dic": dicyclic, "Z": cyclic}
+    factors = []
+    for factor in spec.split("x"):
+        kind = next((k for k in constructors if factor.startswith(k)), None)
+        if kind is None:
+            raise InputError(
+                f"unknown group spec {factor!r}; expected Zn, Dih<order>, Dic<order>, "
+                f"products of them like Dic8xZ2, or one of {tuple(_NAMED_GROUPS)}"
+            )
+        factors.append((constructors[kind], _parse_positive(factor[len(kind):], spec)))
+    order = math.prod(k for _, k in factors)
     if order > ISOMORPHISM_ORDER_LIMIT:
         raise IsomorphismSizeError(
             f"{spec} has order {order}; isomorphism search supports orders up to "
@@ -203,7 +203,7 @@ def _parse_group_spec(spec: str) -> Callable[[], FiniteGroup]:
 
     def build() -> FiniteGroup:
         try:
-            groups = [constructor(k) for k in orders]
+            groups = [constructor(k) for constructor, k in factors]
         except ValueError as exc:
             raise InputError(f"bad group spec {spec!r}: {exc}") from exc
         return functools.reduce(direct_product, groups)
@@ -221,34 +221,38 @@ def _cmd_iso(args: argparse.Namespace) -> int:
     build_a = _parse_group_spec(args.group_a)
     build_b = _parse_group_spec(args.group_b)
     group_a, group_b = build_a(), build_b()
-    witness = find_isomorphism(group_a, group_b)
+    outcome = decide_isomorphism(group_a, group_b)
+    isomorphic = isinstance(outcome, IsomorphismWitness)
     payload: dict = {
         "schema_version": SCHEMA_VERSION,
         "group_a": args.group_a,
         "group_b": args.group_b,
-        "isomorphic": witness is not None,
+        "isomorphic": isomorphic,
     }
-    if witness is not None:
-        payload["witness"] = list(witness.mapping)
+    if isomorphic:
+        payload["witness"] = list(outcome.mapping)
     else:
         payload["order_multisets"] = {
             "group_a": list(group_a.order_multiset()),
             "group_b": list(group_b.order_multiset()),
         }
+        payload["refuted_by"] = outcome.to_json()
     if args.fmt == "json":
         _write_output(_json_dump(payload), args.out)
     else:
         lines = [f"{args.group_a} vs {args.group_b}: "
-                 f"{'isomorphic' if witness else 'not isomorphic'}"]
-        if witness is not None:
+                 f"{'isomorphic' if isomorphic else 'not isomorphic'}"]
+        if isomorphic:
             mapped = ", ".join(
-                f"{group_a.labels[i]} -> {group_b.labels[witness.mapping[i]]}"
+                f"{group_a.labels[i]} -> {group_b.labels[outcome.mapping[i]]}"
                 for i in range(group_a.order)
             )
             lines.append(f"witness: {mapped}")
-        else:
+        elif outcome.invariant == ORDER_MULTISET:
             lines.append(f"element orders: {list(group_a.order_multiset())} "
                          f"vs {list(group_b.order_multiset())}")
+        else:
+            lines.append(outcome.text())
         _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

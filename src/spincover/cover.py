@@ -29,6 +29,7 @@ asserts or depends on connectivity statements, only on finite algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .scalars import (
@@ -399,10 +400,22 @@ def rational_unit_quaternion(x: Fraction, y: Fraction, z: Fraction) -> Quaternio
     Inverse stereographic projection: with s = x^2 + y^2 + z^2 the image is
     ((1-s)/(1+s), 2x/(1+s), 2y/(1+s), 2z/(1+s)).  Every rational input gives
     an exactly unit quaternion; only (-1, 0, 0, 0) is unreachable.
+
+    Computed in integers: over a common denominator D, x = X/D, y = Y/D and
+    z = Z/D, the image is (D^2 - S, 2XD, 2YD, 2ZD) / (D^2 + S) with
+    S = X^2 + Y^2 + Z^2.
     """
     x, y, z = as_rational(x), as_rational(y), as_rational(z)
-    s = x * x + y * y + z * z
-    return ((1 - s) / (1 + s), 2 * x / (1 + s), 2 * y / (1 + s), 2 * z / (1 + s))
+    d = lcm(x.denominator, y.denominator, z.denominator)
+    big_x, big_y, big_z = (v.numerator * (d // v.denominator) for v in (x, y, z))
+    d_sq, s = d * d, big_x * big_x + big_y * big_y + big_z * big_z
+    n = d_sq + s
+    return (
+        Fraction(d_sq - s, n),
+        Fraction(2 * big_x * d, n),
+        Fraction(2 * big_y * d, n),
+        Fraction(2 * big_z * d, n),
+    )
 
 
 def quaternion_to_su2(q: Quaternion) -> UnitaryMat2:

@@ -7,15 +7,21 @@ exact and runs over hashable elements indexed by a dict: Gaussian-rational
 matrices, spacetime symmetries, or the monomial matrices of the double
 groups, whose entries are 4n-th roots of unity stored as integer exponents.
 
-Isomorphism testing refutes on element orders, then backtracks over the
-images of a generating set; it either returns a verified witness (the
-lexicographically smallest one) or reports none exists.
+Isomorphism testing climbs an invariant ladder before it searches: the
+element-order multiset, abelian or not, the order of the centre, and the
+histogram of element signatures (order, centralizer size, number of square
+roots).  Each rung is computed only when the rungs before it agree, and
+the first that differs refutes the pair.  Otherwise it backtracks over the
+images of a generating set, matching signatures, within a node budget; it
+returns a verified witness (the lexicographically smallest one) or the
+reason none exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from collections import Counter
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional, Sequence, Union
 
 from . import _kernels
 from .cover import (
@@ -30,6 +36,11 @@ from .ptgroup import SpacetimeSymmetry, time_reversal_operator
 #: Hard cap for the isomorphism search.
 ISOMORPHISM_ORDER_LIMIT = 256
 
+#: Most nodes one isomorphism search may enter.  A node costs about 2 ms at
+#: order 256, so a search that passes the budget there ends in about 20 s;
+#: every isomorphic pair in the test suite and benchmark takes at most 9.
+ISOMORPHISM_NODE_BUDGET = 10_000
+
 #: Range of principal-axis orders accepted by the double-group builder.
 DOUBLE_GROUP_MIN_N = 2
 DOUBLE_GROUP_MAX_N = 12
@@ -40,7 +51,7 @@ class ClosureLimitError(RuntimeError):
 
 
 class IsomorphismSizeError(RuntimeError):
-    """Isomorphism search requested beyond the supported order."""
+    """Isomorphism search requested beyond the supported order or node budget."""
 
 
 class FiniteGroup:
@@ -344,28 +355,116 @@ def verify_isomorphism(g: FiniteGroup, h: FiniteGroup, mapping: Sequence[int]) -
     return _kernels.check_isomorphism(g.table, h.table, list(mapping))
 
 
-def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> Optional[IsomorphismWitness]:
-    """Search for an isomorphism; None if the groups are not isomorphic.
+#: Names of the ladder rungs and of the search, as :class:`Refutation` reports them.
+ORDER_MULTISET = "element-order multiset"
+ABELIAN = "abelian"
+CENTRE_ORDER = "centre order"
+SIGNATURES = "element signatures"
+EXHAUSTIVE_SEARCH = "exhaustive search"
 
-    Sound and complete up to order 256 (raises above); different
-    element-order multisets are refuted without a search.  Any witness
-    returned has been verified exhaustively and is the lexicographically
-    smallest mapping by element index.
+
+@dataclass(frozen=True)
+class Refutation:
+    """Why two groups are not isomorphic.
+
+    ``invariant`` names the ladder rung that differs, and ``group_a`` and
+    ``group_b`` hold its value on each group; for :data:`SIGNATURES` that
+    is the rows [order, centralizer size, square roots, count] whose counts
+    differ.  After an :data:`EXHAUSTIVE_SEARCH` the values are None and
+    ``search_nodes`` counts the nodes the search entered; a rung's is 0.
+    """
+
+    invariant: str
+    group_a: object = None
+    group_b: object = None
+    search_nodes: int = 0
+
+    def text(self) -> str:
+        if self.invariant == EXHAUSTIVE_SEARCH:
+            return f"{EXHAUSTIVE_SEARCH}: no isomorphism in {self.search_nodes} nodes"
+        return f"{self.invariant}: {self.group_a} vs {self.group_b}"
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
+def _signature_differences(
+    g_signatures: list[tuple[int, int, int]], h_signatures: list[tuple[int, int, int]]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The signature histograms of two groups, restricted to the signatures
+    whose counts differ, as rows [order, centralizer size, square roots, count]."""
+    g_counts, h_counts = Counter(g_signatures), Counter(h_signatures)
+    differing = sorted(s for s in g_counts | h_counts if g_counts[s] != h_counts[s])
+    return (
+        [[*s, g_counts[s]] for s in differing],
+        [[*s, h_counts[s]] for s in differing],
+    )
+
+
+def decide_isomorphism(
+    g: FiniteGroup, h: FiniteGroup
+) -> Union[IsomorphismWitness, Refutation]:
+    """A verified isomorphism from ``g`` to ``h``, or why there is none.
+
+    Sound and complete up to order 256; a larger order, or a search that
+    passes :data:`ISOMORPHISM_NODE_BUDGET` nodes, raises
+    :class:`IsomorphismSizeError`.  The invariant ladder runs first, each
+    rung only when every rung before it agrees:
+
+    1. the element-order multiset (which also compares the orders);
+    2. abelian or not.  Abelian groups with equal element-order multisets
+       are isomorphic, so an abelian pair goes straight to the search;
+    3. the order of the centre;
+    4. the histogram of element signatures (order, centralizer size, number
+       of square roots).
+
+    The search then matches each generator only with elements of its
+    signature (of its order, for an abelian pair).  Any witness returned
+    has been verified exhaustively and is the lexicographically smallest
+    mapping by element index.
     """
     if g.order > ISOMORPHISM_ORDER_LIMIT or h.order > ISOMORPHISM_ORDER_LIMIT:
         raise IsomorphismSizeError(
             f"isomorphism search supports orders up to {ISOMORPHISM_ORDER_LIMIT}"
         )
-    if g.order != h.order or g.order_multiset() != h.order_multiset():
-        return None
-    mapping = _kernels.find_isomorphism(
-        g.table, h.table, g.identity_index, h.identity_index, g._orders, h._orders
-    )
+    if g.order_multiset() != h.order_multiset():
+        return Refutation(ORDER_MULTISET, list(g.order_multiset()), list(h.order_multiset()))
+    abelian = g.is_abelian()
+    if abelian != h.is_abelian():
+        return Refutation(ABELIAN, abelian, not abelian)
+    if abelian:
+        g_keys: list = g._orders
+        h_keys: list = h._orders
+    else:
+        g_keys = _kernels.element_signatures(g.table, g._orders)
+        h_keys = _kernels.element_signatures(h.table, h._orders)
+        g_centre = sum(1 for s in g_keys if s[1] == g.order)
+        h_centre = sum(1 for s in h_keys if s[1] == h.order)
+        if g_centre != h_centre:
+            return Refutation(CENTRE_ORDER, g_centre, h_centre)
+        g_rows, h_rows = _signature_differences(g_keys, h_keys)
+        if g_rows:
+            return Refutation(SIGNATURES, g_rows, h_rows)
+    nodes = _kernels.SearchNodes(ISOMORPHISM_NODE_BUDGET)
+    try:
+        mapping = _kernels.find_isomorphism(
+            g.table, h.table, g.identity_index, h.identity_index, g_keys, h_keys, nodes
+        )
+    except _kernels.NodeBudgetError as exc:
+        raise IsomorphismSizeError(f"{exc} at order {g.order}") from None
     if mapping is None:
-        return None
+        return Refutation(EXHAUSTIVE_SEARCH, search_nodes=nodes.count)
     if not verify_isomorphism(g, h, mapping):  # defensive; the search verifies
         raise RuntimeError("isomorphism search returned an invalid mapping")
     return IsomorphismWitness(tuple(mapping))
+
+
+def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> Optional[IsomorphismWitness]:
+    """The verified, lexicographically smallest isomorphism from ``g`` to
+    ``h``; None if the groups are not isomorphic.  :func:`decide_isomorphism`
+    does the work and also says why a pair is not isomorphic."""
+    outcome = decide_isomorphism(g, h)
+    return outcome if isinstance(outcome, IsomorphismWitness) else None
 
 
 # -- the named parity/time-reversal groups ------------------------------------
@@ -505,34 +604,28 @@ class DoubleGroupVerdict:
 
 def double_group_verdict(n: int) -> list[DoubleGroupVerdict]:
     """Compare the reflection and rotation double groups of axis order n
-    under both parity conventions, by brute-force isomorphism search.
+    under both parity conventions, by :func:`decide_isomorphism`.
 
     The expectation being tested: with a parity lift squaring to +I the two
     doubles are isomorphic, and with the lift squaring to -I they are not.
     ``claim_match`` records whether the computed verdict agrees; a mismatch
-    is reported, not raised.
+    is reported, not raised.  ``invariant_used`` is the text of the
+    :class:`Refutation` of a pair that is not isomorphic.
     """
     rotation_double = double_group("Dn", n)
     verdicts = []
     for convention in (1, -1):
         reflection_double = double_group("Cnv", n, parity_square=convention)
-        witness = find_isomorphism(reflection_double, rotation_double)
-        isomorphic = witness is not None
-        invariant = None
-        if not isomorphic:
-            invariant = (
-                "element-order multiset: "
-                f"{list(reflection_double.order_multiset())} vs "
-                f"{list(rotation_double.order_multiset())}"
-            )
+        outcome = decide_isomorphism(reflection_double, rotation_double)
+        isomorphic = isinstance(outcome, IsomorphismWitness)
         expected_isomorphic = convention == 1
         verdicts.append(
             DoubleGroupVerdict(
                 n=n,
                 convention=convention,
                 isomorphic=isomorphic,
-                witness=witness.mapping if witness else None,
-                invariant_used=invariant,
+                witness=outcome.mapping if isomorphic else None,
+                invariant_used=None if isomorphic else outcome.text(),
                 claim_match=isomorphic == expected_isomorphic,
             )
         )

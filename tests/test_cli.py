@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from spincover import cli
+from spincover import cli, groups
 from spincover.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -318,19 +318,80 @@ class TestIso:
         assert payload["isomorphic"] is False
         assert payload["order_multisets"]["group_a"] == [1, 2, 4, 4]
         assert payload["order_multisets"]["group_b"] == [1, 2, 2, 2]
+        assert payload["refuted_by"] == {
+            "invariant": "element-order multiset",
+            "group_a": [1, 2, 4, 4],
+            "group_b": [1, 2, 2, 2],
+            "search_nodes": 0,
+        }
 
     def test_dihedral_vs_dicyclic(self, capsys):
         assert main(["iso", "Dih8", "Dic8", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["isomorphic"] is False
 
+    def test_z4_vs_klein_text(self, capsys):
+        assert main(["iso", "Z4", "Z2xZ2"]) == 0
+        assert capsys.readouterr().out == (
+            "Z4 vs Z2xZ2: not isomorphic\n"
+            "element orders: [1, 2, 4, 4] vs [1, 2, 2, 2]\n"
+        )
+
+    def test_equal_multisets_text_names_the_invariant(self, capsys):
+        assert main(["iso", "Dic8xZ2", "Z4xZ4"]) == 0
+        assert capsys.readouterr().out == (
+            "Dic8xZ2 vs Z4xZ4: not isomorphic\nabelian: False vs True\n"
+        )
+
+    @pytest.mark.parametrize(
+        "group_a, group_b",
+        [
+            ("Z4xZ4xZ2xZ2", "Dic8xZ2xZ2xZ2"),
+            ("Dic8xZ2xZ2xZ2", "Z4xZ4xZ2xZ2"),
+            ("Z4xZ4xZ4xZ2", "Dic8xZ4xZ2xZ2"),
+            ("Dic8xZ4xZ2xZ2", "Z4xZ4xZ4xZ2"),
+            ("Z4xZ4xZ4xZ2xZ2", "Dic8xZ4xZ2xZ2xZ2"),
+            ("Dic8xZ4xZ2xZ2xZ2", "Z4xZ4xZ4xZ2xZ2"),
+        ],
+    )
+    def test_equal_multisets_refuted_without_search(self, capsys, group_a, group_b):
+        # Orders 64, 128 and 256, one side abelian: equal element-order
+        # multisets, so only the abelian rung can decide, with no search node.
+        assert main(["iso", group_a, group_b, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["isomorphic"] is False
+        multisets = payload["order_multisets"]
+        assert multisets["group_a"] == multisets["group_b"]
+        assert payload["refuted_by"] == {
+            "invariant": "abelian",
+            "group_a": group_a.startswith("Z"),
+            "group_b": group_b.startswith("Z"),
+            "search_nodes": 0,
+        }
+
+    def test_product_with_dihedral_factor(self, capsys):
+        assert main(["iso", "Dih8xZ2", "Z2xDih8", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["isomorphic"] is True
+        assert len(payload["witness"]) == 16
+
     def test_size_limit_exit_code(self):
         assert main(["iso", "Z32xZ16", "Z32xZ16"]) == 3
+
+    def test_node_budget_exit_code(self, capsys, monkeypatch):
+        assert main(["iso", "Dih16", "Dih16"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(groups, "ISOMORPHISM_NODE_BUDGET", 2)
+        assert main(["iso", "Dih16", "Dih16"]) == 3
+        assert capsys.readouterr().err == (
+            "resource limit: isomorphism search passed its budget of 2 nodes at order 16\n"
+        )
 
     def test_bad_spec(self, capsys):
         assert main(["iso", "Q8", "Z8"]) == 2
         assert main(["iso", "Dih3", "Z3"]) == 2
         assert main(["iso", "Dic6", "Z6"]) == 2
-        for spec in ("Z+2", "Z\u0663", "Z1_000", "Dih+8"):
+        for spec in ("Z+2", "Z\u0663", "Z1_000", "Dih+8", "Dih3xZ2", "Z2xDic6", "Q8xZ2",
+                     "Dic8x", "xZ2", "Dic8xDih", "Z2xY2"):
             assert main(["iso", spec, "Z2"]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
@@ -361,6 +422,8 @@ class TestIso:
         assert main(["iso", "Z4", "Z32xZ16"]) == 3
         assert main(["iso", "GPT_hat", "Z2x" * 8 + "Z2"]) == 3
         assert main(["iso", "Dih512", "Dic512"]) == 3
+        assert main(["iso", "Dic8xZ4xZ4xZ4", "Z2"]) == 3
+        assert main(["iso", "Dih3xDic256", "Z2"]) == 3
 
 
 class TestDoubleGroup:

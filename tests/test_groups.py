@@ -3,12 +3,21 @@ import itertools
 
 import pytest
 
+from spincover import _kernels, groups
 from spincover.cover import PAULI_X, PAULI_Y, PAULI_Z, UnitaryMat2
 from spincover.groups import (
+    ABELIAN,
+    CENTRE_ORDER,
+    EXHAUSTIVE_SEARCH,
+    ORDER_MULTISET,
+    SIGNATURES,
     ClosureLimitError,
     FiniteGroup,
     IsomorphismSizeError,
+    IsomorphismWitness,
+    Refutation,
     cyclic,
+    decide_isomorphism,
     dicyclic,
     dihedral,
     direct_product,
@@ -35,6 +44,31 @@ def complex_matmul(a, b):
     return tuple(
         tuple(sum(a[r][k] * b[k][c] for k in range(2)) for c in range(2)) for r in range(2)
     )
+
+
+def metacyclic(m: int, k: int, r: int) -> FiniteGroup:
+    """<x, y | x^m = y^k = 1, y x y^-1 = x^r>, for r^k = 1 mod m, with x^i y^j
+    at index i + m j: (x^i y^j)(x^a y^b) = x^(i + r^j a) y^(j + b)."""
+    n = m * k
+    table = [
+        [(u % m + pow(r, u // m, m) * (v % m)) % m + m * ((u // m + v // m) % k) for v in range(n)]
+        for u in range(n)
+    ]
+    return FiniteGroup([str(u) for u in range(n)], table, 0, name=f"Z{m}:{r}Z{k}")
+
+
+def abelian_specs(limit: int) -> list[tuple[int, ...]]:
+    """Every nondecreasing tuple of cyclic factor orders >= 2 with product
+    at most ``limit``: one product spec per unordered factorisation."""
+    specs = [()]
+    frontier = [((), 1)]
+    while frontier:
+        factors, order = frontier.pop()
+        for k in range(factors[-1] if factors else 2, limit // order + 1):
+            spec = (*factors, k)
+            specs.append(spec)
+            frontier.append((spec, order * k))
+    return specs
 
 
 def brute_force_isomorphism(g: FiniteGroup, h: FiniteGroup):
@@ -325,12 +359,97 @@ class TestIsomorphism:
         with pytest.raises(IsomorphismSizeError):
             find_isomorphism(big, big)
 
+    def test_node_budget(self, monkeypatch):
+        g = dihedral(16)
+        assert find_isomorphism(g, g) is not None
+        monkeypatch.setattr(groups, "ISOMORPHISM_NODE_BUDGET", 2)
+        with pytest.raises(IsomorphismSizeError, match="budget of 2 nodes"):
+            find_isomorphism(g, g)
+
     def test_mapping_validation_catches_bad_candidates(self):
         g = cyclic(4)
         h = cyclic(4)
         assert verify_isomorphism(g, h, [0, 1, 2, 3])
         assert not verify_isomorphism(g, h, [0, 2, 1, 3])
         assert not verify_isomorphism(g, h, [0, 0, 1, 2])
+
+
+class TestInvariantLadder:
+    def test_order_multiset_rung(self):
+        outcome = decide_isomorphism(cyclic(4), direct_product(cyclic(2), cyclic(2)))
+        assert outcome == Refutation(ORDER_MULTISET, [1, 2, 4, 4], [1, 2, 2, 2])
+        assert outcome.text() == "element-order multiset: [1, 2, 4, 4] vs [1, 2, 2, 2]"
+        assert decide_isomorphism(cyclic(3), cyclic(4)).invariant == ORDER_MULTISET
+
+    def test_abelian_rung(self):
+        # Same element orders: one of order 1, three of order 2, twelve of
+        # order 4.
+        quaternionic = direct_product(dicyclic(8), cyclic(2))
+        abelian = direct_product(cyclic(4), cyclic(4))
+        assert decide_isomorphism(quaternionic, abelian) == Refutation(ABELIAN, False, True)
+        assert decide_isomorphism(abelian, quaternionic) == Refutation(ABELIAN, True, False)
+
+    def test_centre_rung(self):
+        # Z24 by Z2 acting as x -> x^5 or x -> x^17: same element orders,
+        # both non-abelian, centres <x^6> and <x^3> of orders 4 and 8.
+        a, b = metacyclic(24, 2, 5), metacyclic(24, 2, 17)
+        assert a.order_multiset() == b.order_multiset()
+        assert decide_isomorphism(a, b) == Refutation(CENTRE_ORDER, 4, 8)
+
+    def test_signature_rung(self):
+        # Q8 x Z2 against Z4 by Z4 acting by inversion: same element orders,
+        # both non-abelian, both with a centre of order 4 (all involutions
+        # central).  Only the square-root counts of the three involutions
+        # tell them apart: 12, 0, 0 against 8, 4, 0.
+        q8_z2 = direct_product(dicyclic(8), cyclic(2))
+        z4_z4 = metacyclic(4, 4, 3)
+        assert q8_z2.order_multiset() == z4_z4.order_multiset()
+        assert not q8_z2.is_abelian() and not z4_z4.is_abelian()
+        outcome = decide_isomorphism(q8_z2, z4_z4)
+        assert outcome == Refutation(
+            SIGNATURES,
+            [[2, 16, 0, 2], [2, 16, 4, 0], [2, 16, 8, 0], [2, 16, 12, 1]],
+            [[2, 16, 0, 1], [2, 16, 4, 1], [2, 16, 8, 1], [2, 16, 12, 0]],
+        )
+
+    def test_exhaustive_search_without_the_ladder(self, monkeypatch):
+        # With the abelian and signature rungs blinded, the search alone
+        # refutes the pair and reports its node count.
+        monkeypatch.setattr(_kernels, "is_abelian", lambda table: False)
+        monkeypatch.setattr(
+            _kernels, "element_signatures", lambda table, orders: [(o, 0, 0) for o in orders]
+        )
+        outcome = decide_isomorphism(
+            direct_product(cyclic(4), cyclic(4)), direct_product(dicyclic(8), cyclic(2))
+        )
+        assert outcome.invariant == EXHAUSTIVE_SEARCH
+        assert outcome.search_nodes > 1
+        assert outcome.text() == f"exhaustive search: no isomorphism in {outcome.search_nodes} nodes"
+        assert outcome.to_json() == {
+            "invariant": EXHAUSTIVE_SEARCH,
+            "group_a": None,
+            "group_b": None,
+            "search_nodes": outcome.search_nodes,
+        }
+
+    def test_abelian_catalog(self):
+        # Finite abelian groups are isomorphic exactly when their element-
+        # order multisets agree, so every such pair of products of cyclic
+        # groups, up to order 64, gets a witness.
+        by_multiset: dict = {}
+        for factors in abelian_specs(64):
+            group = cyclic(1)
+            for k in factors:
+                group = direct_product(group, cyclic(k))
+            by_multiset.setdefault(group.order_multiset(), []).append(group)
+        pairs = 0
+        for classes in by_multiset.values():
+            for a, b in itertools.product(classes, repeat=2):
+                outcome = decide_isomorphism(a, b)
+                assert isinstance(outcome, IsomorphismWitness), (a.name, b.name, outcome)
+                assert verify_isomorphism(a, b, outcome.mapping)
+                pairs += a is not b
+        assert pairs > 50
 
 
 class TestNamedGroups:

@@ -7,6 +7,8 @@ copies of them that break associativity.
 
 import random
 
+import pytest
+
 from spincover import _kernels
 from spincover.groups import cyclic, dicyclic, dihedral, direct_product, spinor_pt_group
 
@@ -132,19 +134,22 @@ class TestKernelBasics:
             assert len(reached) == group.order
 
     def test_find_isomorphism(self):
-        def search(g, h):
+        def search(g, h, nodes=None):
             g_orders = _kernels.element_orders(g.table, g.identity_index)
             h_orders = _kernels.element_orders(h.table, h.identity_index)
             return _kernels.find_isomorphism(
-                g.table, h.table, g.identity_index, h.identity_index, g_orders, h_orders
+                g.table, h.table, g.identity_index, h.identity_index, g_orders, h_orders,
+                nodes or _kernels.SearchNodes(10_000),
             )
 
         # Same element orders (1, three of order 2, twelve of order 4), one
-        # abelian and one not: the search itself must refute the pair, in
-        # both directions.
+        # abelian and one not: with orders as keys the search itself must
+        # refute the pair, in both directions.
         abelian = direct_product(cyclic(4), cyclic(4))
         quaternionic = direct_product(dicyclic(8), cyclic(2))
-        assert search(abelian, quaternionic) is None
+        nodes = _kernels.SearchNodes(10_000)
+        assert search(abelian, quaternionic, nodes) is None
+        assert nodes.count > 1
         assert search(quaternionic, abelian) is None
         # The spinor group keeps its identity last, at index 7.
         g, h = spinor_pt_group(), direct_product(cyclic(4), cyclic(2))
@@ -152,6 +157,63 @@ class TestKernelBasics:
         assert mapping is not None
         assert mapping[g.identity_index] == h.identity_index
         assert _kernels.check_isomorphism(g.table, h.table, mapping)
+
+    def test_search_stops_at_its_node_budget(self):
+        g = direct_product(cyclic(4), cyclic(4))
+        orders = _kernels.element_orders(g.table, g.identity_index)
+        # Two generators: a successful search enters one node per level,
+        # three in all.
+        nodes = _kernels.SearchNodes(3)
+        assert _kernels.find_isomorphism(g.table, g.table, 0, 0, orders, orders, nodes)
+        assert nodes.count == 3
+        with pytest.raises(_kernels.NodeBudgetError):
+            _kernels.find_isomorphism(
+                g.table, g.table, 0, 0, orders, orders, _kernels.SearchNodes(2)
+            )
+
+    def test_signature_keys_keep_the_witness(self):
+        # Signatures only drop candidates no isomorphism can take, so the
+        # first complete map into a relabelled copy is the one order keys find.
+        rng = random.Random(5)
+        for group in sample_groups():
+            table, e, n = group.table, group.identity_index, group.order
+            relabel = list(range(n))
+            rng.shuffle(relabel)
+            copy = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    copy[relabel[i]][relabel[j]] = relabel[table[i][j]]
+            g_orders = _kernels.element_orders(table, e)
+            h_orders = _kernels.element_orders(copy, relabel[e])
+            keyings = [
+                (g_orders, h_orders),
+                (
+                    _kernels.element_signatures(table, g_orders),
+                    _kernels.element_signatures(copy, h_orders),
+                ),
+            ]
+            by_order, by_signature = (
+                _kernels.find_isomorphism(
+                    table, copy, e, relabel[e], g_keys, h_keys, _kernels.SearchNodes(10_000)
+                )
+                for g_keys, h_keys in keyings
+            )
+            assert by_order is not None and by_signature == by_order
+            assert _kernels.check_isomorphism(table, copy, by_order)
+
+    def test_element_signatures(self):
+        for group in sample_groups():
+            table, n = group.table, group.order
+            orders = _kernels.element_orders(table, group.identity_index)
+            expected = [
+                (
+                    orders[x],
+                    sum(1 for y in range(n) if table[x][y] == table[y][x]),
+                    sum(1 for y in range(n) if table[y][y] == x),
+                )
+                for x in range(n)
+            ]
+            assert _kernels.element_signatures(table, orders) == expected
 
     def test_associativity_accepts_groups(self):
         for group in sample_groups():
@@ -168,6 +230,10 @@ class TestKernelBasics:
         assert sorted(orders) == [1, 2, 4, 4, 4, 4, 4, 4]
 
     def test_is_abelian(self):
+        for group in sample_groups():
+            n, table = group.order, group.table
+            expected = all(table[i][j] == table[j][i] for i in range(n) for j in range(n))
+            assert _kernels.is_abelian(table) == expected
         assert _kernels.is_abelian(cyclic(6).table)
         assert not _kernels.is_abelian(dihedral(6).table)
 
