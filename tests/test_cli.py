@@ -33,6 +33,59 @@ APPLY_GOLDEN_TRANSFORMS = {
 }
 
 
+# Accepted non-canonical lines: a leading "+", "007", "2/4", "1+0i", "+0i",
+# "-0", tabs, U+00A0 and U+3000 around scalars and separators, blank and
+# whitespace-only lines, CRLF line ends and no newline after the last line.
+APPLY_EDGE_FIELD = GOLDEN / "apply_field_edge.txt"
+
+# Malformed fields and the message each exits 2 with, under P and T alike.
+# "{digits}" stands for a value one digit longer than Python reads into an
+# int, and "{limit}" for that limit.
+DIGITS_MESSAGE = "line 1: rational scalar has more than {limit} digits, the most Python reads"
+MALFORMED_FIELDS = [
+    pytest.param("1/0; 0,0,0; 1; 0\n", "line 1: zero denominator in rational scalar: '1/0'", id="zero-den-t"),
+    pytest.param("0; 0,0,2/0; 1; 0\n", "line 1: zero denominator in rational scalar: '2/0'", id="zero-den-x"),
+    pytest.param("0; 0,0,0; 1/0+i; 0\n", "line 1: not a complex scalar: '1/0+i'", id="zero-den-re"),
+    pytest.param("0; 0,0,0; 1; 1-1/0i\n", "line 1: not a complex scalar: '1-1/0i'", id="zero-den-im"),
+    pytest.param("0; 0,0,0; 1/0i; 0\n", "line 1: not a complex scalar: '1/0i'", id="zero-den-pure-im"),
+    pytest.param("{digits}; 0,0,0; 1; 0\n", DIGITS_MESSAGE, id="digits-t"),
+    pytest.param("0; {digits},0,0; 1; 0\n", DIGITS_MESSAGE, id="digits-x1"),
+    pytest.param("0; 0,{digits},0; 1; 0\n", DIGITS_MESSAGE, id="digits-x2"),
+    pytest.param("0; 0,0,1/{digits}; 1; 0\n", DIGITS_MESSAGE, id="digits-x3-den"),
+    pytest.param("0; 0,0,0; {digits}+i; 0\n", DIGITS_MESSAGE, id="digits-u-re"),
+    pytest.param("0; 0,0,0; 1+{digits}i; 0\n", DIGITS_MESSAGE, id="digits-u-im"),
+    pytest.param("0; 0,0,0; 1; 1/{digits}-i\n", DIGITS_MESSAGE, id="digits-v-re-den"),
+    pytest.param("0; 0,0,0; 1; -{digits}i\n", DIGITS_MESSAGE, id="digits-v-im"),
+    pytest.param("0; 0,0,0; 1; 1-1/{digits}i\n", DIGITS_MESSAGE, id="digits-v-im-den"),
+    pytest.param("0; 0,0,0; 1 + i; 0\n", "line 1: not a complex scalar: '1 + i'", id="inner-space-complex"),
+    pytest.param("0; 0,0,1 /2; 1; 0\n", "line 1: not a rational scalar: '1 /2'", id="inner-space-rational"),
+    pytest.param("0; 0,0,0; 1; 1\u00a0i\n", "line 1: not a complex scalar: '1\\xa0i'", id="inner-nbsp"),
+    pytest.param("\u0661; 0,0,0; 1; 0\n", "line 1: not a rational scalar: '\u0661'", id="arabic-indic-digit"),
+    pytest.param("0; 0,0,0; \uff11; 0\n", "line 1: not a rational scalar: '\uff11'", id="fullwidth-digit"),
+    pytest.param("0; 0,0,0; 1/-2i; 0\n", "line 1: not a complex scalar: '1/-2i'", id="slash-minus"),
+    pytest.param("0; 0,0,0; 1+-2i; 0\n", "line 1: not a complex scalar: '1+-2i'", id="plus-minus"),
+    pytest.param("0; 0,0,0; 1i1; 0\n", "line 1: not a rational scalar: '1i1'", id="inner-i"),
+    pytest.param("0; 0.5,0,0; 1; 0\n", "line 1: not a rational scalar: '0.5'", id="decimal-point"),
+    pytest.param("0; 0,0,0; ; 0\n", "line 1: empty scalar", id="empty-scalar"),
+    pytest.param("0; 0,0,0\n", "line 1: expected 't; x1,x2,x3; u; v', got '0; 0,0,0'", id="two-parts"),
+    pytest.param(
+        "0; 0,0,0; 1; 0; 1\n", "line 1: expected 't; x1,x2,x3; u; v', got '0; 0,0,0; 1; 0; 1'", id="five-parts"
+    ),
+    pytest.param("0; 0,0; 1; 0\n", "line 1: expected three spatial coordinates, got '0,0'", id="two-coordinates"),
+    pytest.param(
+        "0; 0,0,0,0; 1; 0\n", "line 1: expected three spatial coordinates, got '0,0,0,0'", id="four-coordinates"
+    ),
+    pytest.param("0; 0,0,0; 1; 0\n0; 0,0,0; 0; 1\n", "line 2: duplicate event (0; 0,0,0)", id="duplicate"),
+    pytest.param(
+        "1/2; 0,0,0; 1; 0\n\n2/4; 0,0,0; 0; 1\n", "line 3: duplicate event (1/2; 0,0,0)", id="duplicate-unreduced"
+    ),
+    pytest.param(
+        "-0; +0,0/3,0; 1; 0\n 0 ;0,0,0;i;i\n", "line 2: duplicate event (0; 0,0,0)", id="duplicate-spaced"
+    ),
+    pytest.param("0; 0,0,0; 1; 0\n1; 0,0,0; 1i1; 0\n", "line 2: not a rational scalar: '1i1'", id="bad-after-good"),
+]
+
+
 # Golden `doublegroup 3` output, text and JSON; the CLI output is byte-stable.
 DOUBLEGROUP_3_TEXT = (
     "n=3 parity_square=+1: isomorphic (matches the expected verdict)\n"
@@ -180,6 +233,31 @@ class TestApply:
         assert main(["apply", APPLY_GOLDEN_TRANSFORMS[name], field, "--format", fmt]) == 0
         golden = GOLDEN / f"apply_{name}.{suffix}"
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    @pytest.mark.parametrize("transform", ["P", "T"])
+    def test_golden_edge_field(self, capsys, transform, fmt, suffix):
+        assert main(["apply", transform, str(APPLY_EDGE_FIELD), "--format", fmt]) == 0
+        golden = GOLDEN / f"apply_edge_{transform}.{suffix}"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_edge_field_keeps_its_bytes(self):
+        raw = APPLY_EDGE_FIELD.read_bytes()
+        assert b"\r\n" in raw and "\u00a0".encode() in raw and "\u3000".encode() in raw
+        assert not raw.endswith(b"\n")
+
+    @pytest.mark.parametrize("transform", ["P", "T"])
+    @pytest.mark.parametrize("text, message", MALFORMED_FIELDS)
+    def test_malformed_field_message(self, tmp_path, capsys, request, transform, text, message):
+        if "{digits}" in text:
+            limit = request.getfixturevalue("int_digit_limit")
+            text = text.replace("{digits}", "1" + "0" * limit)
+            message = message.replace("{limit}", str(limit))
+        field = write_field(tmp_path, text)
+        assert main(["apply", transform, field]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {field}: {message}\n"
 
     def test_missing_fractional_event(self, tmp_path, capsys):
         field = write_field(tmp_path, "2/6; 2/4,-2/7,0; 1; 0\n")
