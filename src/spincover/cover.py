@@ -394,6 +394,16 @@ def determinant_section(sign: int) -> UnitaryMat2:
     return IDENTITY2 if as_sign(sign) == 1 else _MINUS_SECTION
 
 
+def _stereographic(x: Fraction, y: Fraction, z: Fraction) -> tuple[int, int, int, int, int]:
+    """(D^2 - S, 2XD, 2YD, 2ZD, D^2 + S) for x = X/D, y = Y/D and z = Z/D over
+    their least common denominator D, with S = X^2 + Y^2 + Z^2."""
+    x, y, z = as_rational(x), as_rational(y), as_rational(z)
+    d = lcm(x.denominator, y.denominator, z.denominator)
+    big_x, big_y, big_z = (v.numerator * (d // v.denominator) for v in (x, y, z))
+    d_sq, s = d * d, big_x * big_x + big_y * big_y + big_z * big_z
+    return d_sq - s, 2 * big_x * d, 2 * big_y * d, 2 * big_z * d, d_sq + s
+
+
 def rational_unit_quaternion(x: Fraction, y: Fraction, z: Fraction) -> Quaternion:
     """Map a rational 3-vector to a rational point (a, b, c, d) of the unit 3-sphere.
 
@@ -405,17 +415,19 @@ def rational_unit_quaternion(x: Fraction, y: Fraction, z: Fraction) -> Quaternio
     z = Z/D, the image is (D^2 - S, 2XD, 2YD, 2ZD) / (D^2 + S) with
     S = X^2 + Y^2 + Z^2.
     """
-    x, y, z = as_rational(x), as_rational(y), as_rational(z)
-    d = lcm(x.denominator, y.denominator, z.denominator)
-    big_x, big_y, big_z = (v.numerator * (d // v.denominator) for v in (x, y, z))
-    d_sq, s = d * d, big_x * big_x + big_y * big_y + big_z * big_z
-    n = d_sq + s
-    return (
-        Fraction(d_sq - s, n),
-        Fraction(2 * big_x * d, n),
-        Fraction(2 * big_y * d, n),
-        Fraction(2 * big_z * d, n),
-    )
+    a, b, c, e, n = _stereographic(x, y, z)
+    return (Fraction(a, n), Fraction(b, n), Fraction(c, n), Fraction(e, n))
+
+
+def stereographic_su2(x: Fraction, y: Fraction, z: Fraction) -> UnitaryMat2:
+    """``quaternion_to_su2(rational_unit_quaternion(x, y, z))``, with the
+    matrix key written straight from the integer numerators: with
+    z = (a + b i)/n and w = (c + e i)/n it is ((z, w), (-conj w, conj z)).
+    The unitarity check still runs on the key."""
+    a, b, c, e, n = _stereographic(x, y, z)
+    key = lowest_terms((a, b, c, e, -c, e, a, -b, n))
+    _check_unitary(key)
+    return UnitaryMat2._from_key(key)
 
 
 def quaternion_to_su2(q: Quaternion) -> UnitaryMat2:

@@ -11,7 +11,10 @@ Spinor fields are finite exact sample maps from events (t, x) to
 two-component Gaussian-rational values.  An :class:`Event` is an
 :class:`~spincover.scalars.ExactKey` of four integer numerators (t, x1, x2,
 x3) over one denominator, read straight from the field text, so hashing,
-sorting and rebinding events is integer work.  Time signs are checked by
+sorting and rebinding events is integer work.  A field line is read by one
+match of a precompiled pattern that captures every numerator and
+denominator at once; the per-token parser reads only the lines that
+pattern rejects, and reports why they are wrong.  Time signs are checked by
 :func:`~spincover.scalars.as_sign`.  The four actions (rotation, time
 reversal, parity, parity-time) rebind arguments literally and conjugate
 values entrywise in the antiunitary sectors, so every transformation law
@@ -20,9 +23,11 @@ is checked by exact equality on the sampled events.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import lcm
 from typing import Mapping, Optional
 
 from .cover import (
@@ -40,6 +45,7 @@ from .scalars import (
     ExactKey,
     GaussianRational,
     ScalarParseError,
+    _reduced,
     as_rational,
     as_sign,
     common_key,
@@ -331,13 +337,6 @@ class SpinorSampleField:
             return NotImplemented
         return self.samples == other.samples
 
-    def closed_under(self, rebind) -> Optional[Event]:
-        """Return the first event whose rebound source is missing, if any."""
-        for event in self.events():
-            if rebind(event) not in self.samples:
-                return event
-        return None
-
     def to_lines(self) -> list[str]:
         return [f"{e.to_text()}; {v.to_text()}" for e, v in self.samples.items()]
 
@@ -347,26 +346,88 @@ class SpinorSampleField:
 
     @classmethod
     def from_text(cls, text: str) -> "SpinorSampleField":
+        """The field of a text of ``t; x1,x2,x3; u; v`` lines.
+
+        Each line is read by one match of :data:`_LINE_RE`; a line that does
+        not match (a blank line, or a bad one) goes to
+        :func:`_parse_line_by_tokens`, which skips it or raises the
+        :class:`FieldParseError` that explains it.
+        """
         samples: dict[Event, SpinorValue] = {}
         for number, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
+            sample = _match_line(raw) or _parse_line_by_tokens(raw, number)
+            if sample is None:
                 continue
-            parts = [p.strip() for p in line.split(";")]
-            if len(parts) != 4:
-                raise FieldParseError(number, f"expected 't; x1,x2,x3; u; v', got {raw!r}")
-            coords = [c.strip() for c in parts[1].split(",")]
-            if len(coords) != 3:
-                raise FieldParseError(number, f"expected three spatial coordinates, got {parts[1]!r}")
-            try:
-                event = Event._from_key(common_key([parse_ratio(parts[0]), *map(parse_ratio, coords)]))
-                value = SpinorValue(parse_complex(parts[2]), parse_complex(parts[3]))
-            except ScalarParseError as exc:
-                raise FieldParseError(number, str(exc)) from None
+            event, value = sample
             if event in samples:
                 raise FieldParseError(number, f"duplicate event ({event.to_text()})")
             samples[event] = value
         return cls(samples)
+
+
+# One field line, t; x1,x2,x3; u; v, in the grammar parse_ratio and
+# parse_complex read token by token: any whitespace (\s in a str pattern is
+# exactly str.isspace) around a scalar or separator, none inside one, and
+# ASCII digits only.  A rational captures its numerator and its denominator
+# (absent when it is 1).  A complex scalar, which the lookahead keeps from
+# being empty, captures a real part (absent in "2i"), which nothing but a
+# signed imaginary part may follow, then the imaginary part's sign (absent
+# when there is no imaginary part), numerator (absent in "i" and "-i") and
+# denominator.
+_RATIO = r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*"
+_REAL = r"(?:([+-]?[0-9]+)(?:/([0-9]+))?(?![0-9/i]))?"
+_IMAGINARY = r"(?:([+-]?)(?:([0-9]+)(?:/([0-9]+))?)?i)?"
+_COMPLEX = rf"\s*(?=[-+0-9i]){_REAL}{_IMAGINARY}\s*"
+_LINE_RE = re.compile(f"{_RATIO};{_RATIO},{_RATIO},{_RATIO};{_COMPLEX};{_COMPLEX}")
+
+
+def _match_line(raw: str) -> Optional[tuple[Event, SpinorValue]]:
+    """The sample on a well-formed line, or None for any other line: one
+    that :data:`_LINE_RE` rejects, or whose match holds a zero denominator
+    or more digits than ``int()`` reads."""
+    m = _LINE_RE.fullmatch(raw)
+    if m is None:
+        return None
+    t, tq, a, aq, b, bq, c, cq, *complexes = m.groups()
+    try:
+        tq, aq, bq, cq = int(tq or 1), int(aq or 1), int(bq or 1), int(cq or 1)
+        d = lcm(tq, aq, bq, cq)
+        if d == 0:
+            return None
+        event = Event._from_key(lowest_terms((
+            int(t) * (d // tq), int(a) * (d // aq), int(b) * (d // bq), int(c) * (d // cq), d
+        )))
+        values = []
+        for re_n, re_d, im_sign, im_n, im_d in (complexes[:5], complexes[5:]):
+            re_d = int(re_d or 1)
+            im, im_d = (0, 1) if im_sign is None else (int(im_sign + (im_n or "1")), int(im_d or 1))
+            d = re_d * im_d
+            if d == 0:
+                return None
+            values.append(_reduced(int(re_n or 0) * im_d, im * re_d, d))
+    except ValueError:  # more digits than int() reads
+        return None
+    return event, SpinorValue(*values)
+
+
+def _parse_line_by_tokens(raw: str, number: int) -> Optional[tuple[Event, SpinorValue]]:
+    """Read one field line token by token: None for a blank line, else its
+    sample, or the :class:`FieldParseError` that says what is wrong."""
+    line = raw.strip()
+    if not line:
+        return None
+    parts = [p.strip() for p in line.split(";")]
+    if len(parts) != 4:
+        raise FieldParseError(number, f"expected 't; x1,x2,x3; u; v', got {raw!r}")
+    coords = [c.strip() for c in parts[1].split(",")]
+    if len(coords) != 3:
+        raise FieldParseError(number, f"expected three spatial coordinates, got {parts[1]!r}")
+    try:
+        event = Event._from_key(common_key([parse_ratio(parts[0]), *map(parse_ratio, coords)]))
+        value = SpinorValue(parse_complex(parts[2]), parse_complex(parts[3]))
+    except ScalarParseError as exc:
+        raise FieldParseError(number, str(exc)) from None
+    return event, value
 
 
 # -- the four actions -------------------------------------------------------

@@ -26,8 +26,8 @@ from .cover import (
     determinant_section,
     extended_covering_map,
     parity_operator,
-    quaternion_to_su2,
     rational_unit_quaternion,
+    stereographic_su2,
 )
 from .groups import _close, spinor_pt_group
 from .ptgroup import (
@@ -98,10 +98,7 @@ def sample_rational(rng: random.Random, span: int = 9) -> Fraction:
 
 
 def sample_su2(rng: random.Random) -> UnitaryMat2:
-    q = rational_unit_quaternion(
-        sample_rational(rng, 3), sample_rational(rng, 3), sample_rational(rng, 3)
-    )
-    return quaternion_to_su2(q)
+    return stereographic_su2(sample_rational(rng, 3), sample_rational(rng, 3), sample_rational(rng, 3))
 
 
 def sample_extended(rng: random.Random) -> UnitaryMat2:

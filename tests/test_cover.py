@@ -19,6 +19,7 @@ from spincover.cover import (
     parity_operator,
     quaternion_to_su2,
     rational_unit_quaternion,
+    stereographic_su2,
     su2_from_zw,
 )
 from spincover.scalars import GaussianRational
@@ -129,6 +130,14 @@ def reference_rotation(q) -> list[list[Fraction]]:
 
 def entries(m: OrthogonalMat3) -> list[list[Fraction]]:
     return [list(row) for row in m.rows]
+
+
+class TestStereographicSU2:
+    @given(vectors)
+    def test_equals_the_quaternion_route(self, v):
+        m = stereographic_su2(*v)
+        assert m == quaternion_to_su2(rational_unit_quaternion(*v))
+        assert m.is_special()
 
 
 class TestIntegerOrthogonal:

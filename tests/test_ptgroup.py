@@ -26,6 +26,8 @@ from spincover.ptgroup import (
     SpinorSymmetry,
     SpinorValue,
     ZeroSpinorError,
+    _match_line,
+    _parse_line_by_tokens,
     apply_parity,
     apply_parity_time,
     apply_rotation,
@@ -449,18 +451,121 @@ class TestFieldFiles:
 
 
 class TestClosureMetadata:
-    def test_closed_under_reports_first_missing_event(self, treverse):
+    def test_rotation_reports_first_missing_event(self, treverse):
         from spincover.cover import covering_map
 
         f = SpinorSampleField({Event.make(0, 1, 0, 0): SpinorValue(gr(1), gr(0))})
         rotation = covering_map(treverse)
-        missing = f.closed_under(lambda e: e.rotated(rotation))
-        assert missing == Event.make(0, 1, 0, 0)
+        with pytest.raises(DomainClosureError) as err:
+            apply_rotation(treverse, f)
+        assert err.value.missing == Event.make(0, 1, 0, 0).rotated(rotation)
 
-    def test_symmetric_domain_is_closed(self):
+    def test_flips_report_first_missing_event(self, treverse, parity):
+        one = SpinorValue(gr(1), gr(0))
+        f = SpinorSampleField({Event.make(1, 0, 0, 0): one, Event.make(2, 1, 0, 0): one})
+        with pytest.raises(DomainClosureError) as err:
+            apply_time_reversal(treverse, f)
+        assert err.value.missing == Event.make(-1, 0, 0, 0)
+        with pytest.raises(DomainClosureError) as err:
+            apply_parity(parity, f)
+        assert err.value.missing == Event.make(2, -1, 0, 0)
+
+    def test_symmetric_domain_is_closed(self, treverse, parity):
         f = varied_field()
-        assert f.closed_under(Event.time_flipped) is None
-        assert f.closed_under(Event.space_flipped) is None
+        assert apply_time_reversal(treverse, f).events() == f.events()
+        assert apply_parity(parity, f).events() == f.events()
+
+
+# -- one grammar: the line match against the per-token parser -----------------
+
+SPACES = ["", "", "", " ", "\t", "  ", "\u00a0", "\u3000", "\u2003", "\x1f"]
+NUMERALS = ["0", "1", "2", "3", "7", "12", "007", "00"]
+DENOMINATORS = ["1", "2", "3", "4", "12", "007", "0"]
+JUNK = ["\u0661", "\uff11", ".", "x", "e", "_", "ii", "/", "+", "-", "1 2", "(", "\u00a0i", "+-", "/-"]
+JUNK_LINES = st.lists(st.sampled_from(SPACES + NUMERALS + JUNK + [";", ",", "i"])).map("".join)
+
+
+@st.composite
+def ratio_texts(draw, signed=True):
+    text = draw(st.sampled_from(["", "", "+", "-"])) if signed else ""
+    text += draw(st.sampled_from(NUMERALS))
+    if draw(st.booleans()):
+        text += "/" + draw(st.sampled_from(DENOMINATORS))
+    return text
+
+
+@st.composite
+def complex_texts(draw):
+    form = draw(st.integers(0, 2))
+    if form == 0:
+        return draw(ratio_texts())
+    coefficient = "" if draw(st.booleans()) else draw(ratio_texts(signed=False))
+    if form == 1:
+        return draw(st.sampled_from(["", "+", "-"])) + coefficient + "i"
+    return draw(ratio_texts()) + draw(st.sampled_from(["+", "-"])) + coefficient + "i"
+
+
+@st.composite
+def scalar_texts(draw, kind):
+    """Mostly a scalar of the grammar, sometimes junk."""
+    if draw(st.integers(0, 19)) == 0:
+        return "".join(draw(st.lists(st.sampled_from(NUMERALS + JUNK + ["i"]), max_size=4)))
+    return draw(kind)
+
+
+@st.composite
+def field_lines(draw):
+    def space():
+        return draw(st.sampled_from(SPACES))
+
+    scalars = [draw(scalar_texts(ratio_texts())) for _ in range(4)]
+    scalars += [draw(scalar_texts(complex_texts())) for _ in range(2)]
+    separators = [";", ",", ",", ";", ";"]
+    if draw(st.integers(0, 19)) == 0:
+        separators[draw(st.integers(0, 4))] = draw(st.sampled_from([";", ",", ";;", "", " "]))
+    pieces = [space() + scalars[0]]
+    for separator, scalar in zip(separators, scalars[1:]):
+        pieces += [space(), separator, space(), scalar]
+    return "".join(pieces) + space()
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except FieldParseError as exc:
+        return str(exc)
+
+
+def _fields_by_tokens(text):
+    """from_text with every line read by the per-token parser alone."""
+    samples = {}
+    for number, raw in enumerate(text.splitlines(), start=1):
+        sample = _parse_line_by_tokens(raw, number)
+        if sample is None:
+            continue
+        event, value = sample
+        if event in samples:
+            raise FieldParseError(number, f"duplicate event ({event.to_text()})")
+        samples[event] = value
+    return SpinorSampleField(samples)
+
+
+class TestOneGrammar:
+    @given(field_lines() | JUNK_LINES)
+    def test_match_accepts_exactly_what_the_tokens_accept(self, raw):
+        by_tokens = _outcome(lambda: _parse_line_by_tokens(raw, 1))
+        matched = _match_line(raw)
+        # A blank line (None) or a bad one (its message) is not matched.
+        assert matched == (by_tokens if isinstance(by_tokens, tuple) else None)
+
+    @given(st.lists(field_lines(), max_size=6), st.booleans(), st.sampled_from(["\n", "\r\n"]))
+    def test_from_text_is_the_per_token_loop(self, lines, repeat_first, end):
+        text = end.join(lines + lines[:repeat_first])
+        assert _outcome(lambda: SpinorSampleField.from_text(text)) == _outcome(lambda: _fields_by_tokens(text))
+
+    def test_examples_accepted_by_both(self):
+        for raw in ("+0;\t-0 , 0,\u00a00 ;\u30001+0i ; +0i", "2/4; 007,0,0; i; -i", "1;0,0,0;1-2/3i;-1/2+i"):
+            assert _match_line(raw) == _parse_line_by_tokens(raw, 1) is not None
 
 
 # -- integer events against a Fraction-tuple reference ------------------------
