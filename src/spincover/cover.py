@@ -29,7 +29,7 @@ asserts or depends on connectivity statements, only on finite algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .scalars import (
@@ -92,10 +92,6 @@ class UnitaryMat2(ExactKey):
     def is_special(self) -> bool:
         return self.det_sign == 1
 
-    def is_unitary(self) -> bool:
-        """Recheck the defining equations (used by the invariant tests)."""
-        return _recheck(_check_unitary, self._key)
-
     def __getitem__(self, index: int) -> tuple[GaussianRational, GaussianRational]:
         return self.rows[index]
 
@@ -144,23 +140,21 @@ class UnitaryMat2(ExactKey):
     def apply(self, u: GaussianRational, v: GaussianRational) -> tuple[GaussianRational, GaussianRational]:
         if not (isinstance(u, GaussianRational) and isinstance(v, GaussianRational)):
             raise TypeError("UnitaryMat2.apply takes two GaussianRational components")
+        key = self.integer_apply(*u._key, *v._key)
+        return GaussianRational._from_key(key[:3]), GaussianRational._from_key(key[3:])
+
+    def integer_apply(self, p: int, q: int, m: int, r: int, s: int, n: int) -> tuple[int, ...]:
+        """The product with u = (p + q i)/m and v = (r + s i)/n, m, n > 0, as
+        the two keys of its components joined, each in lowest terms."""
         a, b, c, e, f, g, h, k, d = self._key
-        p, q, m = u._key
-        r, s, n = v._key
         # Entry times u over d m, entry times v over d n: both over d m n.
         x, y = p * n, q * n
         z, w = r * m, s * m
         den = d * m * n
-        return (
-            _reduced(a * x - b * y + c * z - e * w, a * y + b * x + c * w + e * z, den),
-            _reduced(f * x - g * y + h * z - k * w, f * y + g * x + h * w + k * z, den),
-        )
-
-    def su2_components(self) -> tuple[GaussianRational, GaussianRational]:
-        """Return (z, w) for a det = +1 matrix ((z, w), (-conj w, conj z))."""
-        if self.det_sign != 1:
-            raise ValueError("only det = +1 matrices have SU(2) components")
-        return self.rows[0]
+        ur, ui = a * x - b * y + c * z - e * w, a * y + b * x + c * w + e * z
+        vr, vi = f * x - g * y + h * z - k * w, f * y + g * x + h * w + k * z
+        gu, gv = gcd(ur, ui, den), gcd(vr, vi, den)
+        return (ur // gu, ui // gu, den // gu, vr // gv, vi // gv, den // gv)
 
     def sort_key(self) -> tuple:
         """The real and imaginary parts of the entries, row by row, by value."""

@@ -112,9 +112,6 @@ class FiniteGroup:
     def inverse(self, i: int) -> int:
         return self._inverses[i]
 
-    def element_order(self, i: int) -> int:
-        return self._orders[i]
-
     def order_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(self._orders))
 

@@ -10,15 +10,20 @@ spatial rotation.
 Spinor fields are finite exact sample maps from events (t, x) to
 two-component Gaussian-rational values.  An :class:`Event` is an
 :class:`~spincover.scalars.ExactKey` of four integer numerators (t, x1, x2,
-x3) over one denominator, read straight from the field text, so hashing,
-sorting and rebinding events is integer work.  A field line is read by one
-match of a precompiled pattern that captures every numerator and
-denominator at once; the per-token parser reads only the lines that
-pattern rejects, and reports why they are wrong.  Time signs are checked by
+x3) over one denominator.  A :class:`SpinorSampleField` stores one dict, in
+event order, from each event key (those five ints) to a value key (the
+keys (a, b, d) of the two components joined into six ints).  Parsing,
+sorting, the four actions and printing work on these int tuples and build
+no :class:`Event` or :class:`SpinorValue` per sample; the objects are built
+only at the library surface.  A field line is read by one match of a
+precompiled pattern that captures every numerator and denominator at once;
+the per-token parser reads only the lines that pattern rejects, and
+reports why they are wrong.  Time signs are checked by
 :func:`~spincover.scalars.as_sign`.  The four actions (rotation, time
-reversal, parity, parity-time) rebind arguments literally and conjugate
-values entrywise in the antiunitary sectors, so every transformation law
-is checked by exact equality on the sampled events.
+reversal, parity, parity-time) rebind arguments literally and, in the
+antiunitary sectors, conjugate values by negating their imaginary
+numerators inside the matrix product, so every transformation law is
+checked by exact equality on the sampled events.
 """
 
 from __future__ import annotations
@@ -45,11 +50,11 @@ from .scalars import (
     ExactKey,
     GaussianRational,
     ScalarParseError,
-    _reduced,
     as_rational,
     as_sign,
     common_key,
     format_complex,
+    format_complex_key,
     format_ratio,
     lowest_terms,
     parse_complex,
@@ -252,24 +257,86 @@ class Event(ExactKey):
         return (t * e, a * e, b * e, c * e) < (u * d, p * d, q * d, r * d)
 
     def time_flipped(self) -> "Event":
-        t, a, b, c, d = self._key
-        return Event._from_key((-t, a, b, c, d))
+        return Event._from_key(_time_flipped(self._key))
 
     def space_flipped(self) -> "Event":
-        t, a, b, c, d = self._key
-        return Event._from_key((t, -a, -b, -c, d))
+        return Event._from_key(_space_flipped(self._key))
 
     def rotated(self, rotation: OrthogonalMat3) -> "Event":
-        t, a, b, c, d = self._key
-        x1, x2, x3, e = rotation.integer_apply(a, b, c)
-        return Event._from_key(lowest_terms((t * e, x1, x2, x3, d * e)))
+        return Event._from_key(_rotated(self._key, rotation))
 
     def to_text(self) -> str:
-        t, a, b, c, d = self._key
-        return f"{format_ratio(t, d)}; {format_ratio(a, d)},{format_ratio(b, d)},{format_ratio(c, d)}"
+        return _event_text(self._key)
 
     def __repr__(self) -> str:
         return f"Event(t={self.t!r}, x={self.x!r})"
+
+
+# Event keys (t, x1, x2, x3, d): the rebinds of the four actions, and text.
+
+
+def _time_flipped(key: tuple[int, ...]) -> tuple[int, ...]:
+    t, a, b, c, d = key
+    return (-t, a, b, c, d)
+
+
+def _space_flipped(key: tuple[int, ...]) -> tuple[int, ...]:
+    t, a, b, c, d = key
+    return (t, -a, -b, -c, d)
+
+
+def _time_space_flipped(key: tuple[int, ...]) -> tuple[int, ...]:
+    t, a, b, c, d = key
+    return (-t, -a, -b, -c, d)
+
+
+def _rotated(key: tuple[int, ...], rotation: OrthogonalMat3) -> tuple[int, ...]:
+    t, a, b, c, d = key
+    x1, x2, x3, e = rotation.integer_apply(a, b, c)
+    return lowest_terms((t * e, x1, x2, x3, d * e))
+
+
+def _event_text(key: tuple[int, ...]) -> str:
+    t, a, b, c, d = key
+    return f"{format_ratio(t, d)}; {format_ratio(a, d)},{format_ratio(b, d)},{format_ratio(c, d)}"
+
+
+# Sorting scales every event key to the least common denominator of the
+# field, so the order is a sort of int tuples.  That denominator can grow
+# with the field (n distinct prime denominators multiply), so past this
+# many bits the sort compares Events, whose order cross-multiplies pairs.
+_SCALED_ORDER_MAX_BITS = 256
+
+
+def _in_event_order(samples: dict[tuple[int, ...], tuple[int, ...]]) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The key dict sorted by event value: by t, then by x."""
+    common = lcm(*{key[4] for key in samples})
+    if common.bit_length() > _SCALED_ORDER_MAX_BITS:
+        order = sorted(samples, key=Event._from_key)
+    else:
+        def scaled(key: tuple[int, ...]) -> tuple[int, ...]:
+            t, a, b, c, d = key
+            m = common // d
+            return (t * m, a * m, b * m, c * m)
+
+        order = sorted(samples, key=scaled)
+    return {key: samples[key] for key in order}
+
+
+def _event_key(event: Event) -> tuple[int, ...]:
+    if not isinstance(event, Event):
+        raise TypeError(f"field events must be Event, not {type(event).__name__}")
+    return event._key
+
+
+def _value_key(value: SpinorValue) -> tuple[int, ...]:
+    if not isinstance(value, SpinorValue):
+        raise TypeError(f"field values must be SpinorValue, not {type(value).__name__}")
+    return value.u._key + value.v._key
+
+
+def _value_of(key: tuple[int, ...]) -> SpinorValue:
+    return SpinorValue(GaussianRational._from_key(key[:3]), GaussianRational._from_key(key[3:]))
 
 
 class DomainClosureError(KeyError):
@@ -291,40 +358,55 @@ class FieldParseError(ValueError):
         super().__init__(f"line {line_number}: {message}")
 
 
-@dataclass(frozen=True, eq=False)
 class SpinorSampleField:
     """A finite exact map from events to spinor values.
 
-    ``samples`` is sorted by event once, when the field is built; fields
-    derived from a sorted one keep its order and are not sorted again.  The
-    transformations look up the rebound source events and raise
-    :class:`DomainClosureError` naming the first missing one.
+    Immutable and unhashable.  Stored as one dict, sorted by event once when
+    the field is built, from each event key (``Event._key``) to a value key
+    (the keys of the two components joined into six ints); fields derived
+    from a sorted one keep its order and are not sorted again.  The
+    constructor takes a mapping of :class:`Event` to :class:`SpinorValue`
+    (anything else is a TypeError), and ``samples``, :meth:`events` and
+    :meth:`value_at` build fresh objects on each call.  The transformations
+    look up the rebound source events and raise :class:`DomainClosureError`
+    naming the first missing one.
     """
 
-    samples: Mapping[Event, SpinorValue]
+    __slots__ = ("_keys",)
 
-    def __post_init__(self) -> None:
-        samples = self.samples
-        object.__setattr__(self, "samples", {e: samples[e] for e in sorted(samples)})
+    def __init__(self, samples: Mapping[Event, SpinorValue]) -> None:
+        keys = {_event_key(event): _value_key(value) for event, value in samples.items()}
+        _set_keys(self, _in_event_order(keys))
 
     @classmethod
-    def _in_order(cls, samples: dict[Event, SpinorValue]) -> "SpinorSampleField":
-        """The field of samples already sorted by event, without sorting again."""
+    def _from_keys(cls, keys: dict[tuple[int, ...], tuple[int, ...]]) -> "SpinorSampleField":
+        """The field of a key dict already sorted by event, without sorting again."""
         field = object.__new__(cls)
-        object.__setattr__(field, "samples", samples)
+        _set_keys(field, keys)
         return field
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("SpinorSampleField is immutable")
+
+    def __reduce__(self) -> tuple:
+        return (SpinorSampleField._from_keys, (self._keys,))
+
+    @property
+    def samples(self) -> dict[Event, SpinorValue]:
+        """A new dict of the samples, in event order."""
+        return {Event._from_key(e): _value_of(v) for e, v in self._keys.items()}
+
     def events(self) -> list[Event]:
-        return list(self.samples)
+        return [Event._from_key(e) for e in self._keys]
 
     def value_at(self, event: Event) -> SpinorValue:
         try:
-            return self.samples[event]
+            return _value_of(self._keys[_event_key(event)])
         except KeyError:
             raise DomainClosureError(event) from None
 
     def map_values(self, fn) -> "SpinorSampleField":
-        return SpinorSampleField._in_order({e: fn(v) for e, v in self.samples.items()})
+        return SpinorSampleField._from_keys({e: _value_key(fn(_value_of(v))) for e, v in self._keys.items()})
 
     def scale(self, factor: GaussianRational) -> "SpinorSampleField":
         return self.map_values(lambda v: v.scale(factor))
@@ -335,14 +417,20 @@ class SpinorSampleField:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpinorSampleField):
             return NotImplemented
-        return self.samples == other.samples
+        return self._keys == other._keys
+
+    def __repr__(self) -> str:
+        return f"SpinorSampleField({self.samples!r})"
 
     def to_lines(self) -> list[str]:
-        return [f"{e.to_text()}; {v.to_text()}" for e, v in self.samples.items()]
+        return [
+            f"{_event_text(e)}; {format_complex_key(a, b, d)}; {format_complex_key(p, q, n)}"
+            for e, (a, b, d, p, q, n) in self._keys.items()
+        ]
 
     def to_text(self) -> str:
         """One line per sample, each ending in a newline; "" for no samples."""
-        return "".join(f"{line}\n" for line in self.to_lines())
+        return "".join([f"{line}\n" for line in self.to_lines()])
 
     @classmethod
     def from_text(cls, text: str) -> "SpinorSampleField":
@@ -353,16 +441,19 @@ class SpinorSampleField:
         :func:`_parse_line_by_tokens`, which skips it or raises the
         :class:`FieldParseError` that explains it.
         """
-        samples: dict[Event, SpinorValue] = {}
+        samples: dict[tuple[int, ...], tuple[int, ...]] = {}
         for number, raw in enumerate(text.splitlines(), start=1):
             sample = _match_line(raw) or _parse_line_by_tokens(raw, number)
             if sample is None:
                 continue
             event, value = sample
             if event in samples:
-                raise FieldParseError(number, f"duplicate event ({event.to_text()})")
+                raise FieldParseError(number, f"duplicate event ({_event_text(event)})")
             samples[event] = value
-        return cls(samples)
+        return cls._from_keys(_in_event_order(samples))
+
+
+_set_keys = SpinorSampleField._keys.__set__
 
 
 # One field line, t; x1,x2,x3; u; v, in the grammar parse_ratio and
@@ -381,10 +472,10 @@ _COMPLEX = rf"\s*(?=[-+0-9i]){_REAL}{_IMAGINARY}\s*"
 _LINE_RE = re.compile(f"{_RATIO};{_RATIO},{_RATIO},{_RATIO};{_COMPLEX};{_COMPLEX}")
 
 
-def _match_line(raw: str) -> Optional[tuple[Event, SpinorValue]]:
-    """The sample on a well-formed line, or None for any other line: one
-    that :data:`_LINE_RE` rejects, or whose match holds a zero denominator
-    or more digits than ``int()`` reads."""
+def _match_line(raw: str) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (event key, value key) of a well-formed line, or None for any
+    other line: one that :data:`_LINE_RE` rejects, or whose match holds a
+    zero denominator or more digits than ``int()`` reads."""
     m = _LINE_RE.fullmatch(raw)
     if m is None:
         return None
@@ -394,25 +485,26 @@ def _match_line(raw: str) -> Optional[tuple[Event, SpinorValue]]:
         d = lcm(tq, aq, bq, cq)
         if d == 0:
             return None
-        event = Event._from_key(lowest_terms((
+        event = lowest_terms((
             int(t) * (d // tq), int(a) * (d // aq), int(b) * (d // bq), int(c) * (d // cq), d
-        )))
-        values = []
+        ))
+        value: tuple[int, ...] = ()
         for re_n, re_d, im_sign, im_n, im_d in (complexes[:5], complexes[5:]):
             re_d = int(re_d or 1)
             im, im_d = (0, 1) if im_sign is None else (int(im_sign + (im_n or "1")), int(im_d or 1))
             d = re_d * im_d
             if d == 0:
                 return None
-            values.append(_reduced(int(re_n or 0) * im_d, im * re_d, d))
+            value += lowest_terms((int(re_n or 0) * im_d, im * re_d, d))
     except ValueError:  # more digits than int() reads
         return None
-    return event, SpinorValue(*values)
+    return event, value
 
 
-def _parse_line_by_tokens(raw: str, number: int) -> Optional[tuple[Event, SpinorValue]]:
+def _parse_line_by_tokens(raw: str, number: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Read one field line token by token: None for a blank line, else its
-    sample, or the :class:`FieldParseError` that says what is wrong."""
+    (event key, value key), or the :class:`FieldParseError` that says what
+    is wrong."""
     line = raw.strip()
     if not line:
         return None
@@ -423,8 +515,8 @@ def _parse_line_by_tokens(raw: str, number: int) -> Optional[tuple[Event, Spinor
     if len(coords) != 3:
         raise FieldParseError(number, f"expected three spatial coordinates, got {parts[1]!r}")
     try:
-        event = Event._from_key(common_key([parse_ratio(parts[0]), *map(parse_ratio, coords)]))
-        value = SpinorValue(parse_complex(parts[2]), parse_complex(parts[3]))
+        event = common_key([parse_ratio(parts[0]), *map(parse_ratio, coords)])
+        value = parse_complex(parts[2])._key + parse_complex(parts[3])._key
     except ScalarParseError as exc:
         raise FieldParseError(number, str(exc)) from None
     return event, value
@@ -436,13 +528,22 @@ def _parse_line_by_tokens(raw: str, number: int) -> Optional[tuple[Event, Spinor
 def _act(
     matrix: UnitaryMat2, f: SpinorSampleField, rebind, antiunitary: bool
 ) -> SpinorSampleField:
-    """g(event) = matrix * f(rebind(event)), the value conjugated first in an
-    antiunitary sector; a missing source event raises DomainClosureError."""
+    """g(event) = matrix * f(rebind(event)) on the key dict, with rebind
+    taking an event key to an event key.  In an antiunitary sector the
+    value is conjugated by negating its two imaginary numerators on the way
+    into the product.  A missing source event raises DomainClosureError."""
+    keys = f._keys
+    times = matrix.integer_apply
+    sign = -1 if antiunitary else 1
     out = {}
-    for event in f.events():
-        value = f.value_at(rebind(event))
-        out[event] = transform_value(matrix, value.conjugate() if antiunitary else value)
-    return SpinorSampleField._in_order(out)
+    for event in keys:
+        source = rebind(event)
+        try:
+            p, q, m, r, s, n = keys[source]
+        except KeyError:
+            raise DomainClosureError(Event._from_key(source)) from None
+        out[event] = times(p, sign * q, m, r, sign * s, n)
+    return SpinorSampleField._from_keys(out)
 
 
 def apply_rotation(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSampleField:
@@ -453,21 +554,21 @@ def apply_rotation(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSampleFie
     surfaced by :func:`composition_defect`.
     """
     rotation = covering_map(matrix)
-    return _act(matrix, f, lambda event: event.rotated(rotation), False)
+    return _act(matrix, f, lambda key: _rotated(key, rotation), False)
 
 
 def apply_time_reversal(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSampleField:
     """Antiunitary sector: g(t, x) = A conj(f(-t, x))."""
     if not matrix.is_special():
         raise ValueError("time-reversal sector takes a det = +1 matrix")
-    return _act(matrix, f, Event.time_flipped, True)
+    return _act(matrix, f, _time_flipped, True)
 
 
 def apply_parity(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSampleField:
     """Improper sector: g(t, y) = B f(t, -y)."""
     if matrix.is_special():
         raise ValueError("parity sector takes a det = -1 matrix")
-    return _act(matrix, f, Event.space_flipped, False)
+    return _act(matrix, f, _space_flipped, False)
 
 
 def apply_parity_time(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSampleField:
@@ -476,7 +577,7 @@ def apply_parity_time(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSample
     if matrix.is_special():
         raise ValueError("parity-time sector takes a det = -1 matrix")
     combined = matrix * time_reversal_operator()
-    return _act(combined, f, lambda event: event.time_flipped().space_flipped(), True)
+    return _act(combined, f, _time_space_flipped, True)
 
 
 def apply_symmetry(g: SpinorSymmetry, f: SpinorSampleField) -> SpinorSampleField:

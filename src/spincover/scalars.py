@@ -322,7 +322,11 @@ def _imag_text(b: int, d: int) -> str:
 
 
 def format_complex(value: GaussianRational) -> str:
-    a, b, d = value._key
+    return format_complex_key(*value._key)
+
+
+def format_complex_key(a: int, b: int, d: int) -> str:
+    """Canonical text of (a + b i)/d for d > 0, written straight from the ints."""
     if b == 0:
         return format_ratio(a, d)
     if a == 0:

@@ -1,10 +1,11 @@
 import copy
 import pickle
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from spincover.cover import (
@@ -13,7 +14,9 @@ from spincover.cover import (
     IDENTITY3,
     PAULI_Z,
     SPACE_INVERSION,
+    UnitaryMat2,
     covering_map,
+    determinant_section,
     quaternion_to_su2,
     rational_unit_quaternion,
 )
@@ -26,6 +29,7 @@ from spincover.ptgroup import (
     SpinorSymmetry,
     SpinorValue,
     ZeroSpinorError,
+    _SCALED_ORDER_MAX_BITS,
     _match_line,
     _parse_line_by_tokens,
     apply_parity,
@@ -37,11 +41,12 @@ from spincover.ptgroup import (
     inner_product,
     ray_project,
     spacetime_projection,
+    time_reversal_operator,
     transform_value,
 )
 from spincover.scalars import GaussianRational
 from spincover.semidirect import from_unitary, parity_element, to_unitary
-from spincover.verify import sample_symmetry, sample_unit_spinor
+from spincover.verify import sample_extended, sample_symmetry, sample_unit_spinor
 
 G = GaussianRational
 
@@ -450,6 +455,44 @@ class TestFieldFiles:
         assert len(f.events()) == 1
 
 
+class TestFieldSurface:
+    def test_constructor_and_map_values_check_types(self):
+        with pytest.raises(TypeError, match="field events must be Event, not str"):
+            SpinorSampleField({"x": 1})
+        with pytest.raises(TypeError, match="field values must be SpinorValue, not tuple"):
+            SpinorSampleField({Event.make(0, 0, 0, 0): (1, 2)})
+        f = varied_field()
+        with pytest.raises(TypeError, match="field values must be SpinorValue, not tuple"):
+            f.map_values(lambda v: (v.u, v.v))
+        with pytest.raises(TypeError, match="field events must be Event, not tuple"):
+            f.value_at((0, 0, 0, 0))
+
+    def test_immutable_unhashable_copyable(self):
+        f = varied_field()
+        with pytest.raises(AttributeError):
+            f.samples = {}
+        with pytest.raises(TypeError):
+            hash(f)
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f and g.events() == f.events() and g.to_text() == f.to_text()
+
+    def test_samples_are_built_on_each_call(self):
+        f = varied_field()
+        f.samples.clear()
+        assert f.samples == varied_field().samples and f.samples is not f.samples
+
+    # With 2^bits as large as the bound, the least common denominator has
+    # more bits than scaled sort keys take.
+    @pytest.mark.parametrize("bits", [2, _SCALED_ORDER_MAX_BITS])
+    def test_events_sorted_by_value(self, bits):
+        big = 2**bits
+        coordinates = [Fraction(1, big + 1), Fraction(1, big + 3), Fraction(-2, big), Fraction(1, 3), 0]
+        events = [Event.make(t, x, 0, 0) for t in coordinates for x in coordinates]
+        f = SpinorSampleField({e: SpinorValue(gr(1), gr(0)) for e in reversed(events)})
+        assert f.events() == sorted(events)
+        assert SpinorSampleField.from_text(f.to_text()).events() == sorted(events)
+
+
 class TestClosureMetadata:
     def test_rotation_reports_first_missing_event(self, treverse):
         from spincover.cover import covering_map
@@ -537,17 +580,27 @@ def _outcome(parse):
 
 
 def _fields_by_tokens(text):
-    """from_text with every line read by the per-token parser alone."""
+    """from_text with every line read by the per-token parser alone, and the
+    field built from Event and SpinorValue objects by the constructor."""
     samples = {}
     for number, raw in enumerate(text.splitlines(), start=1):
         sample = _parse_line_by_tokens(raw, number)
         if sample is None:
             continue
-        event, value = sample
+        event, value = Event._from_key(sample[0]), value_of_key(sample[1])
         if event in samples:
             raise FieldParseError(number, f"duplicate event ({event.to_text()})")
         samples[event] = value
     return SpinorSampleField(samples)
+
+
+def value_of_key(key):
+    return SpinorValue(G._from_key(key[:3]), G._from_key(key[3:]))
+
+
+def _in_order(field):
+    """The field and its events, so equal outcomes also agree on the order."""
+    return field, field.events()
 
 
 class TestOneGrammar:
@@ -561,11 +614,151 @@ class TestOneGrammar:
     @given(st.lists(field_lines(), max_size=6), st.booleans(), st.sampled_from(["\n", "\r\n"]))
     def test_from_text_is_the_per_token_loop(self, lines, repeat_first, end):
         text = end.join(lines + lines[:repeat_first])
-        assert _outcome(lambda: SpinorSampleField.from_text(text)) == _outcome(lambda: _fields_by_tokens(text))
+        expected = _outcome(lambda: _in_order(_fields_by_tokens(text)))
+        assert _outcome(lambda: _in_order(SpinorSampleField.from_text(text))) == expected
 
     def test_examples_accepted_by_both(self):
         for raw in ("+0;\t-0 , 0,\u00a00 ;\u30001+0i ; +0i", "2/4; 007,0,0; i; -i", "1;0,0,0;1-2/3i;-1/2+i"):
             assert _match_line(raw) == _parse_line_by_tokens(raw, 1) is not None
+
+
+# -- the key-level action against an object-level reference ------------------
+
+ROTATION_120 = UnitaryMat2.from_text("1/2-1/2i,-1/2-1/2i;1/2-1/2i,1/2+1/2i")
+# The six transforms of the benchmark's apply workload.
+BENCHMARK_TRANSFORMS = [
+    SpinorSymmetry.parity(),
+    SpinorSymmetry.time_reversal(),
+    SpinorSymmetry.parity_time(),
+    SpinorSymmetry(UnitaryMat2.from_text("i,0;0,-i"), 1),
+    SpinorSymmetry(ROTATION_120, 1),
+    SpinorSymmetry(ROTATION_120, -1),
+]
+small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+# Seeds, not st.randoms(): a field's text makes thousands of random calls,
+# and hypothesis would record and shrink each one.
+seeds = st.integers(0, 2**32 - 1)
+
+
+def spacetime_orbit(t, x):
+    """(t, x) under time flip, x -> -x, the half turn about z and the cyclic
+    axis permutation: a domain every benchmark transform keeps."""
+    orbit, todo = set(), [(t, *x)]
+    while todo:
+        point = todo.pop()
+        if point in orbit:
+            continue
+        orbit.add(point)
+        s, a, b, c = point
+        todo += [(-s, a, b, c), (s, -a, -b, -c), (s, -a, -b, c), (s, c, a, b)]
+    return orbit
+
+
+@st.composite
+def sample_fields(draw):
+    """A field of Event and SpinorValue objects: its domain drawn as is, or
+    at x = 0 (which every rotation keeps) with t closed under flips, or
+    closed under every benchmark rebind."""
+    points = draw(st.lists(st.tuples(small, st.tuples(small, small, small)), min_size=1, max_size=3))
+    closure = draw(st.sampled_from(["none", "origin", "orbit"]))
+    domain = set()
+    for t, x in points:
+        if closure == "none":
+            domain.add((t, *x))
+        elif closure == "origin":
+            domain |= {(t, 0, 0, 0), (-t, 0, 0, 0)}
+        else:
+            domain |= spacetime_orbit(t, x)
+    gaussians = st.builds(G, small, small)
+    values = draw(st.lists(st.builds(SpinorValue, gaussians, gaussians), min_size=1, max_size=5))
+    return SpinorSampleField({Event.make(*p): values[k % len(values)] for k, p in enumerate(sorted(domain))})
+
+
+def ratio_text(rng, q, signed=True):
+    """q unreduced by a random factor, with an optional leading zero and, if
+    signed, an optional '+'."""
+    k = rng.randint(1, 3)
+    n, d = q.numerator * k, q.denominator * k
+    sign = "-" if n < 0 else rng.choice(["", "+"] if signed else [""])
+    text = sign + rng.choice(["", "0"]) + str(abs(n))
+    return text + f"/{d}" if d != 1 or rng.randint(0, 1) else text
+
+
+def complex_text(rng, z):
+    if rng.randint(0, 1):
+        return str(z)
+    sign = "-" if z.im < 0 else "+"
+    return f"{ratio_text(rng, z.re)}{sign}{ratio_text(rng, abs(z.im), signed=False)}i"
+
+
+def field_text(rng, field):
+    """The field's samples as non-canonical lines in a random order."""
+    lines = []
+    for event, value in field.samples.items():
+        scalars = [ratio_text(rng, q) for q in (event.t, *event.x)]
+        scalars += [complex_text(rng, z) for z in (value.u, value.v)]
+        line = scalars[0]
+        for separator, scalar in zip(";,,;;", scalars[1:]):
+            line += rng.choice(["", " ", "\t", "\u00a0"]) + separator + rng.choice(["", " "]) + scalar
+        lines.append(line)
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def symmetries(draw):
+    """One random det +/-1 matrix in each of the four sectors."""
+    rng = random.Random(draw(seeds))
+    out = []
+    for special in (True, False):
+        m = sample_extended(rng)
+        if m.is_special() != special:
+            m = m * determinant_section(-1)
+        out += [SpinorSymmetry(m, 1), SpinorSymmetry(m, -1)]
+    return out
+
+
+def reference_action(g, f):
+    """g acting on f through Event and SpinorValue objects: per event,
+    transform_value(A, v.conjugate() if antiunitary else v) with
+    v = value_at(rebind(event))."""
+    matrix = g.matrix
+    if g.matrix.is_special():
+        rotation = covering_map(matrix)
+        rebind = (lambda e: e.rotated(rotation)) if g.time_sign == 1 else Event.time_flipped
+    elif g.time_sign == 1:
+        rebind = Event.space_flipped
+    else:
+        matrix = matrix * time_reversal_operator()
+        rebind = lambda e: e.time_flipped().space_flipped()
+    antiunitary = g.time_sign == -1
+    out = {}
+    for event in f.events():
+        value = f.value_at(rebind(event))
+        out[event] = transform_value(matrix, value.conjugate() if antiunitary else value)
+    return SpinorSampleField(out)
+
+
+def _outcome_of_action(act):
+    """The result's events and lines, or the first missing event."""
+    try:
+        result = act()
+    except DomainClosureError as exc:
+        return exc.missing
+    return result.events(), result.to_lines()
+
+
+class TestKeyLevelAction:
+    # Without the explain phase, which traces every line of every shrunk
+    # example: a failure reports in seconds instead of minutes.
+    @settings(deadline=None, phases=[phase for phase in Phase if phase is not Phase.explain])
+    @given(sample_fields(), symmetries(), seeds)
+    def test_action_matches_object_reference(self, f, random_symmetries, seed):
+        parsed = SpinorSampleField.from_text(field_text(random.Random(seed), f))
+        assert parsed == f and parsed.events() == f.events() == sorted(f.events())
+        for g in random_symmetries + BENCHMARK_TRANSFORMS:
+            expected = _outcome_of_action(lambda: reference_action(g, f))
+            assert _outcome_of_action(lambda: apply_symmetry(g, parsed)) == expected
 
 
 # -- integer events against a Fraction-tuple reference ------------------------

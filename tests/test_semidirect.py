@@ -65,9 +65,9 @@ class TestTwist:
     def test_mirror_twist_formula(self, rng):
         for _ in range(20):
             a = sample_su2(rng)
-            z, w = a.su2_components()
+            z, w = a.rows[0]
             twisted = twist_automorphism(-1, a)
-            tz, tw = twisted.su2_components()
+            tz, tw = twisted.rows[0]
             assert (tz, tw) == (z, -w)
 
     def test_mirror_twist_is_involutive(self, rng):
