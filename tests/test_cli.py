@@ -490,6 +490,15 @@ class TestIso:
         golden = GOLDEN / f"iso_{group_a}_{group_b}.json"
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "group_a, group_b", [("Dih8xZ2xZ2", "Dih8xZ2xZ2"), ("Z2xZ2xZ2", "Z2xZ4")]
+    )
+    def test_golden_text(self, capsys, group_a, group_b):
+        # The text witness prints the nested ((a,b),c) labels of a product.
+        assert main(["iso", group_a, group_b]) == 0
+        golden = GOLDEN / f"iso_{group_a}_{group_b}.txt"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     def test_size_cap_checked_before_building(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("group table built for an over-size spec")
