@@ -10,11 +10,20 @@ nodes against a budget.
 
 from __future__ import annotations
 
-from operator import eq
-from typing import Hashable, Optional, Sequence
+from operator import eq, itemgetter
+from typing import Callable, Hashable, Optional, Sequence
 
 #: Name of the kernel implementation, reported in benchmark run records.
 BACKEND = "python"
+
+
+def _take(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``row -> tuple(row[i] for i in indices)``, looped in C by
+    :func:`operator.itemgetter` when there are two indices or more; for one
+    it would return a bare item, not a 1-tuple, and it takes no fewer."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda row: tuple(row[i] for i in indices)
 
 
 def latin_square_violation(table: list[list[int]]) -> Optional[tuple[str, int]]:
@@ -84,11 +93,12 @@ def associativity_violation(
     """
     n = len(table)
     for g in generating_set(table, identity):
-        row_g = table[g]
+        # Row x of x*(g*y) over all y is row x read at the columns of row g.
+        times_g = _take(table[g])
         for x in range(n):
             row_x = table[x]
-            left = table[row_x[g]]
-            right = [row_x[gy] for gy in row_g]
+            left = tuple(table[row_x[g]])
+            right = times_g(row_x)
             if left != right:
                 for y in range(n):
                     if left[y] != right[y]:
@@ -239,8 +249,10 @@ def check_isomorphism(
         return False
     if sorted(mapping) != list(range(n)):
         return False
+    # Row i of both sides over all j: the images of row i of G, and row
+    # phi(i) of H read at the columns phi(j).
+    image_columns = _take(mapping)
     for i in range(n):
-        for j in range(n):
-            if mapping[g_table[i][j]] != h_table[mapping[i]][mapping[j]]:
-                return False
+        if _take(g_table[i])(mapping) != image_columns(h_table[mapping[i]]):
+            return False
     return True

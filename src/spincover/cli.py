@@ -10,7 +10,6 @@ failure, 2 input error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -180,7 +179,8 @@ def _parse_group_spec(spec: str) -> Callable[[], FiniteGroup]:
     """Parse GPT_hat, GPT_spacetime, or a direct product of factors Zn,
     Dih<order> and Dic<order> joined by x (Z4xZ2, Dic8xZ2xZ2) into a builder
     for its table.  The order is read off the spec and checked against the
-    search cap here, before any table exists.
+    search cap here, before any table exists.  A product is built as one
+    table and validated once, with no group for a partial product.
     """
     if spec in _NAMED_GROUPS:
         return _NAMED_GROUPS[spec]
@@ -206,7 +206,7 @@ def _parse_group_spec(spec: str) -> Callable[[], FiniteGroup]:
             groups = [constructor(k) for constructor, k in factors]
         except ValueError as exc:
             raise InputError(f"bad group spec {spec!r}: {exc}") from exc
-        return functools.reduce(direct_product, groups)
+        return direct_product(*groups)
 
     return build
 

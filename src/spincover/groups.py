@@ -267,7 +267,9 @@ def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic order must be at least 1")
     labels = ["1"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    # Row i is (i + j) mod n: the run 0..n-1 rotated left by i.
+    run = list(range(n))
+    table = [run[i:] + run[:i] for i in range(n)]
     return FiniteGroup(labels, table, 0, name=f"Z{n}")
 
 
@@ -291,22 +293,26 @@ def dicyclic(order: int) -> FiniteGroup:
 
 def _inverting_extension(m: int, square: int, x: str, y: str, name: str) -> FiniteGroup:
     """<x, y | x^m = 1, y^2 = x^square, y x y^-1 = x^-1>, of order 2m;
-    index k is x^k and index m + k is x^k·y, for 0 <= k < m."""
+    index k is x^k and index m + k is x^k·y, for 0 <= k < m.
 
-    def mul(i: int, j: int) -> int:
-        # y x^l = x^-l y, and y y = x^square.
-        k, e = i % m, i // m
-        l, f = j % m, j // m
-        if e == 0:
-            return (k + l) % m + m * f
-        if f == 0:
-            return (k - l) % m + m
-        return (k - l + square) % m
-
+    From y x^l = x^-l y and y y = x^square, row x^k is x^(k+l) then
+    x^(k+l)·y, and row x^k·y is x^(k-l)·y then x^(k-l+square), for
+    l = 0 .. m-1.  Each half of a row is a rotation of one of the index
+    runs 0..m-1 and m..2m-1, read forwards for x^k and backwards for x^k·y.
+    """
+    powers = list(range(m))
+    cosets = list(range(m, 2 * m))
+    powers_down = powers[::-1]
+    cosets_down = cosets[::-1]
+    table = [powers[k:] + powers[:k] + cosets[k:] + cosets[:k] for k in range(m)]
+    for k in range(m):
+        # The backward runs start at x^k·y and at x^(k+square).
+        c = m - 1 - k
+        p = (c - square) % m
+        table.append(cosets_down[c:] + cosets_down[:c] + powers_down[p:] + powers_down[:p])
     labels = [_power_label(x, k) for k in range(m)] + [
         y if k == 0 else f"{_power_label(x, k)}·{y}" for k in range(m)
     ]
-    table = [[mul(i, j) for j in range(2 * m)] for i in range(2 * m)]
     return FiniteGroup(labels, table, 0, name=name)
 
 
@@ -318,18 +324,31 @@ def _power_label(symbol: str, k: int) -> str:
     return f"{symbol}^{k}"
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    labels = [f"({a},{b})" for a in g.labels for b in h.labels]
-    order_h = h.order
-    # Element (a, b) has index a * |H| + b, so row (a1, b1) is built from
-    # row a1 of G and row b1 of H.
-    table = [
-        [a * order_h + b for a in g_row for b in h_row]
-        for g_row in g.table
-        for h_row in h.table
-    ]
-    identity = g.identity_index * order_h + h.identity_index
-    name = f"{g.name}x{h.name}" if g.name and h.name else ""
+def direct_product(g: FiniteGroup, *others: FiniteGroup) -> FiniteGroup:
+    """The direct product G x H x ... of one or more groups, as one table.
+
+    Element (a, b, ...) is labelled like the nested binary products,
+    ``((a,b),c)``, and has the mixed-radix index
+    ``(a * |H| + b) * |K| + c ...``, the index the nested binary products
+    give it.  Only the full product becomes a :class:`FiniteGroup`, so it
+    is validated once; a single factor is returned as it is.
+    """
+    if not others:
+        return g
+    labels, table, identity, names = g.labels, g.table, g.identity_index, [g.name]
+    for h in others:
+        order_h = h.order
+        labels = [f"({a},{b})" for a in labels for b in h.labels]
+        # Row (a1, b1) is built from row a1 of the product so far and row
+        # b1 of H.
+        table = [
+            [a * order_h + b for a in row for b in h_row]
+            for row in table
+            for h_row in h.table
+        ]
+        identity = identity * order_h + h.identity_index
+        names.append(h.name)
+    name = "x".join(names) if all(names) else ""
     return FiniteGroup(labels, table, identity, name=name)
 
 

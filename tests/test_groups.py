@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from spincover import _kernels, groups
+from spincover import _kernels, cli, groups
 from spincover.cover import PAULI_X, PAULI_Y, PAULI_Z, UnitaryMat2
 from spincover.groups import (
     ABELIAN,
@@ -57,6 +57,23 @@ def metacyclic(m: int, k: int, r: int) -> FiniteGroup:
     return FiniteGroup([str(u) for u in range(n)], table, 0, name=f"Z{m}:{r}Z{k}")
 
 
+def inverting_extension_table(m: int, square: int) -> list[list[int]]:
+    """Oracle for the table of <x, y | x^m = 1, y^2 = x^square,
+    y x y^-1 = x^-1>, one product at a time: index k is x^k and index
+    m + k is x^k·y, and y x^l = x^-l y, y y = x^square."""
+
+    def mul(i: int, j: int) -> int:
+        k, e = i % m, i // m
+        l, f = j % m, j // m
+        if e == 0:
+            return (k + l) % m + m * f
+        if f == 0:
+            return (k - l) % m + m
+        return (k - l + square) % m
+
+    return [[mul(i, j) for j in range(2 * m)] for i in range(2 * m)]
+
+
 def abelian_specs(limit: int) -> list[tuple[int, ...]]:
     """Every nondecreasing tuple of cyclic factor orders >= 2 with product
     at most ``limit``: one product spec per unordered factorisation."""
@@ -107,7 +124,7 @@ class TestFiniteGroupValidation:
             [3, 2, 4, 0, 1],
             [4, 3, 1, 2, 0],
         ]
-        with pytest.raises(ValueError, match="not associative"):
+        with pytest.raises(ValueError, match=r"not associative at triple \(1, 1, 2\)"):
             FiniteGroup(["e", "a", "b", "c", "d"], table, 0)
         # Z128 with the intercalate at rows 1, 65 and columns 2, 66 swapped:
         # still a Latin square with the same identity and inverses, so only
@@ -116,7 +133,7 @@ class TestFiniteGroupValidation:
         table = [list(row) for row in z128.table]
         for r in (1, 65):
             table[r][2], table[r][66] = table[r][66], table[r][2]
-        with pytest.raises(ValueError, match="not associative"):
+        with pytest.raises(ValueError, match=r"not associative at triple \(1, 1, 1\)"):
             FiniteGroup(z128.labels, table, z128.identity_index)
 
     def test_accepts_order_256_groups(self):
@@ -231,6 +248,53 @@ class TestAbstractGroups:
             for j in range(product.order):
                 a2, b2 = divmod(j, h.order)
                 assert product.table[i][j] == g.table[a1][a2] * h.order + h.table[b1][b2]
+
+    def test_cyclic_tables_match_the_formula(self):
+        for n in [*range(1, 18), 256]:
+            assert cyclic(n).table == [[(i + j) % n for j in range(n)] for i in range(n)]
+
+    def test_inverting_extension_tables_match_the_oracle(self):
+        for order in [*range(2, 41, 2), 256]:
+            assert dihedral(order).table == inverting_extension_table(order // 2, 0)
+        for order in [*range(4, 41, 4), 256]:
+            assert dicyclic(order).table == inverting_extension_table(order // 2, order // 4)
+
+    def test_variadic_direct_product_matches_nested_products(self):
+        unnamed = FiniteGroup(["a", "b"], [[0, 1], [1, 0]], 0)
+        # spinor_pt_group keeps its identity last, at index 7.
+        factor_lists = [
+            [cyclic(2), dihedral(6), dicyclic(8)],
+            [cyclic(1), cyclic(3), cyclic(1), cyclic(2)],
+            [spinor_pt_group(), cyclic(2), dicyclic(4)],
+            [cyclic(3), unnamed, cyclic(2)],
+        ]
+        for factors in factor_lists:
+            nested = factors[0]
+            for factor in factors[1:]:
+                nested = direct_product(nested, factor)
+            product = direct_product(*factors)
+            assert product.labels == nested.labels
+            assert product.table == nested.table
+            assert all(type(row) is list for row in product.table)
+            assert product.identity_index == nested.identity_index
+            assert product.name == nested.name
+        assert direct_product(cyclic(2), dihedral(6), dicyclic(8)).name == "Z2xDih6xDic8"
+        assert direct_product(cyclic(3), unnamed, cyclic(2)).name == ""
+        z5 = cyclic(5)
+        assert direct_product(z5) is z5
+
+    def test_cli_validates_no_partial_product(self, monkeypatch):
+        validated = []
+        validate = FiniteGroup._validate
+
+        def counting_validate(group):
+            validated.append(group.order)
+            return validate(group)
+
+        monkeypatch.setattr(FiniteGroup, "_validate", counting_validate)
+        assert cli.main(["iso", "Z2xZ2xZ2", "Z2xZ2xZ2", "--format", "json"]) == 0
+        # Each side validates its three factors and the order-8 product.
+        assert sorted(validated) == [2] * 6 + [8] * 2
 
     def test_dihedral_involution_count(self):
         g = dihedral(8)

@@ -221,8 +221,30 @@ class TestKernelBasics:
 
     def test_associativity_detects_violation(self):
         triple = _kernels.associativity_violation(LOOP_5, 0)
-        assert triple is not None
+        assert triple == (1, 1, 2)
         assert is_violation(LOOP_5, triple)
+
+    def test_take_returns_tuples(self):
+        # operator.itemgetter returns a bare item, not a 1-tuple, for one index.
+        row = [5, 6, 7, 8]
+        assert _kernels._take([])(row) == ()
+        assert _kernels._take([3])(row) == (8,)
+        assert _kernels._take([2, 0])(row) == (7, 5)
+
+    def test_orders_one_and_two(self):
+        z1, z2 = [[0]], [[0, 1], [1, 0]]
+        # Z2 with its identity at index 1.
+        z2_flipped = [[1, 0], [0, 1]]
+        assert _kernels.associativity_violation(z1, 0) is None
+        assert _kernels.associativity_violation(z2, 0) is None
+        assert _kernels.associativity_violation(z2_flipped, 1) is None
+        assert _kernels.check_isomorphism(z1, z1, [0])
+        assert _kernels.check_isomorphism(z2, z2, [0, 1])
+        assert not _kernels.check_isomorphism(z2, z2, [1, 0])
+        assert _kernels.check_isomorphism(z2, z2_flipped, [1, 0])
+        assert not _kernels.check_isomorphism(z2, z2_flipped, [0, 1])
+        assert not _kernels.check_isomorphism(z2, z2, [0, 0])
+        assert not _kernels.check_isomorphism(z1, z2, [0])
 
     def test_element_orders(self):
         g = dicyclic(8)
