@@ -129,17 +129,6 @@ DOUBLEGROUP_3_JSON = (
 )
 
 
-@pytest.fixture
-def int_digit_limit():
-    """Python's default int <-> str digit limit, pinned for the test."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python (before 3.10.7) has no int <-> str digit limit")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(old)
-
-
 def write_field(tmp_path, text, name="field.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -300,6 +289,13 @@ class TestApply:
         assert main(["apply", "i,0;0,i@0", field]) == 2
         assert main(["apply", "i,0;0,i@", field]) == 2
 
+    def test_bad_transform_message(self, tmp_path, capsys):
+        field = write_field(tmp_path, CONSTANT_FIELD)
+        assert main(["apply", "i,0;0,2/4x", field]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad transform 'i,0;0,2/4x': not a rational scalar: '2/4x'\n"
+
     def test_inverse_round_trip(self, tmp_path):
         original = "-2; 0,0,0; 1/3-i; 0\n0; 0,0,0; 1; i\n2; 0,0,0; 0; 2/7\n"
         field = write_field(tmp_path, original)
@@ -361,6 +357,12 @@ class TestTable:
     def test_zero_denominator_is_input_error(self, capsys):
         assert main(["table", "--gen", "1/0,0;0,1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bad_generator_message(self, capsys):
+        assert main(["table", "--gen", "1,0;0,1/0+i"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad generator: not a complex scalar: '1/0+i'\n"
 
     def test_infinite_order_generator_is_refused(self, capsys):
         # diag(a, conj a) with a = 3/5+4/5i, which is no root of unity

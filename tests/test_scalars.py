@@ -21,10 +21,12 @@ from spincover.ptgroup import Event, SpacetimeSymmetry, SpinorSymmetry, SpinorVa
 from spincover.semidirect import SemidirectElement
 from spincover.scalars import (
     GaussianRational,
+    ScalarDigitsError,
     ScalarParseError,
     format_complex,
     format_rational,
     parse_complex,
+    parse_ratio,
     parse_rational,
 )
 
@@ -261,6 +263,47 @@ class TestIntegerTriples:
         assert (x - x).as_integer_triple() == (0, 0, 1) == GaussianRational(0).as_integer_triple()
 
 
+# The exact error of tokens the field tests do not reach.  In a double
+# fault the part read first decides the message: the imaginary part of a
+# complex scalar (even when its real part is malformed), then the real
+# part, and in each the digits before the zero denominator.  The rational
+# messages echo the raw text, which parse_complex strips first.  "{digits}"
+# stands for a value one digit longer than Python reads into an int.
+DIGITS = "rational scalar has more than {limit} digits, the most Python reads"
+PARSE_FAILURES = [
+    (parse_complex, "1/0+{digits}i", ScalarDigitsError, DIGITS),
+    (parse_complex, "{digits}+1/0i", ScalarParseError, "not a complex scalar: '{digits}+1/0i'"),
+    (parse_complex, "{digits}/0+i", ScalarDigitsError, DIGITS),
+    (parse_complex, "1/2/3+{digits}i", ScalarDigitsError, DIGITS),
+    (parse_complex, "x-1/{digits}i", ScalarDigitsError, DIGITS),
+    (parse_complex, "x+-{digits}i", ScalarParseError, "not a complex scalar: 'x+-{digits}i'"),
+    (parse_complex, "x{digits}i", ScalarParseError, "not a complex scalar: 'x{digits}i'"),
+    (parse_complex, "{digits}", ScalarDigitsError, DIGITS),
+    (parse_ratio, "{digits}/0", ScalarDigitsError, DIGITS),
+    (parse_complex, "{digits}/0", ScalarDigitsError, DIGITS),
+    (parse_ratio, " 1/0 ", ScalarParseError, "zero denominator in rational scalar: ' 1/0 '"),
+    (parse_complex, " 1/0 ", ScalarParseError, "zero denominator in rational scalar: '1/0'"),
+    (parse_complex, " 1/0i ", ScalarParseError, "not a complex scalar: ' 1/0i '"),
+    (parse_complex, "x+1/0i", ScalarParseError, "not a complex scalar: 'x+1/0i'"),
+    (parse_complex, " 1 +i", ScalarParseError, "not a complex scalar: ' 1 +i'"),
+    (parse_complex, "1 2", ScalarParseError, "not a complex scalar: '1 2'"),
+    (parse_ratio, "1 2", ScalarParseError, "not a rational scalar: '1 2'"),
+    (parse_ratio, "", ScalarParseError, "not a rational scalar: ''"),
+    (parse_complex, "", ScalarParseError, "empty scalar"),
+    (parse_complex, " \t\u3000", ScalarParseError, "empty scalar"),
+    (parse_ratio, "+", ScalarParseError, "not a rational scalar: '+'"),
+    (parse_complex, "+", ScalarParseError, "not a rational scalar: '+'"),
+    (parse_ratio, "i/2", ScalarParseError, "not a rational scalar: 'i/2'"),
+    (parse_complex, "i/2", ScalarParseError, "not a rational scalar: 'i/2'"),
+    (parse_ratio, "1/2/3", ScalarParseError, "not a rational scalar: '1/2/3'"),
+    (parse_complex, "1/2/3", ScalarParseError, "not a rational scalar: '1/2/3'"),
+    (parse_ratio, "i", ScalarParseError, "not a rational scalar: 'i'"),
+    (parse_complex, "ii", ScalarParseError, "not a complex scalar: 'ii'"),
+    (parse_complex, "+i+i", ScalarParseError, "not a complex scalar: '+i+i'"),
+    (parse_complex, "1/2i/3i", ScalarParseError, "not a complex scalar: '1/2i/3i'"),
+]
+
+
 class TestTextGrammar:
     @pytest.mark.parametrize(
         "text,expected",
@@ -300,6 +343,14 @@ class TestTextGrammar:
                 with pytest.raises(ScalarParseError) as err:
                     parse_complex(text)
                 assert str(err.value) == f"not a complex scalar: {text!r}"
+
+    @pytest.mark.parametrize("parse, text, error, message", PARSE_FAILURES)
+    def test_parse_failure_message(self, int_digit_limit, parse, text, error, message):
+        digits = "1" + "0" * int_digit_limit
+        with pytest.raises(ScalarParseError) as err:
+            parse(text.replace("{digits}", digits))
+        assert type(err.value) is error
+        assert str(err.value) == message.replace("{digits}", digits).replace("{limit}", str(int_digit_limit))
 
     def test_rational_canonical_form(self):
         assert format_rational(parse_rational("6/4")) == "3/2"
