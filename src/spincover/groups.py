@@ -81,11 +81,11 @@ class FiniteGroup:
             raise ValueError("element labels must be unique")
         if len(self.labels) != len(self.table):
             raise ValueError("label count does not match table size")
-        self._inverses = self._validate()
+        self._validate()
         self._orders = _kernels.element_orders(self.table, self.identity_index)
 
-    def _validate(self) -> list[int]:
-        """Check the group axioms exhaustively; return the inverse table."""
+    def _validate(self) -> None:
+        """Check the group axioms exhaustively."""
         bad = _kernels.latin_square_violation(self.table)
         if bad is not None:
             raise ValueError(f"table is not a Latin square (violation at {bad})")
@@ -94,13 +94,11 @@ class FiniteGroup:
             self.table[i][e] != i for i in range(self.order)
         ):
             raise ValueError(f"element {e} is not a two-sided identity")
-        inverses = _kernels.inverse_table(self.table, e)
-        if inverses is None:
+        if _kernels.inverse_table(self.table, e) is None:
             raise ValueError("some element has no two-sided inverse")
         triple = _kernels.associativity_violation(self.table, e)
         if triple is not None:
             raise ValueError(f"multiplication is not associative at triple {triple}")
-        return inverses
 
     @property
     def order(self) -> int:
@@ -108,9 +106,6 @@ class FiniteGroup:
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
-
-    def inverse(self, i: int) -> int:
-        return self._inverses[i]
 
     def order_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(self._orders))
@@ -360,9 +355,6 @@ class IsomorphismWitness:
     """A bijection of element indices verified to preserve all products."""
 
     mapping: tuple[int, ...]
-
-    def image(self, index: int) -> int:
-        return self.mapping[index]
 
 
 def verify_isomorphism(g: FiniteGroup, h: FiniteGroup, mapping: Sequence[int]) -> bool:

@@ -15,15 +15,15 @@ event order, from each event key (those five ints) to a value key (the
 keys (a, b, d) of the two components joined into six ints).  Parsing,
 sorting, the four actions and printing work on these int tuples and build
 no :class:`Event` or :class:`SpinorValue` per sample; the objects are built
-only at the library surface.  A field line is read by one match of a
-precompiled pattern that captures every numerator and denominator at once;
-the per-token parser reads only the lines that pattern rejects, and
-reports why they are wrong.  Time signs are checked by
-:func:`~spincover.scalars.as_sign`.  The four actions (rotation, time
-reversal, parity, parity-time) rebind arguments literally and, in the
-antiunitary sectors, conjugate values by negating their imaginary
-numerators inside the matrix product, so every transformation law is
-checked by exact equality on the sampled events.
+only at the library surface.  A field line (ending only at a line feed)
+is read by one match of a pattern built from the scalar patterns of
+:mod:`spincover.scalars`; the per-token parser, through the scalar
+parsers, reads only the lines that pattern rejects and says why.  Time
+signs are checked by :func:`~spincover.scalars.as_sign`.  The four actions
+(rotation, time reversal, parity, parity-time) rebind arguments literally
+and, in the antiunitary sectors, conjugate values by negating their
+imaginary numerators inside the matrix product, so every transformation
+law is checked by exact equality on the sampled events.
 """
 
 from __future__ import annotations
@@ -45,7 +45,9 @@ from .cover import (
     parity_operator,
 )
 from .scalars import (
+    COMPLEX_PATTERN,
     ONE,
+    RATIO_PATTERN,
     ZERO,
     ExactKey,
     GaussianRational,
@@ -53,6 +55,7 @@ from .scalars import (
     as_rational,
     as_sign,
     common_key,
+    complex_key,
     format_complex,
     format_complex_key,
     format_ratio,
@@ -83,9 +86,6 @@ class SpinorSymmetry:
 
     def __mul__(self, other: "SpinorSymmetry") -> "SpinorSymmetry":
         return SpinorSymmetry(self.matrix * other.matrix, self.time_sign * other.time_sign)
-
-    def inverse(self) -> "SpinorSymmetry":
-        return SpinorSymmetry(self.matrix.inverse(), self.time_sign)
 
     @classmethod
     def identity(cls) -> "SpinorSymmetry":
@@ -436,13 +436,14 @@ class SpinorSampleField:
     def from_text(cls, text: str) -> "SpinorSampleField":
         """The field of a text of ``t; x1,x2,x3; u; v`` lines.
 
+        Lines end only at a line feed (a carriage return is whitespace).
         Each line is read by one match of :data:`_LINE_RE`; a line that does
         not match (a blank line, or a bad one) goes to
         :func:`_parse_line_by_tokens`, which skips it or raises the
         :class:`FieldParseError` that explains it.
         """
         samples: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for number, raw in enumerate(text.splitlines(), start=1):
+        for number, raw in enumerate(text.split("\n"), start=1):
             sample = _match_line(raw) or _parse_line_by_tokens(raw, number)
             if sample is None:
                 continue
@@ -456,20 +457,13 @@ class SpinorSampleField:
 _set_keys = SpinorSampleField._keys.__set__
 
 
-# One field line, t; x1,x2,x3; u; v, in the grammar parse_ratio and
-# parse_complex read token by token: any whitespace (\s in a str pattern is
-# exactly str.isspace) around a scalar or separator, none inside one, and
-# ASCII digits only.  A rational captures its numerator and its denominator
-# (absent when it is 1).  A complex scalar, which the lookahead keeps from
-# being empty, captures a real part (absent in "2i"), which nothing but a
-# signed imaginary part may follow, then the imaginary part's sign (absent
-# when there is no imaginary part), numerator (absent in "i" and "-i") and
-# denominator.
-_RATIO = r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*"
-_REAL = r"(?:([+-]?[0-9]+)(?:/([0-9]+))?(?![0-9/i]))?"
-_IMAGINARY = r"(?:([+-]?)(?:([0-9]+)(?:/([0-9]+))?)?i)?"
-_COMPLEX = rf"\s*(?=[-+0-9i]){_REAL}{_IMAGINARY}\s*"
-_LINE_RE = re.compile(f"{_RATIO};{_RATIO},{_RATIO},{_RATIO};{_COMPLEX};{_COMPLEX}")
+# One field line, t; x1,x2,x3; u; v: the scalar patterns of the grammar
+# with any whitespace (\s in a str pattern is exactly str.isspace) around
+# each scalar and separator.
+_LINE_RE = re.compile(
+    rf"\s*{RATIO_PATTERN}\s*;\s*{RATIO_PATTERN}\s*,\s*{RATIO_PATTERN}\s*,\s*{RATIO_PATTERN}\s*;"
+    rf"\s*{COMPLEX_PATTERN}\s*;\s*{COMPLEX_PATTERN}\s*"
+)
 
 
 def _match_line(raw: str) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -482,21 +476,12 @@ def _match_line(raw: str) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     t, tq, a, aq, b, bq, c, cq, *complexes = m.groups()
     try:
         tq, aq, bq, cq = int(tq or 1), int(aq or 1), int(bq or 1), int(cq or 1)
-        d = lcm(tq, aq, bq, cq)
-        if d == 0:
-            return None
+        d = lcm(tq, aq, bq, cq)  # 0 when a denominator is, and then d // 0 raises
         event = lowest_terms((
             int(t) * (d // tq), int(a) * (d // aq), int(b) * (d // bq), int(c) * (d // cq), d
         ))
-        value: tuple[int, ...] = ()
-        for re_n, re_d, im_sign, im_n, im_d in (complexes[:5], complexes[5:]):
-            re_d = int(re_d or 1)
-            im, im_d = (0, 1) if im_sign is None else (int(im_sign + (im_n or "1")), int(im_d or 1))
-            d = re_d * im_d
-            if d == 0:
-                return None
-            value += lowest_terms((int(re_n or 0) * im_d, im * re_d, d))
-    except ValueError:  # more digits than int() reads
+        value = complex_key(*complexes[:5]) + complex_key(*complexes[5:])
+    except (ValueError, ZeroDivisionError):  # more digits than int() reads, or a zero denominator
         return None
     return event, value
 

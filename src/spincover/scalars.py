@@ -10,7 +10,8 @@ made.
 
 A :class:`GaussianRational` is the key (a, b, d) of (a + b i)/d.  ``re``,
 ``im`` and ``norm_sq()`` return :class:`fractions.Fraction` values; the
-text grammar below is read into and written from the ints.
+text grammar below, defined once for the scalar parsers and the field
+lines of :mod:`spincover.ptgroup`, is read into and written from the ints.
 
 A caller's number enters the exact layer only through :func:`as_rational`,
 which takes ints and Fractions and refuses everything else, and a
@@ -25,14 +26,9 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 _RationalLike = Union[int, Fraction]
-
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
-# \s in a str pattern matches exactly the characters for which str.isspace()
-# is true.
-_SPACE_RE = re.compile(r"\s")
 
 
 class ScalarParseError(ValueError):
@@ -235,22 +231,40 @@ I_UNIT = GaussianRational(0, 1)
 #              "1+i", "1-2/3i".  Printing always emits the reduced
 #              canonical form.  The parser also accepts a leading "+",
 #              leading zeros, unreduced fractions and zero coefficients
-#              ("2/4", "+0i", "1+0i"), but no whitespace inside a scalar.
+#              ("2/4", "+0i", "1+0i"), but no whitespace inside a scalar,
+#              and ASCII digits only.
+#
+# RATIO_PATTERN captures a numerator and a denominator (absent when it is
+# 1).  COMPLEX_PATTERN, which the lookahead keeps from being empty, captures
+# a real part (absent in "2i"), which nothing but a signed imaginary part
+# may follow, then the imaginary part's sign (absent when there is no
+# imaginary part), numerator (absent in "i" and "-i") and denominator: the
+# five arguments of complex_key.
+RATIO_PATTERN = r"([+-]?[0-9]+)(?:/([0-9]+))?"
+_IMAGINARY_PATTERN = r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?)?i"
+COMPLEX_PATTERN = rf"(?=[-+0-9i])(?:{RATIO_PATTERN}(?![0-9/i]))?(?:{_IMAGINARY_PATTERN})?"
+_RATIO_RE = re.compile(RATIO_PATTERN)
+_COMPLEX_RE = re.compile(COMPLEX_PATTERN)
+# A signed imaginary part at the end of a token, after anything but a sign
+# or a slash: the part parse_complex reads first in a token that does not
+# match, so that too many digits in it are reported as such even when the
+# real part before it is malformed.
+_IMAGINARY_TAIL_RE = re.compile(rf"(?<=[^+\-/])(?=[+-]){_IMAGINARY_PATTERN}\Z")
+# \s in a str pattern matches exactly the characters for which str.isspace()
+# is true.
+_SPACE_RE = re.compile(r"\s")
+_DIGITS_MESSAGE = "rational scalar has more than {} digits, the most Python reads"
 
 
 def parse_ratio(text: str) -> tuple[int, int]:
     """(n, d) with d > 0 for a rational scalar in the grammar, unreduced."""
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    m = _RATIO_RE.fullmatch(text.strip())
+    if m is None:
         raise ScalarParseError(f"not a rational scalar: {text!r}")
-    numerator, _, denominator = s.partition("/")
     try:
-        n, d = int(numerator), int(denominator or 1)
+        n, d = int(m[1]), int(m[2] or 1)
     except ValueError:  # more digits than int() reads
-        raise ScalarDigitsError(
-            f"rational scalar has more than {sys.get_int_max_str_digits()} digits, "
-            "the most Python reads"
-        ) from None
+        raise ScalarDigitsError(_DIGITS_MESSAGE.format(sys.get_int_max_str_digits())) from None
     if d == 0:
         raise ScalarParseError(f"zero denominator in rational scalar: {text!r}")
     return n, d
@@ -278,16 +292,29 @@ def format_rational(value: Fraction) -> str:
     return format_ratio(value.numerator, value.denominator)
 
 
-def _parse_imag_coefficient(token: str) -> tuple[int, int]:
-    if token in ("", "+"):
-        return 1, 1
-    if token == "-":
-        return -1, 1
-    return parse_ratio(token)
+def complex_key(
+    re_n: Optional[str], re_d: Optional[str], im_sign: Optional[str], im_n: Optional[str], im_d: Optional[str]
+) -> tuple[int, int, int]:
+    """The key (a, b, d) of the captures of :data:`COMPLEX_PATTERN`.
+
+    ``int()`` raises ValueError on more digits than it reads, and a zero
+    denominator raises ZeroDivisionError.  The imaginary part is read
+    first, and in each part the digits before the denominator's check:
+    that order decides which fault :func:`parse_complex` reports in a
+    token with two.
+    """
+    b, e = (0, 1) if im_sign is None else (int(im_sign + (im_n or "1")), int(im_d or 1))
+    if e == 0:
+        raise ZeroDivisionError("zero denominator")
+    a, f = int(re_n or 0), int(re_d or 1)
+    if f == 0:
+        raise ZeroDivisionError("zero denominator")
+    return lowest_terms((a * e, b * f, f * e))
 
 
 def parse_complex(text: str) -> GaussianRational:
-    """Parse ``a+bi`` / ``a-bi`` and its compressed forms."""
+    """Parse ``a+bi`` / ``a-bi`` and its compressed forms; a token without
+    ``i`` is read, and reported, as a rational."""
     s = text.strip()
     if not s:
         raise ScalarParseError("empty scalar")
@@ -296,21 +323,18 @@ def parse_complex(text: str) -> GaussianRational:
     if not s.endswith("i"):
         n, d = parse_ratio(s)
         return _reduced(n, 0, d)
-    body = s[:-1]
-    split = 0
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "+-/":
-            split = k
-            break
-    re_token, im_token = body[:split], body[split:]
+    m = _COMPLEX_RE.fullmatch(s)
     try:
-        im_n, im_d = _parse_imag_coefficient(im_token)
-        re_n, re_d = parse_ratio(re_token) if re_token else (0, 1)
-    except ScalarDigitsError:
-        raise
-    except ScalarParseError:
-        raise ScalarParseError(f"not a complex scalar: {text!r}") from None
-    return _reduced(re_n * im_d, im_n * re_d, re_d * im_d)
+        if m is not None:
+            return GaussianRational._from_key(complex_key(*m.groups()))
+        tail = _IMAGINARY_TAIL_RE.search(s)
+        if tail is not None:
+            complex_key(None, None, *tail.groups())
+    except ValueError:  # more digits than int() reads
+        raise ScalarDigitsError(_DIGITS_MESSAGE.format(sys.get_int_max_str_digits())) from None
+    except ZeroDivisionError:
+        pass
+    raise ScalarParseError(f"not a complex scalar: {text!r}")
 
 
 def _imag_text(b: int, d: int) -> str:

@@ -83,6 +83,11 @@ MALFORMED_FIELDS = [
         "-0; +0,0/3,0; 1; 0\n 0 ;0,0,0;i;i\n", "line 2: duplicate event (0; 0,0,0)", id="duplicate-spaced"
     ),
     pytest.param("0; 0,0,0; 1; 0\n1; 0,0,0; 1i1; 0\n", "line 2: not a rational scalar: '1i1'", id="bad-after-good"),
+    pytest.param(
+        "0;\f0,0,0; 1; 0\x85\u2028\n1; 0,0,0; 1i1; 0\n",
+        "line 2: not a rational scalar: '1i1'",
+        id="line-ends-only-at-newline",
+    ),
 ]
 
 

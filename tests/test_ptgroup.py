@@ -454,6 +454,14 @@ class TestFieldFiles:
         f = SpinorSampleField.from_text("\n0; 0,0,0; 1; 0\n\n")
         assert len(f.events()) == 1
 
+    def test_lines_end_only_at_line_feed(self):
+        # A carriage return is whitespace: a CRLF line reads as an LF line,
+        # and a lone CR does not end a line.
+        assert SpinorSampleField.from_text("0; 0,0,0; 1; 0\r\n") == SpinorSampleField.from_text("0; 0,0,0; 1; 0\n")
+        with pytest.raises(FieldParseError) as err:
+            SpinorSampleField.from_text("0; 0,0,0; 1; 0\r1; 0,0,0; 1; 0\n")
+        assert str(err.value) == "line 1: expected 't; x1,x2,x3; u; v', got '0; 0,0,0; 1; 0\\r1; 0,0,0; 1; 0'"
+
 
 class TestFieldSurface:
     def test_constructor_and_map_values_check_types(self):
@@ -521,7 +529,12 @@ class TestClosureMetadata:
 
 # -- one grammar: the line match against the per-token parser -----------------
 
-SPACES = ["", "", "", " ", "\t", "  ", "\u00a0", "\u3000", "\u2003", "\x1f"]
+# str.isspace() characters, with the eight that str.splitlines() also breaks
+# lines at: a field line ends only at "\n".
+SPACES = [
+    "", "", "", " ", "\t", "  ", "\u00a0", "\u3000", "\u2003", "\x1f",
+    "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+]
 NUMERALS = ["0", "1", "2", "3", "7", "12", "007", "00"]
 DENOMINATORS = ["1", "2", "3", "4", "12", "007", "0"]
 JUNK = ["\u0661", "\uff11", ".", "x", "e", "_", "ii", "/", "+", "-", "1 2", "(", "\u00a0i", "+-", "/-"]
@@ -583,7 +596,7 @@ def _fields_by_tokens(text):
     """from_text with every line read by the per-token parser alone, and the
     field built from Event and SpinorValue objects by the constructor."""
     samples = {}
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.split("\n"), start=1):
         sample = _parse_line_by_tokens(raw, number)
         if sample is None:
             continue
