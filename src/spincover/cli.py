@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 from .cover import UnitaryMat2
 from .groups import (
     ISOMORPHISM_ORDER_LIMIT,
-    ORDER_MULTISET,
     ClosureLimitError,
     FiniteGroup,
     IsomorphismSizeError,
@@ -248,9 +247,6 @@ def _cmd_iso(args: argparse.Namespace) -> int:
                 for i in range(group_a.order)
             )
             lines.append(f"witness: {mapped}")
-        elif outcome.invariant == ORDER_MULTISET:
-            lines.append(f"element orders: {list(group_a.order_multiset())} "
-                         f"vs {list(group_b.order_multiset())}")
         else:
             lines.append(outcome.text())
         _write_output("\n".join(lines) + "\n", args.out)

@@ -130,12 +130,10 @@ class UnitaryMat2(ExactKey):
         a, b, c, e, f, g, h, k, d = self._key
         return UnitaryMat2._from_key((a, -b, c, -e, f, -g, h, -k, d))
 
-    def conjugate_transpose(self) -> "UnitaryMat2":
+    def inverse(self) -> "UnitaryMat2":
+        """The conjugate transpose, the inverse of a unitary matrix."""
         a, b, c, e, f, g, h, k, d = self._key
         return UnitaryMat2._from_key((a, -b, f, -g, c, -e, h, -k, d))
-
-    def inverse(self) -> "UnitaryMat2":
-        return self.conjugate_transpose()
 
     def apply(self, u: GaussianRational, v: GaussianRational) -> tuple[GaussianRational, GaussianRational]:
         if not (isinstance(u, GaussianRational) and isinstance(v, GaussianRational)):

@@ -104,9 +104,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.labels)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def order_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(self._orders))
 
@@ -530,14 +527,14 @@ Monomial = tuple[int, int, int]
 
 
 def _monomial_mul(modulus: int) -> Callable[[Monomial, Monomial], Monomial]:
-    def mul(a: Monomial, b: Monomial) -> Monomial:
+    def times(a: Monomial, b: Monomial) -> Monomial:
         s1, k1, k2 = a
         s2, l1, l2 = b
         if s1:
             l1, l2 = l2, l1
         return (s1 ^ s2, (k1 + l1) % modulus, (k2 + l2) % modulus)
 
-    return mul
+    return times
 
 
 def double_group(

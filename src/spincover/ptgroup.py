@@ -56,6 +56,7 @@ from .scalars import (
     as_sign,
     common_key,
     complex_key,
+    echo,
     format_complex,
     format_complex_key,
     format_ratio,
@@ -495,10 +496,10 @@ def _parse_line_by_tokens(raw: str, number: int) -> Optional[tuple[tuple[int, ..
         return None
     parts = [p.strip() for p in line.split(";")]
     if len(parts) != 4:
-        raise FieldParseError(number, f"expected 't; x1,x2,x3; u; v', got {raw!r}")
+        raise FieldParseError(number, f"expected 't; x1,x2,x3; u; v', got {echo(raw)}")
     coords = [c.strip() for c in parts[1].split(",")]
     if len(coords) != 3:
-        raise FieldParseError(number, f"expected three spatial coordinates, got {parts[1]!r}")
+        raise FieldParseError(number, f"expected three spatial coordinates, got {echo(parts[1])}")
     try:
         event = common_key([parse_ratio(parts[0]), *map(parse_ratio, coords)])
         value = parse_complex(parts[2])._key + parse_complex(parts[3])._key

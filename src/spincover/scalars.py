@@ -245,28 +245,30 @@ _IMAGINARY_PATTERN = r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?)?i"
 COMPLEX_PATTERN = rf"(?=[-+0-9i])(?:{RATIO_PATTERN}(?![0-9/i]))?(?:{_IMAGINARY_PATTERN})?"
 _RATIO_RE = re.compile(RATIO_PATTERN)
 _COMPLEX_RE = re.compile(COMPLEX_PATTERN)
-# A signed imaginary part at the end of a token, after anything but a sign
-# or a slash: the part parse_complex reads first in a token that does not
-# match, so that too many digits in it are reported as such even when the
-# real part before it is malformed.
-_IMAGINARY_TAIL_RE = re.compile(rf"(?<=[^+\-/])(?=[+-]){_IMAGINARY_PATTERN}\Z")
-# \s in a str pattern matches exactly the characters for which str.isspace()
-# is true.
-_SPACE_RE = re.compile(r"\s")
 _DIGITS_MESSAGE = "rational scalar has more than {} digits, the most Python reads"
+_ECHO_LIMIT = 40
+
+
+def echo(text: str) -> str:
+    """The repr of a rejected token for an error message: the whole token
+    up to 40 characters, else its first 40 and its length, so that a huge
+    number does not make a huge message."""
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
 
 
 def parse_ratio(text: str) -> tuple[int, int]:
     """(n, d) with d > 0 for a rational scalar in the grammar, unreduced."""
     m = _RATIO_RE.fullmatch(text.strip())
     if m is None:
-        raise ScalarParseError(f"not a rational scalar: {text!r}")
+        raise ScalarParseError(f"not a rational scalar: {echo(text)}")
     try:
         n, d = int(m[1]), int(m[2] or 1)
     except ValueError:  # more digits than int() reads
         raise ScalarDigitsError(_DIGITS_MESSAGE.format(sys.get_int_max_str_digits())) from None
     if d == 0:
-        raise ScalarParseError(f"zero denominator in rational scalar: {text!r}")
+        raise ScalarParseError(f"zero denominator in rational scalar: {echo(text)}")
     return n, d
 
 
@@ -313,28 +315,21 @@ def complex_key(
 
 
 def parse_complex(text: str) -> GaussianRational:
-    """Parse ``a+bi`` / ``a-bi`` and its compressed forms; a token without
-    ``i`` is read, and reported, as a rational."""
-    s = text.strip()
-    if not s:
-        raise ScalarParseError("empty scalar")
-    if _SPACE_RE.search(s):
-        raise ScalarParseError(f"not a complex scalar: {text!r}")
-    if not s.endswith("i"):
-        n, d = parse_ratio(s)
-        return _reduced(n, 0, d)
-    m = _COMPLEX_RE.fullmatch(s)
-    try:
-        if m is not None:
+    """Parse ``a+bi`` / ``a-bi`` and its compressed forms, rationals included.
+
+    A well-formed token with more digits than ``int()`` reads raises
+    :class:`ScalarDigitsError`; any other token that is not a complex
+    scalar, a zero denominator too, raises ``not a complex scalar: ...``.
+    """
+    m = _COMPLEX_RE.fullmatch(text.strip())
+    if m is not None:
+        try:
             return GaussianRational._from_key(complex_key(*m.groups()))
-        tail = _IMAGINARY_TAIL_RE.search(s)
-        if tail is not None:
-            complex_key(None, None, *tail.groups())
-    except ValueError:  # more digits than int() reads
-        raise ScalarDigitsError(_DIGITS_MESSAGE.format(sys.get_int_max_str_digits())) from None
-    except ZeroDivisionError:
-        pass
-    raise ScalarParseError(f"not a complex scalar: {text!r}")
+        except ValueError:  # more digits than int() reads
+            raise ScalarDigitsError(_DIGITS_MESSAGE.format(sys.get_int_max_str_digits())) from None
+        except ZeroDivisionError:
+            pass
+    raise ScalarParseError(f"not a complex scalar: {echo(text)}")
 
 
 def _imag_text(b: int, d: int) -> str:

@@ -26,7 +26,6 @@ from .cover import (
     determinant_section,
     extended_covering_map,
     parity_operator,
-    rational_unit_quaternion,
     stereographic_su2,
 )
 from .groups import _close, spinor_pt_group
@@ -118,10 +117,7 @@ def sample_symmetry(rng: random.Random) -> SpinorSymmetry:
 
 
 def sample_unit_spinor(rng: random.Random) -> SpinorValue:
-    a, b, c, d = rational_unit_quaternion(
-        sample_rational(rng, 3), sample_rational(rng, 3), sample_rational(rng, 3)
-    )
-    return SpinorValue(GaussianRational(a, b), GaussianRational(c, d))
+    return SpinorValue(*sample_su2(rng).rows[0])
 
 
 def _order8_matrices() -> list[UnitaryMat2]:
@@ -366,12 +362,12 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     canonical = _canonical_symmetries()
     exhaustive = chain(product(canonical, repeat=2), product(lifted, repeat=2))
 
-    def multiplicative(pair):
+    def projection_hom(pair):
         g, h = pair
         if spacetime_projection(g * h) != spacetime_projection(g) * spacetime_projection(h):
             return f"{g.to_text()} ; {h.to_text()}"
 
-    checks.check("spacetime projection is multiplicative on the canonical pairs", exhaustive, multiplicative)
+    checks.check("spacetime projection is multiplicative on the canonical pairs", exhaustive, projection_hom)
 
     expected_values = [
         (SpinorSymmetry.time_reversal(), SpacetimeSymmetry(IDENTITY3, -1)),
@@ -392,7 +388,7 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     )
 
     sampled_pairs = [(sample_symmetry(rng), sample_symmetry(rng)) for _ in range(max(samples, 500))]
-    checks.check("spacetime projection is multiplicative on sampled pairs", sampled_pairs, multiplicative)
+    checks.check("spacetime projection is multiplicative on sampled pairs", sampled_pairs, projection_hom)
 
     def two_to_one(pair):
         g, h = pair

@@ -61,15 +61,20 @@ MALFORMED_FIELDS = [
     pytest.param("0; 0,0,1 /2; 1; 0\n", "line 1: not a rational scalar: '1 /2'", id="inner-space-rational"),
     pytest.param("0; 0,0,0; 1; 1\u00a0i\n", "line 1: not a complex scalar: '1\\xa0i'", id="inner-nbsp"),
     pytest.param("\u0661; 0,0,0; 1; 0\n", "line 1: not a rational scalar: '\u0661'", id="arabic-indic-digit"),
-    pytest.param("0; 0,0,0; \uff11; 0\n", "line 1: not a rational scalar: '\uff11'", id="fullwidth-digit"),
+    pytest.param("0; 0,0,0; \uff11; 0\n", "line 1: not a complex scalar: '\uff11'", id="fullwidth-digit"),
     pytest.param("0; 0,0,0; 1/-2i; 0\n", "line 1: not a complex scalar: '1/-2i'", id="slash-minus"),
     pytest.param("0; 0,0,0; 1+-2i; 0\n", "line 1: not a complex scalar: '1+-2i'", id="plus-minus"),
-    pytest.param("0; 0,0,0; 1i1; 0\n", "line 1: not a rational scalar: '1i1'", id="inner-i"),
+    pytest.param("0; 0,0,0; 1i1; 0\n", "line 1: not a complex scalar: '1i1'", id="inner-i"),
     pytest.param("0; 0.5,0,0; 1; 0\n", "line 1: not a rational scalar: '0.5'", id="decimal-point"),
-    pytest.param("0; 0,0,0; ; 0\n", "line 1: empty scalar", id="empty-scalar"),
+    pytest.param("0; 0,0,0; ; 0\n", "line 1: not a complex scalar: ''", id="empty-scalar"),
     pytest.param("0; 0,0,0\n", "line 1: expected 't; x1,x2,x3; u; v', got '0; 0,0,0'", id="two-parts"),
     pytest.param(
         "0; 0,0,0; 1; 0; 1\n", "line 1: expected 't; x1,x2,x3; u; v', got '0; 0,0,0; 1; 0; 1'", id="five-parts"
+    ),
+    pytest.param(
+        "{digits}; 0,0,0\n",
+        "line 1: expected 't; x1,x2,x3; u; v', got '1" + "0" * 39 + "'... (4308 characters)",
+        id="two-parts-digits",
     ),
     pytest.param("0; 0,0; 1; 0\n", "line 1: expected three spatial coordinates, got '0,0'", id="two-coordinates"),
     pytest.param(
@@ -82,10 +87,10 @@ MALFORMED_FIELDS = [
     pytest.param(
         "-0; +0,0/3,0; 1; 0\n 0 ;0,0,0;i;i\n", "line 2: duplicate event (0; 0,0,0)", id="duplicate-spaced"
     ),
-    pytest.param("0; 0,0,0; 1; 0\n1; 0,0,0; 1i1; 0\n", "line 2: not a rational scalar: '1i1'", id="bad-after-good"),
+    pytest.param("0; 0,0,0; 1; 0\n1; 0,0,0; 1i1; 0\n", "line 2: not a complex scalar: '1i1'", id="bad-after-good"),
     pytest.param(
         "0;\f0,0,0; 1; 0\x85\u2028\n1; 0,0,0; 1i1; 0\n",
-        "line 2: not a rational scalar: '1i1'",
+        "line 2: not a complex scalar: '1i1'",
         id="line-ends-only-at-newline",
     ),
 ]
@@ -299,7 +304,7 @@ class TestApply:
         assert main(["apply", "i,0;0,2/4x", field]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: bad transform 'i,0;0,2/4x': not a rational scalar: '2/4x'\n"
+        assert captured.err == "error: bad transform 'i,0;0,2/4x': not a complex scalar: '2/4x'\n"
 
     def test_inverse_round_trip(self, tmp_path):
         original = "-2; 0,0,0; 1/3-i; 0\n0; 0,0,0; 1; i\n2; 0,0,0; 0; 2/7\n"
@@ -418,7 +423,7 @@ class TestIso:
         assert main(["iso", "Z4", "Z2xZ2"]) == 0
         assert capsys.readouterr().out == (
             "Z4 vs Z2xZ2: not isomorphic\n"
-            "element orders: [1, 2, 4, 4] vs [1, 2, 2, 2]\n"
+            "element-order multiset: [1, 2, 4, 4] vs [1, 2, 2, 2]\n"
         )
 
     def test_equal_multisets_text_names_the_invariant(self, capsys):

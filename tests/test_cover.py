@@ -220,7 +220,7 @@ class TestIntegerUnitary:
         assert_canonical_unitary(-m1, [[-x for x in row] for row in r1])
         assert_canonical_unitary(m1.conjugate(), [[x.conjugate() for x in row] for row in r1])
         assert_canonical_unitary(
-            m1.conjugate_transpose(), [[r1[j][i].conjugate() for j in range(2)] for i in range(2)]
+            m1.inverse(), [[r1[j][i].conjugate() for j in range(2)] for i in range(2)]
         )
         assert_canonical_unitary(m1.scalar_mul(phase), [[phase * x for x in row] for row in r1])
         assert m1 * m1.inverse() == IDENTITY2

@@ -325,7 +325,7 @@ class TestAbstractGroups:
                 for factor in [] if label == "1" else label.split("·"):
                     symbol, _, power = factor.partition("^")
                     for _ in range(int(power or 1)):
-                        value = group.mul(value, generators[symbol])
+                        value = group.table[value][generators[symbol]]
                 assert value == index, f"{group.name}: {label}"
 
     def test_dihedral_6_nonabelian(self):
