@@ -132,13 +132,14 @@ def element_signatures(
 
     Every isomorphism maps an element to one with the same signature.  The
     centralizer of x counts the y with x*y == y*x: row x of the table
-    against column x, from one transpose.  O(n^2) in all.
+    against column x, from one transpose; a central x, whose row equals its
+    column, is told by one tuple comparison.  O(n^2) in all.
     """
     roots = [0] * len(table)
     for y, row in enumerate(table):
         roots[row[y]] += 1
     return [
-        (orders[x], sum(map(eq, row, column)), roots[x])
+        (orders[x], len(row) if tuple(row) == column else sum(map(eq, row, column)), roots[x])
         for x, (row, column) in enumerate(zip(table, zip(*table)))
     ]
 
@@ -168,7 +169,7 @@ def find_isomorphism(
     equal order; None if there is none.
 
     ``g_keys`` and ``h_keys`` hold an invariant of every element that any
-    isomorphism preserves, such as its order or its signature from
+    isomorphism preserves, such as its signature from
     :func:`element_signatures`.  The search branches only on the images of
     :func:`generating_set` of G, trying for each generator the unused
     elements of H with its key in increasing index.  Each choice extends

@@ -40,7 +40,7 @@ from .ptgroup import (
     apply_symmetry,
     spacetime_projection,
 )
-from .scalars import ScalarParseError, ScalarSizeError
+from .scalars import ScalarParseError, ScalarSizeError, echo
 from .verify import SUITE_NAMES, run_suites
 
 SCHEMA_VERSION = 1
@@ -91,12 +91,12 @@ def _parse_transform(token: str) -> SpinorSymmetry:
     time_sign = 1
     if at:
         if sign_text not in ("1", "+1", "-1"):
-            raise InputError(f"time sign must be +1 or -1, got {sign_text!r}")
+            raise InputError(f"time sign must be +1 or -1, got {echo(sign_text)}")
         time_sign = int(sign_text)
     try:
         matrix = UnitaryMat2.from_text(matrix_text)
     except (ScalarParseError, ValueError) as exc:
-        raise InputError(f"bad transform {token!r}: {exc}") from exc
+        raise InputError(f"bad transform {echo(token)}: {exc}") from exc
     return SpinorSymmetry(matrix, time_sign)
 
 
@@ -144,7 +144,7 @@ _NAMED_GROUPS: dict[str, Callable[[], FiniteGroup]] = {
 
 def _named_group(token: str) -> FiniteGroup:
     if token not in _NAMED_GROUPS:
-        raise InputError(f"unknown named group {token!r}; expected one of {tuple(_NAMED_GROUPS)}")
+        raise InputError(f"unknown named group {echo(token)}; expected one of {tuple(_NAMED_GROUPS)}")
     return _NAMED_GROUPS[token]()
 
 
@@ -189,14 +189,15 @@ def _parse_group_spec(spec: str) -> Callable[[], FiniteGroup]:
         kind = next((k for k in constructors if factor.startswith(k)), None)
         if kind is None:
             raise InputError(
-                f"unknown group spec {factor!r}; expected Zn, Dih<order>, Dic<order>, "
+                f"unknown group spec {echo(factor)}; expected Zn, Dih<order>, Dic<order>, "
                 f"products of them like Dic8xZ2, or one of {tuple(_NAMED_GROUPS)}"
             )
         factors.append((constructors[kind], _parse_positive(factor[len(kind):], spec)))
     order = math.prod(k for _, k in factors)
     if order > ISOMORPHISM_ORDER_LIMIT:
+        shown = order if order < 10**_ORDER_DIGITS else f"at least 10^{_ORDER_DIGITS}"
         raise IsomorphismSizeError(
-            f"{spec} has order {order}; isomorphism search supports orders up to "
+            f"{echo(spec, str)} has order {shown}; isomorphism search supports orders up to "
             f"{ISOMORPHISM_ORDER_LIMIT}"
         )
 
@@ -204,16 +205,23 @@ def _parse_group_spec(spec: str) -> Callable[[], FiniteGroup]:
         try:
             groups = [constructor(k) for constructor, k in factors]
         except ValueError as exc:
-            raise InputError(f"bad group spec {spec!r}: {exc}") from exc
+            raise InputError(f"bad group spec {echo(spec)}: {exc}") from exc
         return direct_product(*groups)
 
     return build
 
 
+#: Most digits of an order that a group spec reads and prints.  A factor
+#: order of more digits is over the search cap all the same, so
+#: _parse_positive gives 10**40 for it and int() never reads it.
+_ORDER_DIGITS = 40
+
+
 def _parse_positive(text: str, spec: str) -> int:
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
-        raise InputError(f"bad group spec {spec!r}")
-    return int(text)
+    digits = text.lstrip("0")
+    if not (digits and text.isascii() and text.isdigit()):
+        raise InputError(f"bad group spec {echo(spec)}")
+    return int(digits) if len(digits) <= _ORDER_DIGITS else 10**_ORDER_DIGITS
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:

@@ -26,7 +26,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 _RationalLike = Union[int, Fraction]
 
@@ -249,13 +249,13 @@ _DIGITS_MESSAGE = "rational scalar has more than {} digits, the most Python read
 _ECHO_LIMIT = 40
 
 
-def echo(text: str) -> str:
-    """The repr of a rejected token for an error message: the whole token
-    up to 40 characters, else its first 40 and its length, so that a huge
-    number does not make a huge message."""
+def echo(text: str, show: Callable[[str], str] = repr) -> str:
+    """A rejected token for an error message, as ``show`` prints it (its
+    repr by default): the whole token up to 40 characters, else its first
+    40 and its length, so that a huge number does not make a huge message."""
     if len(text) <= _ECHO_LIMIT:
-        return repr(text)
-    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:_ECHO_LIMIT])}... ({len(text)} characters)"
 
 
 def parse_ratio(text: str) -> tuple[int, int]:

@@ -306,6 +306,22 @@ class TestApply:
         assert captured.out == ""
         assert captured.err == "error: bad transform 'i,0;0,2/4x': not a complex scalar: '2/4x'\n"
 
+    @pytest.mark.parametrize(
+        "transform, start",
+        [
+            ("1,0;0," + "x" * 4994, "error: bad transform '1,0;0," + "x" * 34 + "'... (5000 characters): "),
+            ("i,0;0,i@" + "1" * 4992, "error: time sign must be +1 or -1, got '" + "1" * 40 + "'... (4992 characters)"),
+        ],
+        ids=["matrix", "time-sign"],
+    )
+    def test_long_transform_echo_is_bounded(self, tmp_path, capsys, transform, start):
+        field = write_field(tmp_path, CONSTANT_FIELD)
+        assert len(transform) == 5000
+        assert main(["apply", transform, field]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(start)
+        assert err.count("\n") == 1 and len(err) <= 200, err
+
     def test_inverse_round_trip(self, tmp_path):
         original = "-2; 0,0,0; 1/3-i; 0\n0; 0,0,0; 1; i\n2; 0,0,0; 0; 2/7\n"
         field = write_field(tmp_path, original)
@@ -464,8 +480,11 @@ class TestIso:
         assert payload["isomorphic"] is True
         assert len(payload["witness"]) == 16
 
-    def test_size_limit_exit_code(self):
+    def test_size_limit_exit_code(self, capsys):
         assert main(["iso", "Z32xZ16", "Z32xZ16"]) == 3
+        assert capsys.readouterr().err == (
+            "resource limit: Z32xZ16 has order 512; isomorphism search supports orders up to 256\n"
+        )
 
     def test_node_budget_exit_code(self, capsys, monkeypatch):
         assert main(["iso", "Dih16", "Dih16"]) == 0
@@ -484,6 +503,30 @@ class TestIso:
                      "Dic8x", "xZ2", "Dic8xDih", "Z2xY2"):
             assert main(["iso", spec, "Z2"]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_digit_limit_spec_is_resource_limit(self, capsys, int_digit_limit):
+        # An order one digit longer than Python reads is over the cap, and
+        # is refused without reading it.
+        spec = "Z1" + "0" * int_digit_limit
+        assert main(["iso", spec, "Z2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"resource limit: {spec[:40]}... ({len(spec)} characters) has order at least "
+            "10^40; isomorphism search supports orders up to 256\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spec, code",
+        [("Z2x" * 1666 + "Z2", 3), ("Q" * 5000, 2), ("Z2x" * 1666 + "Z0", 2)],
+        ids=["over-size", "unknown-factor", "zero-order"],
+    )
+    def test_long_spec_echo_is_bounded(self, capsys, spec, code):
+        assert len(spec) == 5000
+        assert main(["iso", spec, "Z2"]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) <= 200, err
+        assert "... (5000 characters)" in err
 
     @pytest.mark.parametrize(
         "group_a, group_b",

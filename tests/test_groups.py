@@ -88,6 +88,27 @@ def abelian_specs(limit: int) -> list[tuple[int, ...]]:
     return specs
 
 
+def cli_specs(limit: int) -> list[str]:
+    """Every product spec the CLI can spell up to order ``limit``, once:
+    factors Z<n> (n >= 2), Dih<2m> (m >= 3) and Dic<4m> (m >= 2), joined
+    by x in sorted order."""
+    factors = sorted(
+        [(f"Z{n}", n) for n in range(2, limit + 1)]
+        + [(f"Dih{k}", k) for k in range(6, limit + 1, 2)]
+        + [(f"Dic{k}", k) for k in range(8, limit + 1, 4)]
+    )
+    specs = []
+    frontier = [(0, [], 1)]
+    while frontier:
+        start, chosen, order = frontier.pop()
+        for i in range(start, len(factors)):
+            name, k = factors[i]
+            if order * k <= limit:
+                specs.append("x".join([*chosen, name]))
+                frontier.append((i, [*chosen, name], order * k))
+    return specs
+
+
 def brute_force_isomorphism(g: FiniteGroup, h: FiniteGroup):
     """Independent oracle: the first bijection of element indices that
     preserves every product, or None.  ``itertools.permutations`` yields
@@ -147,6 +168,18 @@ class TestFiniteGroupValidation:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             FiniteGroup(["a", "a"], [[0, 1], [1, 0]], 0)
+
+    def test_rejects_missing_inverse(self):
+        # A Latin square with identity e in which b*c == e but c*b == a.
+        table = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 3, 4, 0, 1],
+            [3, 4, 1, 2, 0],
+            [4, 2, 0, 1, 3],
+        ]
+        with pytest.raises(ValueError, match="some element has no two-sided inverse"):
+            FiniteGroup(["e", "a", "b", "c", "d"], table, 0)
 
 
 class TestClosure:
@@ -475,9 +508,9 @@ class TestInvariantLadder:
         )
 
     def test_exhaustive_search_without_the_ladder(self, monkeypatch):
-        # With the abelian and signature rungs blinded, the search alone
+        # With the signatures blinded (no element central, so both groups
+        # read as non-abelian with a trivial centre), the search alone
         # refutes the pair and reports its node count.
-        monkeypatch.setattr(_kernels, "is_abelian", lambda table: False)
         monkeypatch.setattr(
             _kernels, "element_signatures", lambda table, orders: [(o, 0, 0) for o in orders]
         )
@@ -512,6 +545,47 @@ class TestInvariantLadder:
                 assert verify_isomorphism(a, b, outcome.mapping)
                 pairs += a is not b
         assert pairs > 50
+
+
+class TestIsoCensus:
+    def test_every_cli_pair_up_to_order_64(self, monkeypatch):
+        # Every directed pair of CLI specs with equal element-order
+        # multisets: a rung refutes each non-isomorphic pair, and each
+        # search ends within 6 nodes (Dih6xZ2xZ2xZ2 -> Dih12xZ2xZ2).
+        monkeypatch.setattr(groups, "ISOMORPHISM_NODE_BUDGET", 6)
+        specs = cli_specs(64)
+        assert len(specs) == len(set(specs)) == 330
+        by_multiset: dict = {}
+        for spec in specs:
+            group = cli._parse_group_spec(spec)()
+            by_multiset.setdefault(group.order_multiset(), []).append((spec, group))
+        pairs = refuted = 0
+        for classes in by_multiset.values():
+            for (a, g), (b, h) in itertools.permutations(classes, 2):
+                outcome = decide_isomorphism(g, h)
+                if isinstance(outcome, IsomorphismWitness):
+                    assert verify_isomorphism(g, h, outcome.mapping), (a, b)
+                else:
+                    assert outcome.invariant != EXHAUSTIVE_SEARCH, (a, b, outcome)
+                    refuted += 1
+                pairs += 1
+        assert (pairs, refuted) == (296, 18)
+
+    @pytest.mark.parametrize(
+        "spec_a, spec_b, budget",
+        [
+            ("Z12xZ2xZ2xZ2", "Z2xZ2xZ2xZ3xZ4", 21),
+            ("Z12xZ2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2xZ3xZ4", 800),
+        ],
+    )
+    def test_abelian_pairs_search_by_signature(self, monkeypatch, spec_a, spec_b, budget):
+        # Keyed by element order alone, these searches took 218 nodes and
+        # more than 10,000.
+        monkeypatch.setattr(groups, "ISOMORPHISM_NODE_BUDGET", budget)
+        g, h = cli._parse_group_spec(spec_a)(), cli._parse_group_spec(spec_b)()
+        outcome = decide_isomorphism(g, h)
+        assert isinstance(outcome, IsomorphismWitness)
+        assert verify_isomorphism(g, h, outcome.mapping)
 
 
 class TestNamedGroups:

@@ -88,6 +88,7 @@ class TestKernelBasics:
             assert _kernels.latin_square_violation(group.table) is None
         assert _kernels.latin_square_violation([[0, 0], [1, 1]]) == ("row", 0)
         assert _kernels.latin_square_violation([[0, 1], [0, 1]]) == ("column", 0)
+        assert _kernels.latin_square_violation([[0, 1], [1]]) == ("row-length", 1)
         # Rows are permutations and column 0 is too; columns 1 and 2 are not.
         assert _kernels.latin_square_violation([[0, 1, 2], [1, 2, 0], [2, 1, 0]]) == ("column", 1)
 

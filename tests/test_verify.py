@@ -77,3 +77,8 @@ def test_verify_all_golden(monkeypatch, capsys, faulty, code, golden):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match=r"unknown suite 'bogus'; choose from"):
+        verify.run_suites("bogus", 0, 1)
