@@ -48,11 +48,7 @@ from .ptgroup import (
     SpinorSampleField,
     SpinorSymmetry,
     SpinorValue,
-    apply_parity,
-    apply_parity_time,
-    apply_rotation,
     apply_symmetry,
-    apply_time_reversal,
     composition_defect,
     ray_project,
     spacetime_projection,

@@ -64,7 +64,7 @@ class UnitaryMat2(ExactKey):
 
     Stored as eight integer numerators, the real and imaginary parts of
     each entry row by row, over one positive denominator, in lowest terms.
-    ``rows`` and indexing give the entries as GaussianRationals.
+    ``rows`` gives the entries as GaussianRationals.
     """
 
     __slots__ = ()
@@ -91,9 +91,6 @@ class UnitaryMat2(ExactKey):
 
     def is_special(self) -> bool:
         return self.det_sign == 1
-
-    def __getitem__(self, index: int) -> tuple[GaussianRational, GaussianRational]:
-        return self.rows[index]
 
     def __mul__(self, other: "UnitaryMat2") -> "UnitaryMat2":
         if not isinstance(other, UnitaryMat2):
@@ -178,7 +175,7 @@ class OrthogonalMat3(ExactKey):
 
     Stored as nine integer numerators, row by row, over one positive
     denominator, in lowest terms, so equal matrices have equal storage.
-    ``rows`` and indexing give the entries as Fractions.
+    ``rows`` gives the entries as Fractions.
     """
 
     __slots__ = ()
@@ -209,9 +206,6 @@ class OrthogonalMat3(ExactKey):
         """Recheck the defining equations (used by the invariant tests)."""
         return _recheck(_check_orthogonal, self._key)
 
-    def __getitem__(self, index: int) -> tuple[Fraction, ...]:
-        return self.rows[index]
-
     def __mul__(self, other: "OrthogonalMat3") -> "OrthogonalMat3":
         if not isinstance(other, OrthogonalMat3):
             return NotImplemented
@@ -228,9 +222,6 @@ class OrthogonalMat3(ExactKey):
     def transpose(self) -> "OrthogonalMat3":
         n = self._key
         return OrthogonalMat3._from_key((n[0], n[3], n[6], n[1], n[4], n[7], n[2], n[5], n[8], n[9]))
-
-    def inverse(self) -> "OrthogonalMat3":
-        return self.transpose()
 
     def integer_apply(self, x: int, y: int, z: int) -> tuple[int, int, int, int]:
         """(X, Y, Z, d) with R (x, y, z)/e = (X, Y, Z)/(d e) for every e > 0:

@@ -13,17 +13,18 @@ two-component Gaussian-rational values.  An :class:`Event` is an
 x3) over one denominator.  A :class:`SpinorSampleField` stores one dict, in
 event order, from each event key (those five ints) to a value key (the
 keys (a, b, d) of the two components joined into six ints).  Parsing,
-sorting, the four actions and printing work on these int tuples and build
+sorting, the action and printing work on these int tuples and build
 no :class:`Event` or :class:`SpinorValue` per sample; the objects are built
 only at the library surface.  A field line (ending only at a line feed)
 is read by one match of a pattern built from the scalar patterns of
 :mod:`spincover.scalars`; the per-token parser, through the scalar
 parsers, reads only the lines that pattern rejects and says why.  Time
-signs are checked by :func:`~spincover.scalars.as_sign`.  The four actions
-(rotation, time reversal, parity, parity-time) rebind arguments literally
-and, in the antiunitary sectors, conjugate values by negating their
-imaginary numerators inside the matrix product, so every transformation
-law is checked by exact equality on the sampled events.
+signs are checked by :func:`~spincover.scalars.as_sign`.  The one field
+action, :func:`apply_symmetry`, rebinds arguments literally in each of the
+four sectors and, in the antiunitary ones, conjugates values by negating
+their imaginary numerators inside the matrix product, so every
+transformation law is checked by exact equality on the sampled events.
+A ray is held as its exact slope, so ray equality is value equality.
 """
 
 from __future__ import annotations
@@ -188,9 +189,6 @@ class SpinorValue:
     def scale(self, factor: GaussianRational) -> "SpinorValue":
         return SpinorValue(factor * self.u, factor * self.v)
 
-    def norm_sq(self) -> Fraction:
-        return self.u.norm_sq() + self.v.norm_sq()
-
     def is_zero(self) -> bool:
         return self.u.is_zero() and self.v.is_zero()
 
@@ -273,7 +271,7 @@ class Event(ExactKey):
         return f"Event(t={self.t!r}, x={self.x!r})"
 
 
-# Event keys (t, x1, x2, x3, d): the rebinds of the four actions, and text.
+# Event keys (t, x1, x2, x3, d): the rebinds of the four sectors, and text.
 
 
 def _time_flipped(key: tuple[int, ...]) -> tuple[int, ...]:
@@ -409,9 +407,6 @@ class SpinorSampleField:
     def map_values(self, fn) -> "SpinorSampleField":
         return SpinorSampleField._from_keys({e: _value_key(fn(_value_of(v))) for e, v in self._keys.items()})
 
-    def scale(self, factor: GaussianRational) -> "SpinorSampleField":
-        return self.map_values(lambda v: v.scale(factor))
-
     def __neg__(self) -> "SpinorSampleField":
         return self.map_values(lambda v: -v)
 
@@ -508,7 +503,7 @@ def _parse_line_by_tokens(raw: str, number: int) -> Optional[tuple[tuple[int, ..
     return event, value
 
 
-# -- the four actions -------------------------------------------------------
+# -- the field action -------------------------------------------------------
 
 
 def _act(
@@ -532,49 +527,30 @@ def _act(
     return SpinorSampleField._from_keys(out)
 
 
-def apply_rotation(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSampleField:
-    """Unitary sector with trivial time sign: g(t, x) = A f(t, R x).
-
-    R is the rotation covering image of A, applied to the argument exactly
-    as written (not inverted); the composition behaviour this induces is
-    surfaced by :func:`composition_defect`.
-    """
-    rotation = covering_map(matrix)
-    return _act(matrix, f, lambda key: _rotated(key, rotation), False)
-
-
-def apply_time_reversal(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSampleField:
-    """Antiunitary sector: g(t, x) = A conj(f(-t, x))."""
-    if not matrix.is_special():
-        raise ValueError("time-reversal sector takes a det = +1 matrix")
-    return _act(matrix, f, _time_flipped, True)
-
-
-def apply_parity(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSampleField:
-    """Improper sector: g(t, y) = B f(t, -y)."""
-    if matrix.is_special():
-        raise ValueError("parity sector takes a det = -1 matrix")
-    return _act(matrix, f, _space_flipped, False)
-
-
-def apply_parity_time(matrix: UnitaryMat2, f: SpinorSampleField) -> SpinorSampleField:
-    """Improper antiunitary sector: g(t, y) = B T conj(f(-t, -y)),
-    with T the unitary part of time reversal."""
-    if matrix.is_special():
-        raise ValueError("parity-time sector takes a det = -1 matrix")
-    combined = matrix * time_reversal_operator()
-    return _act(combined, f, _time_space_flipped, True)
-
-
 def apply_symmetry(g: SpinorSymmetry, f: SpinorSampleField) -> SpinorSampleField:
-    """Dispatch on (det, time sign) to the four sector actions."""
-    if g.matrix.is_special():
-        if g.time_sign == 1:
-            return apply_rotation(g.matrix, f)
-        return apply_time_reversal(g.matrix, f)
-    if g.time_sign == 1:
-        return apply_parity(g.matrix, f)
-    return apply_parity_time(g.matrix, f)
+    """Act by g = (C, a) on f, in the sector of (det C, a):
+
+    - rotation (+1, +1): g(t, x) = C f(t, R x), R the covering image of C
+      applied as written, not inverted (see :func:`composition_defect`);
+    - time reversal (+1, -1): g(t, x) = C conj(f(-t, x));
+    - parity (-1, +1): g(t, y) = C f(t, -y);
+    - parity-time (-1, -1): g(t, y) = C T conj(f(-t, -y)), T the unitary
+      part of time reversal.
+
+    A missing source event raises :class:`DomainClosureError`.
+    """
+    matrix, antiunitary = g.matrix, g.time_sign == -1
+    if matrix.is_special():
+        if antiunitary:
+            rebind = _time_flipped
+        else:
+            rotation = covering_map(matrix)
+            rebind = lambda key: _rotated(key, rotation)
+    elif antiunitary:
+        matrix, rebind = matrix * time_reversal_operator(), _time_space_flipped
+    else:
+        rebind = _space_flipped
+    return _act(matrix, f, rebind, antiunitary)
 
 
 @dataclass(frozen=True)
@@ -666,33 +642,22 @@ class ZeroSpinorError(ValueError):
 
 @dataclass(frozen=True)
 class RayPoint:
-    """A spinor value modulo a global complex scale.
+    """A nonzero spinor value (u, v) modulo a global complex scale.
 
-    Two rays are equal exactly when |<a, b>|^2 = |a|^2 |b|^2, which avoids
-    any square-root normalisation; for unit representatives this is the
-    unit-modulus inner product criterion.
+    Held as its exact slope v/u, or None for the ray of (0, 1).  The slope
+    is scale-free and determines the ray, so equality and hashing are exact
+    value comparisons with no square root.
     """
 
-    representative: SpinorValue
+    slope: Optional[GaussianRational]
 
     def __post_init__(self) -> None:
-        if self.representative.is_zero():
-            raise ZeroSpinorError("cannot project the zero spinor to a ray")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RayPoint):
-            return NotImplemented
-        a, b = self.representative, other.representative
-        return inner_product(a, b).norm_sq() == a.norm_sq() * b.norm_sq()
-
-    def __hash__(self) -> int:
-        # The projective slope determines the ray and is scale-free.
-        a = self.representative
-        if a.u.is_zero():
-            return hash(("ray-at-infinity",))
-        return hash(("ray", a.v / a.u))
+        if not (self.slope is None or isinstance(self.slope, GaussianRational)):
+            raise TypeError("RayPoint takes a GaussianRational slope or None")
 
 
 def ray_project(value: SpinorValue) -> RayPoint:
-    """Project a nonzero spinor value to its ray."""
-    return RayPoint(value)
+    """Project a nonzero spinor value (u, v) to its ray, the slope v/u."""
+    if value.is_zero():
+        raise ZeroSpinorError("cannot project the zero spinor to a ray")
+    return RayPoint(None if value.u.is_zero() else value.v / value.u)

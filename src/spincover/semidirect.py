@@ -53,9 +53,6 @@ class SemidirectElement:
             raise ValueError("special part must have det = +1")
         determinant_section(self.sign)  # raises unless the sign is the int 1 or -1
 
-    def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
-        return compose(self, other)
-
     def inverse(self) -> "SemidirectElement":
         return from_unitary(to_unitary(self).inverse())
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -306,6 +307,13 @@ class TestApply:
         assert captured.out == ""
         assert captured.err == "error: bad transform 'i,0;0,2/4x': not a complex scalar: '2/4x'\n"
 
+    def test_wrong_row_count_message(self, tmp_path, capsys):
+        field = write_field(tmp_path, CONSTANT_FIELD)
+        assert main(["apply", "1,0", field]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad transform '1,0': expected 2 rows separated by ';', got 1\n"
+
     @pytest.mark.parametrize(
         "transform, start",
         [
@@ -389,6 +397,12 @@ class TestTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: bad generator: not a complex scalar: '1/0+i'\n"
+
+    def test_wrong_row_length_message(self, capsys):
+        assert main(["table", "--gen=1,0,0;0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad generator: expected 2 entries per row, got 3\n"
 
     def test_infinite_order_generator_is_refused(self, capsys):
         # diag(a, conj a) with a = 3/5+4/5i, which is no root of unity
@@ -639,6 +653,19 @@ class TestVerify:
         assert "all suites passed" not in captured.out
         assert "--samples" in captured.err
 
+    def test_samples_over_the_cap_are_refused_before_sampling(self, capsys, monkeypatch):
+        def run_suites(*args):
+            raise AssertionError("run_suites ran")
+
+        monkeypatch.setattr(cli, "run_suites", run_suites)
+        assert cli.VERIFY_SAMPLE_LIMIT == 100_000
+        assert main(["verify", "all", "--samples", "100000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "resource limit: --samples 100000000; verify takes at most 100000 samples\n"
+        assert main(["verify", "cover", "--samples", "100001"]) == 3
+        assert capsys.readouterr().err.startswith("resource limit: --samples 100001; ")
+
     def test_byte_identical_across_processes(self):
         cmd = [
             sys.executable, "-m", "spincover.cli",
@@ -647,6 +674,17 @@ class TestVerify:
         runs = [subprocess.run(cmd, capture_output=True, check=True) for _ in range(2)]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout.strip()
+
+
+def test_python_dash_m_is_the_console_script(capsys):
+    # The child imports the same spincover as this process.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "spincover", "table", "GPT_hat"], capture_output=True, text=True, check=True, env=env
+    )
+    assert main(["table", "GPT_hat"]) == 0
+    assert run.stdout == capsys.readouterr().out
+    assert run.stdout.strip() and run.stderr == ""
 
 
 class TestOutput:

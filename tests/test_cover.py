@@ -46,6 +46,21 @@ class TestMatrixTypes:
         with pytest.raises(ValueError):
             OrthogonalMat3([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
 
+    def test_shape_enforced(self):
+        for rows in ([[1, 0]], [[1, 0], [0]], [[1, 0], [0, 1], [0, 0]]):
+            with pytest.raises(ValueError, match="^expected a 2x2 matrix$"):
+                UnitaryMat2(rows)
+        for rows in ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1], [0, 0, 1]]):
+            with pytest.raises(ValueError, match="^expected a 3x3 matrix$"):
+                OrthogonalMat3(rows)
+
+    def test_apply_takes_gaussian_rationals(self):
+        one, zero = GaussianRational(1), GaussianRational(0)
+        assert IDENTITY2.apply(one, zero) == (one, zero)
+        for u, v in ((1, zero), (one, Fraction(0))):
+            with pytest.raises(TypeError, match="UnitaryMat2.apply takes two GaussianRational components"):
+                IDENTITY2.apply(u, v)
+
     def test_matrix_text_round_trip(self):
         p = parity_operator()
         assert p.to_text() == "i,0;0,i"

@@ -181,6 +181,10 @@ class TestFiniteGroupValidation:
         with pytest.raises(ValueError, match="some element has no two-sided inverse"):
             FiniteGroup(["e", "a", "b", "c", "d"], table, 0)
 
+    def test_rejects_label_count_mismatch(self):
+        with pytest.raises(ValueError, match="label count does not match table size"):
+            FiniteGroup(["e"], [[0, 1], [1, 0]], 0)
+
 
 class TestClosure:
     def test_pt_generators_close_to_order_8(self, parity, treverse):
@@ -194,6 +198,10 @@ class TestClosure:
 
         group = generate_closure([-IDENTITY2], backend="exact")
         assert group.order == 2
+
+    def test_rejects_non_matrix_generator(self):
+        with pytest.raises(TypeError, match="generate_closure takes UnitaryMat2 generators"):
+            generate_closure([PAULI_X, "0,1;1,0"])
 
     def test_quaternion_group_from_pauli_lifts(self):
         i = GaussianRational(0, 1)
@@ -666,6 +674,20 @@ class TestDoubleGroups:
         assert double_group("Dn", n).order == 4 * n
         assert double_group("Cnv", n, parity_square=1).order == 4 * n
         assert double_group("Cnv", n, parity_square=-1).order == 4 * n
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"family": "Cnv", "parity_square": 0}, "parity_square must be +1 or -1"),
+            ({"family": "Cnv", "mirror_axis": "z"}, "mirror axis must be 'x' or 'y'"),
+            ({"family": "Cn"}, "family must be 'Cnv' or 'Dn'"),
+        ],
+        ids=["parity_square", "mirror_axis", "family"],
+    )
+    def test_rejects_bad_arguments(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            double_group(n=3, **kwargs)
+        assert str(err.value) == message
 
     def test_rotation_double_is_dicyclic(self):
         for n in (2, 3, 4):

@@ -24,6 +24,7 @@ from spincover.ptgroup import (
     DomainClosureError,
     Event,
     FieldParseError,
+    RayPoint,
     SpacetimeSymmetry,
     SpinorSampleField,
     SpinorSymmetry,
@@ -32,11 +33,7 @@ from spincover.ptgroup import (
     _SCALED_ORDER_MAX_BITS,
     _match_line,
     _parse_line_by_tokens,
-    apply_parity,
-    apply_parity_time,
-    apply_rotation,
     apply_symmetry,
-    apply_time_reversal,
     composition_defect,
     inner_product,
     ray_project,
@@ -169,17 +166,17 @@ class TestSemidirectBridge:
 class TestRotationAction:
     def test_identity_fixes_field(self):
         f = varied_field()
-        assert apply_rotation(IDENTITY2, f) == f
+        assert apply_symmetry(SpinorSymmetry(IDENTITY2, 1), f) == f
 
     def test_minus_identity_negates(self):
         f = varied_field()
-        assert apply_rotation(-IDENTITY2, f) == -f
+        assert apply_symmetry(SpinorSymmetry(-IDENTITY2, 1), f) == -f
 
     def test_time_reversal_matrix_as_plain_rotation_at_origin(self, treverse):
         events = [Event.make(t, 0, 0, 0) for t in (-1, 0, 1)]
         value = SpinorValue(gr(1), gr(0, 1))
         f = SpinorSampleField({e: value for e in events})
-        g = apply_rotation(treverse, f)
+        g = apply_symmetry(SpinorSymmetry(treverse, 1), f)
         expected = transform_value(treverse, value)
         for e in events:
             assert g.value_at(e) == expected
@@ -187,7 +184,7 @@ class TestRotationAction:
     def test_argument_rebinding(self, treverse):
         # the half turn about y sends (1,0,0) to (-1,0,0)
         f = varied_field()
-        g = apply_rotation(treverse, f)
+        g = apply_symmetry(SpinorSymmetry(treverse, 1), f)
         probe = Event.make(0, 1, 0, 0)
         source = Event.make(0, -1, 0, 0)
         assert g.value_at(probe) == transform_value(treverse, f.value_at(source))
@@ -195,29 +192,25 @@ class TestRotationAction:
     def test_missing_event_reported(self, treverse):
         f = SpinorSampleField({Event.make(0, 1, 0, 0): SpinorValue(gr(1), gr(0))})
         with pytest.raises(DomainClosureError) as err:
-            apply_rotation(treverse, f)
+            apply_symmetry(SpinorSymmetry(treverse, 1), f)
         assert "-1" in str(err.value)
-
-    def test_rejects_improper_matrix(self, parity):
-        with pytest.raises(ValueError):
-            apply_rotation(parity, varied_field())
 
 
 class TestTimeReversalAction:
     def test_constant_field_formula(self, treverse):
         f = constant(gr(1), gr(0, 1))
-        g = apply_time_reversal(treverse, f)
+        g = apply_symmetry(SpinorSymmetry(treverse, -1), f)
         for e in f.events():
             assert g.value_at(e) == SpinorValue(gr(0, 1), gr(1))
 
     def test_double_application_negates(self, treverse):
         f = varied_field()
-        g = apply_time_reversal(treverse, apply_time_reversal(treverse, f))
-        assert g == -f
+        t = SpinorSymmetry(treverse, -1)
+        assert apply_symmetry(t, apply_symmetry(t, f)) == -f
 
     def test_identity_matrix_conjugates_and_flips_time(self):
         f = varied_field()
-        g = apply_time_reversal(IDENTITY2, f)
+        g = apply_symmetry(SpinorSymmetry(IDENTITY2, -1), f)
         for e in f.events():
             assert g.value_at(e) == f.value_at(e.time_flipped()).conjugate()
 
@@ -227,7 +220,7 @@ class TestTimeReversalAction:
             e: SpinorValue(gr(i % 3), gr(-(i % 2))) for i, e in enumerate(events)
         }
         f = SpinorSampleField(samples)
-        g = apply_time_reversal(IDENTITY2, f)
+        g = apply_symmetry(SpinorSymmetry(IDENTITY2, -1), f)
         for e in events:
             assert g.value_at(e) == f.value_at(e.time_flipped())
 
@@ -235,13 +228,14 @@ class TestTimeReversalAction:
 class TestParityAction:
     def test_constant_field_formula(self, parity):
         f = constant(gr(1), gr(Fraction(2, 7)))
-        g = apply_parity(parity, f)
+        g = apply_symmetry(SpinorSymmetry(parity, 1), f)
         for e in f.events():
             assert g.value_at(e) == SpinorValue(gr(0, 1), gr(0, Fraction(2, 7)))
 
     def test_double_application_negates(self, parity):
         f = varied_field()
-        assert apply_parity(parity, apply_parity(parity, f)) == -f
+        p = SpinorSymmetry(parity, 1)
+        assert apply_symmetry(p, apply_symmetry(p, f)) == -f
 
     def test_support_moves_to_reflected_point(self, parity):
         here = Event.make(0, 1, 0, 0)
@@ -249,23 +243,19 @@ class TestParityAction:
         zero = SpinorValue(gr(0), gr(0))
         bump = SpinorValue(gr(1), gr(0))
         f = SpinorSampleField({here: bump, there: zero})
-        g = apply_parity(parity, f)
+        g = apply_symmetry(SpinorSymmetry(parity, 1), f)
         assert g.value_at(here) == zero.scale(gr(0, 1))
         assert g.value_at(there) == transform_value(parity, bump)
-
-    def test_rejects_special_matrix(self, treverse):
-        with pytest.raises(ValueError):
-            apply_parity(treverse, varied_field())
 
 
 class TestParityTimeAction:
     def test_basis_spinor_formulas(self, parity):
         f = constant(gr(1), gr(0))
-        g = apply_parity_time(parity, f)
+        g = apply_symmetry(SpinorSymmetry(parity, -1), f)
         for e in f.events():
             assert g.value_at(e) == SpinorValue(gr(0), gr(0, 1))
         f2 = constant(gr(0), gr(1))
-        g2 = apply_parity_time(parity, f2)
+        g2 = apply_symmetry(SpinorSymmetry(parity, -1), f2)
         for e in f2.events():
             assert g2.value_at(e) == SpinorValue(gr(0, -1), gr(0))
 
@@ -277,20 +267,13 @@ class TestParityTimeAction:
 
     def test_full_argument_flip(self, parity, treverse):
         f = varied_field()
-        g = apply_parity_time(parity, f)
+        g = apply_symmetry(SpinorSymmetry(parity, -1), f)
         for e in f.events():
             source = f.value_at(e.time_flipped().space_flipped())
             assert g.value_at(e) == transform_value(parity * treverse, source.conjugate())
 
 
 class TestDispatch:
-    def test_four_sectors(self, parity, treverse):
-        f = varied_field()
-        assert apply_symmetry(SpinorSymmetry(treverse, 1), f) == apply_rotation(treverse, f)
-        assert apply_symmetry(SpinorSymmetry(treverse, -1), f) == apply_time_reversal(treverse, f)
-        assert apply_symmetry(SpinorSymmetry(parity, 1), f) == apply_parity(parity, f)
-        assert apply_symmetry(SpinorSymmetry(parity, -1), f) == apply_parity_time(parity, f)
-
     def test_identity_element(self):
         f = varied_field()
         assert apply_symmetry(SpinorSymmetry.identity(), f) == f
@@ -308,6 +291,25 @@ class TestDispatch:
             g = SpinorSymmetry(matrix, 1)
             f = varied_field()
             assert apply_symmetry(g, apply_symmetry(g, f)) == -f
+
+
+def axis_orbit_field(coefficient):
+    """(coefficient(x), 0) at t = 0 on the 12 points of the orbit of
+    x = (1, 2, 3) under the cyclic axis permutation and the half turn about z."""
+    orbit, todo = set(), [(1, 2, 3)]
+    while todo:
+        a, b, c = point = todo.pop()
+        if point not in orbit:
+            orbit.add(point)
+            todo += [(c, a, b), (-a, -b, c)]
+    return SpinorSampleField({Event.make(0, *x): SpinorValue(gr(coefficient(x)), gr(0)) for x in orbit})
+
+
+# Lifts of the 120-degree turn about (1, 1, 1) and of the half turn about z.
+# The rotations do not commute, so acting by one after the other reads each
+# value from another event than acting by their product does.
+CYCLIC_TURN = SpinorSymmetry(UnitaryMat2.from_text("1/2-1/2i,-1/2-1/2i;1/2-1/2i,1/2+1/2i"), 1)
+HALF_TURN_Z = SpinorSymmetry(UnitaryMat2.from_text("i,0;0,-i"), 1)
 
 
 class TestCompositionDefect:
@@ -338,6 +340,31 @@ class TestCompositionDefect:
         # one-step applies (i*sigma3)^2 = -identity
         assert report.matrix_two_step == IDENTITY2
         assert report.matrix_one_step == -IDENTITY2
+
+    @pytest.mark.parametrize(
+        "g, h, field, witnesses",
+        [
+            # (i, -i) against (-i, -i): not proportional.
+            (
+                SpinorSymmetry.time_reversal(),
+                SpinorSymmetry.parity(),
+                lambda: SpinorSampleField({Event.make(0, 0, 0, 0): SpinorValue(gr(1), gr(1))}),
+                1,
+            ),
+            # 0 against (1/2 + i/2)(1, 1) at the first event, then the
+            # reverse: the one-step value is zero where the two-step one is not.
+            (CYCLIC_TURN, HALF_TURN_Z, lambda: axis_orbit_field(lambda x: int(x[0] > 0)), 12),
+            # Proportional at every event, by 2/3 at the first and 3/2 at the second.
+            (CYCLIC_TURN, HALF_TURN_Z, lambda: axis_orbit_field(lambda x: x[0] + 10), 12),
+        ],
+        ids=["not-proportional", "zero-denominator", "inconsistent-ratio"],
+    )
+    def test_no_global_scalar(self, g, h, field, witnesses):
+        report = composition_defect(g, h, field())
+        assert not report.law_holds
+        assert report.sign_defect is None
+        assert len(report.witnesses) == witnesses
+        assert report.to_json()["sign_defect"] is None
 
     def test_json_schema(self):
         g = SpinorSymmetry.time_reversal()
@@ -378,15 +405,32 @@ class TestRaySpace:
             ray_project(SpinorValue(gr(0), gr(0)))
 
     def test_equality_matches_projective_slope(self, rng):
-        # |<a,b>|^2 = |a|^2 |b|^2 is equivalent to equal v/u slopes
-        for _ in range(100):
-            a, b = sample_unit_spinor(rng), sample_unit_spinor(rng)
-            lhs = ray_project(a) == ray_project(b)
-            if a.u.is_zero() or b.u.is_zero():
-                rhs = a.u.is_zero() and b.u.is_zero()
-            else:
-                rhs = a.v / a.u == b.v / b.u
-            assert lhs == rhs
+        # Rays compare by their slope v/u.  The reference is the criterion
+        # with no slope and no square root: a and b span one ray exactly
+        # when |<a,b>|^2 = |a|^2 |b|^2.  Equal rays hash equal.
+        def norm_sq(a):
+            return inner_product(a, a).re
+
+        on_axes = [  # u = 0 twice, v = 0 twice
+            SpinorValue(gr(0), gr(2, -1)),
+            SpinorValue(gr(0), gr(0, Fraction(1, 3))),
+            SpinorValue(gr(Fraction(1, 3)), gr(0)),
+            SpinorValue(gr(-2, 1), gr(0)),
+        ]
+        values = on_axes + [sample_unit_spinor(rng) for _ in range(20)]
+        scales = [gr(1), gr(0, 1), gr(2, -3), gr(Fraction(-1, 5))]
+        for a in values:
+            for b in values + [a.scale(c) for c in scales]:
+                same_ray = inner_product(a, b).norm_sq() == norm_sq(a) * norm_sq(b)
+                assert (ray_project(a) == ray_project(b)) == same_ray
+                if same_ray:
+                    assert hash(ray_project(a)) == hash(ray_project(b))
+
+    def test_slope_is_exact_value(self):
+        assert ray_project(SpinorValue(gr(2), gr(0, 1))) == RayPoint(gr(0, Fraction(1, 2)))
+        assert ray_project(SpinorValue(gr(0), gr(3))) == RayPoint(None)
+        with pytest.raises(TypeError, match="RayPoint takes a GaussianRational slope or None"):
+            RayPoint(Fraction(1, 2))
 
     def test_hash_consistent_with_equality(self, rng):
         for _ in range(50):
@@ -508,23 +552,23 @@ class TestClosureMetadata:
         f = SpinorSampleField({Event.make(0, 1, 0, 0): SpinorValue(gr(1), gr(0))})
         rotation = covering_map(treverse)
         with pytest.raises(DomainClosureError) as err:
-            apply_rotation(treverse, f)
+            apply_symmetry(SpinorSymmetry(treverse, 1), f)
         assert err.value.missing == Event.make(0, 1, 0, 0).rotated(rotation)
 
     def test_flips_report_first_missing_event(self, treverse, parity):
         one = SpinorValue(gr(1), gr(0))
         f = SpinorSampleField({Event.make(1, 0, 0, 0): one, Event.make(2, 1, 0, 0): one})
         with pytest.raises(DomainClosureError) as err:
-            apply_time_reversal(treverse, f)
+            apply_symmetry(SpinorSymmetry(treverse, -1), f)
         assert err.value.missing == Event.make(-1, 0, 0, 0)
         with pytest.raises(DomainClosureError) as err:
-            apply_parity(parity, f)
+            apply_symmetry(SpinorSymmetry(parity, 1), f)
         assert err.value.missing == Event.make(2, -1, 0, 0)
 
     def test_symmetric_domain_is_closed(self, treverse, parity):
         f = varied_field()
-        assert apply_time_reversal(treverse, f).events() == f.events()
-        assert apply_parity(parity, f).events() == f.events()
+        assert apply_symmetry(SpinorSymmetry(treverse, -1), f).events() == f.events()
+        assert apply_symmetry(SpinorSymmetry(parity, 1), f).events() == f.events()
 
 
 # -- one grammar: the line match against the per-token parser -----------------

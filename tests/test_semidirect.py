@@ -42,6 +42,10 @@ class TestZ2Rep:
             with pytest.raises(ValueError):
                 SemidirectElement(IDENTITY2, sign)
 
+    def test_special_part_must_have_det_plus_one(self):
+        with pytest.raises(ValueError, match=r"special part must have det = \+1"):
+            SemidirectElement(parity_operator(), 1)
+
     def test_signs(self):
         for sign in (1, -1):
             e = SemidirectElement(IDENTITY2, sign)
@@ -74,6 +78,11 @@ class TestTwist:
         for _ in range(20):
             a = sample_su2(rng)
             assert twist_automorphism(-1, twist_automorphism(-1, a)) == a
+
+    def test_rejects_improper_matrix(self):
+        for sign in (1, -1):
+            with pytest.raises(ValueError, match=r"the twist acts on det = \+1 matrices"):
+                twist_automorphism(sign, parity_operator())
 
     def test_twist_is_an_automorphism(self, rng):
         for _ in range(50):

@@ -6,6 +6,7 @@ versions that misbehave on some inputs but not on the first sample, so the
 first-witness strings of the failing assertions are pinned as well.
 """
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,6 +78,24 @@ def test_verify_all_golden(monkeypatch, capsys, faulty, code, golden):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_verify_all_text_failures(monkeypatch, capsys):
+    install_faults(monkeypatch)
+    assert main([*ARGV[:-1], "text"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads((GOLDEN / "verify_all_seed42_samples20_faults.json").read_text(encoding="utf-8"))
+    expected = []
+    for suite in report["suites"]:
+        for assertion in suite["assertions"]:
+            status = "PASS" if assertion["pass"] else "FAIL"
+            expected.append(f"[{suite['suite']}] {status}  {assertion['assertion']}")
+            if not assertion["pass"] and assertion["witness"] is not None:
+                expected.append(f"    witness: {assertion['witness']}")
+    expected.append("FAILURES detected")
+    assert sum(line.startswith("    witness: ") for line in expected) == 17
+    assert captured.out == "\n".join(expected) + "\n"
 
 
 def test_unknown_suite_is_refused():
