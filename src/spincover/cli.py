@@ -103,7 +103,7 @@ def _parse_transform(token: str) -> SpinorSymmetry:
 def _cmd_apply(args: argparse.Namespace) -> int:
     symmetry = _parse_transform(args.transform)
     try:
-        with open(args.field, "r", encoding="utf-8") as handle:
+        with open(args.field, "r", encoding="utf-8-sig") as handle:
             field = SpinorSampleField.from_text(handle.read())
     except OSError as exc:
         raise InputError(str(exc)) from exc

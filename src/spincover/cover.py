@@ -151,11 +151,6 @@ class UnitaryMat2(ExactKey):
         gu, gv = gcd(ur, ui, den), gcd(vr, vi, den)
         return (ur // gu, ui // gu, den // gu, vr // gv, vi // gv, den // gv)
 
-    def sort_key(self) -> tuple:
-        """The real and imaginary parts of the entries, row by row, by value."""
-        *n, d = self._key
-        return tuple(Fraction(x, d) for x in n)
-
     def to_text(self) -> str:
         return ";".join(",".join(format_complex(v) for v in row) for row in self.rows)
 

@@ -6,6 +6,8 @@ associativity by Light's test, at every order).  Closure is
 exact and runs over hashable elements indexed by a dict: Gaussian-rational
 matrices, spacetime symmetries, or the monomial matrices of the double
 groups, whose entries are 4n-th roots of unity stored as integer exponents.
+One breadth-first pass lists the elements in the order it finds them, and
+the Cayley table is built once from that list.
 
 Isomorphism testing climbs an invariant ladder before it searches: the
 element-order multiset, then, read off the element signatures (order,
@@ -145,50 +147,39 @@ class FiniteGroup:
 
 
 def _close(
-    generators: Sequence,
-    identity,
-    multiply: Callable,
-    sort_key: Optional[Callable],
-    bound: int,
+    generators: Sequence, identity, multiply: Callable, bound: int
 ) -> tuple[list, list[list[int]]]:
     """Breadth-first closure of hashable elements, with its Cayley table.
 
-    Element order: identity first, then the generators, then each new layer
-    of products, every layer sorted by ``sort_key`` (by the elements
-    themselves when it is None).  Elements are indexed by a dict, so each
-    pass over all pairs costs O(N^2); the last pass, which finds nothing
-    new, is the multiplication table.  ``bound`` is the most elements a
-    finite group of these generators can have.  A pass stops after the row
-    that passes it, and :class:`ClosureLimitError` is raised, so no pass
-    costs more than bound^2 products.
+    Element order: identity first, then the generators in the order given,
+    then each new product x·g in the order found, walking x along the
+    element list while it grows.  Elements are indexed by a dict.  ``bound``
+    is the most elements a finite group of these generators can have;
+    :class:`ClosureLimitError` is raised when element bound + 1 would be
+    added, so a refused closure costs at most bound × len(generators)
+    products.  The Cayley table is built once at the end, N² products.
     """
-    elements: list = [identity]
-    index = {identity: 0}
-    fresh = dict.fromkeys(g for g in generators if g not in index)
-    while True:
-        if len(elements) + len(fresh) > bound:
-            raise ClosureLimitError(
-                f"closure passed {bound} elements, the bound for a finite group "
-                "of these generators, so the group is infinite"
-            )
-        for x in sorted(fresh, key=sort_key):
+    elements: list = []
+    index: dict = {}
+
+    def add(x) -> None:
+        if x not in index:
+            if len(elements) == bound:
+                raise ClosureLimitError(
+                    f"closure passed {bound} elements, the bound for a finite group "
+                    "of these generators, so the group is infinite"
+                )
             index[x] = len(elements)
             elements.append(x)
-        fresh = {}
-        table = []
-        for a in elements:
-            row = []
-            for b in elements:
-                p = multiply(a, b)
-                i = index.get(p)
-                if i is None:
-                    fresh[p] = None
-                row.append(i)
-            table.append(row)
-            if len(elements) + len(fresh) > bound:
-                break
-        if not fresh:
-            return elements, table
+
+    add(identity)
+    for g in generators:
+        add(g)
+    for x in elements:
+        for g in generators:
+            add(multiply(x, g))
+    table = [[index[multiply(a, b)] for b in elements] for a in elements]
+    return elements, table
 
 
 def _closure_group(elements: list, table: list[list[int]], name: str) -> FiniteGroup:
@@ -205,8 +196,9 @@ def generate_closure(generators: Sequence[UnitaryMat2], backend: str = "exact") 
     into a finite group, comparing elements by exact equality.
 
     ``backend`` must be ``"exact"``, the only backend.  Element order is
-    deterministic: identity first, then breadth-first layers sorted by
-    entry order.  Labels are ``e0``, ``e1``, ... in that order.
+    deterministic: identity first, then the generators in the order given,
+    then each new product in the order the breadth-first walk finds it.
+    Labels are ``e0``, ``e1``, ... in that order.
 
     A generator of infinite order raises :class:`ClosureLimitError` at once,
     and so does a closure that passes 48 elements, because every finite
@@ -246,9 +238,7 @@ def generate_closure(generators: Sequence[UnitaryMat2], backend: str = "exact") 
             raise ClosureLimitError(
                 f"generator {g.to_text()} has infinite order: its 24th power is not I"
             )
-    elements, table = _close(
-        gens, IDENTITY2, lambda a, b: a * b, lambda m: m.sort_key(), UNITARY_CLOSURE_BOUND
-    )
+    elements, table = _close(gens, IDENTITY2, lambda a, b: a * b, UNITARY_CLOSURE_BOUND)
     return _closure_group(elements, table, f"closure[{backend}]")
 
 
@@ -536,24 +526,18 @@ def _monomial_mul(modulus: int) -> Callable[[Monomial, Monomial], Monomial]:
     return times
 
 
-def double_group(
-    family: str,
-    n: int,
-    parity_square: int = -1,
-    mirror_axis: str = "x",
-) -> FiniteGroup:
+def double_group(family: str, n: int, parity_square: int = -1) -> FiniteGroup:
     """The spinor double of a rotation or reflection point group of axis
     order n, closed exactly over monomial matrices; resulting order is 4n.
 
     ``family="Dn"``: generators are the principal-axis lift
     diag(e^{-i pi/n}, e^{i pi/n}) and the lift -i*sigma of a perpendicular
-    half turn.  ``family="Cnv"``: the second generator is the lift of a
-    vertical mirror, built as the parity lift times the half-turn lift; the
-    parity convention is selectable, ``parity_square=-1`` meaning the
-    parity lift squares to -I (the mirror lift then squares to +I) and
-    ``parity_square=+1`` the reverse.  The mirror axis choice does not
-    affect the isomorphism class.  ``element_source`` maps each label to
-    its ``(swap, k1, k2)`` triple.
+    half turn about the x axis.  ``family="Cnv"``: the second generator is
+    the lift of the mirror normal to the x axis, built as the parity lift
+    times the half-turn lift; the parity convention is selectable,
+    ``parity_square=-1`` meaning the parity lift squares to -I (the mirror
+    lift then squares to +I) and ``parity_square=+1`` the reverse.
+    ``element_source`` maps each label to its ``(swap, k1, k2)`` triple.
     """
     if not (DOUBLE_GROUP_MIN_N <= n <= DOUBLE_GROUP_MAX_N):
         raise ValueError(
@@ -561,23 +545,17 @@ def double_group(
         )
     if parity_square not in (1, -1):
         raise ValueError("parity_square must be +1 or -1")
-    if mirror_axis not in ("x", "y"):
-        raise ValueError("mirror axis must be 'x' or 'y'")
     if family not in ("Cnv", "Dn"):
         raise ValueError("family must be 'Cnv' or 'Dn'")
-    # Per axis: the half-turn lift -i*sigma, and sigma itself.
-    half_turn, pauli = {
-        "x": ((1, 3 * n, 3 * n), (1, 0, 0)),
-        "y": ((1, 2 * n, 0), (1, 3 * n, n)),
-    }[mirror_axis]
+    # The half-turn lift -i*sigma_x, and sigma_x itself.
+    half_turn = (1, 3 * n, 3 * n)
+    pauli_x = (1, 0, 0)
     # The mirror lift is the parity lift (i*I when it squares to -I, else
     # I) times the half-turn lift.
-    second = pauli if family == "Cnv" and parity_square == -1 else half_turn
+    second = pauli_x if family == "Cnv" and parity_square == -1 else half_turn
     modulus = 4 * n
     axis_gen = (0, modulus - 2, 2)
-    elements, table = _close(
-        [axis_gen, second], (0, 0, 0), _monomial_mul(modulus), None, modulus
-    )
+    elements, table = _close([axis_gen, second], (0, 0, 0), _monomial_mul(modulus), modulus)
     return _closure_group(elements, table, f"double[{family}:{n}]")
 
 

@@ -351,12 +351,11 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     checks = _Checks()
 
     # The order-8 subgroup generated by the canonical parity and
-    # time-reversal pairs; the constant sort key keeps discovery order.
+    # time-reversal pairs, in discovery order.
     lifted, _ = _close(
         [SpinorSymmetry.parity(), SpinorSymmetry.time_reversal()],
         SpinorSymmetry.identity(),
         lambda a, b: a * b,
-        lambda s: 0,
         8,
     )
     canonical = _canonical_symmetries()

@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -93,6 +94,11 @@ MALFORMED_FIELDS = [
         "0;\f0,0,0; 1; 0\x85\u2028\n1; 0,0,0; 1i1; 0\n",
         "line 2: not a complex scalar: '1i1'",
         id="line-ends-only-at-newline",
+    ),
+    pytest.param(
+        "0; 0,0,0; 1; 0\n\ufeff1; 0,0,0; 1; 0\n",
+        "line 2: not a rational scalar: '\\ufeff1'",
+        id="byte-order-mark-after-start",
     ),
 ]
 
@@ -241,6 +247,15 @@ class TestApply:
         golden = GOLDEN / f"apply_edge_{transform}.{suffix}"
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
+    def test_byte_order_mark_and_crlf_print_the_plain_bytes(self, tmp_path, capsys):
+        plain = GOLDEN / "apply_field.txt"
+        assert main(["apply", "P", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        marked = tmp_path / "bom.txt"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes().replace(b"\n", b"\r\n"))
+        assert main(["apply", "P", str(marked)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_edge_field_keeps_its_bytes(self):
         raw = APPLY_EDGE_FIELD.read_bytes()
         assert b"\r\n" in raw and "\u00a0".encode() in raw and "\u3000".encode() in raw
@@ -369,7 +384,8 @@ class TestTable:
         assert len(payload["table"]) == 8
 
     def test_generated_octahedral_golden(self, capsys):
-        # Pins the closure order: identity, generators, then sorted layers.
+        # Pins the closure order: identity, the generators as given, then
+        # each new product in the order the breadth-first walk finds it.
         generators = ["1/2-1/2i,-1/2-1/2i;1/2-1/2i,1/2+1/2i", "0,-1;1,0", "i,0;0,i"]
         argv = ["table", *(f"--gen={g}" for g in generators), "--format", "json"]
         assert main(argv) == 0

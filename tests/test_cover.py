@@ -45,6 +45,14 @@ class TestMatrixTypes:
     def test_orthogonality_enforced(self):
         with pytest.raises(ValueError):
             OrthogonalMat3([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        # The same numerators stored without the constructor's check.
+        assert not OrthogonalMat3._from_key((1, 1, 0, 0, 1, 0, 0, 0, 1, 1)).is_orthogonal()
+        assert OrthogonalMat3._from_key((1, 0, 0, 0, 1, 0, 0, 0, 1, 1)).is_orthogonal()
+
+    def test_no_mixed_products(self):
+        for left, right in ((IDENTITY2, 2), (HALF_TURN_Y, 2), (IDENTITY2, HALF_TURN_Y), (HALF_TURN_Y, IDENTITY2)):
+            with pytest.raises(TypeError):
+                left * right
 
     def test_shape_enforced(self):
         for rows in ([[1, 0]], [[1, 0], [0]], [[1, 0], [0, 1], [0, 0]]):
@@ -63,8 +71,9 @@ class TestMatrixTypes:
 
     def test_matrix_text_round_trip(self):
         p = parity_operator()
-        assert p.to_text() == "i,0;0,i"
+        assert p.to_text() == str(p) == "i,0;0,i"
         assert UnitaryMat2.from_text(p.to_text()) == p
+        assert HALF_TURN_Y.to_text() == str(HALF_TURN_Y) == "-1,0,0;0,1,0;0,0,-1"
         assert OrthogonalMat3.from_text(HALF_TURN_Y.to_text()) == HALF_TURN_Y
 
     def test_su2_form_automatic_for_special(self, rng):

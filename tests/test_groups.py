@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from spincover import _kernels, cli, groups
-from spincover.cover import PAULI_X, PAULI_Y, PAULI_Z, UnitaryMat2
+from spincover.cover import IDENTITY2, PAULI_X, PAULI_Y, PAULI_Z, UnitaryMat2
 from spincover.groups import (
     ABELIAN,
     CENTRE_ORDER,
@@ -194,8 +194,6 @@ class TestClosure:
         assert group.order_multiset() == (1, 2, 2, 2, 4, 4, 4, 4)
 
     def test_single_involution(self):
-        from spincover.cover import IDENTITY2
-
         group = generate_closure([-IDENTITY2], backend="exact")
         assert group.order == 2
 
@@ -220,12 +218,48 @@ class TestClosure:
             b.element_source[l] for l in b.labels
         ]
 
-    def test_max_order_enforced(self):
+    def test_infinite_group_refused_past_48_elements(self):
         # Both generators have order 4, but their product has trace -8/5 and
         # infinite order; the closure stops once it passes 48 elements.
         gens = [UnitaryMat2.from_text("0,i;i,0"), UnitaryMat2.from_text("3/5i,4/5i;4/5i,-3/5i")]
         with pytest.raises(ClosureLimitError, match="passed 48 elements.*infinite"):
             generate_closure(gens)
+
+    def test_refused_closure_products_are_bounded(self, monkeypatch):
+        # Each element is multiplied by each generator at most once before
+        # element 49 would be added, so a refused closure makes at most
+        # 48 x 2 products; the two g^24 tests add five products each.
+        gens = [UnitaryMat2.from_text("0,i;i,0"), UnitaryMat2.from_text("3/5i,4/5i;4/5i,-3/5i")]
+        closure_products = []
+
+        def multiply(a, b):
+            closure_products.append((a, b))
+            return a * b
+
+        with pytest.raises(ClosureLimitError, match="passed 48 elements"):
+            groups._close(gens, IDENTITY2, multiply, groups.UNITARY_CLOSURE_BOUND)
+        assert len(closure_products) <= groups.UNITARY_CLOSURE_BOUND * len(gens)
+
+        all_products = []
+        times = UnitaryMat2.__mul__
+
+        def counted(a, b):
+            all_products.append((a, b))
+            return times(a, b)
+
+        monkeypatch.setattr(UnitaryMat2, "__mul__", counted)
+        with pytest.raises(ClosureLimitError, match="passed 48 elements"):
+            generate_closure(gens)
+        assert len(all_products) == 5 * len(gens) + len(closure_products)
+
+    def test_discovery_order(self, parity, treverse):
+        # Identity, then the generators as given, then each new product x*g
+        # in the order the walk along the element list finds it.
+        group = generate_closure([treverse, parity])
+        found = [group.element_source[label] for label in group.labels]
+        t, p = treverse, parity
+        # p*t = t*p and p*p = t*t = -I are found already.
+        assert found == [IDENTITY2, t, p, t * t, t * p, t * t * t, t * t * p, t * t * t * p]
 
     def test_infinite_order_generator_refused(self, parity):
         # i times an order-6 element of the binary tetrahedral group has
@@ -244,7 +278,7 @@ class TestClosure:
             for j in range(n):
                 assert 0 <= group.table[i][j] < n
 
-    def test_approx_backend_matches_exact_on_order2_double(self):
+    def test_unitary_closure_matches_monomial_double_group_n2(self):
         # the axis-order-2 double group has Gaussian-rational generators
         # diag(-i, i) and -i*sigma_x; its monomial exponents are all even,
         # so every element converts exactly to a UnitaryMat2
@@ -319,8 +353,10 @@ class TestAbstractGroups:
             assert all(type(row) is list for row in product.table)
             assert product.identity_index == nested.identity_index
             assert product.name == nested.name
-        assert direct_product(cyclic(2), dihedral(6), dicyclic(8)).name == "Z2xDih6xDic8"
-        assert direct_product(cyclic(3), unnamed, cyclic(2)).name == ""
+        named = direct_product(cyclic(2), dihedral(6), dicyclic(8))
+        assert named.name == "Z2xDih6xDic8" and repr(named) == "<Z2xDih6xDic8 of order 96>"
+        anonymous = direct_product(cyclic(3), unnamed, cyclic(2))
+        assert anonymous.name == "" and repr(anonymous) == f"<FiniteGroup of order {anonymous.order}>"
         z5 = cyclic(5)
         assert direct_product(z5) is z5
 
@@ -382,12 +418,16 @@ class TestAbstractGroups:
 
 
 class TestIsomorphism:
-    def test_witnesses_are_verified(self):
+    def test_witnesses_are_verified(self, monkeypatch):
         g = direct_product(cyclic(2), cyclic(4))
         h = direct_product(cyclic(4), cyclic(2))
         witness = find_isomorphism(g, h)
         assert witness is not None
         assert verify_isomorphism(g, h, witness.mapping)
+        # A mapping the search returns but the check refuses is an error.
+        monkeypatch.setattr(_kernels, "check_isomorphism", lambda *args: False)
+        with pytest.raises(RuntimeError, match="isomorphism search returned an invalid mapping"):
+            decide_isomorphism(g, h)
 
     def test_cyclic_4_vs_klein(self):
         assert find_isomorphism(cyclic(4), direct_product(cyclic(2), cyclic(2))) is None
@@ -660,8 +700,6 @@ class TestCayleyRendering:
         assert len(payload["table"]) == 8
 
     def test_two_element_table(self):
-        from spincover.cover import IDENTITY2
-
         group = generate_closure([-IDENTITY2], backend="exact")
         text = group.cayley_text()
         lines = [line for line in text.splitlines() if line.strip()]
@@ -679,10 +717,9 @@ class TestDoubleGroups:
         "kwargs, message",
         [
             ({"family": "Cnv", "parity_square": 0}, "parity_square must be +1 or -1"),
-            ({"family": "Cnv", "mirror_axis": "z"}, "mirror axis must be 'x' or 'y'"),
             ({"family": "Cn"}, "family must be 'Cnv' or 'Dn'"),
         ],
-        ids=["parity_square", "mirror_axis", "family"],
+        ids=["parity_square", "family"],
     )
     def test_rejects_bad_arguments(self, kwargs, message):
         with pytest.raises(ValueError) as err:
@@ -719,12 +756,6 @@ class TestDoubleGroups:
         assert by_convention[-1].invariant_used is not None
         assert all(v.claim_match for v in verdicts)
 
-    def test_axis_choice_does_not_change_isomorphism_class(self):
-        for family in ("Dn", "Cnv"):
-            a = double_group(family, 3, parity_square=-1, mirror_axis="x")
-            b = double_group(family, 3, parity_square=-1, mirror_axis="y")
-            assert find_isomorphism(a, b) is not None
-
     def test_axis_range_enforced(self):
         with pytest.raises(ValueError):
             double_group("Dn", 13)
@@ -735,21 +766,20 @@ class TestDoubleGroups:
     def test_table_is_the_matrix_product(self, n):
         for family in ("Dn", "Cnv"):
             for convention in (1, -1):
-                for axis in ("x", "y"):
-                    g = double_group(family, n, parity_square=convention, mirror_axis=axis)
-                    assert g.order == 4 * n
-                    mats = [monomial_to_complex(g.element_source[l], n) for l in g.labels]
-                    for i, a in enumerate(mats):
-                        for j, b in enumerate(mats):
-                            product = complex_matmul(a, b)
-                            expected = mats[g.table[i][j]]
-                            assert all(
-                                abs(product[r][c] - expected[r][c]) < 1e-9
-                                for r in range(2)
-                                for c in range(2)
-                            ), (family, n, convention, axis, i, j)
+                g = double_group(family, n, parity_square=convention)
+                assert g.order == 4 * n
+                mats = [monomial_to_complex(g.element_source[l], n) for l in g.labels]
+                for i, a in enumerate(mats):
+                    for j, b in enumerate(mats):
+                        product = complex_matmul(a, b)
+                        expected = mats[g.table[i][j]]
+                        assert all(
+                            abs(product[r][c] - expected[r][c]) < 1e-9
+                            for r in range(2)
+                            for c in range(2)
+                        ), (family, n, convention, i, j)
 
-    def test_float_backend_determinism(self):
+    def test_determinism(self):
         a = double_group("Cnv", 5, parity_square=-1)
         b = double_group("Cnv", 5, parity_square=-1)
         assert a.labels == b.labels

@@ -251,6 +251,9 @@ class TestKernelBasics:
         g = dicyclic(8)
         orders = _kernels.element_orders(g.table, g.identity_index)
         assert sorted(orders) == [1, 2, 4, 4, 4, 4, 4, 4]
+        # 1 * 1 = 1: the powers of element 1 never reach the identity.
+        with pytest.raises(ValueError, match="element 1 has no finite order"):
+            _kernels.element_orders([[0, 1], [1, 1]], 0)
 
     def test_is_abelian(self):
         for group in sample_groups():

@@ -525,8 +525,11 @@ class TestFieldSurface:
             f.samples = {}
         with pytest.raises(TypeError):
             hash(f)
-        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        # The repr is a constructor call over the exact types.
+        names = {cls.__name__: cls for cls in (SpinorSampleField, Event, SpinorValue, GaussianRational, Fraction)}
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f)), eval(repr(f), names)):
             assert g == f and g.events() == f.events() and g.to_text() == f.to_text()
+        assert f != f.to_text() and f.__eq__(f.to_text()) is NotImplemented
 
     def test_samples_are_built_on_each_call(self):
         f = varied_field()

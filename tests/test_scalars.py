@@ -157,10 +157,11 @@ class TestArithmetic:
             lambda z: 2 * z,
             lambda z: z + 1,
             lambda z: 1 - z,
+            lambda z: z - 1,
             lambda z: z / Fraction(2),
             lambda z: 1 / z,
         ],
-        ids=["z*2", "2*z", "z+1", "1-z", "z/Fraction", "1/z"],
+        ids=["z*2", "2*z", "z+1", "1-z", "z-1", "z/Fraction", "1/z"],
     )
     def test_no_mixed_arithmetic(self, combine):
         with pytest.raises(TypeError):
