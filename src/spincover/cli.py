@@ -17,6 +17,8 @@ from typing import Callable, Optional, Sequence
 
 from .cover import UnitaryMat2
 from .groups import (
+    DOUBLE_GROUP_MAX_N,
+    DOUBLE_GROUP_MIN_N,
     ISOMORPHISM_ORDER_LIMIT,
     ClosureLimitError,
     FiniteGroup,
@@ -372,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_double = sub.add_parser(
         "doublegroup", help="compare reflection and rotation double groups"
     )
-    p_double.add_argument("n", type=int, help="principal axis order, 2..12")
+    p_double.add_argument(
+        "n", type=int, help=f"principal axis order, {DOUBLE_GROUP_MIN_N}..{DOUBLE_GROUP_MAX_N}"
+    )
     p_double.add_argument(
         "--convention", choices=("+1", "-1", "both"), default="both",
         help="parity-lift square convention to test",

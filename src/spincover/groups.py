@@ -6,8 +6,9 @@ associativity by Light's test, at every order).  Closure is
 exact and runs over hashable elements indexed by a dict: Gaussian-rational
 matrices, spacetime symmetries, or the monomial matrices of the double
 groups, whose entries are 4n-th roots of unity stored as integer exponents.
-One breadth-first pass lists the elements in the order it finds them, and
-the Cayley table is built once from that list.
+One breadth-first pass lists the elements in the order it finds them and
+multiplies each element by each generator once; the Cayley table is read
+off those N × len(generators) products, with no product per table entry.
 
 Isomorphism testing climbs an invariant ladder before it searches: the
 element-order multiset, then, read off the element signatures (order,
@@ -157,29 +158,43 @@ def _close(
     is the most elements a finite group of these generators can have;
     :class:`ClosureLimitError` is raised when element bound + 1 would be
     added, so a refused closure costs at most bound × len(generators)
-    products.  The Cayley table is built once at the end, N² products.
+    products.
+
+    The walk makes every product x_i·g_j once, N × len(generators) in all,
+    and the Cayley table is read off them with no further product: the walk
+    records the right action ``right[j][i]`` = index of x_i·g_j, and the
+    (p, j) through which each element b was first found as x_p·g_j.  Then
+    a·x_b = (a·x_p)·g_j, so column b is ``right[j]`` read at column p; the
+    identity's column is 0..N-1.
     """
     elements: list = []
     index: dict = {}
+    parents: list[Optional[tuple[int, int]]] = []
+    right: list[list[int]] = [[] for _ in generators]
 
-    def add(x) -> None:
-        if x not in index:
+    def add(x, parent: Optional[tuple[int, int]]) -> int:
+        i = index.get(x)
+        if i is None:
             if len(elements) == bound:
                 raise ClosureLimitError(
                     f"closure passed {bound} elements, the bound for a finite group "
                     "of these generators, so the group is infinite"
                 )
-            index[x] = len(elements)
+            i = index[x] = len(elements)
             elements.append(x)
+            parents.append(parent)
+        return i
 
-    add(identity)
-    for g in generators:
-        add(g)
-    for x in elements:
-        for g in generators:
-            add(multiply(x, g))
-    table = [[index[multiply(a, b)] for b in elements] for a in elements]
-    return elements, table
+    add(identity, None)
+    for j, g in enumerate(generators):
+        add(g, (0, j))
+    for p, x in enumerate(elements):
+        for j, g in enumerate(generators):
+            right[j].append(add(multiply(x, g), (p, j)))
+    columns = [list(range(len(elements)))]
+    for p, j in parents[1:]:
+        columns.append(list(map(right[j].__getitem__, columns[p])))
+    return elements, [list(row) for row in zip(*columns)]
 
 
 def _closure_group(elements: list, table: list[list[int]], name: str) -> FiniteGroup:

@@ -376,6 +376,17 @@ class TestTable:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         assert len(lines) == 3  # header + identity row + generator row
 
+    @pytest.mark.parametrize(
+        "generators, table",
+        [(["1,0;0,1"], [[0]]), (["-1,0;0,-1", "-1,0;0,-1"], [[0, 1], [1, 0]])],
+        ids=["identity", "minus_identity_twice"],
+    )
+    def test_degenerate_generators(self, capsys, generators, table):
+        assert main(["table", *(f"--gen={g}" for g in generators), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["elements"] == [f"e{i}" for i in range(len(table))]
+        assert payload["table"] == table
+
     def test_json_table(self, capsys):
         assert main(["table", "GPT_hat", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -628,6 +639,14 @@ class TestDoubleGroup:
         assert main(["doublegroup", str(n), "--format", "json"]) == 0
         golden = GOLDEN / f"doublegroup_n{n}.json"
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_help_states_the_axis_range(self, capsys, monkeypatch):
+        # The range in the help text is read from the two constants.
+        monkeypatch.setattr(cli, "DOUBLE_GROUP_MAX_N", 64)
+        with pytest.raises(SystemExit) as exc:
+            main(["doublegroup", "--help"])
+        assert exc.value.code == 0
+        assert "principal axis order, 2..64" in capsys.readouterr().out
 
     def test_tolerance_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

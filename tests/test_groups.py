@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import operator
 
 import pytest
 
@@ -44,6 +45,46 @@ def complex_matmul(a, b):
     return tuple(
         tuple(sum(a[r][k] * b[k][c] for k in range(2)) for c in range(2)) for r in range(2)
     )
+
+
+def product_table(elements, multiply):
+    """The Cayley table by its definition, one product per entry: the oracle
+    for the table a closure reads off its generators' right action."""
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[multiply(a, b)] for b in elements] for a in elements]
+
+
+PARITY = UnitaryMat2.from_text("i,0;0,i")
+TREVERSE = UnitaryMat2.from_text("0,-1;1,0")
+# An order-6 element of the binary tetrahedral group, times i: order 12.
+I_ORDER6 = UnitaryMat2.from_text("1/2+1/2i,1/2+1/2i;-1/2+1/2i,1/2-1/2i").scalar_mul(
+    GaussianRational(0, 1)
+)
+# Binary tetrahedral x <iI>, the largest finite closure over Q(i).
+OCTAHEDRAL = [
+    UnitaryMat2.from_text(text)
+    for text in ("1/2-1/2i,-1/2-1/2i;1/2-1/2i,1/2+1/2i", "0,-1;1,0", "i,0;0,i")
+]
+CLOSURE_GENERATORS = {
+    "pt_lifts": [PARITY, TREVERSE],
+    "tp_lifts": [TREVERSE, PARITY],
+    "pauli_quaternion": [
+        PAULI_X.scalar_mul(GaussianRational(0, -1)),
+        PAULI_Y.scalar_mul(GaussianRational(0, -1)),
+    ],
+    "double_n2": [
+        PAULI_Z.scalar_mul(GaussianRational(0, -1)),
+        PAULI_X.scalar_mul(GaussianRational(0, -1)),
+    ],
+    "i_order6": [I_ORDER6],
+    "binary_tetrahedral": OCTAHEDRAL[:2],
+    "octahedral": OCTAHEDRAL,
+    "minus_identity": [-IDENTITY2],
+    "no_generators": [],
+    "identity": [IDENTITY2],
+    "identity_among_generators": [PARITY, IDENTITY2, TREVERSE],
+    "minus_identity_twice": [-IDENTITY2, -IDENTITY2],
+}
 
 
 def metacyclic(m: int, k: int, r: int) -> FiniteGroup:
@@ -251,6 +292,58 @@ class TestClosure:
         with pytest.raises(ClosureLimitError, match="passed 48 elements"):
             generate_closure(gens)
         assert len(all_products) == 5 * len(gens) + len(closure_products)
+
+    @pytest.mark.parametrize("name", CLOSURE_GENERATORS)
+    def test_table_is_the_product_table(self, name):
+        gens = CLOSURE_GENERATORS[name]
+        group = generate_closure(gens)
+        elements = [group.element_source[label] for label in group.labels]
+        assert group.table == product_table(elements, operator.mul)
+        assert groups._close(gens, IDENTITY2, operator.mul, groups.UNITARY_CLOSURE_BOUND) == (
+            elements,
+            group.table,
+        )
+
+    def test_closure_makes_one_product_per_element_and_generator(self, monkeypatch):
+        # The table is read off the walk's products x·g, so a closure of N
+        # elements makes exactly N x len(generators) products.
+        closure_products = []
+
+        def multiply(a, b):
+            closure_products.append((a, b))
+            return a * b
+
+        elements, _ = groups._close(OCTAHEDRAL, IDENTITY2, multiply, groups.UNITARY_CLOSURE_BOUND)
+        assert len(elements) == 48
+        assert len(closure_products) == 48 * 3
+
+        make_monomial_mul = groups._monomial_mul
+        monomial_products = []
+
+        def counting_monomial_mul(modulus):
+            times = make_monomial_mul(modulus)
+
+            def counted(a, b):
+                monomial_products.append((a, b))
+                return times(a, b)
+
+            return counted
+
+        monkeypatch.setattr(groups, "_monomial_mul", counting_monomial_mul)
+        assert double_group("Dn", 12).order == 48
+        assert len(monomial_products) == 48 * 2
+
+        # generate_closure adds the five products of each g^24 test.
+        all_products = []
+        times = UnitaryMat2.__mul__
+
+        def counted(a, b):
+            all_products.append((a, b))
+            return times(a, b)
+
+        monkeypatch.setattr(UnitaryMat2, "__mul__", counted)
+        assert generate_closure(OCTAHEDRAL).order == 48
+        assert len(all_products) == 5 * 3 + 48 * 3
 
     def test_discovery_order(self, parity, treverse):
         # Identity, then the generators as given, then each new product x*g
@@ -764,10 +857,13 @@ class TestDoubleGroups:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_table_is_the_matrix_product(self, n):
+        times = groups._monomial_mul(4 * n)
         for family in ("Dn", "Cnv"):
             for convention in (1, -1):
                 g = double_group(family, n, parity_square=convention)
                 assert g.order == 4 * n
+                elements = [g.element_source[l] for l in g.labels]
+                assert g.table == product_table(elements, times), (family, n, convention)
                 mats = [monomial_to_complex(g.element_source[l], n) for l in g.labels]
                 for i, a in enumerate(mats):
                     for j, b in enumerate(mats):
