@@ -3,13 +3,19 @@
 All functions take a table as a list of rows of 0-based element indices,
 ``table[i][j]`` being the index of element i times element j.  Every check
 is exhaustive: associativity uses Light's test on a generating set, so a
-table is never accepted on a sample of triples.  The isomorphism search
+table is never accepted on a sample of triples.  Rows that are permutations,
+a two-sided identity, two-sided inverses and Light's test make a table a
+group, whose columns are permutations too (right multiplication by y is
+undone by right multiplication by y^-1), so a validator that accepts on
+those four needs :func:`latin_square_violation` only to name the violation
+of a table it rejects.  The isomorphism search
 branches only on the images of that same generating set, and counts its
 nodes against a budget.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from operator import eq, itemgetter
 from typing import Callable, Hashable, Optional, Sequence
 
@@ -43,7 +49,7 @@ def latin_square_violation(table: list[list[int]]) -> Optional[tuple[str, int]]:
 def inverse_table(table: list[list[int]], identity: int) -> Optional[list[int]]:
     """Two-sided inverses for every element, or None if one is missing.
 
-    ``table`` must be a Latin square, so each row holds ``identity`` once.
+    Each row of ``table`` must be a permutation, so it holds ``identity`` once.
     """
     inverses = [row.index(identity) for row in table]
     if any(table[j][i] != identity for i, j in enumerate(inverses)):
@@ -107,17 +113,30 @@ def associativity_violation(
 
 
 def element_orders(table: list[list[int]], identity: int) -> list[int]:
+    """The order of every element of the group ``table``.
+
+    Each element x whose order is not yet known is walked along its powers
+    x, x^2, ..., x^m = identity, and every power x^k whose order is not yet
+    known gets m / gcd(k, m); so an element of a cyclic subgroup already
+    walked costs no product.  A walk that reaches x^(n+1) without meeting
+    ``identity`` raises ``ValueError``: that element has no finite order.
+    """
     n = len(table)
     orders = [0] * n
-    for i in range(n):
-        power = i
-        order = 1
+    for x in range(n):
+        if orders[x]:
+            continue
+        powers = [x]
+        power = x
         while power != identity:
-            power = table[power][i]
-            order += 1
-            if order > n:
-                raise ValueError(f"element {i} has no finite order; table is not a group")
-        orders[i] = order
+            power = table[power][x]
+            powers.append(power)
+            if len(powers) > n:
+                raise ValueError(f"element {x} has no finite order; table is not a group")
+        m = len(powers)
+        for k, power in enumerate(powers, 1):
+            if not orders[power]:
+                orders[power] = m // gcd(k, m)
     return orders
 
 

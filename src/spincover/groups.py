@@ -1,8 +1,12 @@
 """Finite groups: closure generation, Cayley tables, isomorphism search.
 
 Groups live as labelled multiplication tables validated exhaustively on
-construction (Latin square, identity, two-sided inverses, and
-associativity by Light's test, at every order).  Closure is
+construction, at every order: each row a permutation, a two-sided
+identity, two-sided inverses, and associativity by Light's test.  Those
+four make the table a group, so each column is a permutation as well
+(right multiplication by y is undone by right multiplication by y^-1),
+and the column half of the Latin-square check runs only to name the
+violation of a rejected table.  Closure is
 exact and runs over hashable elements indexed by a dict: Gaussian-rational
 matrices, spacetime symmetries, or the monomial matrices of the double
 groups, whose entries are 4n-th roots of unity stored as integer exponents.
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence, Union
 
 from . import _kernels
@@ -89,20 +94,53 @@ class FiniteGroup:
         self._orders = _kernels.element_orders(self.table, self.identity_index)
 
     def _validate(self) -> None:
-        """Check the group axioms exhaustively."""
+        """Check the group axioms exhaustively.
+
+        A table is accepted when each row is a permutation of 0..n-1, which
+        also checks its shape and range, ``identity_index`` is a two-sided
+        identity, every element has a two-sided inverse, and Light's test
+        finds no triple that fails to associate.  Those four make it a
+        group, and in a group right multiplication by y is a bijection,
+        undone by right multiplication by y^-1, so every column is a
+        permutation too: the column half of the Latin-square check adds
+        nothing to an accepted table.  A rejected table, whether a check
+        fails or raises, is run through the Latin-square check first, so
+        its message is the first violation in the order Latin square,
+        identity, inverses, associativity.
+        """
+        try:
+            violation = self._axiom_violation()
+        except Exception:
+            self._raise_if_not_latin()
+            raise
+        if violation is not None:
+            self._raise_if_not_latin()
+            raise ValueError(violation)
+
+    def _axiom_violation(self) -> Optional[str]:
+        """The message of the first axiom the table fails, or None for a group.
+
+        Rows come first, ahead of the inverses and Light's test, which index
+        the table by its entries: a -1 would wrap round silently.  A row
+        that fails here fails the Latin-square check too, which names it.
+        """
+        table, e, n = self.table, self.identity_index, self.order
+        full = set(range(n))
+        if not all(len(row) == n and set(row) == full for row in table):
+            return "table is not a Latin square"
+        if any(table[e][j] != j for j in range(n)) or any(table[i][e] != i for i in range(n)):
+            return f"element {e} is not a two-sided identity"
+        if _kernels.inverse_table(table, e) is None:
+            return "some element has no two-sided inverse"
+        triple = _kernels.associativity_violation(table, e)
+        if triple is not None:
+            return f"multiplication is not associative at triple {triple}"
+        return None
+
+    def _raise_if_not_latin(self) -> None:
         bad = _kernels.latin_square_violation(self.table)
         if bad is not None:
-            raise ValueError(f"table is not a Latin square (violation at {bad})")
-        e = self.identity_index
-        if any(self.table[e][j] != j for j in range(self.order)) or any(
-            self.table[i][e] != i for i in range(self.order)
-        ):
-            raise ValueError(f"element {e} is not a two-sided identity")
-        if _kernels.inverse_table(self.table, e) is None:
-            raise ValueError("some element has no two-sided inverse")
-        triple = _kernels.associativity_violation(self.table, e)
-        if triple is not None:
-            raise ValueError(f"multiplication is not associative at triple {triple}")
+            raise ValueError(f"table is not a Latin square (violation at {bad})") from None
 
     @property
     def order(self) -> int:
@@ -337,12 +375,15 @@ def direct_product(g: FiniteGroup, *others: FiniteGroup) -> FiniteGroup:
     for h in others:
         order_h = h.order
         labels = [f"({a},{b})" for a in labels for b in h.labels]
-        # Row (a1, b1) is built from row a1 of the product so far and row
-        # b1 of H.
+        # Row (a1, b1) is row a1 of the product so far with each entry a
+        # replaced by the block a * |H| + (row b1 of H): one concatenation
+        # of precomputed blocks per row, not one expression per entry.
+        offsets = range(0, len(table) * order_h, order_h)
+        blocks = [[[a + b for b in h_row] for a in offsets] for h_row in h.table]
         table = [
-            [a * order_h + b for a in row for b in h_row]
+            list(chain.from_iterable(map(row_blocks.__getitem__, row)))
             for row in table
-            for h_row in h.table
+            for row_blocks in blocks
         ]
         identity = identity * order_h + h.identity_index
         names.append(h.name)

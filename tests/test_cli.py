@@ -579,6 +579,8 @@ class TestIso:
             ("Dic4", "Z4"),
             ("Z6", "Z2xZ3"),
             ("Z12", "Z4xZ3"),
+            # Order 256 from uneven factors, with a witness that is not the identity.
+            ("Z2xZ4xZ32", "Z32xZ4xZ2"),
         ],
     )
     def test_golden_witness(self, capsys, group_a, group_b):

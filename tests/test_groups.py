@@ -427,6 +427,34 @@ class TestAbstractGroups:
         for order in [*range(4, 41, 4), 256]:
             assert dicyclic(order).table == inverting_extension_table(order // 2, order // 4)
 
+    def test_elementary_abelian_product_is_xor(self):
+        table = direct_product(*[cyclic(2)] * 8).table
+        assert table == [[i ^ j for j in range(256)] for i in range(256)]
+
+    @pytest.mark.parametrize("radices", [(16, 16), (2, 4, 32)])
+    def test_cyclic_products_add_componentwise(self, radices):
+        # Element i has the mixed-radix digits of i in the radices; a
+        # product adds the digits, each modulo its radix.
+        def digits(i):
+            out = []
+            for r in reversed(radices):
+                i, d = divmod(i, r)
+                out.append(d)
+            return out[::-1]
+
+        def index(ds):
+            i = 0
+            for d, r in zip(ds, radices):
+                i = i * r + d % r
+            return i
+
+        table = direct_product(*map(cyclic, radices)).table
+        n = len(table)
+        assert table == [
+            [index([a + b for a, b in zip(digits(i), digits(j))]) for j in range(n)]
+            for i in range(n)
+        ]
+
     def test_variadic_direct_product_matches_nested_products(self):
         unnamed = FiniteGroup(["a", "b"], [[0, 1], [1, 0]], 0)
         # spinor_pt_group keeps its identity last, at index 7.

@@ -1,8 +1,11 @@
-"""Tests of the table kernels, with a brute-force oracle for associativity.
+"""Tests of the table kernels, with brute-force oracles.
 
 ``associativity_violation`` checks only a generating set (Light's test);
 the oracle here checks every triple, on group tables and on perturbed
-copies of them that break associativity.
+copies of them that break associativity.  ``FiniteGroup`` validation skips
+the column half of the Latin-square check on the tables it accepts; the
+ordered validator here checks every axiom in turn.  ``element_orders``
+walks cyclic subgroups; the oracle powers every element.
 """
 
 import random
@@ -10,7 +13,15 @@ import random
 import pytest
 
 from spincover import _kernels
-from spincover.groups import cyclic, dicyclic, dihedral, direct_product, spinor_pt_group
+from spincover.groups import (
+    FiniteGroup,
+    cyclic,
+    dicyclic,
+    dihedral,
+    direct_product,
+    double_group,
+    spinor_pt_group,
+)
 
 # A Latin square with two-sided identity 0 that is not associative.
 LOOP_5 = [
@@ -38,6 +49,15 @@ def sample_groups():
         dicyclic(12),
         spinor_pt_group(),
         direct_product(cyclic(3), dihedral(6)),
+    ]
+
+
+def order_256_groups():
+    return [
+        dicyclic(256),
+        dihedral(256),
+        direct_product(cyclic(16), cyclic(16)),
+        direct_product(*[cyclic(2)] * 8),
     ]
 
 
@@ -311,3 +331,141 @@ class TestAssociativityOracle:
         # the perturbations must mostly break associativity, or the
         # comparison above shows little
         assert rejected > len(tables) // 2
+
+
+def ordered_validation(table, identity):
+    """The validator that checks every axiom in turn, raising on the first
+    it fails: Latin square (rows, then columns), two-sided identity,
+    two-sided inverses, associativity by Light's test."""
+    bad = _kernels.latin_square_violation(table)
+    if bad is not None:
+        raise ValueError(f"table is not a Latin square (violation at {bad})")
+    n = len(table)
+    if any(table[identity][j] != j for j in range(n)) or any(
+        table[i][identity] != i for i in range(n)
+    ):
+        raise ValueError(f"element {identity} is not a two-sided identity")
+    if _kernels.inverse_table(table, identity) is None:
+        raise ValueError("some element has no two-sided inverse")
+    triple = _kernels.associativity_violation(table, identity)
+    if triple is not None:
+        raise ValueError(f"multiplication is not associative at triple {triple}")
+
+
+def outcome(check, *args):
+    """None if ``check(*args)`` returns, else the type and text of what it raises."""
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def construct(table, identity):
+    FiniteGroup([str(i) for i in range(len(table))], table, identity)
+
+
+class TestValidationOracle:
+    # Rows are permutations, columns 1 and 2 are not.
+    ROWS_ONLY = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
+
+    def tables(self):
+        rng = random.Random(21)
+        tables = []
+        for group in sample_groups():
+            table, e = group.table, group.identity_index
+            tables.append((table, e))
+            if group.order <= 12:
+                swaps = intercalates(table, e)
+            else:
+                swaps = rng.sample(intercalates(table, e), 3)
+            tables += [(swap_intercalate(table, *swap), e) for swap in swaps]
+        tables += [(group.table, group.identity_index) for group in order_256_groups()]
+        z256, z3 = cyclic(256).table, cyclic(3).table
+        tables += [
+            (z256, 0),
+            # Rows 1, 129 and columns 2, 130 of Z256 hold 3 and 131 crosswise.
+            (swap_intercalate(z256, 1, 129, 2, 130), 0),
+            (self.ROWS_ONLY, 0),
+            (self.ROWS_ONLY, 1),
+            # An identity index out of range: the identity check raises
+            # IndexError, but the column violation is named first.
+            (self.ROWS_ONLY, 5),
+            # The spinor group's identity, index 7, reached as -1: only
+            # inverse_table's row.index(-1) fails, with its own ValueError.
+            (spinor_pt_group().table, -1),
+            ([[0, 1, 2], [1, 2, 0], [2, 0, -1]], 0),
+            ([[0, 1, 2], [1, 2, 0], [2, 0, 3]], 0),
+            ([[0, 1, 2], [1, 2], [2, 0, 1]], 0),
+            ([[0, 1, -1], [1, -1, 0], [-1, 0, 1]], 0),
+            ([[0, 1], [0, 1]], 0),
+            ([[0, 0], [1, 1]], 0),
+            ([[1, 0], [0, 1]], 0),
+            (LOOP_5, 0),
+            (z3, 1),
+            # A Latin square with identity 0 in which 2*3 == 0 but 3*2 == 1.
+            ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]], 0),
+        ]
+        return tables
+
+    def test_finite_group_agrees_with_the_ordered_validator(self, monkeypatch):
+        cases = [(table, e, outcome(ordered_validation, table, e)) for table, e in self.tables()]
+        latin_calls = []
+        latin = _kernels.latin_square_violation
+        monkeypatch.setattr(
+            _kernels, "latin_square_violation", lambda table: latin_calls.append(1) or latin(table)
+        )
+        for table, e, expected in cases:
+            latin_calls.clear()
+            assert outcome(construct, table, e) == expected, (table, e)
+            # The Latin-square check runs once per rejected table, and never
+            # on an accepted one.
+            assert len(latin_calls) == (0 if expected is None else 1)
+        outcomes = [expected for _, _, expected in cases]
+        # Every outcome of the ordered validator is exercised.
+        assert None in outcomes
+        for prefix in (
+            "table is not a Latin square (violation at ('row-length',",
+            "table is not a Latin square (violation at ('row',",
+            "table is not a Latin square (violation at ('column',",
+            "element 0 is not a two-sided identity",
+            "some element has no two-sided inverse",
+            "multiplication is not associative",
+        ):
+            assert any(o and o[1].startswith(prefix) for o in outcomes), prefix
+
+
+def naive_orders(table, identity):
+    """The order of every element, each from its own powers."""
+    n = len(table)
+    orders = []
+    for x in range(n):
+        power, order = x, 1
+        while power != identity:
+            power = table[power][x]
+            order += 1
+            if order > n:
+                raise ValueError(f"element {x} has no finite order; table is not a group")
+        orders.append(order)
+    return orders
+
+
+class TestElementOrdersOracle:
+    def test_matches_the_power_loop(self):
+        groups = sample_groups() + order_256_groups() + [cyclic(256), dicyclic(4)]
+        for n in range(2, 13):
+            groups += [
+                double_group("Dn", n),
+                double_group("Cnv", n, parity_square=1),
+                double_group("Cnv", n, parity_square=-1),
+            ]
+        for group in groups:
+            table, e = group.table, group.identity_index
+            assert _kernels.element_orders(table, e) == naive_orders(table, e), group
+
+    def test_same_error_when_powers_cycle(self):
+        # Element 1 has order 2; the powers of 2 run 2, 1, 2, 1, ...
+        for table in ([[0, 1], [1, 1]], [[0, 1, 2], [1, 0, 2], [2, 2, 1]]):
+            expected = outcome(naive_orders, table, 0)
+            assert expected is not None and expected[0] is ValueError
+            assert outcome(_kernels.element_orders, table, 0) == expected
