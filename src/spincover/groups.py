@@ -532,7 +532,10 @@ def _listed_group(named: dict, identity, name: str) -> FiniteGroup:
 
 
 def spinor_pt_group() -> FiniteGroup:
-    """The order-8 group generated by the parity and time-reversal lifts.
+    """The order-8 group of the parity and time-reversal matrices, Z4 x Z2.
+
+    As operators, with time reversal antiunitary, the same lifts generate
+    the quaternion group instead (see :mod:`spincover.ptgroup`).
 
     Elements are labelled I, -I, P, T, PT and negatives, ordered so that a
     rendering without the identity row gives the conventional 7x7 table.

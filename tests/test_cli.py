@@ -175,6 +175,39 @@ class TestApply:
         assert main(["apply", "PT", field, "--out", str(out)]) == 0
         assert out.read_text() == "0; 0,0,0; 0; i\n"
 
+    def test_improper_antiunitary_pair_applies_its_matrix(self, tmp_path):
+        # C@-1 with det C = -1 applies C K: here i * conj((1, i)) = (i, 1)
+        field = write_field(tmp_path, "0; 0,0,0; 1; i\n")
+        out = tmp_path / "out.txt"
+        assert main(["apply", "i,0;0,i@-1", field, "--out", str(out)]) == 0
+        assert out.read_text() == "0; 0,0,0; i; 1\n"
+
+    @pytest.mark.parametrize(
+        "transform, projection",
+        [
+            ("P", "-1,0,0;0,-1,0;0,0,-1 @ +1"),
+            ("T", "1,0,0;0,1,0;0,0,1 @ -1"),
+            ("PT", "-1,0,0;0,-1,0;0,0,-1 @ -1"),
+        ],
+    )
+    def test_projection_line_is_the_rebind(self, tmp_path, capsys, transform, projection):
+        # One nonzero sample, at (1; 1,2,3), among zeros on its orbit under the
+        # flips: the transform moves it to that event's image under the printed
+        # projection.
+        bump = (1, 1, 2, 3)
+        lines = [
+            f"{s}; {r},{2 * r},{3 * r}; {int((s, r) == (1, 1))}; 0\n" for s in (-1, 1) for r in (-1, 1)
+        ]
+        field = write_field(tmp_path, "".join(lines))
+        assert main(["apply", transform, field]) == 0
+        captured = capsys.readouterr()
+        assert f"spacetime projection: {projection}" in captured.err.splitlines()
+        spatial, sign = projection.split(" @ ")
+        rows = [[int(entry) for entry in row.split(",")] for row in spatial.split(";")]
+        x = [sum(r * c for r, c in zip(row, bump[1:])) for row in rows]
+        moved = [line.split("; ")[:2] for line in captured.out.splitlines() if not line.endswith("; 0; 0")]
+        assert moved == [[str(int(sign) * bump[0]), f"{x[0]},{x[1]},{x[2]}"]]
+
     def test_identity_matrix_literal_round_trips_bytes(self, tmp_path):
         field = write_field(tmp_path, SYMMETRIC_FIELD)
         out = tmp_path / "out.txt"

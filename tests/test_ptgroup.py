@@ -2,7 +2,9 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -19,6 +21,18 @@ from spincover.cover import (
     determinant_section,
     quaternion_to_su2,
     rational_unit_quaternion,
+)
+from spincover.groups import (
+    ORDER_MULTISET,
+    IsomorphismWitness,
+    Refutation,
+    _close,
+    _closure_group,
+    cyclic,
+    decide_isomorphism,
+    dicyclic,
+    direct_product,
+    spinor_pt_group,
 )
 from spincover.ptgroup import (
     DomainClosureError,
@@ -38,7 +52,6 @@ from spincover.ptgroup import (
     inner_product,
     ray_project,
     spacetime_projection,
-    time_reversal_operator,
     transform_value,
 )
 from spincover.scalars import GaussianRational
@@ -131,6 +144,15 @@ class TestSpacetimeProjection:
         assert (t * p).spatial == SPACE_INVERSION
         assert (p * t).spatial == SPACE_INVERSION
         assert (t * t) == SpacetimeSymmetry(IDENTITY3, 1)
+
+    def test_composition_is_componentwise(self):
+        # The 120-degree turn about (1, 1, 1) does not commute with the half
+        # turn about y, and a time flip leaves it as it is.
+        turn = covering_map(CYCLIC_TURN.matrix)
+        t = SpacetimeSymmetry(IDENTITY3, -1)
+        assert HALF_TURN_Y * turn * HALF_TURN_Y != turn
+        assert t * SpacetimeSymmetry(turn, 1) == SpacetimeSymmetry(turn, -1)
+        assert SpacetimeSymmetry(turn, -1) * SpacetimeSymmetry(turn, -1) == SpacetimeSymmetry(turn * turn, 1)
 
 
 class TestSemidirectBridge:
@@ -249,28 +271,31 @@ class TestParityAction:
 
 
 class TestParityTimeAction:
-    def test_basis_spinor_formulas(self, parity):
+    def test_basis_spinor_formulas(self):
+        pt = SpinorSymmetry.parity_time()
         f = constant(gr(1), gr(0))
-        g = apply_symmetry(SpinorSymmetry(parity, -1), f)
+        g = apply_symmetry(pt, f)
         for e in f.events():
             assert g.value_at(e) == SpinorValue(gr(0), gr(0, 1))
         f2 = constant(gr(0), gr(1))
-        g2 = apply_symmetry(SpinorSymmetry(parity, -1), f2)
+        g2 = apply_symmetry(pt, f2)
         for e in f2.events():
             assert g2.value_at(e) == SpinorValue(gr(0, -1), gr(0))
 
     def test_combined_matrix_is_parity_times_time_reversal(self, parity, treverse):
-        # for the parity lift the applied matrix is ((0,-i),(i,0))
-        combined = parity * treverse
+        # parity * time reversal is ((0,-i),(i,0)) at time sign -1
+        combined = SpinorSymmetry.parity_time()
         i = gr(0, 1)
-        assert combined.rows == ((gr(0), -i), (i, gr(0)))
+        assert combined == SpinorSymmetry(parity * treverse, -1)
+        assert combined.matrix.rows == ((gr(0), -i), (i, gr(0)))
 
-    def test_full_argument_flip(self, parity, treverse):
+    def test_full_argument_flip(self):
+        pt = SpinorSymmetry.parity_time()
         f = varied_field()
-        g = apply_symmetry(SpinorSymmetry(parity, -1), f)
+        g = apply_symmetry(pt, f)
         for e in f.events():
             source = f.value_at(e.time_flipped().space_flipped())
-            assert g.value_at(e) == transform_value(parity * treverse, source.conjugate())
+            assert g.value_at(e) == transform_value(pt.matrix, source.conjugate())
 
 
 class TestDispatch:
@@ -318,7 +343,6 @@ class TestCompositionDefect:
         f = varied_field()
         report = composition_defect(g, g, f)
         assert report.law_holds
-        assert report.sign_defect == GaussianRational(1)
         assert report.witnesses == ()
 
     def test_commuting_rotations_have_no_defect(self, treverse):
@@ -327,53 +351,97 @@ class TestCompositionDefect:
         report = composition_defect(a, b, varied_field())
         assert report.law_holds
 
-    def test_antiunitary_sector_sign_defect(self):
-        i = gr(0, 1)
-        i_sigma3 = PAULI_Z.scalar_mul(i)
+    def test_antiunitary_square_has_no_defect(self):
+        # (i sigma3) conj(i sigma3) = identity, so both paths apply the identity
+        i_sigma3 = PAULI_Z.scalar_mul(gr(0, 1))
         g = SpinorSymmetry(i_sigma3, -1)
-        f = varied_field()
-        report = composition_defect(g, g, f)
-        assert not report.law_holds
-        assert report.sign_defect == GaussianRational(-1)
-        assert report.witnesses
-        # two-step path applies i*sigma3 * conj(i*sigma3) = identity,
-        # one-step applies (i*sigma3)^2 = -identity
-        assert report.matrix_two_step == IDENTITY2
-        assert report.matrix_one_step == -IDENTITY2
+        assert g * g == SpinorSymmetry(IDENTITY2, 1)
+        report = composition_defect(g, g, varied_field())
+        assert report.law_holds
+        assert report.witnesses == ()
 
     @pytest.mark.parametrize(
         "g, h, field, witnesses",
         [
-            # (i, -i) against (-i, -i): not proportional.
+            # Time reversal after parity: one improper antiunitary element.
             (
                 SpinorSymmetry.time_reversal(),
                 SpinorSymmetry.parity(),
                 lambda: SpinorSampleField({Event.make(0, 0, 0, 0): SpinorValue(gr(1), gr(1))}),
-                1,
+                0,
             ),
-            # 0 against (1/2 + i/2)(1, 1) at the first event, then the
-            # reverse: the one-step value is zero where the two-step one is not.
+            # Rotations that do not commute read other events, whatever the values.
             (CYCLIC_TURN, HALF_TURN_Z, lambda: axis_orbit_field(lambda x: int(x[0] > 0)), 12),
-            # Proportional at every event, by 2/3 at the first and 3/2 at the second.
             (CYCLIC_TURN, HALF_TURN_Z, lambda: axis_orbit_field(lambda x: x[0] + 10), 12),
+            # The time sector drops the half turn about z: the one-step path
+            # flips time only, the two-step path also turns.
+            (SpinorSymmetry(HALF_TURN_Z.matrix, -1), HALF_TURN_Z, lambda: axis_orbit_field(lambda x: x[0] + 10), 12),
         ],
-        ids=["not-proportional", "zero-denominator", "inconsistent-ratio"],
+        ids=["time-parity", "rotations-zero-values", "rotations-distinct-values", "time-sector-rotation"],
     )
-    def test_no_global_scalar(self, g, h, field, witnesses):
+    def test_witnesses(self, g, h, field, witnesses):
         report = composition_defect(g, h, field())
-        assert not report.law_holds
-        assert report.sign_defect is None
         assert len(report.witnesses) == witnesses
-        assert report.to_json()["sign_defect"] is None
+        assert report.law_holds == (witnesses == 0)
 
     def test_json_schema(self):
         g = SpinorSymmetry.time_reversal()
         payload = composition_defect(g, g, varied_field()).to_json()
-        for key in ("pair", "law_holds", "sign_defect", "witnesses"):
-            assert key in payload
+        assert set(payload) == {"pair", "law_holds", "witnesses"}
         assert payload["law_holds"] is True
-        assert payload["sign_defect"] == "1"
         assert payload["witnesses"] == []
+
+
+# -- the P/T group under the operator product ----------------------------------
+
+APPLY_FIELD = Path(__file__).parent / "golden" / "apply_field.txt"
+
+
+def pt_closure():
+    """P and T closed under SpinorSymmetry.__mul__: the elements in discovery
+    order and the group of their table."""
+    elements, table = _close(
+        [SpinorSymmetry.parity(), SpinorSymmetry.time_reversal()], SpinorSymmetry.identity(), lambda a, b: a * b, 8
+    )
+    return elements, _closure_group(elements, table, "P/T operators")
+
+
+def plain_product(a, b):
+    """The direct product O(3) x Z2, written out."""
+    return SpacetimeSymmetry(a.spatial * b.spatial, a.time_sign * b.time_sign)
+
+
+class TestPTOperatorGroup:
+    """P and T under the operator product: a group action on the golden
+    apply field, a homomorphism onto the plain O(3) x Z2, and the group Dic8,
+    while their matrices alone form Z4 x Z2."""
+
+    def test_action_law_on_every_pair(self):
+        f = SpinorSampleField.from_text(APPLY_FIELD.read_text(encoding="utf-8"))
+        elements, _ = pt_closure()
+        assert len(elements) == 8
+        acted = {g: apply_symmetry(g, f) for g in elements}
+        failures = [
+            (g.to_text(), h.to_text())
+            for g, h in product(elements, repeat=2)
+            if apply_symmetry(g, acted[h]) != acted[g * h]
+        ]
+        assert failures == []
+
+    def test_projection_onto_plain_product(self, rng):
+        elements, _ = pt_closure()
+        sampled = [(sample_symmetry(rng), sample_symmetry(rng)) for _ in range(200)]
+        for g, h in [*product(elements, repeat=2), *sampled]:
+            assert spacetime_projection(g * h) == plain_product(spacetime_projection(g), spacetime_projection(h))
+
+    def test_operators_form_dic8_and_matrices_z4xz2(self):
+        _, group = pt_closure()
+        z4xz2 = direct_product(cyclic(4), cyclic(2))
+        assert isinstance(decide_isomorphism(group, dicyclic(8)), IsomorphismWitness)
+        assert decide_isomorphism(group, z4xz2) == Refutation(
+            ORDER_MULTISET, [1, 2, 4, 4, 4, 4, 4, 4], [1, 2, 2, 2, 4, 4, 4, 4]
+        )
+        assert isinstance(decide_isomorphism(spinor_pt_group(), z4xz2), IsomorphismWitness)
 
 
 class TestRaySpace:
@@ -789,7 +857,6 @@ def reference_action(g, f):
     elif g.time_sign == 1:
         rebind = Event.space_flipped
     else:
-        matrix = matrix * time_reversal_operator()
         rebind = lambda e: e.time_flipped().space_flipped()
     antiunitary = g.time_sign == -1
     out = {}

@@ -33,7 +33,7 @@ def _table_order(out: str) -> int:
 
 # Each trailing comment of an example, and what it says of the example's stdout.
 COMMENT_CHECKS = {
-    "the order-8 group of P and T lifts": lambda out: _table_order(out) == 8,
+    "the order-8 group of the P and T matrices": lambda out: _table_order(out) == 8,
     "the Klein group of P and T downstairs": lambda out: _table_order(out) == 4,
     "order 48, the bound": lambda out: len(json.loads(out)["elements"]) == 48,
     "isomorphic, witness printed": lambda out: ": isomorphic\nwitness: " in out,
