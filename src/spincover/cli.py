@@ -3,8 +3,10 @@
 Subcommands: ``apply`` (transform a spinor field file), ``table`` (Cayley
 tables), ``iso`` (isomorphism verdicts), ``doublegroup`` (the reflection vs
 rotation double-group comparison) and ``verify`` (the seeded invariant
-suites).  Exit codes: 0 success or all assertions passed, 1 assertion
-failure, 2 input error, 3 resource limit.
+suites).  Each hands its result to one writer, :func:`_emit`, as two
+callables, the JSON payload and the text; only ``apply`` prints more,
+three stderr lines under ``--format text``.  Exit codes: 0 success or all
+assertions passed, 1 assertion failure, 2 input error, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -57,19 +59,24 @@ class InputError(ValueError):
     """User-facing input problem; maps to exit code 2."""
 
 
-def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _write_output(text: str, out_path: Optional[str]) -> None:
-    if out_path:
+def _emit(args: argparse.Namespace, payload: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Write a subcommand's result: ``payload()`` plus ``schema_version`` as
+    sorted JSON under ``--format json``, else ``text()``, to ``--out`` or
+    stdout.  Only the form printed is built.  An unwritable ``--out`` is an
+    input error."""
+    if args.fmt == "json":
+        payload_json = {"schema_version": SCHEMA_VERSION, **payload()}
+        output = json.dumps(payload_json, indent=2, sort_keys=True) + "\n"
+    else:
+        output = text()
+    if args.out:
         try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(output)
         except OSError as exc:
             raise InputError(str(exc)) from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(output)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -116,20 +123,16 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     except DomainClosureError as exc:
         raise InputError(str(exc)) from exc
     projection = spacetime_projection(symmetry)
-    if args.fmt == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "matrix": symmetry.matrix.to_text(),
-            "time_sign": symmetry.time_sign,
-            "spacetime_projection": projection.to_json(),
-            "field": transformed.to_lines(),
-        }
-        _write_output(_json_dump(payload), args.out)
-    else:
+    if args.fmt == "text":
         print(f"matrix: {symmetry.matrix.to_text()}", file=sys.stderr)
         print(f"time sign: {symmetry.time_sign:+d}", file=sys.stderr)
         print(f"spacetime projection: {projection.to_text()}", file=sys.stderr)
-        _write_output(transformed.to_text(), args.out)
+    _emit(args, lambda: {
+        "matrix": symmetry.matrix.to_text(),
+        "time_sign": symmetry.time_sign,
+        "spacetime_projection": projection.to_json(),
+        "field": transformed.to_lines(),
+    }, transformed.to_text)
     return EXIT_OK
 
 
@@ -162,11 +165,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         omit_identity = False
     else:
         raise InputError("expected a named group or at least one --gen matrix")
-    if args.fmt == "json":
-        payload = {"schema_version": SCHEMA_VERSION, **group.cayley_json()}
-        _write_output(_json_dump(payload), args.out)
-    else:
-        _write_output(group.cayley_text(omit_identity=omit_identity), args.out)
+    _emit(args, group.cayley_json, lambda: group.cayley_text(omit_identity=omit_identity))
     return EXIT_OK
 
 
@@ -229,34 +228,28 @@ def _cmd_iso(args: argparse.Namespace) -> int:
     group_a, group_b = build_a(), build_b()
     outcome = decide_isomorphism(group_a, group_b)
     isomorphic = isinstance(outcome, IsomorphismWitness)
-    payload: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "group_a": args.group_a,
-        "group_b": args.group_b,
-        "isomorphic": isomorphic,
-    }
-    if isomorphic:
-        payload["witness"] = list(outcome.mapping)
-    else:
-        payload["order_multisets"] = {
-            "group_a": list(group_a.order_multiset()),
-            "group_b": list(group_b.order_multiset()),
-        }
-        payload["refuted_by"] = outcome.to_json()
-    if args.fmt == "json":
-        _write_output(_json_dump(payload), args.out)
-    else:
-        lines = [f"{args.group_a} vs {args.group_b}: "
-                 f"{'isomorphic' if isomorphic else 'not isomorphic'}"]
+
+    def payload() -> dict:
         if isomorphic:
-            mapped = ", ".join(
-                f"{group_a.labels[i]} -> {group_b.labels[outcome.mapping[i]]}"
-                for i in range(group_a.order)
-            )
-            lines.append(f"witness: {mapped}")
+            found = {"witness": list(outcome.mapping)}
         else:
-            lines.append(outcome.text())
-        _write_output("\n".join(lines) + "\n", args.out)
+            multisets = {
+                "group_a": list(group_a.order_multiset()),
+                "group_b": list(group_b.order_multiset()),
+            }
+            found = {"order_multisets": multisets, "refuted_by": outcome.to_json()}
+        return {"group_a": args.group_a, "group_b": args.group_b, "isomorphic": isomorphic, **found}
+
+    def text() -> str:
+        if isomorphic:
+            pairs = zip(group_a.labels, (group_b.labels[j] for j in outcome.mapping))
+            found = "witness: " + ", ".join(f"{a} -> {b}" for a, b in pairs)
+        else:
+            found = outcome.text()
+        verdict = "isomorphic" if isomorphic else "not isomorphic"
+        return f"{args.group_a} vs {args.group_b}: {verdict}\n{found}\n"
+
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -271,13 +264,8 @@ def _cmd_doublegroup(args: argparse.Namespace) -> int:
     if args.convention != "both":
         wanted = int(args.convention)
         verdicts = [v for v in verdicts if v.convention == wanted]
-    if args.fmt == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "verdicts": [v.to_json() for v in verdicts],
-        }
-        _write_output(_json_dump(payload), args.out)
-    else:
+
+    def text() -> str:
         lines = []
         for v in verdicts:
             outcome = "isomorphic" if v.isomorphic else "not isomorphic"
@@ -288,7 +276,9 @@ def _cmd_doublegroup(args: argparse.Namespace) -> int:
             )
             if v.invariant_used:
                 lines.append(f"  {v.invariant_used}")
-        _write_output("\n".join(lines) + "\n", args.out)
+        return "\n".join(lines) + "\n"
+
+    _emit(args, lambda: {"verdicts": [v.to_json() for v in verdicts]}, text)
     return EXIT_OK
 
 
@@ -312,18 +302,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_RESOURCE_LIMIT
     reports = run_suites(args.suite, args.seed, args.samples)
     all_pass = all(r.all_pass for r in reports)
-    if args.fmt == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify",
-            "suite": args.suite,
-            "seed": args.seed,
-            "samples": args.samples,
-            "all_pass": all_pass,
-            "suites": [r.to_json() for r in reports],
-        }
-        _write_output(_json_dump(payload), args.out)
-    else:
+
+    def text() -> str:
         lines = []
         for report in reports:
             for check in report.checks:
@@ -332,7 +312,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 if not check.passed and check.witness:
                     lines.append(f"    witness: {check.witness}")
         lines.append("all suites passed" if all_pass else "FAILURES detected")
-        _write_output("\n".join(lines) + "\n", args.out)
+        return "\n".join(lines) + "\n"
+
+    _emit(args, lambda: {
+        "command": "verify",
+        "suite": args.suite,
+        "seed": args.seed,
+        "samples": args.samples,
+        "all_pass": all_pass,
+        "suites": [r.to_json() for r in reports],
+    }, text)
     return EXIT_OK if all_pass else EXIT_ASSERTION_FAILURE
 
 

@@ -29,7 +29,7 @@ asserts or depends on connectivity statements, only on finite algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .scalars import (
@@ -375,9 +375,8 @@ def determinant_section(sign: int) -> UnitaryMat2:
 def _stereographic(x: Fraction, y: Fraction, z: Fraction) -> tuple[int, int, int, int, int]:
     """(D^2 - S, 2XD, 2YD, 2ZD, D^2 + S) for x = X/D, y = Y/D and z = Z/D over
     their least common denominator D, with S = X^2 + Y^2 + Z^2."""
-    x, y, z = as_rational(x), as_rational(y), as_rational(z)
-    d = lcm(x.denominator, y.denominator, z.denominator)
-    big_x, big_y, big_z = (v.numerator * (d // v.denominator) for v in (x, y, z))
+    ratios = [(v.numerator, v.denominator) for v in map(as_rational, (x, y, z))]
+    big_x, big_y, big_z, d = common_key(ratios)
     d_sq, s = d * d, big_x * big_x + big_y * big_y + big_z * big_z
     return d_sq - s, 2 * big_x * d, 2 * big_y * d, 2 * big_z * d, d_sq + s
 

@@ -40,6 +40,7 @@ from .cover import (
     parity_operator,
 )
 from .ptgroup import SpacetimeSymmetry, time_reversal_operator
+from .scalars import as_sign
 
 #: Hard cap for the isomorphism search.
 ISOMORPHISM_ORDER_LIMIT = 256
@@ -602,8 +603,7 @@ def double_group(family: str, n: int, parity_square: int = -1) -> FiniteGroup:
         raise ValueError(
             f"axis order must be between {DOUBLE_GROUP_MIN_N} and {DOUBLE_GROUP_MAX_N}"
         )
-    if parity_square not in (1, -1):
-        raise ValueError("parity_square must be +1 or -1")
+    as_sign(parity_square, "parity_square")
     if family not in ("Cnv", "Dn"):
         raise ValueError("family must be 'Cnv' or 'Dn'")
     # The half-turn lift -i*sigma_x, and sigma_x itself.

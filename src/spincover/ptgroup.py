@@ -25,10 +25,11 @@ is read by one match of a pattern built from the scalar patterns of
 :mod:`spincover.scalars`; the per-token parser, through the scalar
 parsers, reads only the lines that pattern rejects and says why.  Time
 signs are checked by :func:`~spincover.scalars.as_sign`.  The one field
-action, :func:`apply_symmetry`, rebinds arguments by the rotation or flip
-of each of the four sectors and, in the antiunitary ones, conjugates
-values by negating their imaginary numerators inside the matrix product,
-so every transformation law is checked by exact equality on the sampled
+action, :func:`apply_symmetry`, chooses the sector's rebind in one ``if``:
+the rotation R(U) when det U = +1 and a = +1, else the flip
+(t, x) -> (a t, det U x).  In the antiunitary sectors it conjugates values
+by negating their imaginary numerators inside the matrix product, so
+every transformation law is checked by exact equality on the sampled
 events.
 A ray is held as its exact slope, so ray equality is value equality.
 """
@@ -95,6 +96,8 @@ class SpinorSymmetry:
     time_sign: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.matrix, UnitaryMat2):
+            raise TypeError(f"SpinorSymmetry takes a UnitaryMat2, not {type(self.matrix).__name__}")
         as_sign(self.time_sign, "time sign")
 
     def __mul__(self, other: "SpinorSymmetry") -> "SpinorSymmetry":
@@ -132,6 +135,8 @@ class SpacetimeSymmetry:
     time_sign: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.spatial, OrthogonalMat3):
+            raise TypeError(f"SpacetimeSymmetry takes an OrthogonalMat3, not {type(self.spatial).__name__}")
         as_sign(self.time_sign, "time sign")
 
     def __mul__(self, other: "SpacetimeSymmetry") -> "SpacetimeSymmetry":
@@ -251,10 +256,10 @@ class Event(ExactKey):
         return (t * e, a * e, b * e, c * e) < (u * d, p * d, q * d, r * d)
 
     def time_flipped(self) -> "Event":
-        return Event._from_key(_time_flipped(self._key))
+        return Event._from_key(_flipped(self._key, -1, 1))
 
     def space_flipped(self) -> "Event":
-        return Event._from_key(_space_flipped(self._key))
+        return Event._from_key(_flipped(self._key, 1, -1))
 
     def rotated(self, rotation: OrthogonalMat3) -> "Event":
         return Event._from_key(_rotated(self._key, rotation))
@@ -266,22 +271,12 @@ class Event(ExactKey):
         return f"Event(t={self.t!r}, x={self.x!r})"
 
 
-# Event keys (t, x1, x2, x3, d): the rebinds of the four sectors, and text.
+# Event keys (t, x1, x2, x3, d): the flip and rotation rebinds, and text.
 
 
-def _time_flipped(key: tuple[int, ...]) -> tuple[int, ...]:
+def _flipped(key: tuple[int, ...], time_sign: int, space_sign: int) -> tuple[int, ...]:
     t, a, b, c, d = key
-    return (-t, a, b, c, d)
-
-
-def _space_flipped(key: tuple[int, ...]) -> tuple[int, ...]:
-    t, a, b, c, d = key
-    return (t, -a, -b, -c, d)
-
-
-def _time_space_flipped(key: tuple[int, ...]) -> tuple[int, ...]:
-    t, a, b, c, d = key
-    return (-t, -a, -b, -c, d)
+    return (time_sign * t, space_sign * a, space_sign * b, space_sign * c, d)
 
 
 def _rotated(key: tuple[int, ...], rotation: OrthogonalMat3) -> tuple[int, ...]:
@@ -501,38 +496,16 @@ def _parse_line_by_tokens(raw: str, number: int) -> Optional[tuple[tuple[int, ..
 # -- the field action -------------------------------------------------------
 
 
-def _act(
-    matrix: UnitaryMat2, f: SpinorSampleField, rebind, antiunitary: bool
-) -> SpinorSampleField:
-    """g(event) = matrix * f(rebind(event)) on the key dict, with rebind
-    taking an event key to an event key.  In an antiunitary sector the
-    value is conjugated by negating its two imaginary numerators on the way
-    into the product.  A missing source event raises DomainClosureError."""
-    keys = f._keys
-    times = matrix.integer_apply
-    sign = -1 if antiunitary else 1
-    out = {}
-    for event in keys:
-        source = rebind(event)
-        try:
-            p, q, m, r, s, n = keys[source]
-        except KeyError:
-            raise DomainClosureError(Event._from_key(source)) from None
-        out[event] = times(p, sign * q, m, r, sign * s, n)
-    return SpinorSampleField._from_keys(out)
-
-
 def apply_symmetry(g: SpinorSymmetry, f: SpinorSampleField) -> SpinorSampleField:
     """Act by g = (U, a) on f: (g f)(e) = U conj^a(f(rebind(e))).
 
     The values follow the operator product: acting by h and then by g
-    multiplies them as g * h does.  The rebind is read off the sector of
-    (det U, a):
-
-    - rotation (+1, +1): (t, x) -> (t, R x), R the covering image of U;
-    - time reversal (+1, -1): (t, x) -> (-t, x);
-    - parity (-1, +1): (t, x) -> (t, -x);
-    - parity-time (-1, -1): (t, x) -> (-t, -x).
+    multiplies them as g * h does.  In an antiunitary sector (a = -1) a
+    value is conjugated by negating its two imaginary numerators on the way
+    into the product.  The sector choice is one ``if``: rotate by R, the
+    covering image of U, when det U = +1 and a = +1, else flip (t, x) to
+    (a t, det U x).  So time reversal (+1, -1) rebinds to (-t, x), parity
+    (-1, +1) to (t, -x) and parity-time (-1, -1) to (-t, -x).
 
     That is the point map of :func:`spacetime_projection` when the spatial
     part is +/-I, as on the eight elements P and T generate, where the
@@ -543,15 +516,21 @@ def apply_symmetry(g: SpinorSymmetry, f: SpinorSampleField) -> SpinorSampleField
 
     A missing source event raises :class:`DomainClosureError`.
     """
-    matrix, antiunitary = g.matrix, g.time_sign == -1
-    if not matrix.is_special():
-        rebind = _time_space_flipped if antiunitary else _space_flipped
-    elif antiunitary:
-        rebind = _time_flipped
-    else:
+    matrix, a, det = g.matrix, g.time_sign, g.matrix.det_sign
+    if det == 1 and a == 1:
         rotation = covering_map(matrix)
         rebind = lambda key: _rotated(key, rotation)
-    return _act(matrix, f, rebind, antiunitary)
+    else:
+        rebind = lambda key: _flipped(key, a, det)
+    keys, times, out = f._keys, matrix.integer_apply, {}
+    for event in keys:
+        source = rebind(event)
+        try:
+            p, q, m, r, s, n = keys[source]
+        except KeyError:
+            raise DomainClosureError(Event._from_key(source)) from None
+        out[event] = times(p, a * q, m, r, a * s, n)
+    return SpinorSampleField._from_keys(out)
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,16 @@ DOUBLEGROUP_3_JSON = (
 )
 
 
+# One small call per subcommand, for the checks of the one writer.
+EMIT_CALLS = {
+    "apply": ["apply", "PT", str(GOLDEN / "apply_field.txt")],
+    "table": ["table", "GPT_hat"],
+    "iso": ["iso", "Z2xZ2xZ2", "Z2xZ4"],
+    "doublegroup": ["doublegroup", "3"],
+    "verify": ["verify", "cover", "--seed", "42", "--samples", "5"],
+}
+
+
 def write_field(tmp_path, text, name="field.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -403,6 +413,12 @@ class TestTable:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         assert lines[0].split() == ["P", "T", "PT"]
         assert lines[1].split() == ["P", "1", "PT", "T"]
+
+    @pytest.mark.parametrize("name", ["GPT_hat"])
+    def test_named_golden(self, capsys, name):
+        assert main(["table", name]) == 0
+        golden = GOLDEN / f"table_{name}.txt"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_generated_table(self, capsys):
         assert main(["table", "--gen=-1,0;0,-1"]) == 0
@@ -758,13 +774,28 @@ def test_python_dash_m_is_the_console_script(capsys):
 
 
 class TestOutput:
-    @pytest.mark.parametrize(
-        "argv",
-        [["table", "GPT_hat"], ["verify", "cover", "--samples", "1"]],
-        ids=["table", "verify"],
-    )
-    def test_unwritable_out_is_input_error(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", list(EMIT_CALLS))
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, command, fmt):
+        argv = EMIT_CALLS[command] + ["--format", fmt]
+        assert main(argv) == 0
+        printed = capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        written = capsys.readouterr()
+        assert out.read_bytes() == printed.out.encode("utf-8")
+        assert written.out == "" and written.err == printed.err
+        if fmt == "json":
+            assert json.loads(printed.out)["schema_version"] == 1
+
+    @pytest.mark.parametrize("command", list(EMIT_CALLS))
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys, command):
+        # Only apply prints stderr lines of its own, and before the error.
+        argv = EMIT_CALLS[command]
+        assert main(argv) == 0
+        header = capsys.readouterr().err
         out = tmp_path / "missing" / "x"
         assert main(argv + ["--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(header + "error: ") and err.count("\n") == header.count("\n") + 1
         assert not out.exists()

@@ -834,16 +834,19 @@ class TestDoubleGroups:
         assert double_group("Cnv", n, parity_square=1).order == 4 * n
         assert double_group("Cnv", n, parity_square=-1).order == 4 * n
 
+    # parity_square is a sign, checked by scalars.as_sign: the int 1 or -1.
     @pytest.mark.parametrize(
-        "kwargs, message",
+        "kwargs, error, message",
         [
-            ({"family": "Cnv", "parity_square": 0}, "parity_square must be +1 or -1"),
-            ({"family": "Cn"}, "family must be 'Cnv' or 'Dn'"),
+            ({"family": "Cnv", "parity_square": 0}, ValueError, "parity_square must be +1 or -1, got 0"),
+            ({"family": "Cnv", "parity_square": True}, TypeError, "parity_square must be the int 1 or -1, not bool"),
+            ({"family": "Cnv", "parity_square": 1.0}, TypeError, "parity_square must be the int 1 or -1, not float"),
+            ({"family": "Cn"}, ValueError, "family must be 'Cnv' or 'Dn'"),
         ],
-        ids=["parity_square", "family"],
+        ids=["parity_square", "parity_square_bool", "parity_square_float", "family"],
     )
-    def test_rejects_bad_arguments(self, kwargs, message):
-        with pytest.raises(ValueError) as err:
+    def test_rejects_bad_arguments(self, kwargs, error, message):
+        with pytest.raises(error) as err:
             double_group(n=3, **kwargs)
         assert str(err.value) == message
 

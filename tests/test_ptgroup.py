@@ -105,6 +105,20 @@ class TestTimeReversalOperator:
         assert covering_map(treverse) == HALF_TURN_Y
 
 
+class TestSymmetryTypes:
+    @pytest.mark.parametrize(
+        "matrix", ["x", 1, IDENTITY3, ((1, 0), (0, 1))], ids=["str", "int", "orthogonal", "tuple"]
+    )
+    def test_spinor_symmetry_takes_a_unitary_matrix(self, matrix):
+        with pytest.raises(TypeError, match="^SpinorSymmetry takes a UnitaryMat2, not "):
+            SpinorSymmetry(matrix, 1)
+
+    @pytest.mark.parametrize("spatial", ["x", 1, IDENTITY2], ids=["str", "int", "unitary"])
+    def test_spacetime_symmetry_takes_an_orthogonal_matrix(self, spatial):
+        with pytest.raises(TypeError, match="^SpacetimeSymmetry takes an OrthogonalMat3, not "):
+            SpacetimeSymmetry(spatial, -1)
+
+
 class TestSpacetimeProjection:
     def test_identity(self):
         g = SpinorSymmetry.identity()
