@@ -17,9 +17,16 @@ matrix types are :class:`~spincover.scalars.ExactKey` values: a
 eight integer numerators, and an :class:`OrthogonalMat3` its nine entries,
 each over one positive denominator in lowest terms.  A product is integer
 matrix work plus one gcd, negation and conjugation only flip signs, and
-the det sign is read off the key.  ``rows`` gives GaussianRational and
-Fraction entries.  :func:`covering_map` writes the rotation's numerators
-over d^2 straight from the numerators of z and w over d.
+the det sign is read off the key.  A product with a fixed signed
+diagonal matrix (the section diag(-1, 1), HALF_TURN_Y, XY_MIRROR) only
+changes signs too: diag(r) M diag(c) has entries r_i M_ij c_j, which
+``UnitaryMat2._between_diagonals`` and ``OrthogonalMat3._times_diagonal``
+write on the key.  ``rows`` gives GaussianRational and Fraction entries.
+:func:`covering_map` writes the rotation's numerators over d^2 straight
+from the numerators of z and w over d; :func:`extended_covering_map` sends
+the det = -1 coset through the same formula, since C = A (i I) with A's
+entries read off C's by a sign change and a swap of real and imaginary
+parts.
 
 Topology is out of scope: the two-component group here double-covers O(3)
 but, being disconnected, is not a universal cover; nothing in this package
@@ -132,6 +139,16 @@ class UnitaryMat2(ExactKey):
         a, b, c, e, f, g, h, k, d = self._key
         return UnitaryMat2._from_key((a, -b, f, -g, c, -e, h, -k, d))
 
+    def _between_diagonals(self, left: "UnitaryMat2", right: "UnitaryMat2") -> "UnitaryMat2":
+        """``left * self * right`` for signed diagonal ``left`` and ``right``:
+        entry (i, j) times left_i right_j, a sign change on the key."""
+        l0, l1, r0, r1 = left._key[0], left._key[6], right._key[0], right._key[6]
+        a, b, c, e, f, g, h, k, d = self._key
+        s00, s01, s10, s11 = l0 * r0, l0 * r1, l1 * r0, l1 * r1
+        return UnitaryMat2._from_key((
+            s00 * a, s00 * b, s01 * c, s01 * e, s10 * f, s10 * g, s11 * h, s11 * k, d,
+        ))
+
     def apply(self, u: GaussianRational, v: GaussianRational) -> tuple[GaussianRational, GaussianRational]:
         if not (isinstance(u, GaussianRational) and isinstance(v, GaussianRational)):
             raise TypeError("UnitaryMat2.apply takes two GaussianRational components")
@@ -217,6 +234,18 @@ class OrthogonalMat3(ExactKey):
     def transpose(self) -> "OrthogonalMat3":
         n = self._key
         return OrthogonalMat3._from_key((n[0], n[3], n[6], n[1], n[4], n[7], n[2], n[5], n[8], n[9]))
+
+    def _times_diagonal(self, diagonal: "OrthogonalMat3") -> "OrthogonalMat3":
+        """``self * diagonal`` for a signed diagonal matrix: column j times
+        the diagonal's entry j, a sign change on the key."""
+        n, m = self._key, diagonal._key
+        s0, s1, s2 = m[0], m[4], m[8]
+        return OrthogonalMat3._from_key((
+            s0 * n[0], s1 * n[1], s2 * n[2],
+            s0 * n[3], s1 * n[4], s2 * n[5],
+            s0 * n[6], s1 * n[7], s2 * n[8],
+            n[9],
+        ))
 
     def integer_apply(self, x: int, y: int, z: int) -> tuple[int, int, int, int]:
         """(X, Y, Z, d) with R (x, y, z)/e = (X, Y, Z)/(d e) for every e > 0:
@@ -333,31 +362,40 @@ def covering_map(matrix: UnitaryMat2) -> OrthogonalMat3:
     """
     if not matrix.is_special():
         raise ValueError("covering_map requires det = +1; use extended_covering_map")
-    # With z = (a + b i)/d and w = (c + e i)/d every entry is an integer
-    # over d^2.  Orthogonality with det +1 is automatic for unit (z, w); the
-    # invariant suites recheck it sample by sample via is_orthogonal().
     a, b, c, e, *_, d = matrix._key
-    z2_re, w2_re, z2_im, w2_im = a * a - b * b, c * c - e * e, 2 * a * b, 2 * c * e
-    return OrthogonalMat3._from_key(lowest_terms((
-        z2_re - w2_re, z2_im + w2_im, -2 * (a * c - b * e),
-        w2_im - z2_im, z2_re + w2_re, 2 * (a * e + b * c),
-        2 * (a * c + b * e), 2 * (b * c - a * e), a * a + b * b - c * c - e * e,
-        d * d,
-    )))
+    return _rotation(a, b, c, e, d, 1)
 
 
 def extended_covering_map(matrix: UnitaryMat2) -> OrthogonalMat3:
     """Extend the covering map over the det = -1 coset, onto all of O(3).
 
     A det = -1 matrix C factors as C = A * (i I) with A = C * (-i I) of
-    det +1; its image is minus the rotation of A.  The factorisation is
-    recomputed here, never trusted from the caller.  The image determinant
+    det +1, and its image is minus the rotation of A.  Times -i an entry
+    x + y i of C becomes y - x i, so the image is the rotation formula of
+    :func:`covering_map` on the first row of C so rewritten, with its nine
+    numerators negated; no factor A is built.  The image determinant
     matches the input determinant and the kernel stays {I, -I}.
     """
+    a, b, c, e, *_, d = matrix._key
     if matrix.is_special():
-        return covering_map(matrix)
-    special_part = matrix.scalar_mul(-I_UNIT)
-    return -covering_map(special_part)
+        return _rotation(a, b, c, e, d, 1)
+    return _rotation(b, -a, e, -c, d, -1)
+
+
+def _rotation(a: int, b: int, c: int, e: int, d: int, sign: int) -> OrthogonalMat3:
+    """The rotation of ((z, w), (-conj w, conj z)) for z = (a + b i)/d and
+    w = (c + e i)/d, each of its nine numerators over d^2 times ``sign``."""
+    # Orthogonality with det +1 is automatic for unit (z, w); the invariant
+    # suites recheck it sample by sample via is_orthogonal().
+    z2_re, w2_re, z2_im, w2_im = a * a - b * b, c * c - e * e, 2 * a * b, 2 * c * e
+    numerators = (
+        z2_re - w2_re, z2_im + w2_im, -2 * (a * c - b * e),
+        w2_im - z2_im, z2_re + w2_re, 2 * (a * e + b * c),
+        2 * (a * c + b * e), 2 * (b * c - a * e), a * a + b * b - c * c - e * e,
+    )
+    if sign == -1:
+        numerators = tuple(-x for x in numerators)
+    return OrthogonalMat3._from_key(lowest_terms((*numerators, d * d)))
 
 
 _MINUS_SECTION = -PAULI_Z

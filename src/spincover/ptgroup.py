@@ -153,16 +153,18 @@ def spacetime_projection(g: SpinorSymmetry) -> SpacetimeSymmetry:
     """Project a double-cover element to its spacetime symmetry, two-to-one.
 
     The spatial part is the extended covering image of the matrix; when the
-    time sign is -1 it is multiplied by the half turn about y, the image of
-    the time-reversal matrix T, because U K = (U T^-1)(T K) and T K projects
-    to the pure time flip.  So the canonical time-reversal pair maps to
-    (identity, -1) and the parity-time pair to (-identity, -1).  This is a
-    homomorphism from the operator product onto the componentwise product
-    of :class:`SpacetimeSymmetry`, with kernel {(I, +1), (-I, +1)}.
+    time sign is -1 it is multiplied by the half turn about y,
+    diag(-1, 1, -1), the image of the time-reversal matrix T, because
+    U K = (U T^-1)(T K) and T K projects to the pure time flip.  That
+    product negates columns 0 and 2 of the image.  So the canonical
+    time-reversal pair maps to (identity, -1) and the parity-time pair to
+    (-identity, -1).  This is a homomorphism from the operator product onto
+    the componentwise product of :class:`SpacetimeSymmetry`, with kernel
+    {(I, +1), (-I, +1)}.
     """
     spatial = extended_covering_map(g.matrix)
     if g.time_sign == -1:
-        spatial = spatial * HALF_TURN_Y
+        spatial = spatial._times_diagonal(HALF_TURN_Y)
     return SpacetimeSymmetry(spatial, g.time_sign)
 
 

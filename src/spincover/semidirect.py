@@ -30,15 +30,16 @@ def twist_automorphism(sign: int, a: UnitaryMat2) -> UnitaryMat2:
     """Conjugate a det = +1 matrix by the section matrix of ``sign``.
 
     This is the Z2 action defining the twisted composition.  The identity
-    section acts trivially; the mirror section acts as the involution
-    ((z, w), ...) -> ((z, -w), ...).
+    section acts trivially.  The section diag(-1, 1) is its own inverse,
+    and B A B has entries B_i A_ij B_j, so it negates the off-diagonal
+    entries: the involution ((z, w), ...) -> ((z, -w), ...).
     """
     if not a.is_special():
         raise ValueError("the twist acts on det = +1 matrices")
     section = determinant_section(sign)
     if sign == 1:
         return a
-    return section * a * section.inverse()
+    return a._between_diagonals(section, section)
 
 
 @dataclass(frozen=True)
@@ -85,29 +86,36 @@ def compose(e1: SemidirectElement, e2: SemidirectElement) -> SemidirectElement:
 
 
 def to_unitary(e: SemidirectElement) -> UnitaryMat2:
-    """Fuse a pair into the single matrix A * B; det matches the section sign."""
-    return e.su2_part * determinant_section(e.sign)
+    """Fuse a pair into the single matrix A * B; det matches the section sign.
+
+    B is I or diag(-1, 1), so A * B is A with its first column negated
+    when the sign is -1.
+    """
+    if e.sign == 1:
+        return e.su2_part
+    return e.su2_part._between_diagonals(IDENTITY2, determinant_section(-1))
 
 
 def from_unitary(c: UnitaryMat2) -> SemidirectElement:
     """Split a det = +/-1 matrix back into a pair; inverse of :func:`to_unitary`."""
     if c.is_special():
         return SemidirectElement(c, 1)
-    # The section matrix of -1 is an involution, so c = (c B) B.
-    return SemidirectElement(c * determinant_section(-1), -1)
+    # The section matrix B of -1 is an involution, so c = (c B) B; c B is
+    # c with its first column negated.
+    return SemidirectElement(c._between_diagonals(IDENTITY2, determinant_section(-1)), -1)
 
 
 def project_to_o3(e: SemidirectElement) -> OrthogonalMat3:
     """The bundle projection of a pair onto O(3).
 
     Sign +1: the rotation of the special part.  Sign -1: that rotation
-    followed by the xy-plane mirror diag(1, 1, -1).  Always equal to the
-    extended covering map of the fused matrix.
+    times the xy-plane mirror diag(1, 1, -1), which negates its third
+    column.  Always equal to the extended covering map of the fused matrix.
     """
     rotation = covering_map(e.su2_part)
     if e.sign == 1:
         return rotation
-    return rotation * XY_MIRROR
+    return rotation._times_diagonal(XY_MIRROR)
 
 
 def parity_element() -> SemidirectElement:

@@ -103,7 +103,7 @@ def sample_su2(rng: random.Random) -> UnitaryMat2:
 def sample_extended(rng: random.Random) -> UnitaryMat2:
     m = sample_su2(rng)
     if rng.randint(0, 1):
-        return m * parity_operator()
+        return m.scalar_mul(I_UNIT)  # m times the parity lift i I
     return m
 
 
@@ -194,8 +194,9 @@ def run_cover_suite(seed: int, samples: int) -> SuiteReport:
     checks.check("projected rotations are orthogonal with det +1", specials, proper_image)
 
     parity = parity_operator()
+    # scalar_mul(I_UNIT) is the product with the parity lift i I.
     extended_pairs = [
-        (a * parity if k % 2 else a, b * parity if k % 3 == 0 else b)
+        (a.scalar_mul(I_UNIT) if k % 2 else a, b.scalar_mul(I_UNIT) if k % 3 == 0 else b)
         for k, (a, b) in enumerate(pairs)
     ]
 
@@ -297,13 +298,14 @@ def run_semidirect_suite(seed: int, samples: int) -> SuiteReport:
 
     def fiber(pair):
         e, other = pair
-        partner = from_unitary(-to_unitary(e))
-        if project_to_o3(partner) != project_to_o3(e):
+        base, fused = project_to_o3(e), to_unitary(e)
+        partner = from_unitary(-fused)
+        if project_to_o3(partner) != base:
             return e.to_text()
-        if to_unitary(partner) == to_unitary(e):
+        if to_unitary(partner) == fused:
             return e.to_text()
-        same_base = project_to_o3(other) == project_to_o3(e)
-        antipodal = to_unitary(other) in (to_unitary(e), -to_unitary(e))
+        same_base = project_to_o3(other) == base
+        antipodal = to_unitary(other) in (fused, -fused)
         if same_base != antipodal:
             return f"{e.to_text()} ; {other.to_text()}"
 
@@ -388,10 +390,11 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
 
     def two_to_one(pair):
         g, h = pair
+        image = spacetime_projection(g)
         negated = SpinorSymmetry(-g.matrix, g.time_sign)
-        if spacetime_projection(negated) != spacetime_projection(g):
+        if spacetime_projection(negated) != image:
             return g.to_text()
-        same = spacetime_projection(g) == spacetime_projection(h)
+        same = spacetime_projection(h) == image
         antipodal = h.time_sign == g.time_sign and h.matrix in (g.matrix, -g.matrix)
         if same != antipodal:
             return f"{g.to_text()} ; {h.to_text()}"

@@ -790,12 +790,22 @@ class TestOutput:
 
     @pytest.mark.parametrize("command", list(EMIT_CALLS))
     def test_unwritable_out_is_input_error(self, tmp_path, capsys, command):
-        # Only apply prints stderr lines of its own, and before the error.
+        # A missing directory is refused before the subcommand runs, so not
+        # even apply's own stderr lines come first.
+        out = tmp_path / "missing" / "x"
+        assert main(EMIT_CALLS[command] + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write --out {str(out)!r}: no directory {str(out.parent)!r}\n"
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", list(EMIT_CALLS))
+    def test_out_that_is_a_directory_is_input_error(self, tmp_path, capsys, command):
+        # The directory exists, so the work runs and the write fails: only
+        # apply prints stderr lines of its own, before the error.
         argv = EMIT_CALLS[command]
         assert main(argv) == 0
         header = capsys.readouterr().err
-        out = tmp_path / "missing" / "x"
-        assert main(argv + ["--out", str(out)]) == 2
+        assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(header + "error: ") and err.count("\n") == header.count("\n") + 1
-        assert not out.exists()

@@ -1,9 +1,11 @@
 """Goldens of the `verify` report, clean and with injected faults.
 
-Both goldens are ``verify all --seed 42 --samples 20 --format json``.  The
-faulty run replaces functions in ``spincover.verify``'s namespace with
-versions that misbehave on some inputs but not on the first sample, so the
-first-witness strings of the failing assertions are pinned as well.
+The clean and the faulty golden are ``verify all --seed 42 --samples 20
+--format json``; a third, clean one is the same command at seed 7 with 300
+samples.  The faulty run replaces functions in ``spincover.verify``'s
+namespace with versions that misbehave on some inputs but not on the
+first sample, so the first-witness strings of the failing assertions are
+pinned as well.
 """
 
 import json
@@ -79,15 +81,17 @@ def install_faults(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "faulty, code, golden",
-    [(False, 0, "verify_all_seed42_samples20.json"),
-     (True, 1, "verify_all_seed42_samples20_faults.json")],
-    ids=["clean", "faults"],
+    "argv, faulty, code, golden",
+    [(ARGV, False, 0, "verify_all_seed42_samples20.json"),
+     (ARGV, True, 1, "verify_all_seed42_samples20_faults.json"),
+     (["verify", "all", "--seed", "7", "--samples", "300", "--format", "json"], False, 0,
+      "verify_all_seed7_samples300.json")],
+    ids=["clean", "faults", "clean-seed7-samples300"],
 )
-def test_verify_all_golden(monkeypatch, capsys, faulty, code, golden):
+def test_verify_all_golden(monkeypatch, capsys, argv, faulty, code, golden):
     if faulty:
         install_faults(monkeypatch)
-    assert main(ARGV) == code
+    assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (GOLDEN / golden).read_text(encoding="utf-8")
