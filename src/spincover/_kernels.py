@@ -1,14 +1,22 @@
 """Multiplication-table kernels: validation, element invariants, isomorphism.
 
-All functions take a table as a list of rows of 0-based element indices,
-``table[i][j]`` being the index of element i times element j.  Every check
-is exhaustive: associativity uses Light's test on a generating set, so a
-table is never accepted on a sample of triples.  Rows that are permutations,
-a two-sided identity, two-sided inverses and Light's test make a table a
-group, whose columns are permutations too (right multiplication by y is
-undone by right multiplication by y^-1), so a validator that accepts on
-those four needs :func:`latin_square_violation` only to name the violation
-of a table it rejects.  The isomorphism search
+A table comes as a list of ``bytes`` rows, ``rows[i][j]`` being the index
+of element i times element j, so a group has at most 256 elements; the
+list-of-lists form is read only by :func:`latin_square_violation`, which
+names the fault of a table too malformed to hold in bytes.  A row doubles
+as a :meth:`bytes.translate` table once it is padded to 256 bytes
+(:func:`padded`): ``rows[g].translate(padded[x])`` is row g read through
+row x, x*(g*y) over all y, in one call.  So Light's test, the witness
+check and the centralizer counts run their inner loops in C, and the cap
+of 256 elements is the size of a translate table.
+
+Every check is exhaustive: associativity uses Light's test on a generating
+set, so a table is never accepted on a sample of triples.  Rows that are
+permutations, a two-sided identity, two-sided inverses and Light's test
+make a table a group, whose columns are permutations too (right
+multiplication by y is undone by right multiplication by y^-1), so a
+validator that accepts on those four needs :func:`latin_square_violation`
+only to name the violation of a table it rejects.  The isomorphism search
 branches only on the images of that same generating set, and counts its
 nodes against a budget.
 """
@@ -16,20 +24,18 @@ nodes against a budget.
 from __future__ import annotations
 
 from math import gcd
-from operator import eq, itemgetter
-from typing import Callable, Hashable, Optional, Sequence
+from operator import itemgetter
+from typing import Hashable, Optional, Sequence
 
 #: Name of the kernel implementation, reported in benchmark run records.
 BACKEND = "python"
 
 
-def _take(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """``row -> tuple(row[i] for i in indices)``, looped in C by
-    :func:`operator.itemgetter` when there are two indices or more; for one
-    it would return a bare item, not a 1-tuple, and it takes no fewer."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda row: tuple(row[i] for i in indices)
+def padded(rows: list[bytes]) -> list[bytes]:
+    """Each row extended with zero bytes to 256, for use as a
+    :meth:`bytes.translate` table; at order 256 the rows themselves."""
+    pad = bytes(256 - len(rows))
+    return [row + pad for row in rows] if pad else rows
 
 
 def latin_square_violation(table: list[list[int]]) -> Optional[tuple[str, int]]:
@@ -46,26 +52,26 @@ def latin_square_violation(table: list[list[int]]) -> Optional[tuple[str, int]]:
     return None
 
 
-def inverse_table(table: list[list[int]], identity: int) -> Optional[list[int]]:
+def inverse_table(rows: list[bytes], identity: int) -> Optional[list[int]]:
     """Two-sided inverses for every element, or None if one is missing.
 
-    Each row of ``table`` must be a permutation, so it holds ``identity`` once.
+    Each row must be a permutation, so it holds ``identity`` once.
     """
-    inverses = [row.index(identity) for row in table]
-    if any(table[j][i] != identity for i, j in enumerate(inverses)):
+    inverses = [row.index(identity) for row in rows]
+    if any(rows[j][i] != identity for i, j in enumerate(inverses)):
         return None
     return inverses
 
 
-def generating_set(table: list[list[int]], identity: int) -> list[int]:
-    """Generators of ``table`` from ``identity``, picked greedily.
+def generating_set(rows: list[bytes], identity: int) -> list[int]:
+    """Generators of the table ``rows`` from ``identity``, picked greedily.
 
     Close the reached set under right multiplication by the generators so
     far, then take the first element not yet reached, so every index below
     a generator is reached from the ones before it.  For a group each new
     generator at least doubles the reached subgroup: at most log2(n) of them.
     """
-    n = len(table)
+    n = len(rows)
     generators: list[int] = []
     reached = [False] * n
     reached[identity] = True
@@ -75,7 +81,7 @@ def generating_set(table: list[list[int]], identity: int) -> list[int]:
         reached[g] = True
         frontier = [x for x in range(n) if reached[x]]
         while frontier:
-            row_x = table[frontier.pop()]
+            row_x = rows[frontier.pop()]
             for h in generators:
                 xh = row_x[h]
                 if not reached[xh]:
@@ -85,7 +91,7 @@ def generating_set(table: list[list[int]], identity: int) -> list[int]:
 
 
 def associativity_violation(
-    table: list[list[int]], identity: int
+    rows: list[bytes], translate: list[bytes], identity: int
 ) -> Optional[tuple[int, int, int]]:
     """First triple (x, g, y) with (x*g)*y != x*(g*y), or None.
 
@@ -93,27 +99,26 @@ def associativity_violation(
     of Semigroups* I, 1961, section 1.2).  The elements g for which
     (x*g)*y == x*(g*y) holds for all x, y are closed under products, so it
     suffices to check g over :func:`generating_set`, which reaches every
-    element from ``identity``, a two-sided identity of ``table``.  For a
+    element from ``identity``, a two-sided identity of the table.  For a
     group that is at most log2(n) generators and O(n^2 log n) work; for any
-    other table the check stays exhaustive.
+    other table the check stays exhaustive.  ``translate`` is
+    :func:`padded` of ``rows``.
     """
-    n = len(table)
-    for g in generating_set(table, identity):
-        # Row x of x*(g*y) over all y is row x read at the columns of row g.
-        times_g = _take(table[g])
-        for x in range(n):
-            row_x = table[x]
-            left = tuple(table[row_x[g]])
-            right = times_g(row_x)
-            if left != right:
-                for y in range(n):
-                    if left[y] != right[y]:
-                        return (x, g, y)
+    n = len(rows)
+    for g in generating_set(rows, identity):
+        # Over all x at once: row x*g of the table, against row g read
+        # through row x, which is x*(g*y) over all y.
+        left = b"".join(map(rows.__getitem__, map(itemgetter(g), rows)))
+        right = b"".join(map(rows[g].translate, translate))
+        if left != right:
+            k = next(k for k, (a, b) in enumerate(zip(left, right)) if a != b)
+            x, y = divmod(k, n)
+            return (x, g, y)
     return None
 
 
-def element_orders(table: list[list[int]], identity: int) -> list[int]:
-    """The order of every element of the group ``table``.
+def element_orders(rows: list[bytes], identity: int) -> list[int]:
+    """The order of every element of the group table ``rows``.
 
     Each element x whose order is not yet known is walked along its powers
     x, x^2, ..., x^m = identity, and every power x^k whose order is not yet
@@ -121,7 +126,7 @@ def element_orders(table: list[list[int]], identity: int) -> list[int]:
     walked costs no product.  A walk that reaches x^(n+1) without meeting
     ``identity`` raises ``ValueError``: that element has no finite order.
     """
-    n = len(table)
+    n = len(rows)
     orders = [0] * n
     for x in range(n):
         if orders[x]:
@@ -129,7 +134,7 @@ def element_orders(table: list[list[int]], identity: int) -> list[int]:
         powers = [x]
         power = x
         while power != identity:
-            power = table[power][x]
+            power = rows[power][x]
             powers.append(power)
             if len(powers) > n:
                 raise ValueError(f"element {x} has no finite order; table is not a group")
@@ -140,27 +145,27 @@ def element_orders(table: list[list[int]], identity: int) -> list[int]:
     return orders
 
 
-def is_abelian(table: list[list[int]]) -> bool:
-    return all(row == list(column) for row, column in zip(table, zip(*table)))
+def is_abelian(rows: list[bytes]) -> bool:
+    return rows == list(map(bytes, zip(*rows)))
 
 
-def element_signatures(
-    table: list[list[int]], orders: list[int]
-) -> list[tuple[int, int, int]]:
+def element_signatures(rows: list[bytes], orders: list[int]) -> list[tuple[int, int, int]]:
     """(order, centralizer size, number of square roots) of every element.
 
     Every isomorphism maps an element to one with the same signature.  The
-    centralizer of x counts the y with x*y == y*x: row x of the table
-    against column x, from one transpose; a central x, whose row equals its
-    column, is told by one tuple comparison.  O(n^2) in all.
+    centralizer of x counts the y with x*y == y*x: the zero bytes of row x
+    XOR column x, both read as one integer, from one transpose.  O(n^2) in
+    all, with no Python loop over y.
     """
-    roots = [0] * len(table)
-    for y, row in enumerate(table):
+    n = len(rows)
+    roots = [0] * n
+    for y, row in enumerate(rows):
         roots[row[y]] += 1
-    return [
-        (orders[x], len(row) if tuple(row) == column else sum(map(eq, row, column)), roots[x])
-        for x, (row, column) in enumerate(zip(table, zip(*table)))
+    centralizers = [
+        (int.from_bytes(row, "big") ^ int.from_bytes(column, "big")).to_bytes(n, "big").count(0)
+        for row, column in zip(rows, map(bytes, zip(*rows)))
     ]
+    return list(zip(orders, centralizers, roots))
 
 
 class NodeBudgetError(RuntimeError):
@@ -176,8 +181,8 @@ class SearchNodes:
 
 
 def find_isomorphism(
-    g_table: list[list[int]],
-    h_table: list[list[int]],
+    g_rows: list[bytes],
+    h_rows: list[bytes],
     g_identity: int,
     h_identity: int,
     g_keys: Sequence[Hashable],
@@ -203,8 +208,8 @@ def find_isomorphism(
     Every call of the inner ``search`` is one node, counted in ``nodes``;
     passing ``nodes.budget`` raises :class:`NodeBudgetError`.
     """
-    n = len(g_table)
-    generators = generating_set(g_table, g_identity)
+    n = len(g_rows)
+    generators = generating_set(g_rows, g_identity)
     phi = [-1] * n
     used = [False] * n
     phi[g_identity] = h_identity
@@ -214,8 +219,8 @@ def find_isomorphism(
         frontier = [x for x in range(n) if phi[x] >= 0]
         while frontier:
             x = frontier.pop()
-            row_x = g_table[x]
-            image_row = h_table[phi[x]]
+            row_x = g_rows[x]
+            image_row = h_rows[phi[x]]
             for s in chosen:
                 y = row_x[s]
                 image = image_row[phi[s]]
@@ -258,21 +263,18 @@ def find_isomorphism(
     return phi if search(0) else None
 
 
-def check_isomorphism(
-    g_table: list[list[int]],
-    h_table: list[list[int]],
-    mapping: list[int],
-) -> bool:
-    """Exhaustive verification that ``mapping`` is a bijective homomorphism."""
-    n = len(g_table)
-    if len(h_table) != n or len(mapping) != n:
+def check_isomorphism(g_rows: list[bytes], h_translate: list[bytes], mapping: list[int]) -> bool:
+    """Exhaustive verification that ``mapping`` is a bijective homomorphism
+    from the table ``g_rows`` to the table whose :func:`padded` rows are
+    ``h_translate``."""
+    n = len(g_rows)
+    if len(h_translate) != n or len(mapping) != n:
         return False
     if sorted(mapping) != list(range(n)):
         return False
-    # Row i of both sides over all j: the images of row i of G, and row
-    # phi(i) of H read at the columns phi(j).
-    image_columns = _take(mapping)
-    for i in range(n):
-        if _take(g_table[i])(mapping) != image_columns(h_table[mapping[i]]):
-            return False
-    return True
+    # Every product at once: phi(g_i * g_j), the rows of G read through
+    # phi, against h_phi(i) * h_phi(j), phi read through row phi(i) of H.
+    phi = bytes(mapping)
+    left = b"".join(g_rows).translate(phi + bytes(256 - n))
+    right = b"".join(map(phi.translate, map(h_translate.__getitem__, phi)))
+    return left == right

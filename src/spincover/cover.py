@@ -410,10 +410,14 @@ def determinant_section(sign: int) -> UnitaryMat2:
     return IDENTITY2 if as_sign(sign) == 1 else _MINUS_SECTION
 
 
-def _stereographic(x: Fraction, y: Fraction, z: Fraction) -> tuple[int, int, int, int, int]:
-    """(D^2 - S, 2XD, 2YD, 2ZD, D^2 + S) for x = X/D, y = Y/D and z = Z/D over
-    their least common denominator D, with S = X^2 + Y^2 + Z^2."""
-    ratios = [(v.numerator, v.denominator) for v in map(as_rational, (x, y, z))]
+#: A rational number as an integer pair (n, d), d > 0, in any terms.
+Ratio = tuple[int, int]
+
+
+def _stereographic(ratios: Sequence[Ratio]) -> tuple[int, int, int, int, int]:
+    """(D^2 - S, 2XD, 2YD, 2ZD, D^2 + S) for the ratios x = X/D, y = Y/D and
+    z = Z/D over their least common denominator D, with S = X^2 + Y^2 + Z^2;
+    :func:`common_key` gives that key from the ratios in any terms."""
     big_x, big_y, big_z, d = common_key(ratios)
     d_sq, s = d * d, big_x * big_x + big_y * big_y + big_z * big_z
     return d_sq - s, 2 * big_x * d, 2 * big_y * d, 2 * big_z * d, d_sq + s
@@ -430,16 +434,18 @@ def rational_unit_quaternion(x: Fraction, y: Fraction, z: Fraction) -> Quaternio
     z = Z/D, the image is (D^2 - S, 2XD, 2YD, 2ZD) / (D^2 + S) with
     S = X^2 + Y^2 + Z^2.
     """
-    a, b, c, e, n = _stereographic(x, y, z)
+    ratios = [(v.numerator, v.denominator) for v in map(as_rational, (x, y, z))]
+    a, b, c, e, n = _stereographic(ratios)
     return (Fraction(a, n), Fraction(b, n), Fraction(c, n), Fraction(e, n))
 
 
-def stereographic_su2(x: Fraction, y: Fraction, z: Fraction) -> UnitaryMat2:
-    """``quaternion_to_su2(rational_unit_quaternion(x, y, z))``, with the
-    matrix key written straight from the integer numerators: with
+def stereographic_su2(x: Ratio, y: Ratio, z: Ratio) -> UnitaryMat2:
+    """``quaternion_to_su2(rational_unit_quaternion(x, y, z))`` for x, y and
+    z given as (n, d) pairs in any terms, so no ``Fraction`` is built, with
+    the matrix key written straight from the integer numerators: with
     z = (a + b i)/n and w = (c + e i)/n it is ((z, w), (-conj w, conj z)).
     The unitarity check still runs on the key."""
-    a, b, c, e, n = _stereographic(x, y, z)
+    a, b, c, e, n = _stereographic((x, y, z))
     key = lowest_terms((a, b, c, e, -c, e, a, -b, n))
     _check_unitary(key)
     return UnitaryMat2._from_key(key)

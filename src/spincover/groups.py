@@ -1,12 +1,16 @@
 """Finite groups: closure generation, Cayley tables, isomorphism search.
 
 Groups live as labelled multiplication tables validated exhaustively on
-construction, at every order: each row a permutation, a two-sided
-identity, two-sided inverses, and associativity by Light's test.  Those
-four make the table a group, so each column is a permutation as well
-(right multiplication by y is undone by right multiplication by y^-1),
-and the column half of the Latin-square check runs only to name the
-violation of a rejected table.  Closure is
+construction, at every order up to 256: each row a permutation, a
+two-sided identity, two-sided inverses, and associativity by Light's test.
+Those four make the table a group, so each column is a permutation as
+well (right multiplication by y is undone by right multiplication by
+y^-1), and the column half of the Latin-square check runs only to name
+the violation of a rejected table.  Once its rows pass, a table is kept as
+byte rows as well, the one format of :mod:`spincover._kernels`, whose
+checks read a row as a :meth:`bytes.translate` table; a translate table
+has 256 entries, so every group, and every constructor before it builds a
+row, refuses a larger order with :class:`IsomorphismSizeError`.  Closure is
 exact and runs over hashable elements indexed by a dict: Gaussian-rational
 matrices, spacetime symmetries, or the monomial matrices of the double
 groups, whose entries are 4n-th roots of unity stored as integer exponents.
@@ -29,6 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import chain
+from math import prod
 from typing import Callable, Optional, Sequence, Union
 
 from . import _kernels
@@ -42,7 +47,9 @@ from .cover import (
 from .ptgroup import SpacetimeSymmetry, time_reversal_operator
 from .scalars import as_sign
 
-#: Hard cap for the isomorphism search.
+#: Largest order of any :class:`FiniteGroup`, and so of the isomorphism
+#: search: tables are kept as byte rows, one byte per element index, and a
+#: row is read as a 256-entry :meth:`bytes.translate` table.
 ISOMORPHISM_ORDER_LIMIT = 256
 
 #: Most nodes one isomorphism search may enter.  A node costs about 2 ms at
@@ -61,7 +68,15 @@ class ClosureLimitError(RuntimeError):
 
 
 class IsomorphismSizeError(RuntimeError):
-    """Isomorphism search requested beyond the supported order or node budget."""
+    """A group beyond the supported order, or an isomorphism search beyond
+    its node budget."""
+
+
+def _check_order(order: int) -> None:
+    """Refuse an order above :data:`ISOMORPHISM_ORDER_LIMIT`, before any
+    table of that order is built."""
+    if order > ISOMORPHISM_ORDER_LIMIT:
+        raise IsomorphismSizeError(f"groups are supported up to order {ISOMORPHISM_ORDER_LIMIT}")
 
 
 class FiniteGroup:
@@ -71,7 +86,8 @@ class FiniteGroup:
     display names; ``element_source`` optionally maps each label back to the
     matrix (or other object) it came from.  Construction raises
     ``ValueError`` unless the table satisfies every group axiom; no axiom
-    is checked on a sample.
+    is checked on a sample.  More than 256 labels raise
+    :class:`IsomorphismSizeError` before the table is read.
     """
 
     def __init__(
@@ -82,6 +98,7 @@ class FiniteGroup:
         element_source: Optional[dict] = None,
         name: str = "",
     ) -> None:
+        _check_order(len(labels))
         self.labels = [str(x) for x in labels]
         self.table = [list(row) for row in table]
         self.identity_index = int(identity_index)
@@ -92,7 +109,7 @@ class FiniteGroup:
         if len(self.labels) != len(self.table):
             raise ValueError("label count does not match table size")
         self._validate()
-        self._orders = _kernels.element_orders(self.table, self.identity_index)
+        self._orders = _kernels.element_orders(self._rows, self.identity_index)
 
     def _validate(self) -> None:
         """Check the group axioms exhaustively.
@@ -124,16 +141,21 @@ class FiniteGroup:
         Rows come first, ahead of the inverses and Light's test, which index
         the table by its entries: a -1 would wrap round silently.  A row
         that fails here fails the Latin-square check too, which names it.
+        Rows that pass are permutations of 0..n-1 with n <= 256, so they
+        become the byte rows ``_rows`` the kernels read, with their
+        translate tables ``_padded``.
         """
         table, e, n = self.table, self.identity_index, self.order
         full = set(range(n))
         if not all(len(row) == n and set(row) == full for row in table):
             return "table is not a Latin square"
+        rows = self._rows = [bytes(row) for row in table]
+        self._padded = _kernels.padded(rows)
         if any(table[e][j] != j for j in range(n)) or any(table[i][e] != i for i in range(n)):
             return f"element {e} is not a two-sided identity"
-        if _kernels.inverse_table(table, e) is None:
+        if _kernels.inverse_table(rows, e) is None:
             return "some element has no two-sided inverse"
-        triple = _kernels.associativity_violation(table, e)
+        triple = _kernels.associativity_violation(rows, self._padded, e)
         if triple is not None:
             return f"multiplication is not associative at triple {triple}"
         return None
@@ -151,7 +173,7 @@ class FiniteGroup:
         return tuple(sorted(self._orders))
 
     def is_abelian(self) -> bool:
-        return _kernels.is_abelian(self.table)
+        return _kernels.is_abelian(self._rows)
 
     # -- rendering --------------------------------------------------------
 
@@ -303,6 +325,7 @@ def cyclic(n: int) -> FiniteGroup:
     """The cyclic group of order n, labels 1, g, g^2, ..."""
     if n < 1:
         raise ValueError("cyclic order must be at least 1")
+    _check_order(n)
     labels = ["1"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
     # Row i is (i + j) mod n: the run 0..n-1 rotated left by i.
     run = list(range(n))
@@ -337,6 +360,7 @@ def _inverting_extension(m: int, square: int, x: str, y: str, name: str) -> Fini
     l = 0 .. m-1.  Each half of a row is a rotation of one of the index
     runs 0..m-1 and m..2m-1, read forwards for x^k and backwards for x^k·y.
     """
+    _check_order(2 * m)
     powers = list(range(m))
     cosets = list(range(m, 2 * m))
     powers_down = powers[::-1]
@@ -372,6 +396,7 @@ def direct_product(g: FiniteGroup, *others: FiniteGroup) -> FiniteGroup:
     """
     if not others:
         return g
+    _check_order(prod(f.order for f in (g, *others)))
     labels, table, identity, names = g.labels, g.table, g.identity_index, [g.name]
     for h in others:
         order_h = h.order
@@ -405,7 +430,7 @@ class IsomorphismWitness:
 def verify_isomorphism(g: FiniteGroup, h: FiniteGroup, mapping: Sequence[int]) -> bool:
     """Exhaustively check a candidate mapping for bijectivity and the
     homomorphism law on every pair."""
-    return _kernels.check_isomorphism(g.table, h.table, list(mapping))
+    return _kernels.check_isomorphism(g._rows, h._padded, list(mapping))
 
 
 #: Names of the ladder rungs and of the search, as :class:`Refutation` reports them.
@@ -459,9 +484,9 @@ def decide_isomorphism(
 ) -> Union[IsomorphismWitness, Refutation]:
     """A verified isomorphism from ``g`` to ``h``, or why there is none.
 
-    Sound and complete up to order 256; a larger order, or a search that
-    passes :data:`ISOMORPHISM_NODE_BUDGET` nodes, raises
-    :class:`IsomorphismSizeError`.  The invariant ladder runs first, each
+    Sound and complete at every order a :class:`FiniteGroup` can have (up
+    to 256); a search that passes :data:`ISOMORPHISM_NODE_BUDGET` nodes
+    raises :class:`IsomorphismSizeError`.  The invariant ladder runs first, each
     rung only when every rung before it agrees:
 
     1. the element-order multiset (which also compares the orders);
@@ -478,14 +503,10 @@ def decide_isomorphism(
     signature.  Any witness returned has been verified exhaustively and is
     the lexicographically smallest mapping by element index.
     """
-    if g.order > ISOMORPHISM_ORDER_LIMIT or h.order > ISOMORPHISM_ORDER_LIMIT:
-        raise IsomorphismSizeError(
-            f"isomorphism search supports orders up to {ISOMORPHISM_ORDER_LIMIT}"
-        )
     if g.order_multiset() != h.order_multiset():
         return Refutation(ORDER_MULTISET, list(g.order_multiset()), list(h.order_multiset()))
-    g_keys = _kernels.element_signatures(g.table, g._orders)
-    h_keys = _kernels.element_signatures(h.table, h._orders)
+    g_keys = _kernels.element_signatures(g._rows, g._orders)
+    h_keys = _kernels.element_signatures(h._rows, h._orders)
     g_centre = sum(1 for s in g_keys if s[1] == g.order)
     h_centre = sum(1 for s in h_keys if s[1] == h.order)
     abelian = g_centre == g.order
@@ -499,7 +520,7 @@ def decide_isomorphism(
     nodes = _kernels.SearchNodes(ISOMORPHISM_NODE_BUDGET)
     try:
         mapping = _kernels.find_isomorphism(
-            g.table, h.table, g.identity_index, h.identity_index, g_keys, h_keys, nodes
+            g._rows, h._rows, g.identity_index, h.identity_index, g_keys, h_keys, nodes
         )
     except _kernels.NodeBudgetError as exc:
         raise IsomorphismSizeError(f"{exc} at order {g.order}") from None

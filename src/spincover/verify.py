@@ -92,12 +92,13 @@ class _Checks(list):
 # -- seeded exact sampling ----------------------------------------------------
 
 
-def sample_rational(rng: random.Random, span: int = 9) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, span))
+def sample_ratio(rng: random.Random) -> tuple[int, int]:
+    """A rational in [-3, 3] as an unreduced pair (n, d), 1 <= d <= 3."""
+    return rng.randint(-3, 3), rng.randint(1, 3)
 
 
 def sample_su2(rng: random.Random) -> UnitaryMat2:
-    return stereographic_su2(sample_rational(rng, 3), sample_rational(rng, 3), sample_rational(rng, 3))
+    return stereographic_su2(sample_ratio(rng), sample_ratio(rng), sample_ratio(rng))
 
 
 def sample_extended(rng: random.Random) -> UnitaryMat2:

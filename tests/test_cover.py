@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -157,11 +158,22 @@ def entries(m: OrthogonalMat3) -> list[list[Fraction]]:
 
 
 class TestStereographicSU2:
-    @given(vectors)
-    def test_equals_the_quaternion_route(self, v):
-        m = stereographic_su2(*v)
+    @given(vectors, st.integers(1, 6))
+    def test_equals_the_quaternion_route(self, v, k):
+        m = stereographic_su2(*[(q.numerator, q.denominator) for q in v])
         assert m == quaternion_to_su2(rational_unit_quaternion(*v))
         assert m.is_special()
+        # The ratios may come in any terms.
+        assert stereographic_su2(*[(k * q.numerator, k * q.denominator) for q in v]) == m
+
+    def test_sampler_matches_the_fraction_route(self):
+        # sample_su2 draws (n, d) pairs; the route it replaced built a
+        # Fraction from each pair.  Same draws, same matrices, same RNG state.
+        pairs, fractions = random.Random(2004), random.Random(2004)
+        for _ in range(5000):
+            x, y, z = (Fraction(fractions.randint(-3, 3), fractions.randint(1, 3)) for _ in range(3))
+            assert sample_su2(pairs) == quaternion_to_su2(rational_unit_quaternion(x, y, z))
+        assert pairs.getstate() == fractions.getstate()
 
 
 class TestIntegerOrthogonal:

@@ -619,9 +619,29 @@ class TestIsomorphism:
         assert list(witness.mapping) == list(range(8))
 
     def test_size_limit(self):
-        big = direct_product(cyclic(32), cyclic(16))
+        # No group of order 512 exists: the product refuses to build one.
         with pytest.raises(IsomorphismSizeError):
+            big = direct_product(cyclic(32), cyclic(16))
             find_isomorphism(big, big)
+
+    def test_constructors_refuse_large_orders_before_building(self, monkeypatch):
+        # Each order is compared with the cap before a label or row exists:
+        # a 10^12-entry table is never attempted.
+        z1, factors = cyclic(1), (cyclic(32), cyclic(16))
+
+        def no_group(*args, **kwargs):
+            raise AssertionError("a table over the cap was built")
+
+        monkeypatch.setattr(groups, "FiniteGroup", no_group)
+        for build in (
+            lambda: cyclic(10**12),
+            lambda: dihedral(2 * 10**12),
+            lambda: dicyclic(4 * 10**12),
+            lambda: direct_product(*factors),
+            lambda: direct_product(z1, *factors),
+        ):
+            with pytest.raises(IsomorphismSizeError, match="^groups are supported up to order 256$"):
+                build()
 
     def test_node_budget(self, monkeypatch):
         g = dihedral(16)
