@@ -1,24 +1,23 @@
 """Multiplication-table kernels: validation, element invariants, isomorphism.
 
-A table comes as a list of ``bytes`` rows, ``rows[i][j]`` being the index
-of element i times element j, so a group has at most 256 elements; the
-list-of-lists form is read only by :func:`latin_square_violation`, which
-names the fault of a table too malformed to hold in bytes.  A row doubles
-as a :meth:`bytes.translate` table once it is padded to 256 bytes
+A table is a list of ``bytes`` rows, ``rows[i][j]`` being the index of
+element i times element j, so a group has at most 256 elements; every
+group constructor builds this form.  :func:`latin_square_violation` reads
+a rejected table as given, lists or bytes, to name its fault.  A row
+doubles as a :meth:`bytes.translate` table once it is padded to 256 bytes
 (:func:`padded`): ``rows[g].translate(padded[x])`` is row g read through
 row x, x*(g*y) over all y, in one call.  So Light's test, the witness
 check and the centralizer counts run their inner loops in C, and the cap
 of 256 elements is the size of a translate table.
 
 Every check is exhaustive: associativity uses Light's test on a generating
-set, so a table is never accepted on a sample of triples.  Rows that are
-permutations, a two-sided identity, two-sided inverses and Light's test
-make a table a group, whose columns are permutations too (right
-multiplication by y is undone by right multiplication by y^-1), so a
-validator that accepts on those four needs :func:`latin_square_violation`
-only to name the violation of a table it rejects.  The isomorphism search
-branches only on the images of that same generating set, and counts its
-nodes against a budget.
+set, so a table is never accepted on a sample of triples.  Entries in
+range, a two-sided identity, two-sided inverses and Light's test make a
+table a group (Light's lemma holds in any table), whose rows and columns
+are permutations, so a validator that accepts on those checks needs
+:func:`latin_square_violation` only to name the violation of a table it
+rejects.  The isomorphism search branches only on the images of that same
+generating set, and counts its nodes against a budget.
 """
 
 from __future__ import annotations
@@ -55,7 +54,8 @@ def latin_square_violation(table: list[list[int]]) -> Optional[tuple[str, int]]:
 def inverse_table(rows: list[bytes], identity: int) -> Optional[list[int]]:
     """Two-sided inverses for every element, or None if one is missing.
 
-    Each row must be a permutation, so it holds ``identity`` once.
+    The inverse of x is the first ``identity`` in row x; a row without one
+    raises ``ValueError`` from :meth:`bytes.index`.
     """
     inverses = [row.index(identity) for row in rows]
     if any(rows[j][i] != identity for i, j in enumerate(inverses)):

@@ -1,22 +1,22 @@
 """Finite groups: closure generation, Cayley tables, isomorphism search.
 
 Groups live as labelled multiplication tables validated exhaustively on
-construction, at every order up to 256: each row a permutation, a
-two-sided identity, two-sided inverses, and associativity by Light's test.
-Those four make the table a group, so each column is a permutation as
-well (right multiplication by y is undone by right multiplication by
-y^-1), and the column half of the Latin-square check runs only to name
-the violation of a rejected table.  Once its rows pass, a table is kept as
-byte rows as well, the one format of :mod:`spincover._kernels`, whose
-checks read a row as a :meth:`bytes.translate` table; a translate table
-has 256 entries, so every group, and every constructor before it builds a
-row, refuses a larger order with :class:`IsomorphismSizeError`.  Closure is
-exact and runs over hashable elements indexed by a dict: Gaussian-rational
-matrices, spacetime symmetries, or the monomial matrices of the double
-groups, whose entries are 4n-th roots of unity stored as integer exponents.
-One breadth-first pass lists the elements in the order it finds them and
-multiplies each element by each generator once; the Cayley table is read
-off those N × len(generators) products, with no product per table entry.
+construction, at every order up to 256.  Every constructor builds the
+table as ``bytes`` rows, the one format of :mod:`spincover._kernels`,
+whose checks read a row as a :meth:`bytes.translate` table; a translate
+table has 256 entries, so every group, and every constructor before it
+builds a row, refuses a larger order with :class:`IsomorphismSizeError`.
+Validation checks the shape and, in one call, the range of the entries,
+then a two-sided identity, two-sided inverses, and associativity by
+Light's test.  Those make the table a group, so its rows and columns are
+permutations, and the Latin-square check runs only to name the fault of
+a rejected table.  Closure is exact and runs over hashable elements
+indexed by a dict: Gaussian-rational matrices, spacetime symmetries, or
+the monomial matrices of the double groups, whose entries are 4n-th roots
+of unity stored as integer exponents.  One breadth-first pass lists the
+elements in the order it finds them and multiplies each element by each
+generator once; the Cayley table is read off those N × len(generators)
+products, with no product per table entry.
 
 Isomorphism testing climbs an invariant ladder before it searches: the
 element-order multiset, then, read off the element signatures (order,
@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import chain
 from math import prod
+from operator import itemgetter
 from typing import Callable, Optional, Sequence, Union
 
 from . import _kernels
@@ -82,9 +82,11 @@ def _check_order(order: int) -> None:
 class FiniteGroup:
     """A finite group as a labelled multiplication table.
 
-    ``table[i][j]`` is the index of element i times element j.  Labels are
-    display names; ``element_source`` optionally maps each label back to the
-    matrix (or other object) it came from.  Construction raises
+    ``table[i][j]`` is the index of element i times element j.  The group
+    keeps the rows as bytes, ``_rows``: a ``bytes`` row as it is, any other
+    row converted once; :attr:`table` is a list-of-lists copy of them.
+    Labels are display names; ``element_source`` optionally maps each label
+    back to the matrix (or other object) it came from.  Construction raises
     ``ValueError`` unless the table satisfies every group axiom; no axiom
     is checked on a sample.  More than 256 labels raise
     :class:`IsomorphismSizeError` before the table is read.
@@ -100,59 +102,56 @@ class FiniteGroup:
     ) -> None:
         _check_order(len(labels))
         self.labels = [str(x) for x in labels]
-        self.table = [list(row) for row in table]
         self.identity_index = int(identity_index)
         self.element_source = dict(element_source) if element_source else None
         self.name = name
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("element labels must be unique")
-        if len(self.labels) != len(self.table):
+        if len(self.labels) != len(table):
             raise ValueError("label count does not match table size")
-        self._validate()
+        self._validate(table)
         self._orders = _kernels.element_orders(self._rows, self.identity_index)
 
-    def _validate(self) -> None:
+    def _validate(self, table: Sequence[Sequence[int]]) -> None:
         """Check the group axioms exhaustively.
 
-        A table is accepted when each row is a permutation of 0..n-1, which
-        also checks its shape and range, ``identity_index`` is a two-sided
-        identity, every element has a two-sided inverse, and Light's test
-        finds no triple that fails to associate.  Those four make it a
-        group, and in a group right multiplication by y is a bijection,
-        undone by right multiplication by y^-1, so every column is a
-        permutation too: the column half of the Latin-square check adds
-        nothing to an accepted table.  A rejected table, whether a check
-        fails or raises, is run through the Latin-square check first, so
-        its message is the first violation in the order Latin square,
-        identity, inverses, associativity.
+        A table is accepted when every row has n entries in 0..n-1, with
+        ``identity_index`` a two-sided identity, two-sided inverses, and no
+        failure of Light's test.  With entries in range, Light's lemma holds
+        in any magma and the generating set reaches every element from the
+        identity, so the table is associative, hence a group, whose rows and
+        columns are permutations: multiplication by y is undone by y^-1.  So
+        the Latin-square check runs only on a rejected table, as given,
+        whether a check fails or raises, and the message is the first
+        violation in the order Latin square, identity, inverses,
+        associativity.
         """
         try:
-            violation = self._axiom_violation()
+            violation = self._axiom_violation(table)
         except Exception:
-            self._raise_if_not_latin()
+            _raise_if_not_latin(table)
             raise
         if violation is not None:
-            self._raise_if_not_latin()
+            _raise_if_not_latin(table)
             raise ValueError(violation)
 
-    def _axiom_violation(self) -> Optional[str]:
+    def _axiom_violation(self, table: Sequence[Sequence[int]]) -> Optional[str]:
         """The message of the first axiom the table fails, or None for a group.
 
-        Rows come first, ahead of the inverses and Light's test, which index
-        the table by its entries: a -1 would wrap round silently.  A row
-        that fails here fails the Latin-square check too, which names it.
-        Rows that pass are permutations of 0..n-1 with n <= 256, so they
-        become the byte rows ``_rows`` the kernels read, with their
-        translate tables ``_padded``.
+        ``iter`` refuses an int in place of a row, which ``bytes`` would
+        read as that many zero bytes.  Shape and range come ahead of the
+        checks that index by entries; deleting every byte below n from all
+        rows at once leaves the entries out of range.  The identity must be
+        in range too, so that -1 cannot wrap round to the last row.
         """
-        table, e, n = self.table, self.identity_index, self.order
-        full = set(range(n))
-        if not all(len(row) == n and set(row) == full for row in table):
+        e, n = self.identity_index, self.order
+        rows = self._rows = [row if isinstance(row, bytes) else bytes(iter(row)) for row in table]
+        indices = bytes(range(n))
+        if any(len(row) != n for row in rows) or b"".join(rows).translate(None, indices):
             return "table is not a Latin square"
-        rows = self._rows = [bytes(row) for row in table]
-        self._padded = _kernels.padded(rows)
-        if any(table[e][j] != j for j in range(n)) or any(table[i][e] != i for i in range(n)):
+        if not 0 <= e < n or rows[e] != indices or bytes(map(itemgetter(e), rows)) != indices:
             return f"element {e} is not a two-sided identity"
+        self._padded = _kernels.padded(rows)
         if _kernels.inverse_table(rows, e) is None:
             return "some element has no two-sided inverse"
         triple = _kernels.associativity_violation(rows, self._padded, e)
@@ -160,10 +159,9 @@ class FiniteGroup:
             return f"multiplication is not associative at triple {triple}"
         return None
 
-    def _raise_if_not_latin(self) -> None:
-        bad = _kernels.latin_square_violation(self.table)
-        if bad is not None:
-            raise ValueError(f"table is not a Latin square (violation at {bad})") from None
+    @property
+    def table(self) -> list[list[int]]:
+        return [list(row) for row in self._rows]
 
     @property
     def order(self) -> int:
@@ -188,7 +186,7 @@ class FiniteGroup:
             indices.remove(self.identity_index)
         header = [""] + [self.labels[j] for j in indices]
         body = [
-            [self.labels[i]] + [self.labels[self.table[i][j]] for j in indices]
+            [self.labels[i]] + [self.labels[self._rows[i][j]] for j in indices]
             for i in indices
         ]
         widths = [max(len(row[c]) for row in [header] + body) for c in range(len(header))]
@@ -198,11 +196,17 @@ class FiniteGroup:
         return "\n".join(lines) + "\n"
 
     def cayley_json(self) -> dict:
-        return {"elements": list(self.labels), "table": [list(row) for row in self.table]}
+        return {"elements": list(self.labels), "table": self.table}
 
     def __repr__(self) -> str:
         name = self.name or "FiniteGroup"
         return f"<{name} of order {self.order}>"
+
+
+def _raise_if_not_latin(table: Sequence[Sequence[int]]) -> None:
+    bad = _kernels.latin_square_violation(table)
+    if bad is not None:
+        raise ValueError(f"table is not a Latin square (violation at {bad})") from None
 
 
 # -- closure ------------------------------------------------------------------
@@ -210,7 +214,7 @@ class FiniteGroup:
 
 def _close(
     generators: Sequence, identity, multiply: Callable, bound: int
-) -> tuple[list, list[list[int]]]:
+) -> tuple[list, list[bytes]]:
     """Breadth-first closure of hashable elements, with its Cayley table.
 
     Element order: identity first, then the generators in the order given,
@@ -226,7 +230,7 @@ def _close(
     records the right action ``right[j][i]`` = index of x_i·g_j, and the
     (p, j) through which each element b was first found as x_p·g_j.  Then
     a·x_b = (a·x_p)·g_j, so column b is ``right[j]`` read at column p; the
-    identity's column is 0..N-1.
+    identity's column is 0..N-1.  The rows are returned as bytes.
     """
     elements: list = []
     index: dict = {}
@@ -255,12 +259,12 @@ def _close(
     columns = [list(range(len(elements)))]
     for p, j in parents[1:]:
         columns.append(list(map(right[j].__getitem__, columns[p])))
-    return elements, [list(row) for row in zip(*columns)]
+    return elements, list(map(bytes, zip(*columns)))
 
 
-def _closure_group(elements: list, table: list[list[int]], name: str) -> FiniteGroup:
+def _closure_group(elements: list, rows: list[bytes], name: str) -> FiniteGroup:
     labels = [f"e{i}" for i in range(len(elements))]
-    return FiniteGroup(labels, table, 0, dict(zip(labels, elements)), name)
+    return FiniteGroup(labels, rows, 0, dict(zip(labels, elements)), name)
 
 
 #: The most elements a finite group of :class:`UnitaryMat2` matrices can have.
@@ -314,8 +318,8 @@ def generate_closure(generators: Sequence[UnitaryMat2], backend: str = "exact") 
             raise ClosureLimitError(
                 f"generator {g.to_text()} has infinite order: its 24th power is not I"
             )
-    elements, table = _close(gens, IDENTITY2, lambda a, b: a * b, UNITARY_CLOSURE_BOUND)
-    return _closure_group(elements, table, f"closure[{backend}]")
+    elements, rows = _close(gens, IDENTITY2, lambda a, b: a * b, UNITARY_CLOSURE_BOUND)
+    return _closure_group(elements, rows, f"closure[{backend}]")
 
 
 # -- abstract comparison groups ----------------------------------------------
@@ -328,9 +332,9 @@ def cyclic(n: int) -> FiniteGroup:
     _check_order(n)
     labels = ["1"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
     # Row i is (i + j) mod n: the run 0..n-1 rotated left by i.
-    run = list(range(n))
-    table = [run[i:] + run[:i] for i in range(n)]
-    return FiniteGroup(labels, table, 0, name=f"Z{n}")
+    run = bytes(range(n))
+    rows = [run[i:] + run[:i] for i in range(n)]
+    return FiniteGroup(labels, rows, 0, name=f"Z{n}")
 
 
 def dihedral(order: int) -> FiniteGroup:
@@ -361,20 +365,20 @@ def _inverting_extension(m: int, square: int, x: str, y: str, name: str) -> Fini
     runs 0..m-1 and m..2m-1, read forwards for x^k and backwards for x^k·y.
     """
     _check_order(2 * m)
-    powers = list(range(m))
-    cosets = list(range(m, 2 * m))
+    powers = bytes(range(m))
+    cosets = bytes(range(m, 2 * m))
     powers_down = powers[::-1]
     cosets_down = cosets[::-1]
-    table = [powers[k:] + powers[:k] + cosets[k:] + cosets[:k] for k in range(m)]
+    rows = [powers[k:] + powers[:k] + cosets[k:] + cosets[:k] for k in range(m)]
     for k in range(m):
         # The backward runs start at x^k·y and at x^(k+square).
         c = m - 1 - k
         p = (c - square) % m
-        table.append(cosets_down[c:] + cosets_down[:c] + powers_down[p:] + powers_down[:p])
+        rows.append(cosets_down[c:] + cosets_down[:c] + powers_down[p:] + powers_down[:p])
     labels = [_power_label(x, k) for k in range(m)] + [
         y if k == 0 else f"{_power_label(x, k)}·{y}" for k in range(m)
     ]
-    return FiniteGroup(labels, table, 0, name=name)
+    return FiniteGroup(labels, rows, 0, name=name)
 
 
 def _power_label(symbol: str, k: int) -> str:
@@ -396,25 +400,26 @@ def direct_product(g: FiniteGroup, *others: FiniteGroup) -> FiniteGroup:
     """
     if not others:
         return g
-    _check_order(prod(f.order for f in (g, *others)))
-    labels, table, identity, names = g.labels, g.table, g.identity_index, [g.name]
+    factors = (g, *others)
+    _check_order(prod(f.order for f in factors))
+    labels, identity = g.labels, g.identity_index
     for h in others:
-        order_h = h.order
         labels = [f"({a},{b})" for a in labels for b in h.labels]
-        # Row (a1, b1) is row a1 of the product so far with each entry a
-        # replaced by the block a * |H| + (row b1 of H): one concatenation
-        # of precomputed blocks per row, not one expression per entry.
-        offsets = range(0, len(table) * order_h, order_h)
-        blocks = [[[a + b for b in h_row] for a in offsets] for h_row in h.table]
-        table = [
-            list(chain.from_iterable(map(row_blocks.__getitem__, row)))
-            for row in table
-            for row_blocks in blocks
-        ]
-        identity = identity * order_h + h.identity_index
-        names.append(h.name)
-    name = "x".join(names) if all(names) else ""
-    return FiniteGroup(labels, table, identity, name=name)
+        identity = identity * h.order + h.identity_index
+    # The rows are built right to left, as G x (H x (K x ...)), which has
+    # the same indices, so a row joins |F| blocks, F the factor added, and
+    # never one block per element of the product so far.  Row (a1, b1) of
+    # F x P is row a1 of F with each entry a replaced by ``blocks[b1](a)``:
+    # row b1 of P read through the translate table that adds a * |P|, which
+    # stays below 256 by the order check above.
+    rows = factors[-1]._rows
+    for f in reversed(factors[:-1]):
+        offsets = range(0, f.order * len(rows), len(rows))
+        shifts = [bytes(range(a, 256)) + bytes(a) for a in offsets]
+        blocks = [[row.translate(shift) for shift in shifts].__getitem__ for row in rows]
+        rows = [b"".join(map(block, f_row)) for f_row in f._rows for block in blocks]
+    names = [f.name for f in factors]
+    return FiniteGroup(labels, rows, identity, name="x".join(names) if all(names) else "")
 
 
 # -- isomorphism testing ------------------------------------------------------
@@ -547,9 +552,9 @@ def _listed_group(named: dict, identity, name: str) -> FiniteGroup:
     elements in the order listed; :class:`FiniteGroup` validates it."""
     elements = list(named)
     index = {e: k for k, e in enumerate(elements)}
-    table = [[index[a * b] for b in elements] for a in elements]
+    rows = [bytes(index[a * b] for b in elements) for a in elements]
     return FiniteGroup(
-        named.values(), table, index[identity], {named[e]: e for e in elements}, name
+        named.values(), rows, index[identity], {named[e]: e for e in elements}, name
     )
 
 
@@ -635,8 +640,8 @@ def double_group(family: str, n: int, parity_square: int = -1) -> FiniteGroup:
     second = pauli_x if family == "Cnv" and parity_square == -1 else half_turn
     modulus = 4 * n
     axis_gen = (0, modulus - 2, 2)
-    elements, table = _close([axis_gen, second], (0, 0, 0), _monomial_mul(modulus), modulus)
-    return _closure_group(elements, table, f"double[{family}:{n}]")
+    elements, rows = _close([axis_gen, second], (0, 0, 0), _monomial_mul(modulus), modulus)
+    return _closure_group(elements, rows, f"double[{family}:{n}]")
 
 
 @dataclass(frozen=True)

@@ -414,7 +414,7 @@ class TestTable:
         assert lines[0].split() == ["P", "T", "PT"]
         assert lines[1].split() == ["P", "1", "PT", "T"]
 
-    @pytest.mark.parametrize("name", ["GPT_hat"])
+    @pytest.mark.parametrize("name", ["GPT_hat", "GPT_spacetime"])
     def test_named_golden(self, capsys, name):
         assert main(["table", name]) == 0
         golden = GOLDEN / f"table_{name}.txt"
@@ -630,6 +630,10 @@ class TestIso:
             ("Z12", "Z4xZ3"),
             # Order 256 from uneven factors, with a witness that is not the identity.
             ("Z2xZ4xZ32", "Z32xZ4xZ2"),
+            # Order 256 through dicyclic and direct_product, with either factor first.
+            ("Dic128xZ2", "Z2xDic128"),
+            # A refutation, also exit 0: the order-256 inverting extensions.
+            ("Dih256", "Dic256"),
         ],
     )
     def test_golden_witness(self, capsys, group_a, group_b):

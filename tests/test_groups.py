@@ -157,9 +157,10 @@ def brute_force_isomorphism(g: FiniteGroup, h: FiniteGroup):
     n = g.order
     if h.order != n:
         return None
+    g_table, h_table = g.table, h.table
     for perm in itertools.permutations(range(n)):
         if all(
-            perm[g.table[i][j]] == h.table[perm[i]][perm[j]]
+            perm[g_table[i][j]] == h_table[perm[i]][perm[j]]
             for i in range(n)
             for j in range(n)
         ):
@@ -225,6 +226,56 @@ class TestFiniteGroupValidation:
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValueError, match="label count does not match table size"):
             FiniteGroup(["e"], [[0, 1], [1, 0]], 0)
+
+    def test_table_is_a_fresh_list_view(self):
+        g = dihedral(6)
+        view, before = g.table, g.table
+        view[1][1] = 5
+        assert g.table == before
+        assert g.table == [list(row) for row in g._rows]
+        with pytest.raises(AttributeError):
+            g.table = [[0]]
+
+
+class TestTableFormat:
+    CONSTRUCTORS = {
+        "cyclic": lambda: cyclic(12),
+        "dihedral": lambda: dihedral(12),
+        "dicyclic": lambda: dicyclic(12),
+        "direct_product": lambda: direct_product(dihedral(6), cyclic(2), dicyclic(4)),
+        "double_group": lambda: double_group("Cnv", 5, parity_square=1),
+        "generate_closure": lambda: generate_closure(CLOSURE_GENERATORS["octahedral"]),
+        "spinor_pt_group": spinor_pt_group,
+        "spacetime_pt_group": spacetime_pt_group,
+    }
+
+    @pytest.mark.parametrize("name", CONSTRUCTORS)
+    def test_constructors_pass_byte_rows(self, monkeypatch, name):
+        tables = []
+        init = FiniteGroup.__init__
+
+        def recording_init(self, labels, table, *args, **kwargs):
+            tables.append(table)
+            init(self, labels, table, *args, **kwargs)
+
+        monkeypatch.setattr(FiniteGroup, "__init__", recording_init)
+        group = self.CONSTRUCTORS[name]()
+        assert tables
+        for table in tables:
+            assert all(type(row) is bytes for row in table), name
+        # The group keeps the rows it was given, not copies of them.
+        assert all(kept is given for kept, given in zip(group._rows, tables[-1]))
+
+    @pytest.mark.parametrize("name", CONSTRUCTORS)
+    def test_lists_and_byte_rows_build_the_same_group(self, name):
+        group = self.CONSTRUCTORS[name]()
+        args = (group.labels, group.identity_index)
+        from_lists = FiniteGroup(args[0], group.table, args[1])
+        from_rows = FiniteGroup(args[0], group._rows, args[1])
+        for other in (from_lists, from_rows):
+            assert other._rows == group._rows
+            assert other.table == group.table
+            assert other.order_multiset() == group.order_multiset()
 
 
 class TestClosure:
@@ -301,7 +352,7 @@ class TestClosure:
         assert group.table == product_table(elements, operator.mul)
         assert groups._close(gens, IDENTITY2, operator.mul, groups.UNITARY_CLOSURE_BOUND) == (
             elements,
-            group.table,
+            [bytes(row) for row in group.table],
         )
 
     def test_closure_makes_one_product_per_element_and_generator(self, monkeypatch):
@@ -485,9 +536,9 @@ class TestAbstractGroups:
         validated = []
         validate = FiniteGroup._validate
 
-        def counting_validate(group):
+        def counting_validate(group, table):
             validated.append(group.order)
-            return validate(group)
+            return validate(group, table)
 
         monkeypatch.setattr(FiniteGroup, "_validate", counting_validate)
         assert cli.main(["iso", "Z2xZ2xZ2", "Z2xZ2xZ2", "--format", "json"]) == 0

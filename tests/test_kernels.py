@@ -8,8 +8,9 @@ where the rows are their own translate tables.
 ``associativity_violation`` checks only a generating set (Light's test);
 the oracle here checks every triple, on group tables and on perturbed
 copies of them that break associativity.  ``FiniteGroup`` validation skips
-the column half of the Latin-square check on the tables it accepts; the
-ordered validator here checks every axiom in turn.  ``element_orders``
+the Latin-square check on the tables it accepts, and checks only the shape
+and range of the entries before the identity; the ordered validator here
+checks every axiom in turn.  ``element_orders``
 walks cyclic subgroups; the oracle powers every element.
 """
 
@@ -407,7 +408,7 @@ def ordered_validation(table, identity):
     if bad is not None:
         raise ValueError(f"table is not a Latin square (violation at {bad})")
     n = len(table)
-    if any(table[identity][j] != j for j in range(n)) or any(
+    if not 0 <= identity < n or any(table[identity][j] != j for j in range(n)) or any(
         table[i][identity] != i for i in range(n)
     ):
         raise ValueError(f"element {identity} is not a two-sided identity")
@@ -448,24 +449,33 @@ class TestValidationOracle:
                 swaps = rng.sample(intercalates(table, e), 3)
             tables += [(swap_intercalate(table, *swap), e) for swap in swaps]
         tables += [(group.table, group.identity_index) for group in order_256_groups()]
+        # Byte rows, the format the constructors pass.
+        tables += [(rows_of(group.table), group.identity_index) for group in sample_groups()]
         z256, z3 = cyclic(256).table, cyclic(3).table
         tables += [
             (z256, 0),
             # Rows 1, 129 and columns 2, 130 of Z256 hold 3 and 131 crosswise.
             (swap_intercalate(z256, 1, 129, 2, 130), 0),
+            (rows_of(swap_intercalate(z256, 1, 129, 2, 130)), 0),
             (self.ROWS_ONLY, 0),
             (self.ROWS_ONLY, 1),
-            # An identity index out of range: the identity check raises
-            # IndexError, but the column violation is named first.
+            # An identity index out of range is refused by name, but the
+            # column violation is named first.
             (self.ROWS_ONLY, 5),
-            # The spinor group's identity, index 7, reached as -1: only
-            # inverse_table's row.index(-1) fails, with the ValueError of
-            # bytes.index for a value that is not a byte.
+            # The spinor group's identity, index 7, reached as -1: every
+            # entry of row and column -1 matches, but -1 is no index.
             (spinor_pt_group().table, -1),
+            (z3, 3),
+            (z3, -1),
             ([[0, 1, 2], [1, 2, 0], [2, 0, -1]], 0),
             ([[0, 1, 2], [1, 2, 0], [2, 0, 3]], 0),
             ([[0, 1, 2], [1, 2], [2, 0, 1]], 0),
             ([[0, 1, -1], [1, -1, 0], [-1, 0, 1]], 0),
+            # Byte rows: an entry 7 >= n, and a short row.
+            ([b"\x00\x01", b"\x01\x07"], 0),
+            ([b"\x00\x01\x02", b"\x01\x02", b"\x02\x00\x01"], 0),
+            # An int in place of a row is not read as that many zero bytes.
+            ([1], 0),
             ([[0, 1], [0, 1]], 0),
             ([[0, 0], [1, 1]], 0),
             ([[1, 0], [0, 1]], 0),
