@@ -185,6 +185,8 @@ def _parse_group_spec(spec: str) -> Callable[[], FiniteGroup]:
     constructors = {"Dih": dihedral, "Dic": dicyclic, "Z": cyclic}
     factors = []
     for factor in spec.split("x"):
+        if factor in _NAMED_GROUPS:
+            raise InputError(f"bad group spec {echo(spec)}: {factor} cannot be a product factor")
         kind = next((k for k in constructors if factor.startswith(k)), None)
         if kind is None:
             raise InputError(
@@ -286,8 +288,9 @@ def _cmd_doublegroup(args: argparse.Namespace) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-#: The most samples ``verify`` takes: ``verify all`` at the cap takes about
-#: 36 s and 100 MB peak RSS (Python 3.11.7, one core of a 2-vCPU Intel Xeon).
+#: The most samples ``verify`` takes: ``verify all`` at the cap takes 15-21 s
+#: and 100 MB peak RSS in one process (Python 3.11.7, one core of a 2-vCPU
+#: Intel Xeon).
 VERIFY_SAMPLE_LIMIT = 100_000
 
 

@@ -3,8 +3,9 @@
 Each suite is a fixed ordered list of named assertions over exact samples
 drawn from a seeded generator, so a given (suite, seed, samples) triple
 always produces the identical report.  Assertions never raise on failure;
-they record a witness string instead, the one for the first item that
-breaks the assertion (:meth:`_Checks.check`).  :class:`CheckResult` and
+an item-wise assertion is a law, a bool of one sampled item, and records as
+its witness the first item that breaks it, its parts' texts joined by
+``" ; "`` (:meth:`_Checks.check`).  :class:`CheckResult` and
 :class:`SuiteReport` are the only assertion records, also for the split
 extension checks of :func:`check_exact_sequence`.
 """
@@ -81,12 +82,18 @@ class SuiteReport:
 class _Checks(list):
     """The ordered :class:`CheckResult` list of one suite run."""
 
-    def check(self, name: str, items: Iterable, predicate: Callable[..., Optional[str]]) -> None:
-        """Append assertion ``name``.  ``predicate`` returns a witness string
-        for an item that breaks the assertion and None otherwise; the
-        assertion fails with the witness of the first such item."""
-        witness = next((w for w in map(predicate, items) if w is not None), None)
-        self.append(CheckResult(name, witness is None, witness))
+    def check(self, name: str, items: Iterable[tuple], law: Callable[..., bool]) -> None:
+        """Append assertion ``name``: ``law(*item)`` holds for every item.
+
+        The assertion fails at its first failing item, and the law runs on
+        no item after it.  The witness is that item, each part's
+        ``to_text()`` (``str()`` for a part without one) joined by ``" ; "``.
+        """
+        failing = next((item for item in items if not law(*item)), None)
+        witness = None if failing is None else " ; ".join(
+            part.to_text() if hasattr(part, "to_text") else str(part) for part in failing
+        )
+        self.append(CheckResult(name, failing is None, witness))
 
 
 # -- seeded exact sampling ----------------------------------------------------
@@ -142,16 +149,12 @@ def check_exact_sequence(samples: Iterable[UnitaryMat2]) -> SuiteReport:
 
     def kernel(m):
         (z, w), (c, d) = m.rows
-        canonical = c == -w.conjugate() and d == z.conjugate()
-        if m.is_special() != canonical:
-            return m.to_text()
+        return m.is_special() == (c == -w.conjugate() and d == z.conjugate())
 
-    checks.check("kernel of det equals the embedded special subgroup on samples", samples, kernel)
+    checks.check("kernel of det equals the embedded special subgroup on samples", zip(samples), kernel)
 
-    def has_sign(item):
-        m, sign = item
-        if m.det_sign != sign:
-            return m.to_text()
+    def has_sign(m, sign):
+        return m.det_sign == sign
 
     surjection = [(IDENTITY2, 1), (parity_operator(), -1)]
     checks.check("det is surjective onto {+1,-1} (witnesses: identity, parity lift)", surjection, has_sign)
@@ -159,10 +162,8 @@ def check_exact_sequence(samples: Iterable[UnitaryMat2]) -> SuiteReport:
     right_inverse = all(determinant_section(s).det_sign == s for s in (1, -1))
     checks.append(CheckResult("section is a right inverse of det on both signs", right_inverse))
 
-    def homomorphic(signs):
-        s, t = signs
-        if determinant_section(s) * determinant_section(t) != determinant_section(s * t):
-            return f"signs ({s}, {t})"
+    def homomorphic(s, t):
+        return determinant_section(s) * determinant_section(t) == determinant_section(s * t)
 
     checks.check("section is a homomorphism on Z2 (all four products)", product((1, -1), repeat=2), homomorphic)
     return SuiteReport("exact-sequence", tuple(checks))
@@ -174,74 +175,58 @@ def run_cover_suite(seed: int, samples: int) -> SuiteReport:
     specials = [a for a, _ in pairs]
     checks = _Checks()
 
-    def rotation_hom(pair):
-        a, b = pair
-        if covering_map(a * b) != covering_map(a) * covering_map(b):
-            return f"{a.to_text()} ; {b.to_text()}"
+    def rotation_hom(a, b):
+        return covering_map(a * b) == covering_map(a) * covering_map(b)
 
     checks.check("rotation projection is multiplicative on sampled pairs", pairs, rotation_hom)
 
     def antipodal(a):
-        if covering_map(a) != covering_map(-a):
-            return a.to_text()
+        return covering_map(a) == covering_map(-a)
 
-    checks.check("antipodal matrices project to the same rotation", specials, antipodal)
+    checks.check("antipodal matrices project to the same rotation", zip(specials), antipodal)
 
     def proper_image(a):
         image = covering_map(a)
-        if image.det_sign != 1 or not image.is_orthogonal():
-            return a.to_text()
+        return image.det_sign == 1 and image.is_orthogonal()
 
-    checks.check("projected rotations are orthogonal with det +1", specials, proper_image)
+    checks.check("projected rotations are orthogonal with det +1", zip(specials), proper_image)
 
-    parity = parity_operator()
     # scalar_mul(I_UNIT) is the product with the parity lift i I.
     extended_pairs = [
         (a.scalar_mul(I_UNIT) if k % 2 else a, b.scalar_mul(I_UNIT) if k % 3 == 0 else b)
         for k, (a, b) in enumerate(pairs)
     ]
 
-    def extended_hom(pair):
-        c, d = pair
-        if extended_covering_map(c * d) != extended_covering_map(c) * extended_covering_map(d):
-            return f"{c.to_text()} ; {d.to_text()}"
+    def extended_hom(c, d):
+        return extended_covering_map(c * d) == extended_covering_map(c) * extended_covering_map(d)
 
     checks.check("extended projection is multiplicative across both components", extended_pairs, extended_hom)
 
-    kernel_pool = [m for pair in extended_pairs for m in pair] + _order8_matrices()
+    kernel_pool = zip(chain(*extended_pairs, _order8_matrices()))
 
     def kernel(c):
-        in_kernel = extended_covering_map(c) == IDENTITY3
-        central = c in (IDENTITY2, -IDENTITY2)
-        if in_kernel != central:
-            return c.to_text()
+        return (extended_covering_map(c) == IDENTITY3) == (c in (IDENTITY2, -IDENTITY2))
 
     checks.check("extended projection kernel is exactly {I, -I}", kernel_pool, kernel)
 
     def diagram(a):
-        if extended_covering_map(a) != covering_map(a):
-            return a.to_text()
+        return extended_covering_map(a) == covering_map(a)
 
-    checks.check("embedding commutes with the two projections on det +1", specials, diagram)
+    checks.check("embedding commutes with the two projections on det +1", zip(specials), diagram)
 
-    def normality(pair):
-        a, b = pair
-        if (b * a * b.inverse()).det_sign != 1:
-            return f"{b.to_text()} ; {a.to_text()}"
+    def normality(b, a):
+        return (b * a * b.inverse()).det_sign == 1
 
-    conjugators = [d for _, d in extended_pairs]
-    checks.check("det +1 subgroup is normal in the extension", zip(specials, conjugators), normality)
+    conjugators = (d for _, d in extended_pairs)
+    checks.check("det +1 subgroup is normal in the extension", zip(conjugators, specials), normality)
 
-    def det_mult(pair):
-        c, d = pair
-        if (c * d).det_sign != c.det_sign * d.det_sign:
-            return f"{c.to_text()} ; {d.to_text()}"
+    def det_mult(c, d):
+        return (c * d).det_sign == c.det_sign * d.det_sign
 
     checks.check("determinant is multiplicative on the extension", extended_pairs, det_mult)
 
-    sequence_samples = [IDENTITY2, -IDENTITY2, parity, determinant_section(-1)] + [
-        m for pair in extended_pairs[: max(1, samples // 10)] for m in pair
-    ]
+    head = chain(*extended_pairs[: max(1, samples // 10)])
+    sequence_samples = [IDENTITY2, -IDENTITY2, parity_operator(), determinant_section(-1), *head]
     checks.extend(check_exact_sequence(sequence_samples).checks)
     return SuiteReport("cover", tuple(checks))
 
@@ -255,60 +240,49 @@ def run_semidirect_suite(seed: int, samples: int) -> SuiteReport:
     firsts = [e for e, _ in pairs]
     checks = _Checks()
 
-    def fuse_hom(pair):
-        e1, e2 = pair
-        if to_unitary(compose(e1, e2)) != to_unitary(e1) * to_unitary(e2):
-            return f"{e1.to_text()} ; {e2.to_text()}"
+    def fuse_hom(e1, e2):
+        return to_unitary(compose(e1, e2)) == to_unitary(e1) * to_unitary(e2)
 
     checks.check("fusing pairs to matrices preserves products", pairs, fuse_hom)
 
     order8 = _order8_matrices()
 
     def round_trip_matrix(c):
-        if to_unitary(from_unitary(c)) != c:
-            return c.to_text()
+        return to_unitary(from_unitary(c)) == c
 
     matrices = chain(order8, (to_unitary(e) for e in firsts))
-    checks.check("matrix -> pair -> matrix round trip is the identity", matrices, round_trip_matrix)
+    checks.check("matrix -> pair -> matrix round trip is the identity", zip(matrices), round_trip_matrix)
 
     def round_trip_pair(e):
-        if from_unitary(to_unitary(e)) != e:
-            return e.to_text()
+        return from_unitary(to_unitary(e)) == e
 
-    checks.check("pair -> matrix -> pair round trip is the identity", firsts, round_trip_pair)
+    checks.check("pair -> matrix -> pair round trip is the identity", zip(firsts), round_trip_pair)
 
     projection_pool = [from_unitary(c) for c in order8] + [e for pair in pairs for e in pair]
 
     def projections_agree(e):
-        if project_to_o3(e) != extended_covering_map(to_unitary(e)):
-            return e.to_text()
+        return project_to_o3(e) == extended_covering_map(to_unitary(e))
 
-    checks.check("pair projection equals the matrix projection", projection_pool, projections_agree)
+    checks.check("pair projection equals the matrix projection", zip(projection_pool), projections_agree)
 
     spinors = [sample_unit_spinor(rng) for _ in range(min(samples, 50))]
 
-    def action_triangle(item):
-        e, value = item
+    def action_triangle(e, value):
         stepwise = transform_value(e.su2_part, transform_value(determinant_section(e.sign), value))
-        if stepwise != transform_value(to_unitary(e), value):
-            return e.to_text()
+        return stepwise == transform_value(to_unitary(e), value)
 
     checks.check(
         "pair action on spinor values equals the fused-matrix action", zip(firsts, spinors), action_triangle
     )
 
-    def fiber(pair):
-        e, other = pair
+    def fiber(e, other):
         base, fused = project_to_o3(e), to_unitary(e)
         partner = from_unitary(-fused)
-        if project_to_o3(partner) != base:
-            return e.to_text()
-        if to_unitary(partner) == fused:
-            return e.to_text()
-        same_base = project_to_o3(other) == base
-        antipodal = to_unitary(other) in (fused, -fused)
-        if same_base != antipodal:
-            return f"{e.to_text()} ; {other.to_text()}"
+        return (
+            project_to_o3(partner) == base
+            and to_unitary(partner) != fused
+            and (project_to_o3(other) == base) == (to_unitary(other) in (fused, -fused))
+        )
 
     checks.check("projection fibers are exactly antipodal matrix pairs", pairs, fiber)
     return SuiteReport("semidirect", tuple(checks))
@@ -364,10 +338,8 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     canonical = _canonical_symmetries()
     exhaustive = chain(product(canonical, repeat=2), product(lifted, repeat=2))
 
-    def projection_hom(pair):
-        g, h = pair
-        if spacetime_projection(g * h) != spacetime_projection(g) * spacetime_projection(h):
-            return f"{g.to_text()} ; {h.to_text()}"
+    def projection_hom(g, h):
+        return spacetime_projection(g * h) == spacetime_projection(g) * spacetime_projection(h)
 
     checks.check("spacetime projection is multiplicative on the canonical pairs", exhaustive, projection_hom)
 
@@ -377,10 +349,8 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
         (SpinorSymmetry.parity_time(), SpacetimeSymmetry(SPACE_INVERSION, -1)),
     ]
 
-    def canonical_values(item):
-        element, expected = item
-        if spacetime_projection(element) != expected:
-            return element.to_text()
+    def canonical_values(element, expected):
+        return spacetime_projection(element) == expected
 
     checks.check(
         "canonical reversals project to pure time flip, inversion, full reversal", expected_values, canonical_values
@@ -389,16 +359,11 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     sampled_pairs = [(sample_symmetry(rng), sample_symmetry(rng)) for _ in range(max(samples, 500))]
     checks.check("spacetime projection is multiplicative on sampled pairs", sampled_pairs, projection_hom)
 
-    def two_to_one(pair):
-        g, h = pair
+    def two_to_one(g, h):
         image = spacetime_projection(g)
         negated = SpinorSymmetry(-g.matrix, g.time_sign)
-        if spacetime_projection(negated) != image:
-            return g.to_text()
-        same = spacetime_projection(h) == image
         antipodal = h.time_sign == g.time_sign and h.matrix in (g.matrix, -g.matrix)
-        if same != antipodal:
-            return f"{g.to_text()} ; {h.to_text()}"
+        return spacetime_projection(negated) == image and (spacetime_projection(h) == image) == antipodal
 
     checks.check("spacetime projection identifies exactly antipodal elements", sampled_pairs, two_to_one)
 
@@ -427,26 +392,25 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     )
 
     def follows(element, source_of, formula):
-        """Predicate on events: the transformed value at an event is
-        ``formula`` of the field value at ``source_of(event)``."""
+        """Law on events: the transformed value at an event is ``formula``
+        of the field value at ``source_of(event)``."""
         transformed = apply_symmetry(element, field)
 
-        def mismatch(event):
-            if formula(field.value_at(source_of(event))) != transformed.value_at(event):
-                return event.to_text()
+        def law(event):
+            return formula(field.value_at(source_of(event))) == transformed.value_at(event)
 
-        return mismatch
+        return law
 
     reversal = follows(t_elem, Event.time_flipped, lambda s: SpinorValue(-s.v.conjugate(), s.u.conjugate()))
-    checks.check("time reversal matches its componentwise formula", field.events(), reversal)
+    checks.check("time reversal matches its componentwise formula", zip(field.events()), reversal)
     inversion = follows(p_elem, Event.space_flipped, lambda s: SpinorValue(I_UNIT * s.u, I_UNIT * s.v))
-    checks.check("parity matches its componentwise formula", field.events(), inversion)
+    checks.check("parity matches its componentwise formula", zip(field.events()), inversion)
     full_reversal = follows(
         pt_elem,
         lambda e: e.time_flipped().space_flipped(),
         lambda s: SpinorValue(-I_UNIT * s.v.conjugate(), I_UNIT * s.u.conjugate()),
     )
-    checks.check("parity-time matches its componentwise formula", field.events(), full_reversal)
+    checks.check("parity-time matches its componentwise formula", zip(field.events()), full_reversal)
 
     spinors = [sample_unit_spinor(rng) for _ in range(min(samples, 100))]
     phases = [
@@ -458,18 +422,15 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
         GaussianRational(Fraction(3, 5), Fraction(-4, 5)),
     ]
 
-    def phase_invariance(item):
-        value, phase = item
-        if ray_project(value.scale(phase)) != ray_project(value):
-            return value.to_text()
+    def phase_invariance(value, phase):
+        return ray_project(value.scale(phase)) == ray_project(value)
 
     checks.check("rays are invariant under unit phases", product(spinors, phases), phase_invariance)
 
     def parity_on_rays(value):
-        if ray_project(transform_value(parity, value)) != ray_project(value):
-            return value.to_text()
+        return ray_project(transform_value(parity, value)) == ray_project(value)
 
-    checks.check("parity acts trivially on rays", spinors, parity_on_rays)
+    checks.check("parity acts trivially on rays", zip(spinors), parity_on_rays)
 
     basis_distinct = ray_project(SpinorValue(GaussianRational(1), GaussianRational(0))) != ray_project(
         SpinorValue(GaussianRational(0), GaussianRational(1))

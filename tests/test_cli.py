@@ -593,6 +593,9 @@ class TestIso:
                      "Dic8x", "xZ2", "Dic8xDih", "Z2xY2"):
             assert main(["iso", spec, "Z2"]) == 2
         assert "Traceback" not in capsys.readouterr().err
+        for spec, name in (("GPT_hatxZ2", "GPT_hat"), ("Z2xGPT_spacetime", "GPT_spacetime")):
+            assert main(["iso", spec, "Z2"]) == 2
+            assert capsys.readouterr().err == f"error: bad group spec {spec!r}: {name} cannot be a product factor\n"
 
     def test_digit_limit_spec_is_resource_limit(self, capsys, int_digit_limit):
         # An order one digit longer than Python reads is over the cap, and

@@ -448,6 +448,23 @@ class TestClosure:
 
 
 class TestAbstractGroups:
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (cyclic, (True,)),
+            (cyclic, (2.0,)),
+            (dihedral, (True,)),
+            (dihedral, (6.0,)),
+            (dicyclic, (4.0,)),
+            (dicyclic, (False,)),
+            (lambda n: double_group("Dn", n), (3.0,)),
+            (lambda n: double_group("Cnv", n), (True,)),
+        ],
+    )
+    def test_order_that_is_not_an_int_is_refused(self, build, args):
+        with pytest.raises(TypeError, match=r"order must be an int, not (bool|float)$"):
+            build(*args)
+
     def test_cyclic_two(self):
         g = cyclic(2)
         assert g.order == 2

@@ -2,7 +2,7 @@
 
 The clean and the faulty golden are ``verify all --seed 42 --samples 20
 --format json``; a third, clean one is the same command at seed 7 with 300
-samples.  The faulty run replaces functions in ``spincover.verify``'s
+samples, and a fourth is the clean text report at seed 42.  The faulty run replaces functions in ``spincover.verify``'s
 namespace with versions that misbehave on some inputs but not on the
 first sample, so the first-witness strings of the failing assertions are
 pinned as well.
@@ -30,7 +30,7 @@ from spincover.ptgroup import (
     SpinorValue,
     time_reversal_operator,
 )
-from spincover.scalars import I_UNIT
+from spincover.scalars import I_UNIT, GaussianRational
 
 GOLDEN = Path(__file__).parent / "golden"
 ARGV = ["verify", "all", "--seed", "42", "--samples", "20", "--format", "json"]
@@ -85,8 +85,9 @@ def install_faults(monkeypatch):
     [(ARGV, False, 0, "verify_all_seed42_samples20.json"),
      (ARGV, True, 1, "verify_all_seed42_samples20_faults.json"),
      (["verify", "all", "--seed", "7", "--samples", "300", "--format", "json"], False, 0,
-      "verify_all_seed7_samples300.json")],
-    ids=["clean", "faults", "clean-seed7-samples300"],
+      "verify_all_seed7_samples300.json"),
+     (ARGV[:-2], False, 0, "verify_all_seed42_samples20.txt")],
+    ids=["clean", "faults", "clean-seed7-samples300", "clean-text"],
 )
 def test_verify_all_golden(monkeypatch, capsys, argv, faulty, code, golden):
     if faulty:
@@ -115,6 +116,32 @@ def test_verify_all_text_failures(monkeypatch, capsys):
     assert captured.out == "\n".join(expected) + "\n"
 
 
+class TestCheck:
+    """The one item-wise assertion primitive, ``verify._Checks.check``."""
+
+    def test_law_that_holds_has_no_witness(self):
+        checks = verify._Checks()
+        checks.check("sums commute", [(1, 2), (3, 4)], lambda a, b: a + b == b + a)
+        assert checks == [verify.CheckResult("sums commute", True, None)]
+
+    def test_witness_is_the_first_failing_item_and_later_items_are_not_tried(self):
+        seen = []
+
+        def law(n):
+            seen.append(n)
+            return n < 3
+
+        checks = verify._Checks()
+        checks.check("small", zip(range(10)), law)
+        assert checks == [verify.CheckResult("small", False, "3")]
+        assert seen == [0, 1, 2, 3]
+
+    def test_witness_joins_to_text_str_and_int_parts(self):
+        checks = verify._Checks()
+        checks.check("never", [(IDENTITY2, GaussianRational(Fraction(1, 2), -1), -1)], lambda *item: False)
+        assert checks[0].witness == "1,0;0,1 ; 1/2-i ; -1"
+
+
 def test_unknown_suite_is_refused():
     with pytest.raises(ValueError, match=r"unknown suite 'bogus'; choose from"):
         verify.run_suites("bogus", 0, 1)
@@ -122,8 +149,8 @@ def test_unknown_suite_is_refused():
 
 # -- one fault per witness branch ------------------------------------------------
 #
-# Each fault below breaks exactly the law of one failure branch that the
-# golden faults above never reach; the test pins that assertion's witness.
+# Each fault below breaks one clause of one law that the golden faults above
+# never reach; the test pins that assertion's witness, its first failing item.
 
 
 def _exact_sequence():
@@ -205,6 +232,8 @@ def _projection_constant(monkeypatch):
 
 A = "-5/7+4/7i,-2/7-2/7i;2/7-2/7i,-5/7-4/7i"
 E = "(-5/7-2/7i,-2/7-4/7i;2/7-4/7i,-5/7+2/7i | 1,0;0,1)"
+FIBER = E + " ; (-25/97+48/97i,72/97+36/97i;-72/97+36/97i,-25/97-48/97i | 1,0;0,1)"
+ANTIPODES = A + " @ +1 ; -18/29-20/29i,-9/29+6/29i;-9/29-6/29i,18/29-20/29i @ +1"
 
 WITNESS_FAULTS = [
     (
@@ -217,13 +246,13 @@ WITNESS_FAULTS = [
         _parity_lift_has_det_one,
         _exact_sequence,
         "det is surjective onto {+1,-1} (witnesses: identity, parity lift)",
-        "0,-1;1,0",
+        "0,-1;1,0 ; -1",
     ),
     (
         _section_of_minus_one_is_parity,
         _exact_sequence,
         "section is a homomorphism on Z2 (all four products)",
-        "signs (-1, -1)",
+        "-1 ; -1",
     ),
     (_rotation_image_inverted, _suite("cover"), "projected rotations are orthogonal with det +1", A),
     (
@@ -243,32 +272,32 @@ WITNESS_FAULTS = [
         _pair_projection_splits_antipodes,
         _suite("semidirect"),
         "projection fibers are exactly antipodal matrix pairs",
-        E,
+        FIBER,
     ),
-    (_from_unitary_negates, _suite("semidirect"), "projection fibers are exactly antipodal matrix pairs", E),
+    (_from_unitary_negates, _suite("semidirect"), "projection fibers are exactly antipodal matrix pairs", FIBER),
     (
         _pair_projection_constant,
         _suite("semidirect"),
         "projection fibers are exactly antipodal matrix pairs",
-        E + " ; (-25/97+48/97i,72/97+36/97i;-72/97+36/97i,-25/97-48/97i | 1,0;0,1)",
+        FIBER,
     ),
     (
         _projection_drops_time_sign,
         _suite("ptgroup"),
         "canonical reversals project to pure time flip, inversion, full reversal",
-        "0,-1;1,0 @ -1",
+        "0,-1;1,0 @ -1 ; 1,0,0;0,1,0;0,0,1 @ -1",
     ),
     (
         _projection_splits_antipodes,
         _suite("ptgroup"),
         "spacetime projection identifies exactly antipodal elements",
-        A + " @ +1",
+        ANTIPODES,
     ),
     (
         _projection_constant,
         _suite("ptgroup"),
         "spacetime projection identifies exactly antipodal elements",
-        A + " @ +1 ; -18/29-20/29i,-9/29+6/29i;-9/29-6/29i,18/29-20/29i @ +1",
+        ANTIPODES,
     ),
 ]
 
