@@ -221,7 +221,7 @@ _ORDER_DIGITS = 40
 def _parse_positive(text: str, spec: str) -> int:
     digits = text.lstrip("0")
     if not (digits and text.isascii() and text.isdigit()):
-        raise InputError(f"bad group spec {echo(spec)}")
+        raise InputError(f"bad group spec {echo(spec)}: factor order must be a positive decimal integer")
     return int(digits) if len(digits) <= _ORDER_DIGITS else 10**_ORDER_DIGITS
 
 

@@ -21,9 +21,11 @@ keys (a, b, d) of the two components joined into six ints).  Parsing,
 sorting, the action and printing work on these int tuples and build
 no :class:`Event` or :class:`SpinorValue` per sample; the objects are built
 only at the library surface.  A field line (ending only at a line feed)
-is read by one match of a pattern built from the scalar patterns of
-:mod:`spincover.scalars`; the per-token parser, through the scalar
-parsers, reads only the lines that pattern rejects and says why.  Time
+is split at ``;`` into its time, place and two value tokens; each distinct
+token of a text is read once, by one match of a pattern built from the
+scalar patterns of :mod:`spincover.scalars`, and remembered for the rest of
+that text.  The per-token parser, through the scalar parsers, reads only
+the lines those patterns reject and says why.  Time
 signs are checked by :func:`~spincover.scalars.as_sign`.  The one field
 action, :func:`apply_symmetry`, chooses the sector's rebind in one ``if``:
 the rotation R(U) when det U = +1 and a = +1, else the flip
@@ -40,8 +42,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import lcm
-from typing import Mapping, Optional
+from math import gcd, lcm
+from typing import Callable, Mapping, Optional
 
 from .cover import (
     HALF_TURN_Y,
@@ -425,17 +427,34 @@ class SpinorSampleField:
         """The field of a text of ``t; x1,x2,x3; u; v`` lines.
 
         Lines end only at a line feed (a carriage return is whitespace).
-        Each line is read by one match of :data:`_LINE_RE`; a line that does
-        not match (a blank line, or a bad one) goes to
-        :func:`_parse_line_by_tokens`, which skips it or raises the
-        :class:`FieldParseError` that explains it.
+        Each line is split at ``;`` into its time, place and two value
+        tokens, and each token is looked up in a memo of this call, so a
+        distinct token is matched and converted once however many lines
+        repeat it (sample grids repeat most of theirs).  A line that does
+        not split into four tokens or holds a token the memos reject (a
+        blank line, or a bad one) goes to :func:`_parse_line_by_tokens`,
+        which skips it or raises the :class:`FieldParseError` that
+        explains it.
         """
+        times, places, values = _TokenMemo(_read_time), _TokenMemo(_read_place), _TokenMemo(_read_value)
         samples: dict[tuple[int, ...], tuple[int, ...]] = {}
         for number, raw in enumerate(text.split("\n"), start=1):
-            sample = _match_line(raw) or _parse_line_by_tokens(raw, number)
-            if sample is None:
-                continue
-            event, value = sample
+            try:
+                t, x, u, v = raw.split(";")
+                n, d = times[t]
+                a, b, c, e = places[x]
+                m = lcm(d, e)
+                # Already in lowest terms, as (n, d) and (a, b, c, e) are: a
+                # prime that divides m fails to divide m // d, and then
+                # divides d but not n, or fails to divide m // e, and then
+                # divides e but not all of a, b, c.
+                event = (n * (m // d), a * (m // e), b * (m // e), c * (m // e), m)
+                value = values[u] + values[v]
+            except (ValueError, ZeroDivisionError):  # not four tokens, or a token the memos reject
+                sample = _parse_line_by_tokens(raw, number)
+                if sample is None:
+                    continue
+                event, value = sample
             if event in samples:
                 raise FieldParseError(number, f"duplicate event ({_event_text(event)})")
             samples[event] = value
@@ -445,33 +464,62 @@ class SpinorSampleField:
 _set_keys = SpinorSampleField._keys.__set__
 
 
-# One field line, t; x1,x2,x3; u; v: the scalar patterns of the grammar
-# with any whitespace (\s in a str pattern is exactly str.isspace) around
-# each scalar and separator.
-_LINE_RE = re.compile(
-    rf"\s*{RATIO_PATTERN}\s*;\s*{RATIO_PATTERN}\s*,\s*{RATIO_PATTERN}\s*,\s*{RATIO_PATTERN}\s*;"
-    rf"\s*{COMPLEX_PATTERN}\s*;\s*{COMPLEX_PATTERN}\s*"
-)
+# The tokens of a field line, t; x1,x2,x3; u; v, split at ";": the scalar
+# patterns of the grammar with any whitespace (\s in a str pattern is
+# exactly str.isspace) around each scalar and separator.
+_TIME_RE = re.compile(rf"\s*{RATIO_PATTERN}\s*")
+_PLACE_RE = re.compile(rf"\s*{RATIO_PATTERN}\s*,\s*{RATIO_PATTERN}\s*,\s*{RATIO_PATTERN}\s*")
+_VALUE_RE = re.compile(rf"\s*{COMPLEX_PATTERN}\s*")
 
 
-def _match_line(raw: str) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The (event key, value key) of a well-formed line, or None for any
-    other line: one that :data:`_LINE_RE` rejects, or whose match holds a
-    zero denominator or more digits than ``int()`` reads."""
-    m = _LINE_RE.fullmatch(raw)
+class _TokenMemo(dict):
+    """Token text -> its parse, for one :meth:`SpinorSampleField.from_text`
+    call: a missing token is parsed by ``read`` and stored, and a token
+    ``read`` rejects raises ValueError or ZeroDivisionError and is not
+    stored."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read: Callable[[str], tuple[int, ...]]) -> None:
+        super().__init__()
+        self.read = read
+
+    def __missing__(self, token: str) -> tuple[int, ...]:
+        parsed = self[token] = self.read(token)
+        return parsed
+
+
+def _groups(pattern: re.Pattern, token: str) -> tuple[Optional[str], ...]:
+    m = pattern.fullmatch(token)
     if m is None:
-        return None
-    t, tq, a, aq, b, bq, c, cq, *complexes = m.groups()
-    try:
-        tq, aq, bq, cq = int(tq or 1), int(aq or 1), int(bq or 1), int(cq or 1)
-        d = lcm(tq, aq, bq, cq)  # 0 when a denominator is, and then d // 0 raises
-        event = lowest_terms((
-            int(t) * (d // tq), int(a) * (d // aq), int(b) * (d // bq), int(c) * (d // cq), d
-        ))
-        value = complex_key(*complexes[:5]) + complex_key(*complexes[5:])
-    except (ValueError, ZeroDivisionError):  # more digits than int() reads, or a zero denominator
-        return None
-    return event, value
+        raise ValueError("not a token of the grammar")
+    return m.groups()
+
+
+def _read_time(token: str) -> tuple[int, int]:
+    """(n, d) of a time token, in lowest terms.  ``int()`` raises
+    ValueError on more digits than it reads, and a zero denominator
+    raises ZeroDivisionError."""
+    n, d = _groups(_TIME_RE, token)
+    n, d = int(n), int(d or 1)
+    if d == 0:
+        raise ZeroDivisionError("zero denominator")
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _read_place(token: str) -> tuple[int, int, int, int]:
+    """The key (x1, x2, x3, e) of a place token, in lowest terms; a zero
+    denominator makes e zero, and then e // 0 raises."""
+    a, aq, b, bq, c, cq = _groups(_PLACE_RE, token)
+    aq, bq, cq = int(aq or 1), int(bq or 1), int(cq or 1)
+    e = lcm(aq, bq, cq)
+    return lowest_terms((int(a) * (e // aq), int(b) * (e // bq), int(c) * (e // cq), e))
+
+
+def _read_value(token: str) -> tuple[int, int, int]:
+    """The key (a, b, d) of a complex value token."""
+    return complex_key(*_groups(_VALUE_RE, token))
 
 
 def _parse_line_by_tokens(raw: str, number: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -593,6 +593,11 @@ class TestIso:
                      "Dic8x", "xZ2", "Dic8xDih", "Z2xY2"):
             assert main(["iso", spec, "Z2"]) == 2
         assert "Traceback" not in capsys.readouterr().err
+        for spec in ("Z0", "Dih0", "Z2xZ0", "Z-2", "Z+2", "Z\u0663", "Z1_000"):
+            assert main(["iso", spec, "Z2"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: bad group spec {spec!r}: factor order must be a positive decimal integer\n"
+            )
         for spec, name in (("GPT_hatxZ2", "GPT_hat"), ("Z2xGPT_spacetime", "GPT_spacetime")):
             assert main(["iso", spec, "Z2"]) == 2
             assert capsys.readouterr().err == f"error: bad group spec {spec!r}: {name} cannot be a product factor\n"

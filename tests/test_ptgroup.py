@@ -45,7 +45,6 @@ from spincover.ptgroup import (
     SpinorValue,
     ZeroSpinorError,
     _SCALED_ORDER_MAX_BITS,
-    _match_line,
     _parse_line_by_tokens,
     apply_symmetry,
     composition_defect,
@@ -54,7 +53,7 @@ from spincover.ptgroup import (
     spacetime_projection,
     transform_value,
 )
-from spincover.scalars import GaussianRational
+from spincover.scalars import GaussianRational, ScalarParseError, parse_ratio
 from spincover.semidirect import from_unitary, parity_element, to_unitary
 from spincover.verify import sample_extended, sample_symmetry, sample_unit_spinor
 
@@ -656,7 +655,7 @@ class TestClosureMetadata:
         assert apply_symmetry(SpinorSymmetry(parity, 1), f).events() == f.events()
 
 
-# -- one grammar: the line match against the per-token parser -----------------
+# -- one grammar: the token reader against the per-token parser ---------------
 
 # str.isspace() characters, with the eight that str.splitlines() also breaks
 # lines at: a field line ends only at "\n".
@@ -745,13 +744,46 @@ def _in_order(field):
     return field, field.events()
 
 
+@st.composite
+def pooled_field_texts(draw):
+    """A field text whose lines draw their tokens from small pools, at most
+    3 times, 4 places and 5 values, each token spaced anew on each line, with
+    no two lines at the same event (pool tokens differ in value)."""
+    times = draw(st.lists(scalar_texts(ratio_texts()), min_size=1, max_size=3, unique_by=_ratio_or_text))
+    places = draw(st.lists(
+        st.tuples(*[scalar_texts(ratio_texts())] * 3), min_size=1, max_size=4,
+        unique_by=lambda place: tuple(map(_ratio_or_text, place)),
+    ))
+    values = draw(st.lists(scalar_texts(complex_texts()), min_size=1, max_size=5))
+    picks = draw(st.lists(
+        st.tuples(*[st.integers(0, len(pool) - 1) for pool in (times, places, values, values)]),
+        max_size=12, unique_by=lambda pick: pick[:2],
+    ))
+
+    def spaced(token):
+        return draw(st.sampled_from(SPACES)) + token + draw(st.sampled_from(SPACES))
+
+    return "\n".join(
+        f"{spaced(times[t])};{','.join(map(spaced, places[x]))};{spaced(values[u])};{spaced(values[v])}"
+        for t, x, u, v in picks
+    )
+
+
+def _ratio_or_text(text):
+    """The value of a rational token, or the token itself when it has none."""
+    try:
+        return Fraction(*parse_ratio(text))
+    except ScalarParseError:
+        return text
+
+
 class TestOneGrammar:
     @given(field_lines() | JUNK_LINES)
-    def test_match_accepts_exactly_what_the_tokens_accept(self, raw):
-        by_tokens = _outcome(lambda: _parse_line_by_tokens(raw, 1))
-        matched = _match_line(raw)
-        # A blank line (None) or a bad one (its message) is not matched.
-        assert matched == (by_tokens if isinstance(by_tokens, tuple) else None)
+    def test_one_line_reads_as_the_tokens_read(self, raw):
+        # The same field from a well-formed line, nothing from a blank one,
+        # and the same message from a bad one.
+        expected = _outcome(lambda: _in_order(_fields_by_tokens(raw)))
+        assert _outcome(lambda: _in_order(SpinorSampleField.from_text(raw))) == expected
 
     @given(st.lists(field_lines(), max_size=6), st.booleans(), st.sampled_from(["\n", "\r\n"]))
     def test_from_text_is_the_per_token_loop(self, lines, repeat_first, end):
@@ -759,9 +791,35 @@ class TestOneGrammar:
         expected = _outcome(lambda: _in_order(_fields_by_tokens(text)))
         assert _outcome(lambda: _in_order(SpinorSampleField.from_text(text))) == expected
 
+    @given(pooled_field_texts())
+    def test_repeated_tokens_read_as_the_tokens_read(self, text):
+        expected = _outcome(lambda: _in_order(_fields_by_tokens(text)))
+        assert _outcome(lambda: _in_order(SpinorSampleField.from_text(text))) == expected
+
     def test_examples_accepted_by_both(self):
         for raw in ("+0;\t-0 , 0,\u00a00 ;\u30001+0i ; +0i", "2/4; 007,0,0; i; -i", "1;0,0,0;1-2/3i;-1/2+i"):
-            assert _match_line(raw) == _parse_line_by_tokens(raw, 1) is not None
+            assert _parse_line_by_tokens(raw, 1) is not None
+            assert _in_order(SpinorSampleField.from_text(raw)) == _in_order(_fields_by_tokens(raw))
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1/2; 0,0,0; 1/0+i; i", "not a complex scalar: '1/0+i'"),
+        ("1/0; 0,0,0; 1; i", "zero denominator in rational scalar: '1/0'"),
+        ("1/2; 0,0,x; 1; i", "not a rational scalar: 'x'"),
+        ("1/2; 0,0,0; 1; i; i", "expected 't; x1,x2,x3; u; v', got '1/2; 0,0,0; 1; i; i'"),
+    ])
+    def test_reused_tokens_do_not_hide_a_fault(self, bad, message):
+        # The bad line repeats tokens that the lines before it had read.
+        with pytest.raises(FieldParseError) as err:
+            SpinorSampleField.from_text(f"1/2; 0,0,0; 1; i\n0; 1,0,0; 1; i\n{bad}\n")
+        assert str(err.value) == f"line 3: {message}" and err.value.line_number == 3
+
+    def test_one_time_in_two_spellings_gives_one_key(self):
+        f = SpinorSampleField.from_text("1/2; 0,0,0; 1; 0\n2/4; 1/3,0,0; 1; 0\n")
+        half = Fraction(1, 2)
+        assert f.events() == [Event.make(half, 0, 0, 0), Event.make(half, Fraction(1, 3), 0, 0)]
+        assert list(f._keys) == [(1, 0, 0, 0, 2), (3, 2, 0, 0, 6)]
+        with pytest.raises(FieldParseError, match=r"^line 2: duplicate event \(1/2; 0,0,0\)$"):
+            SpinorSampleField.from_text("1/2; 0,0,0; 1; 0\n2/4; 0,0,0; 1; 0\n")
 
 
 # -- the key-level action against an object-level reference ------------------
