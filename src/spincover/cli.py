@@ -7,11 +7,16 @@ suites).  Each hands its result to one writer, :func:`_emit`, as two
 callables, the JSON payload and the text; only ``apply`` prints more,
 three stderr lines under ``--format text``.  Exit codes: 0 success or all
 assertions passed, 1 assertion failure, 2 input error, 3 resource limit.
+
+:func:`main` may be called any number of times in one process.  It builds
+its argparse parser on the first call and reuses it on every later one,
+and keeps no other state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -212,17 +217,26 @@ def _parse_group_spec(spec: str) -> Callable[[], FiniteGroup]:
     return build
 
 
-#: Most digits of an order that a group spec reads and prints.  A factor
-#: order of more digits is over the search cap all the same, so
-#: _parse_positive gives 10**40 for it and int() never reads it.
+#: Most digits of an order that a group spec or ``doublegroup`` reads and
+#: a spec prints.  An order of more digits is over every cap all the same,
+#: so _read_digits gives 10**40 for it and int() never reads it.
 _ORDER_DIGITS = 40
 
 
-def _parse_positive(text: str, spec: str) -> int:
+def _read_digits(text: str) -> Optional[int]:
+    """ASCII decimal digits as an int, or None for any other text: int()
+    would also take ``1_2``, ``+3``, `` 5`` and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        return None
     digits = text.lstrip("0")
-    if not (digits and text.isascii() and text.isdigit()):
+    return int(digits or "0") if len(digits) <= _ORDER_DIGITS else 10**_ORDER_DIGITS
+
+
+def _parse_positive(text: str, spec: str) -> int:
+    value = _read_digits(text)
+    if not value:
         raise InputError(f"bad group spec {echo(spec)}: factor order must be a positive decimal integer")
-    return int(digits) if len(digits) <= _ORDER_DIGITS else 10**_ORDER_DIGITS
+    return value
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
@@ -257,6 +271,16 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 
 
 # -- doublegroup -----------------------------------------------------------------
+
+
+def _axis_order(text: str) -> int:
+    """Read ``doublegroup``'s n: an optional ``-`` and ASCII digits.  The
+    range is double_group_verdict's to check."""
+    negative = text.startswith("-")
+    value = _read_digits(text[negative:])
+    if value is None:
+        raise argparse.ArgumentTypeError("axis order must be a decimal integer")
+    return -value if negative else value
 
 
 def _cmd_doublegroup(args: argparse.Namespace) -> int:
@@ -332,7 +356,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``spincover`` parser, built on the first call and shared by every
+    later one.  Parsing keeps no state on it: each call gets a new namespace,
+    ``--gen`` appends to a new list, and every default is None, an int or a
+    str."""
     parser = argparse.ArgumentParser(
         prog="spincover",
         description="Exact spin double covers: transform spinor fields, "
@@ -368,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         "doublegroup", help="compare reflection and rotation double groups"
     )
     p_double.add_argument(
-        "n", type=int, help=f"principal axis order, {DOUBLE_GROUP_MIN_N}..{DOUBLE_GROUP_MAX_N}"
+        "n", type=_axis_order, help=f"principal axis order, {DOUBLE_GROUP_MIN_N}..{DOUBLE_GROUP_MAX_N}"
     )
     p_double.add_argument(
         "--convention", choices=("+1", "-1", "both"), default="both",

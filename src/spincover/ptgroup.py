@@ -298,14 +298,19 @@ def _event_text(key: tuple[int, ...]) -> str:
 # field, so the order is a sort of int tuples.  That denominator can grow
 # with the field (n distinct prime denominators multiply), so past this
 # many bits the sort compares Events, whose order cross-multiplies pairs.
+# The lcm is folded one distinct denominator at a time and given up as soon
+# as it passes the bound, so it never grows past it by more than one factor.
 _SCALED_ORDER_MAX_BITS = 256
 
 
 def _in_event_order(samples: dict[tuple[int, ...], tuple[int, ...]]) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The key dict sorted by event value: by t, then by x."""
-    common = lcm(*{key[4] for key in samples})
-    if common.bit_length() > _SCALED_ORDER_MAX_BITS:
-        order = sorted(samples, key=Event._from_key)
+    common = 1
+    for d in {key[4] for key in samples}:
+        common = lcm(common, d)
+        if common.bit_length() > _SCALED_ORDER_MAX_BITS:
+            order = sorted(samples, key=Event._from_key)
+            break
     else:
         def scaled(key: tuple[int, ...]) -> tuple[int, ...]:
             t, a, b, c, d = key

@@ -704,12 +704,32 @@ class TestDoubleGroup:
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_help_states_the_axis_range(self, capsys, monkeypatch):
-        # The range in the help text is read from the two constants.
+        # The range in the help text is read from the two constants when the
+        # parser is built; a fresh one is built here, not main's shared one.
         monkeypatch.setattr(cli, "DOUBLE_GROUP_MAX_N", 64)
         with pytest.raises(SystemExit) as exc:
-            main(["doublegroup", "--help"])
+            cli.build_parser.__wrapped__().parse_args(["doublegroup", "--help"])
         assert exc.value.code == 0
         assert "principal axis order, 2..64" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", ["1_2", "١٢", "+3", " 5", "-", ""])
+    def test_axis_order_is_ascii_digits(self, capsys, n):
+        # int() reads the first four as 12, 12, 3 and 5.
+        with pytest.raises(SystemExit) as exc:
+            main(["doublegroup", n])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument n: axis order must be a decimal integer\n")
+
+    @pytest.mark.parametrize("n", ["-3", "0", "-0", "1" + "0" * 5000])
+    def test_axis_order_out_of_range(self, capsys, n):
+        assert main(["doublegroup", n]) == 2
+        assert capsys.readouterr().err == "error: axis order must be between 2 and 12\n"
+
+    def test_axis_order_reads_leading_zeros(self, capsys):
+        assert main(["doublegroup", "003", "--format", "json"]) == 0
+        assert capsys.readouterr().out == DOUBLEGROUP_3_JSON
 
     def test_tolerance_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -772,6 +792,38 @@ class TestVerify:
         runs = [subprocess.run(cmd, capture_output=True, check=True) for _ in range(2)]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout.strip()
+
+
+class TestParserReuse:
+    """main builds its parser once per process and keeps no state between calls."""
+
+    def test_parser_is_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        assert main(["doublegroup", "3", "--format", "json"]) == 0
+        assert main(["table", "GPT_hat"]) == 0
+        assert main(["iso", "Z4", "Z2xZ2"]) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_gen_does_not_pile_up(self, capsys):
+        assert main(["table", "--gen=i,0;0,i", "--gen=0,-1;1,0", "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["table"]) == 8
+        assert main(["table", "--gen=-1,0;0,-1", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["table"] == [[0, 1], [1, 0]]
+
+    def test_seed_falls_back_to_its_default(self, capsys):
+        assert main(["verify", "cover", "--seed", "5", "--samples", "3", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+        assert main(["verify", "cover", "--samples", "3", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+    def test_refusal_leaves_the_next_call_alone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["iso", "Z2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["doublegroup", "3", "--format", "json"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "doublegroup_n3.json").read_text(encoding="utf-8")
 
 
 def test_python_dash_m_is_the_console_script(capsys):

@@ -3,13 +3,14 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from spincover import ptgroup
 from spincover.cover import (
     HALF_TURN_Y,
     IDENTITY2,
@@ -45,6 +46,7 @@ from spincover.ptgroup import (
     SpinorValue,
     ZeroSpinorError,
     _SCALED_ORDER_MAX_BITS,
+    _in_event_order,
     _parse_line_by_tokens,
     apply_symmetry,
     composition_defect,
@@ -627,6 +629,36 @@ class TestFieldSurface:
         f = SpinorSampleField({e: SpinorValue(gr(1), gr(0)) for e in reversed(events)})
         assert f.events() == sorted(events)
         assert SpinorSampleField.from_text(f.to_text()).events() == sorted(events)
+
+    # 2^200 * 3^35 has 256 bits, so scaled keys sort it; with 3^36 the lcm
+    # passes the bound and the sort compares Events.  Either way the order is
+    # the Events' order.
+    @pytest.mark.parametrize("bits, denominators", [(256, [2**200, 3**35, 6]), (258, [2**200, 3**36, 6])])
+    def test_event_order_either_side_of_the_bound(self, bits, denominators):
+        rng = random.Random(bits)
+
+        def coordinate() -> Fraction:
+            d = rng.choice(denominators)
+            return Fraction(rng.randint(-2 * d, 2 * d), d)
+
+        keys = {Event.make(coordinate(), coordinate(), 0, 0)._key for _ in range(300)}
+        keys |= {Event.make(0, coordinate(), coordinate(), 0)._key for _ in range(300)}
+        assert lcm(*{key[4] for key in keys}).bit_length() == bits
+        assert list(_in_event_order(dict.fromkeys(keys))) == sorted(keys, key=Event._from_key)
+
+    def test_event_order_gives_up_the_lcm_at_the_bound(self, monkeypatch):
+        # 64 odd 21-bit denominators have an lcm of over a thousand bits; the
+        # fold stops within one denominator of the bound.
+        results = []
+
+        def recording_lcm(*args: int) -> int:
+            results.append(lcm(*args))
+            return results[-1]
+
+        monkeypatch.setattr(ptgroup, "lcm", recording_lcm)
+        keys = [Event.make(Fraction(k, 2**20 + 2 * d + 1), 0, 0, 0)._key for d in range(64) for k in (-1, 1)]
+        assert list(_in_event_order(dict.fromkeys(keys))) == sorted(keys, key=Event._from_key)
+        assert max(r.bit_length() for r in results) <= _SCALED_ORDER_MAX_BITS + 21
 
 
 class TestClosureMetadata:
