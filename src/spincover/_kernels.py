@@ -7,8 +7,8 @@ a rejected table as given, lists or bytes, to name its fault.  A row
 doubles as a :meth:`bytes.translate` table once it is padded to 256 bytes
 (:func:`padded`): ``rows[g].translate(padded[x])`` is row g read through
 row x, x*(g*y) over all y, in one call.  So Light's test, the witness
-check and the centralizer counts run their inner loops in C, and the cap
-of 256 elements is the size of a translate table.
+check and conjugation by a generator run their inner loops in C, and the
+cap of 256 elements is the size of a translate table.
 
 Every check is exhaustive: associativity uses Light's test on a generating
 set, so a table is never accepted on a sample of triples.  Entries in
@@ -16,8 +16,13 @@ range, a two-sided identity, two-sided inverses and Light's test make a
 table a group (Light's lemma holds in any table), whose rows and columns
 are permutations, so a validator that accepts on those checks needs
 :func:`latin_square_violation` only to name the violation of a table it
-rejects.  The isomorphism search branches only on the images of that same
-generating set, and counts its nodes against a budget.
+rejects.  The caller computes the generating set once, with
+:func:`generating_set`, and passes it to Light's test, to
+:func:`element_signatures` and to the isomorphism search, which branches
+only on the images of that set and counts its nodes against a budget.
+Centralizer sizes come from conjugacy classes, by orbit and stabilizer,
+which holds only in a group: :func:`element_signatures` takes a validated
+table.
 """
 
 from __future__ import annotations
@@ -91,21 +96,22 @@ def generating_set(rows: list[bytes], identity: int) -> list[int]:
 
 
 def associativity_violation(
-    rows: list[bytes], translate: list[bytes], identity: int
+    rows: list[bytes], translate: list[bytes], generators: list[int]
 ) -> Optional[tuple[int, int, int]]:
     """First triple (x, g, y) with (x*g)*y != x*(g*y), or None.
 
     Light's associativity test (Clifford & Preston, *The Algebraic Theory
     of Semigroups* I, 1961, section 1.2).  The elements g for which
     (x*g)*y == x*(g*y) holds for all x, y are closed under products, so it
-    suffices to check g over :func:`generating_set`, which reaches every
-    element from ``identity``, a two-sided identity of the table.  For a
-    group that is at most log2(n) generators and O(n^2 log n) work; for any
-    other table the check stays exhaustive.  ``translate`` is
-    :func:`padded` of ``rows``.
+    suffices to check g over ``generators``, the :func:`generating_set` of
+    the table from a two-sided identity, which reaches every element from
+    that identity; :class:`~spincover.groups.FiniteGroup` computes it once
+    as it validates the table and keeps it.  For a group that is at most
+    log2(n) generators and O(n^2 log n) work; for any other table the check
+    stays exhaustive.  ``translate`` is :func:`padded` of ``rows``.
     """
     n = len(rows)
-    for g in generating_set(rows, identity):
+    for g in generators:
         # Over all x at once: row x*g of the table, against row g read
         # through row x, which is x*(g*y) over all y.
         left = b"".join(map(rows.__getitem__, map(itemgetter(g), rows)))
@@ -149,22 +155,52 @@ def is_abelian(rows: list[bytes]) -> bool:
     return rows == list(map(bytes, zip(*rows)))
 
 
-def element_signatures(rows: list[bytes], orders: list[int]) -> list[tuple[int, int, int]]:
+def element_signatures(
+    rows: list[bytes], identity: int, generators: list[int], orders: list[int]
+) -> list[tuple[int, int, int]]:
     """(order, centralizer size, number of square roots) of every element.
 
-    Every isomorphism maps an element to one with the same signature.  The
-    centralizer of x counts the y with x*y == y*x: the zero bytes of row x
-    XOR column x, both read as one integer, from one transpose.  O(n^2) in
-    all, with no Python loop over y.
+    Every isomorphism maps an element to one with the same signature.
+    ``rows`` must be a validated group table, ``generators`` its
+    :func:`generating_set` and ``orders`` its :func:`element_orders`.  By
+    orbit and stabilizer the centralizer of x has n / |x^G| elements, x^G
+    being the conjugacy class of x; every element is a product of the
+    generators, so x^G is the orbit of x under conjugation by them.
+    Conjugation by s, x -> s^-1*x*s, is one ``bytes`` permutation: column s
+    (every x*s) read through row s^-1.  A generator whose permutation is
+    the identity is central and adds nothing, so an abelian group takes no
+    orbit walk; otherwise one walk visits each element once per non-central
+    generator.
     """
     n = len(rows)
     roots = [0] * n
     for y, row in enumerate(rows):
         roots[row[y]] += 1
-    centralizers = [
-        (int.from_bytes(row, "big") ^ int.from_bytes(column, "big")).to_bytes(n, "big").count(0)
-        for row, column in zip(rows, map(bytes, zip(*rows)))
-    ]
+    pad = bytes(256 - n)
+    fixed = bytes(range(n))
+    conjugations = []
+    for s in generators:
+        inverse_row = rows[rows[s].index(identity)] + pad
+        conjugation = bytes(map(itemgetter(s), rows)).translate(inverse_row)
+        if conjugation != fixed:
+            conjugations.append(conjugation)
+    centralizers = [n] * n
+    if conjugations:
+        seen = bytearray(n)
+        for x in range(n):
+            if seen[x]:
+                continue
+            seen[x] = 1
+            orbit = [x]
+            for y in orbit:
+                for conjugation in conjugations:
+                    z = conjugation[y]
+                    if not seen[z]:
+                        seen[z] = 1
+                        orbit.append(z)
+            size = n // len(orbit)
+            for y in orbit:
+                centralizers[y] = size
     return list(zip(orders, centralizers, roots))
 
 
@@ -185,6 +221,7 @@ def find_isomorphism(
     h_rows: list[bytes],
     g_identity: int,
     h_identity: int,
+    g_generators: list[int],
     g_keys: Sequence[Hashable],
     h_keys: Sequence[Hashable],
     nodes: SearchNodes,
@@ -195,7 +232,9 @@ def find_isomorphism(
     ``g_keys`` and ``h_keys`` hold an invariant of every element that any
     isomorphism preserves, such as its signature from
     :func:`element_signatures`.  The search branches only on the images of
-    :func:`generating_set` of G, trying for each generator the unused
+    ``g_generators``, the :func:`generating_set` of G, which
+    :class:`~spincover.groups.FiniteGroup` computes once as it validates
+    the table, trying for each generator the unused
     elements of H with its key in increasing index.  Each choice extends
     the map over the subgroup generated so far by right multiplication with
     the chosen generators, and the branch is cut at the first product where
@@ -209,7 +248,6 @@ def find_isomorphism(
     passing ``nodes.budget`` raises :class:`NodeBudgetError`.
     """
     n = len(g_rows)
-    generators = generating_set(g_rows, g_identity)
     phi = [-1] * n
     used = [False] * n
     phi[g_identity] = h_identity
@@ -243,10 +281,10 @@ def find_isomorphism(
         nodes.count += 1
         if nodes.count > nodes.budget:
             raise NodeBudgetError(f"isomorphism search passed its budget of {nodes.budget} nodes")
-        if depth == len(generators):
+        if depth == len(g_generators):
             return True
-        s = generators[depth]
-        chosen = generators[: depth + 1]
+        s = g_generators[depth]
+        chosen = g_generators[: depth + 1]
         for candidate in candidates.get(g_keys[s], ()):
             if used[candidate]:
                 continue

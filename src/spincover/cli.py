@@ -312,6 +312,19 @@ def _cmd_doublegroup(args: argparse.Namespace) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
+def _verify_integer(text: str) -> int:
+    """Read ``verify``'s --seed and --samples: an optional ``-`` and ASCII
+    digits, by the rule of ``doublegroup``'s n, but with every digit kept,
+    so that no seed is clamped.  The range of --samples is _cmd_verify's to
+    check."""
+    if _read_digits(text[text.startswith("-"):]) is None:
+        raise argparse.ArgumentTypeError("must be a decimal integer")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() reads
+        raise argparse.ArgumentTypeError("too many digits") from None
+
+
 #: The most samples ``verify`` takes: ``verify all`` at the cap takes 15-21 s
 #: and 100 MB peak RSS in one process (Python 3.11.7, one core of a 2-vCPU
 #: Intel Xeon).
@@ -407,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("suite", choices=(*SUITE_NAMES, "all"))
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--samples", type=int, default=1000)
+    p_verify.add_argument("--seed", type=_verify_integer, default=0)
+    p_verify.add_argument("--samples", type=_verify_integer, default=1000)
     _add_common_flags(p_verify)
 
     return parser

@@ -23,8 +23,8 @@ element-order multiset, then, read off the element signatures (order,
 centralizer size, number of square roots), abelian or not, the order of
 the centre and the signature histogram.  The signatures are computed only
 when the multisets agree, and the first rung that differs refutes the
-pair.  Otherwise it backtracks over the images of a generating set,
-matching signatures, within a node budget; it returns a verified witness
+pair.  Otherwise it backtracks over the images of the generating set
+that validation picked, matching signatures, within a node budget; it returns a verified witness
 (the lexicographically smallest one) or the reason none exists.
 """
 
@@ -93,6 +93,10 @@ class FiniteGroup:
     ``table[i][j]`` is the index of element i times element j.  The group
     keeps the rows as bytes, ``_rows``: a ``bytes`` row as it is, any other
     row converted once; :attr:`table` is a list-of-lists copy of them.
+    Validation computes the table's generating set once, ``_generators``
+    (:func:`spincover._kernels.generating_set` from the identity), for
+    Light's test, and keeps it for the element signatures and the
+    isomorphism search.
     Labels are display names; ``element_source`` optionally maps each label
     back to the matrix (or other object) it came from.  Construction raises
     ``ValueError`` unless the table satisfies every group axiom; no axiom
@@ -162,7 +166,8 @@ class FiniteGroup:
         self._padded = _kernels.padded(rows)
         if _kernels.inverse_table(rows, e) is None:
             return "some element has no two-sided inverse"
-        triple = _kernels.associativity_violation(rows, self._padded, e)
+        self._generators = _kernels.generating_set(rows, e)
+        triple = _kernels.associativity_violation(rows, self._padded, self._generators)
         if triple is not None:
             return f"multiplication is not associative at triple {triple}"
         return None
@@ -518,8 +523,8 @@ def decide_isomorphism(
     """
     if g.order_multiset() != h.order_multiset():
         return Refutation(ORDER_MULTISET, list(g.order_multiset()), list(h.order_multiset()))
-    g_keys = _kernels.element_signatures(g._rows, g._orders)
-    h_keys = _kernels.element_signatures(h._rows, h._orders)
+    g_keys = _kernels.element_signatures(g._rows, g.identity_index, g._generators, g._orders)
+    h_keys = _kernels.element_signatures(h._rows, h.identity_index, h._generators, h._orders)
     g_centre = sum(1 for s in g_keys if s[1] == g.order)
     h_centre = sum(1 for s in h_keys if s[1] == h.order)
     abelian = g_centre == g.order
@@ -533,7 +538,8 @@ def decide_isomorphism(
     nodes = _kernels.SearchNodes(ISOMORPHISM_NODE_BUDGET)
     try:
         mapping = _kernels.find_isomorphism(
-            g._rows, h._rows, g.identity_index, h.identity_index, g_keys, h_keys, nodes
+            g._rows, h._rows, g.identity_index, h.identity_index, g._generators,
+            g_keys, h_keys, nodes,
         )
     except _kernels.NodeBudgetError as exc:
         raise IsomorphismSizeError(f"{exc} at order {g.order}") from None

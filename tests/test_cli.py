@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spincover import cli, groups
+from spincover import _kernels, cli, groups
 from spincover.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -642,12 +642,36 @@ class TestIso:
             ("Dic128xZ2", "Z2xDic128"),
             # A refutation, also exit 0: the order-256 inverting extensions.
             ("Dih256", "Dic256"),
+            # Order 256, non-abelian with many conjugacy classes, and a
+            # witness that is not the identity.
+            ("Dih8xDic8xZ4", "Dic8xDih8xZ4"),
         ],
     )
     def test_golden_witness(self, capsys, group_a, group_b):
         assert main(["iso", group_a, group_b, "--format", "json"]) == 0
         golden = GOLDEN / f"iso_{group_a}_{group_b}.json"
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_generating_set_once_per_group(self, capsys, monkeypatch):
+        # Validation computes each table's generating set; Light's test, the
+        # signatures and the search reuse it, so an isomorphic pair that
+        # reaches the search computes one per table built.
+        orders = []
+        generating_set = _kernels.generating_set
+
+        def counted(rows, identity):
+            orders.append(len(rows))
+            return generating_set(rows, identity)
+
+        monkeypatch.setattr(_kernels, "generating_set", counted)
+        assert main(["iso", "Dic16", "Dic16", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["isomorphic"] is True
+        assert orders == [16, 16]
+        # A product spec validates each factor, then the product once.
+        orders.clear()
+        assert main(["iso", "Dih8xDic8xZ4", "Dic8xDih8xZ4", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["isomorphic"] is True
+        assert orders == [8, 8, 4, 256, 8, 8, 4, 256]
 
     @pytest.mark.parametrize(
         "group_a, group_b", [("Dih8xZ2xZ2", "Dih8xZ2xZ2"), ("Z2xZ2xZ2", "Z2xZ4")]
@@ -783,6 +807,52 @@ class TestVerify:
         assert captured.err == "resource limit: --samples 100000000; verify takes at most 100000 samples\n"
         assert main(["verify", "cover", "--samples", "100001"]) == 3
         assert capsys.readouterr().err.startswith("resource limit: --samples 100001; ")
+
+    @pytest.mark.parametrize("flag", ["--seed", "--samples"])
+    @pytest.mark.parametrize("value", ["١٢", "1_0", "+3", " 5", "5 ", "-", "", "--5"])
+    def test_integers_are_ascii_decimal(self, capsys, monkeypatch, flag, value):
+        # The digit rule of doublegroup's n: int() would read all but the
+        # last three as 12, 10, 3, 5 and 5.
+        def run_suites(*args):
+            raise AssertionError("run_suites ran")
+
+        monkeypatch.setattr(cli, "run_suites", run_suites)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "cover", f"{flag}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {flag}: must be a decimal integer\n")
+
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [("7", 7), ("007", 7), ("-3", -3), ("-0", 0), ("1" * 45, int("1" * 45))],
+    )
+    def test_seed_keeps_every_digit(self, capsys, seed, expected):
+        # A seed of more than 40 digits is not clamped as an order is: it
+        # runs the suites that seed gives.
+        args = ["verify", "cover", "--samples", "3", "--format", "json"]
+        assert main([*args, "--seed", seed]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["seed"] == expected
+        assert payload["suites"] == [r.to_json() for r in cli.run_suites("cover", expected, 3)]
+
+    def test_samples_keep_every_digit(self, capsys, monkeypatch):
+        def run_suites(*args):
+            raise AssertionError("run_suites ran")
+
+        monkeypatch.setattr(cli, "run_suites", run_suites)
+        assert main(["verify", "cover", "--samples", "0" * 50 + "100001"]) == 3
+        assert capsys.readouterr().err.startswith("resource limit: --samples 100001; ")
+        many = "1" * 45
+        assert main(["verify", "cover", "--samples", many]) == 3
+        assert capsys.readouterr().err.startswith(f"resource limit: --samples {many[:40]}... ")
+
+    def test_seed_past_the_int_digit_limit(self, capsys, int_digit_limit):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "cover", "--seed", "1" * (int_digit_limit + 1)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --seed: too many digits\n")
 
     def test_byte_identical_across_processes(self):
         cmd = [

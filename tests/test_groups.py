@@ -769,7 +769,9 @@ class TestInvariantLadder:
         # read as non-abelian with a trivial centre), the search alone
         # refutes the pair and reports its node count.
         monkeypatch.setattr(
-            _kernels, "element_signatures", lambda table, orders: [(o, 0, 0) for o in orders]
+            _kernels,
+            "element_signatures",
+            lambda rows, identity, generators, orders: [(o, 0, 0) for o in orders],
         )
         outcome = decide_isomorphism(
             direct_product(cyclic(4), cyclic(4)), direct_product(dicyclic(8), cyclic(2))

@@ -30,6 +30,7 @@ from spincover.groups import (
     double_group,
     spinor_pt_group,
 )
+from test_groups import metacyclic
 
 def rows_of(table):
     """The byte rows of a list-of-lists table, the kernels' format."""
@@ -38,6 +39,10 @@ def rows_of(table):
 
 def translate_of(table):
     return _kernels.padded(rows_of(table))
+
+
+def generators_of(table, identity):
+    return _kernels.generating_set(rows_of(table), identity)
 
 
 # A Latin square with two-sided identity 0 that is not associative.
@@ -182,7 +187,8 @@ class TestKernelBasics:
             g_orders = _kernels.element_orders(g_rows, g.identity_index)
             h_orders = _kernels.element_orders(h_rows, h.identity_index)
             return _kernels.find_isomorphism(
-                g_rows, h_rows, g.identity_index, h.identity_index, g_orders, h_orders,
+                g_rows, h_rows, g.identity_index, h.identity_index,
+                _kernels.generating_set(g_rows, g.identity_index), g_orders, h_orders,
                 nodes or _kernels.SearchNodes(10_000),
             )
 
@@ -205,13 +211,16 @@ class TestKernelBasics:
     def test_search_stops_at_its_node_budget(self):
         g = rows_of(direct_product(cyclic(4), cyclic(4)).table)
         orders = _kernels.element_orders(g, 0)
+        generators = _kernels.generating_set(g, 0)
         # Two generators: a successful search enters one node per level,
         # three in all.
         nodes = _kernels.SearchNodes(3)
-        assert _kernels.find_isomorphism(g, g, 0, 0, orders, orders, nodes)
+        assert _kernels.find_isomorphism(g, g, 0, 0, generators, orders, orders, nodes)
         assert nodes.count == 3
         with pytest.raises(_kernels.NodeBudgetError):
-            _kernels.find_isomorphism(g, g, 0, 0, orders, orders, _kernels.SearchNodes(2))
+            _kernels.find_isomorphism(
+                g, g, 0, 0, generators, orders, orders, _kernels.SearchNodes(2)
+            )
 
     def test_signature_keys_keep_the_witness(self):
         # Signatures only drop candidates no isomorphism can take, so the
@@ -228,16 +237,19 @@ class TestKernelBasics:
             g_rows, h_rows = rows_of(table), rows_of(copy)
             g_orders = _kernels.element_orders(g_rows, e)
             h_orders = _kernels.element_orders(h_rows, relabel[e])
+            g_generators = _kernels.generating_set(g_rows, e)
+            h_generators = _kernels.generating_set(h_rows, relabel[e])
             keyings = [
                 (g_orders, h_orders),
                 (
-                    _kernels.element_signatures(g_rows, g_orders),
-                    _kernels.element_signatures(h_rows, h_orders),
+                    _kernels.element_signatures(g_rows, e, g_generators, g_orders),
+                    _kernels.element_signatures(h_rows, relabel[e], h_generators, h_orders),
                 ),
             ]
             by_order, by_signature = (
                 _kernels.find_isomorphism(
-                    g_rows, h_rows, e, relabel[e], g_keys, h_keys, _kernels.SearchNodes(10_000)
+                    g_rows, h_rows, e, relabel[e], g_generators, g_keys, h_keys,
+                    _kernels.SearchNodes(10_000),
                 )
                 for g_keys, h_keys in keyings
             )
@@ -245,9 +257,26 @@ class TestKernelBasics:
             assert _kernels.check_isomorphism(g_rows, _kernels.padded(h_rows), by_order)
 
     def test_element_signatures(self):
-        for group in sample_groups() + order_256_groups():
-            table, n = group.table, group.order
-            orders = _kernels.element_orders(rows_of(table), group.identity_index)
+        # Centralizer sizes come from conjugacy classes; the oracle counts
+        # the commuting pairs, on abelian groups and on non-abelian groups
+        # with many classes: the double groups, the metacyclic groups of the
+        # invariant ladder and three order-256 products.
+        non_abelian = [
+            double_group(family, n, parity_square)
+            for family in ("Dn", "Cnv")
+            for n in range(2, 13)
+            for parity_square in (1, -1)
+        ]
+        non_abelian += [metacyclic(24, 2, 5), metacyclic(24, 2, 17), metacyclic(4, 4, 3)]
+        non_abelian += [
+            direct_product(dihedral(8), dicyclic(8), cyclic(4)),
+            direct_product(dicyclic(128), cyclic(2)),
+            direct_product(dihedral(16), dihedral(16)),
+        ]
+        for group in sample_groups() + order_256_groups() + non_abelian:
+            table, n, e = group.table, group.order, group.identity_index
+            rows = rows_of(table)
+            orders = _kernels.element_orders(rows, e)
             expected = [
                 (
                     orders[x],
@@ -256,15 +285,20 @@ class TestKernelBasics:
                 )
                 for x in range(n)
             ]
-            assert _kernels.element_signatures(rows_of(table), orders) == expected
+            generators = _kernels.generating_set(rows, e)
+            assert _kernels.element_signatures(rows, e, generators, orders) == expected
 
     def test_associativity_accepts_groups(self):
         for group in sample_groups():
             e = group.identity_index
-            assert _kernels.associativity_violation(rows_of(group.table), translate_of(group.table), e) is None
+            assert _kernels.associativity_violation(
+                rows_of(group.table), translate_of(group.table), generators_of(group.table, e)
+            ) is None
 
     def test_associativity_detects_violation(self):
-        triple = _kernels.associativity_violation(rows_of(LOOP_5), translate_of(LOOP_5), 0)
+        triple = _kernels.associativity_violation(
+            rows_of(LOOP_5), translate_of(LOOP_5), generators_of(LOOP_5, 0)
+        )
         assert triple == (1, 1, 2)
         assert is_violation(LOOP_5, triple)
 
@@ -289,7 +323,9 @@ class TestKernelBasics:
             return _kernels.check_isomorphism(rows_of(g), translate_of(h), mapping)
 
         for table, e in ((z1, 0), (z2, 0), (z2_flipped, 1)):
-            assert _kernels.associativity_violation(rows_of(table), translate_of(table), e) is None
+            assert _kernels.associativity_violation(
+                rows_of(table), translate_of(table), generators_of(table, e)
+            ) is None
         assert check(z1, z1, [0])
         assert check(z2, z2, [0, 1])
         assert not check(z2, z2, [1, 0])
@@ -390,7 +426,9 @@ class TestAssociativityOracle:
             tables += [(swap_intercalate(table, *swap), e) for swap in swaps]
         rejected = 0
         for table, identity in tables:
-            triple = _kernels.associativity_violation(rows_of(table), translate_of(table), identity)
+            triple = _kernels.associativity_violation(
+                rows_of(table), translate_of(table), generators_of(table, identity)
+            )
             assert (triple is None) == oracle_is_associative(table)
             if triple is not None:
                 assert is_violation(table, triple)
@@ -415,7 +453,9 @@ def ordered_validation(table, identity):
     rows = rows_of(table)
     if _kernels.inverse_table(rows, identity) is None:
         raise ValueError("some element has no two-sided inverse")
-    triple = _kernels.associativity_violation(rows, _kernels.padded(rows), identity)
+    triple = _kernels.associativity_violation(
+        rows, _kernels.padded(rows), _kernels.generating_set(rows, identity)
+    )
     if triple is not None:
         raise ValueError(f"multiplication is not associative at triple {triple}")
 
