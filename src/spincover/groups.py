@@ -31,7 +31,6 @@ that validation picked, matching signatures, within a node budget; it returns a 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
 from math import prod
 from operator import itemgetter
 from typing import Callable, Optional, Sequence, Union
@@ -45,7 +44,7 @@ from .cover import (
     parity_operator,
 )
 from .ptgroup import SpacetimeSymmetry, time_reversal_operator
-from .scalars import as_sign
+from .scalars import Record, as_sign
 
 #: Largest order of any :class:`FiniteGroup`, and so of the isomorphism
 #: search: tables are kept as byte rows, one byte per element index, and a
@@ -438,11 +437,13 @@ def direct_product(g: FiniteGroup, *others: FiniteGroup) -> FiniteGroup:
 # -- isomorphism testing ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsomorphismWitness:
+class IsomorphismWitness(Record):
     """A bijection of element indices verified to preserve all products."""
 
-    mapping: tuple[int, ...]
+    __slots__ = ("mapping",)
+
+    def __init__(self, mapping: tuple[int, ...]) -> None:
+        object.__setattr__(self, "mapping", mapping)
 
 
 def verify_isomorphism(g: FiniteGroup, h: FiniteGroup, mapping: Sequence[int]) -> bool:
@@ -459,8 +460,7 @@ SIGNATURES = "element signatures"
 EXHAUSTIVE_SEARCH = "exhaustive search"
 
 
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(Record):
     """Why two groups are not isomorphic.
 
     ``invariant`` names the ladder rung that differs, and ``group_a`` and
@@ -470,10 +470,15 @@ class Refutation:
     ``search_nodes`` counts the nodes the search entered; a rung's is 0.
     """
 
-    invariant: str
-    group_a: object = None
-    group_b: object = None
-    search_nodes: int = 0
+    __slots__ = ("invariant", "group_a", "group_b", "search_nodes")
+
+    def __init__(
+        self, invariant: str, group_a: object = None, group_b: object = None, search_nodes: int = 0
+    ) -> None:
+        object.__setattr__(self, "invariant", invariant)
+        object.__setattr__(self, "group_a", group_a)
+        object.__setattr__(self, "group_b", group_b)
+        object.__setattr__(self, "search_nodes", search_nodes)
 
     def text(self) -> str:
         if self.invariant == EXHAUSTIVE_SEARCH:
@@ -481,7 +486,8 @@ class Refutation:
         return f"{self.invariant}: {self.group_a} vs {self.group_b}"
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The fields by name; the values are the record's own, not copies."""
+        return dict(zip(self.__slots__, self._fields()))
 
 
 def _signature_differences(
@@ -658,16 +664,26 @@ def double_group(family: str, n: int, parity_square: int = -1) -> FiniteGroup:
     return _closure_group(elements, rows, f"double[{family}:{n}]")
 
 
-@dataclass(frozen=True)
-class DoubleGroupVerdict:
+class DoubleGroupVerdict(Record):
     """Outcome of comparing the two double groups for one axis order."""
 
-    n: int
-    convention: int
-    isomorphic: bool
-    witness: Optional[tuple[int, ...]]
-    invariant_used: Optional[str]
-    claim_match: bool
+    __slots__ = ("n", "convention", "isomorphic", "witness", "invariant_used", "claim_match")
+
+    def __init__(
+        self,
+        n: int,
+        convention: int,
+        isomorphic: bool,
+        witness: Optional[tuple[int, ...]],
+        invariant_used: Optional[str],
+        claim_match: bool,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "convention", convention)
+        object.__setattr__(self, "isomorphic", isomorphic)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "invariant_used", invariant_used)
+        object.__setattr__(self, "claim_match", claim_match)
 
     def to_json(self) -> dict:
         out: dict = {

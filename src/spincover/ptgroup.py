@@ -39,7 +39,6 @@ A ray is held as its exact slope, so ray equality is value equality.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
@@ -61,6 +60,8 @@ from .scalars import (
     ZERO,
     ExactKey,
     GaussianRational,
+    Immutable,
+    Record,
     ScalarParseError,
     as_rational,
     as_sign,
@@ -85,8 +86,7 @@ def time_reversal_operator() -> UnitaryMat2:
     return UnitaryMat2([[ZERO, -ONE], [ONE, ZERO]])
 
 
-@dataclass(frozen=True)
-class SpinorSymmetry:
+class SpinorSymmetry(Record):
     """A double-cover element (U, a): the operator U K^a on field values.
 
     K is entrywise conjugation, so the product is the operator product
@@ -94,13 +94,21 @@ class SpinorSymmetry:
     This is the law under which :func:`apply_symmetry` acts on the values.
     """
 
-    matrix: UnitaryMat2
-    time_sign: int
+    __slots__ = ("matrix", "time_sign")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.matrix, UnitaryMat2):
-            raise TypeError(f"SpinorSymmetry takes a UnitaryMat2, not {type(self.matrix).__name__}")
-        as_sign(self.time_sign, "time sign")
+    def __init__(self, matrix: UnitaryMat2, time_sign: int) -> None:
+        if not isinstance(matrix, UnitaryMat2):
+            raise TypeError(f"SpinorSymmetry takes a UnitaryMat2, not {type(matrix).__name__}")
+        _set_symmetry_matrix(self, matrix)
+        _set_symmetry_sign(self, as_sign(time_sign, "time sign"))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SpinorSymmetry:
+            return NotImplemented
+        return self.matrix == other.matrix and self.time_sign == other.time_sign
+
+    def __hash__(self) -> int:
+        return hash((self.matrix, self.time_sign))
 
     def __mul__(self, other: "SpinorSymmetry") -> "SpinorSymmetry":
         right = other.matrix.conjugate() if self.time_sign == -1 else other.matrix
@@ -128,18 +136,29 @@ class SpinorSymmetry:
         return f"{self.matrix.to_text()} @ {self.time_sign:+d}"
 
 
-@dataclass(frozen=True)
-class SpacetimeSymmetry:
+_set_symmetry_matrix = SpinorSymmetry.matrix.__set__
+_set_symmetry_sign = SpinorSymmetry.time_sign.__set__
+
+
+class SpacetimeSymmetry(Record):
     """A spatial orthogonal matrix together with a time sign: an element of
     the direct product O(3) x Z2, multiplying componentwise."""
 
-    spatial: OrthogonalMat3
-    time_sign: int
+    __slots__ = ("spatial", "time_sign")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.spatial, OrthogonalMat3):
-            raise TypeError(f"SpacetimeSymmetry takes an OrthogonalMat3, not {type(self.spatial).__name__}")
-        as_sign(self.time_sign, "time sign")
+    def __init__(self, spatial: OrthogonalMat3, time_sign: int) -> None:
+        if not isinstance(spatial, OrthogonalMat3):
+            raise TypeError(f"SpacetimeSymmetry takes an OrthogonalMat3, not {type(spatial).__name__}")
+        _set_spatial(self, spatial)
+        _set_spacetime_sign(self, as_sign(time_sign, "time sign"))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SpacetimeSymmetry:
+            return NotImplemented
+        return self.spatial == other.spatial and self.time_sign == other.time_sign
+
+    def __hash__(self) -> int:
+        return hash((self.spatial, self.time_sign))
 
     def __mul__(self, other: "SpacetimeSymmetry") -> "SpacetimeSymmetry":
         return SpacetimeSymmetry(self.spatial * other.spatial, self.time_sign * other.time_sign)
@@ -149,6 +168,10 @@ class SpacetimeSymmetry:
 
     def to_json(self) -> dict:
         return {"spatial": self.spatial.to_text(), "time_sign": self.time_sign}
+
+
+_set_spatial = SpacetimeSymmetry.spatial.__set__
+_set_spacetime_sign = SpacetimeSymmetry.time_sign.__set__
 
 
 def spacetime_projection(g: SpinorSymmetry) -> SpacetimeSymmetry:
@@ -173,16 +196,24 @@ def spacetime_projection(g: SpinorSymmetry) -> SpacetimeSymmetry:
 # -- spinor values and sample fields ---------------------------------------
 
 
-@dataclass(frozen=True)
-class SpinorValue:
+class SpinorValue(Record):
     """A two-component complex value (u, v)."""
 
-    u: GaussianRational
-    v: GaussianRational
+    __slots__ = ("u", "v")
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.u, GaussianRational) and isinstance(self.v, GaussianRational)):
+    def __init__(self, u: GaussianRational, v: GaussianRational) -> None:
+        if not (isinstance(u, GaussianRational) and isinstance(v, GaussianRational)):
             raise TypeError("SpinorValue takes two GaussianRational components")
+        _set_u(self, u)
+        _set_v(self, v)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SpinorValue:
+            return NotImplemented
+        return self.u == other.u and self.v == other.v
+
+    def __hash__(self) -> int:
+        return hash((self.u, self.v))
 
     def conjugate(self) -> "SpinorValue":
         return SpinorValue(self.u.conjugate(), self.v.conjugate())
@@ -198,6 +229,10 @@ class SpinorValue:
 
     def to_text(self) -> str:
         return f"{format_complex(self.u)}; {format_complex(self.v)}"
+
+
+_set_u = SpinorValue.u.__set__
+_set_v = SpinorValue.v.__set__
 
 
 def transform_value(matrix: UnitaryMat2, value: SpinorValue) -> SpinorValue:
@@ -356,7 +391,7 @@ class FieldParseError(ValueError):
         super().__init__(f"line {line_number}: {message}")
 
 
-class SpinorSampleField:
+class SpinorSampleField(Immutable):
     """A finite exact map from events to spinor values.
 
     Immutable and unhashable.  Stored as one dict, sorted by event once when
@@ -382,9 +417,6 @@ class SpinorSampleField:
         field = object.__new__(cls)
         _set_keys(field, keys)
         return field
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SpinorSampleField is immutable")
 
     def __reduce__(self) -> tuple:
         return (SpinorSampleField._from_keys, (self._keys,))
@@ -588,17 +620,19 @@ def apply_symmetry(g: SpinorSymmetry, f: SpinorSampleField) -> SpinorSampleField
     return SpinorSampleField._from_keys(out)
 
 
-@dataclass(frozen=True)
-class CompositionDefect:
+class CompositionDefect(Record):
     """Acting by ``right`` and then ``left``, against acting by their product.
 
     ``witnesses`` are the events where the two results differ, in event
     order; the law holds when there are none.
     """
 
-    left: SpinorSymmetry
-    right: SpinorSymmetry
-    witnesses: tuple[Event, ...]
+    __slots__ = ("left", "right", "witnesses")
+
+    def __init__(self, left: SpinorSymmetry, right: SpinorSymmetry, witnesses: tuple[Event, ...]) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "witnesses", witnesses)
 
     @property
     def law_holds(self) -> bool:
@@ -637,8 +671,7 @@ class ZeroSpinorError(ValueError):
     """The zero value has no ray."""
 
 
-@dataclass(frozen=True)
-class RayPoint:
+class RayPoint(Record):
     """A nonzero spinor value (u, v) modulo a global complex scale.
 
     Held as its exact slope v/u, or None for the ray of (0, 1).  The slope
@@ -646,11 +679,23 @@ class RayPoint:
     value comparisons with no square root.
     """
 
-    slope: Optional[GaussianRational]
+    __slots__ = ("slope",)
 
-    def __post_init__(self) -> None:
-        if not (self.slope is None or isinstance(self.slope, GaussianRational)):
+    def __init__(self, slope: Optional[GaussianRational]) -> None:
+        if not (slope is None or isinstance(slope, GaussianRational)):
             raise TypeError("RayPoint takes a GaussianRational slope or None")
+        _set_slope(self, slope)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RayPoint:
+            return NotImplemented
+        return self.slope == other.slope
+
+    def __hash__(self) -> int:
+        return hash((self.slope,))
+
+
+_set_slope = RayPoint.slope.__set__
 
 
 def ray_project(value: SpinorValue) -> RayPoint:

@@ -6,7 +6,9 @@ then one positive denominator, in lowest terms (gcd 1).  That key is the
 only representation of its value, so equality and hashing compare it, copy
 and pickle rebuild from it, and arithmetic is integer work plus one gcd.
 :func:`lowest_terms` and :func:`common_key` are the one place the form is
-made.
+made.  The package's other values, such as a symmetry (U, a) or a spinor
+value (u, v), are each a :class:`Record` of named fields, compared, hashed,
+copied and pickled by those fields.  Both kinds are :class:`Immutable`.
 
 A :class:`GaussianRational` is the key (a, b, d) of (a + b i)/d.  ``re``,
 ``im`` and ``norm_sq()`` return :class:`fractions.Fraction` values; the
@@ -65,7 +67,53 @@ def as_sign(value: int, name: str = "sign") -> int:
     return value
 
 
-class ExactKey:
+class Immutable:
+    """A value whose attributes are set once, by its constructor through
+    the slot descriptors or ``object.__setattr__``: setting or deleting
+    any attribute afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Record(Immutable):
+    """An immutable record whose fields are the names in its ``__slots__``.
+
+    A subclass lists its fields in constructor order and writes its own
+    ``__init__``, which checks the arguments and sets the slots.  Records
+    are equal when they have one type and equal fields, and hash by their
+    fields; against any other type ``==`` is NotImplemented, so a record
+    never equals a tuple.  The repr is a keyword constructor call, and
+    copy, deepcopy and pickle call the constructor on the fields.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return (type(self), self._fields())
+
+
+class ExactKey(Immutable):
     """An immutable exact value stored as one canonical integer key.
 
     ``_key`` holds the numerators, then one positive denominator, with gcd
@@ -86,9 +134,6 @@ class ExactKey:
         value = object.__new__(cls)
         _set_key(value, key)
         return value
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

@@ -13,8 +13,6 @@ is written ``(A | B)`` with B the section matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cover import (
     IDENTITY2,
     OrthogonalMat3,
@@ -24,6 +22,7 @@ from .cover import (
     determinant_section,
     parity_operator,
 )
+from .scalars import Record
 
 
 def twist_automorphism(sign: int, a: UnitaryMat2) -> UnitaryMat2:
@@ -42,17 +41,27 @@ def twist_automorphism(sign: int, a: UnitaryMat2) -> UnitaryMat2:
     return a._between_diagonals(section, section)
 
 
-@dataclass(frozen=True)
-class SemidirectElement:
+class SemidirectElement(Record):
     """A pair (special part, section sign) under the twisted composition."""
 
-    su2_part: UnitaryMat2
-    sign: int
+    __slots__ = ("su2_part", "sign")
 
-    def __post_init__(self) -> None:
-        if not self.su2_part.is_special():
+    def __init__(self, su2_part: UnitaryMat2, sign: int) -> None:
+        if not isinstance(su2_part, UnitaryMat2):
+            raise TypeError(f"SemidirectElement takes a UnitaryMat2, not {type(su2_part).__name__}")
+        if not su2_part.is_special():
             raise ValueError("special part must have det = +1")
-        determinant_section(self.sign)  # raises unless the sign is the int 1 or -1
+        determinant_section(sign)  # raises unless the sign is the int 1 or -1
+        _set_su2_part(self, su2_part)
+        _set_sign(self, sign)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SemidirectElement:
+            return NotImplemented
+        return self.su2_part == other.su2_part and self.sign == other.sign
+
+    def __hash__(self) -> int:
+        return hash((self.su2_part, self.sign))
 
     def inverse(self) -> "SemidirectElement":
         return from_unitary(to_unitary(self).inverse())
@@ -74,6 +83,9 @@ class SemidirectElement:
             raise ValueError("section matrix must be I or diag(-1, 1)")
         return cls(su2_part, section.det_sign)
 
+
+_set_su2_part = SemidirectElement.su2_part.__set__
+_set_sign = SemidirectElement.sign.__set__
 
 IDENTITY_ELEMENT = SemidirectElement(IDENTITY2, 1)
 

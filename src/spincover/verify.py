@@ -13,7 +13,6 @@ extension checks of :func:`check_exact_sequence`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, Iterable, Optional
@@ -42,7 +41,7 @@ from .ptgroup import (
     time_reversal_operator,
     transform_value,
 )
-from .scalars import I_UNIT, GaussianRational
+from .scalars import I_UNIT, GaussianRational, Record
 from .semidirect import (
     SemidirectElement,
     compose,
@@ -52,20 +51,24 @@ from .semidirect import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    witness: Optional[str] = None
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: Optional[str] = None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
 
     def to_json(self) -> dict:
         return {"assertion": self.name, "pass": self.passed, "witness": self.witness}
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    checks: tuple[CheckResult, ...]
+class SuiteReport(Record):
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str, checks: tuple[CheckResult, ...]) -> None:
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def all_pass(self) -> bool:

@@ -907,6 +907,14 @@ def test_python_dash_m_is_the_console_script(capsys):
     assert run.stdout.strip() and run.stderr == ""
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # A fresh interpreter without site, so nothing but spincover.cli imports.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = "import sys, spincover.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert (run.stdout, run.stderr) == ("[]\n", "")
+
+
 class TestOutput:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("command", list(EMIT_CALLS))

@@ -606,6 +606,9 @@ class TestFieldSurface:
         f = varied_field()
         with pytest.raises(AttributeError):
             f.samples = {}
+        with pytest.raises(AttributeError, match="^SpinorSampleField is immutable$"):
+            del f._keys
+        assert f == varied_field()
         with pytest.raises(TypeError):
             hash(f)
         # The repr is a constructor call over the exact types.

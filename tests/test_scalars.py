@@ -12,12 +12,22 @@ from spincover.cover import (
     IDENTITY2,
     IDENTITY3,
     OrthogonalMat3,
+    UnitaryMat2,
     covering_map,
     determinant_section,
     quaternion_to_su2,
     rational_unit_quaternion,
 )
-from spincover.ptgroup import Event, SpacetimeSymmetry, SpinorSymmetry, SpinorValue
+from spincover.groups import ABELIAN, DoubleGroupVerdict, IsomorphismWitness, Refutation
+from spincover.ptgroup import (
+    CompositionDefect,
+    Event,
+    RayPoint,
+    SpacetimeSymmetry,
+    SpinorSampleField,
+    SpinorSymmetry,
+    SpinorValue,
+)
 from spincover.semidirect import SemidirectElement
 from spincover.scalars import (
     GaussianRational,
@@ -29,6 +39,7 @@ from spincover.scalars import (
     parse_ratio,
     parse_rational,
 )
+from spincover.verify import CheckResult, SuiteReport
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -98,6 +109,72 @@ def test_exact_values_copy_pickle_and_refuse_setattr():
         for name in ("_key", "re", "rows", "t", "u", "anything"):
             with pytest.raises(AttributeError):
                 setattr(value, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+
+def test_exact_key_refuses_del():
+    z = GaussianRational(1)
+    with pytest.raises(AttributeError, match="^GaussianRational is immutable$"):
+        del z._key
+    assert z.as_integer_triple() == (1, 0, 1) and hash(z) == hash(GaussianRational(1))
+
+
+_Z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+_M = quaternion_to_su2((Fraction(3, 5), Fraction(0), Fraction(0), Fraction(4, 5)))
+_CHECK = CheckResult("a law", False, "1 ; 2")
+
+# Each record, built twice from equal fields, and once with one field changed.
+RECORDS = {
+    "SpinorSymmetry": (lambda: SpinorSymmetry(_M, -1), SpinorSymmetry(_M, 1)),
+    "SpacetimeSymmetry": (lambda: SpacetimeSymmetry(covering_map(_M), -1), SpacetimeSymmetry(IDENTITY3, -1)),
+    "SpinorValue": (lambda: SpinorValue(_Z, -_Z), SpinorValue(_Z, _Z)),
+    "RayPoint": (lambda: RayPoint(_Z), RayPoint(None)),
+    "CompositionDefect": (
+        lambda: CompositionDefect(SpinorSymmetry.parity(), SpinorSymmetry(_M, 1), (Event.make(0, 1, 0, 0),)),
+        CompositionDefect(SpinorSymmetry.parity(), SpinorSymmetry(_M, 1), ()),
+    ),
+    "SemidirectElement": (lambda: SemidirectElement(_M, -1), SemidirectElement(_M, 1)),
+    "IsomorphismWitness": (lambda: IsomorphismWitness((0, 2, 1)), IsomorphismWitness((0, 1, 2))),
+    "Refutation": (lambda: Refutation(ABELIAN, False, True), Refutation(ABELIAN, True, False)),
+    "DoubleGroupVerdict": (
+        lambda: DoubleGroupVerdict(3, -1, False, None, "abelian: False vs True", True),
+        DoubleGroupVerdict(3, -1, False, None, "abelian: False vs True", False),
+    ),
+    "CheckResult": (lambda: CheckResult("a law", False, "1 ; 2"), CheckResult("a law", False)),
+    "SuiteReport": (lambda: SuiteReport("cover", (_CHECK,)), SuiteReport("cover", ())),
+}
+RECORD_NAMES = {
+    cls.__name__: cls
+    for cls in (
+        *(type(make()) for make, _ in RECORDS.values()),
+        GaussianRational, Fraction, UnitaryMat2, OrthogonalMat3, Event,
+    )
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_semantics(name):
+    make, other = RECORDS[name]
+    value, twin = make(), make()
+    assert type(value).__name__ == name and value is not twin
+    # Equal and hashed by fields, and never equal to another type.
+    assert value == twin and hash(value) == hash(twin)
+    assert value != other and not (value == other)
+    fields = tuple(getattr(value, field) for field in type(value).__slots__)
+    for stranger in (fields, SpinorSampleField({}), _CHECK if name != "CheckResult" else RayPoint(None)):
+        assert value.__eq__(stranger) is NotImplemented and value != stranger
+    # The repr is a keyword constructor call.
+    assert repr(value).startswith(f"{name}({type(value).__slots__[0]}=")
+    assert eval(repr(value), RECORD_NAMES) == value
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value) and copied == value and hash(copied) == hash(value)
+    for field in (*type(value).__slots__, "anything"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            delattr(value, field)
+    assert value == twin
 
 
 class TestArithmetic:

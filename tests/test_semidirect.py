@@ -2,6 +2,7 @@ import pytest
 
 from spincover.cover import (
     IDENTITY2,
+    IDENTITY3,
     PAULI_Z,
     XY_MIRROR,
     covering_map,
@@ -27,6 +28,16 @@ from spincover.verify import sample_pair_element, sample_su2
 def order8_matrices():
     group = spinor_pt_group()
     return [group.element_source[label] for label in group.labels]
+
+
+@pytest.mark.parametrize(
+    "part, type_name",
+    [("x", "str"), (1, "int"), (IDENTITY3, "OrthogonalMat3"), (((1, 0), (0, 1)), "tuple")],
+    ids=["str", "int", "orthogonal", "tuple"],
+)
+def test_special_part_is_a_unitary_matrix(part, type_name):
+    with pytest.raises(TypeError, match=f"^SemidirectElement takes a UnitaryMat2, not {type_name}$"):
+        SemidirectElement(part, 1)
 
 
 class TestZ2Rep:
