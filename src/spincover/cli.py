@@ -284,13 +284,11 @@ def _axis_order(text: str) -> int:
 
 
 def _cmd_doublegroup(args: argparse.Namespace) -> int:
+    conventions = (1, -1) if args.convention == "both" else (int(args.convention),)
     try:
-        verdicts = double_group_verdict(args.n)
+        verdicts = double_group_verdict(args.n, conventions)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if args.convention != "both":
-        wanted = int(args.convention)
-        verdicts = [v for v in verdicts if v.convention == wanted]
 
     def text() -> str:
         lines = []

@@ -468,6 +468,8 @@ class Refutation(Record):
     is the rows [order, centralizer size, square roots, count] whose counts
     differ.  After an :data:`EXHAUSTIVE_SEARCH` the values are None and
     ``search_nodes`` counts the nodes the search entered; a rung's is 0.
+    The constructor stores a list value as a tuple, nested lists too, so a
+    refutation hashes; :meth:`text` and :meth:`to_json` give them as lists.
     """
 
     __slots__ = ("invariant", "group_a", "group_b", "search_nodes")
@@ -476,30 +478,38 @@ class Refutation(Record):
         self, invariant: str, group_a: object = None, group_b: object = None, search_nodes: int = 0
     ) -> None:
         object.__setattr__(self, "invariant", invariant)
-        object.__setattr__(self, "group_a", group_a)
-        object.__setattr__(self, "group_b", group_b)
+        object.__setattr__(self, "group_a", _as_tuples(group_a))
+        object.__setattr__(self, "group_b", _as_tuples(group_b))
         object.__setattr__(self, "search_nodes", search_nodes)
 
     def text(self) -> str:
         if self.invariant == EXHAUSTIVE_SEARCH:
             return f"{EXHAUSTIVE_SEARCH}: no isomorphism in {self.search_nodes} nodes"
-        return f"{self.invariant}: {self.group_a} vs {self.group_b}"
+        return f"{self.invariant}: {_as_lists(self.group_a)} vs {_as_lists(self.group_b)}"
 
     def to_json(self) -> dict:
-        """The fields by name; the values are the record's own, not copies."""
-        return dict(zip(self.__slots__, self._fields()))
+        """The fields by name, tuples given as lists."""
+        return dict(zip(self.__slots__, map(_as_lists, self._fields())))
+
+
+def _as_tuples(value: object) -> object:
+    return tuple(map(_as_tuples, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _as_lists(value: object) -> object:
+    return list(map(_as_lists, value)) if isinstance(value, tuple) else value
 
 
 def _signature_differences(
     g_signatures: list[tuple[int, int, int]], h_signatures: list[tuple[int, int, int]]
-) -> tuple[list[list[int]], list[list[int]]]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """The signature histograms of two groups, restricted to the signatures
-    whose counts differ, as rows [order, centralizer size, square roots, count]."""
+    whose counts differ, as rows (order, centralizer size, square roots, count)."""
     g_counts, h_counts = Counter(g_signatures), Counter(h_signatures)
     differing = sorted(s for s in g_counts | h_counts if g_counts[s] != h_counts[s])
     return (
-        [[*s, g_counts[s]] for s in differing],
-        [[*s, h_counts[s]] for s in differing],
+        tuple((*s, g_counts[s]) for s in differing),
+        tuple((*s, h_counts[s]) for s in differing),
     )
 
 
@@ -525,12 +535,16 @@ def decide_isomorphism(
 
     The search then matches each generator only with elements of its
     signature.  Any witness returned has been verified exhaustively and is
-    the lexicographically smallest mapping by element index.
+    the lexicographically smallest mapping by element index.  When ``h`` is
+    ``g``, the one object, its signatures are computed once.
     """
     if g.order_multiset() != h.order_multiset():
-        return Refutation(ORDER_MULTISET, list(g.order_multiset()), list(h.order_multiset()))
+        return Refutation(ORDER_MULTISET, g.order_multiset(), h.order_multiset())
     g_keys = _kernels.element_signatures(g._rows, g.identity_index, g._generators, g._orders)
-    h_keys = _kernels.element_signatures(h._rows, h.identity_index, h._generators, h._orders)
+    if h is g:
+        h_keys = g_keys
+    else:
+        h_keys = _kernels.element_signatures(h._rows, h.identity_index, h._generators, h._orders)
     g_centre = sum(1 for s in g_keys if s[1] == g.order)
     h_centre = sum(1 for s in h_keys if s[1] == h.order)
     abelian = g_centre == g.order
@@ -632,19 +646,10 @@ def _monomial_mul(modulus: int) -> Callable[[Monomial, Monomial], Monomial]:
     return times
 
 
-def double_group(family: str, n: int, parity_square: int = -1) -> FiniteGroup:
-    """The spinor double of a rotation or reflection point group of axis
-    order n, closed exactly over monomial matrices; resulting order is 4n.
-
-    ``family="Dn"``: generators are the principal-axis lift
-    diag(e^{-i pi/n}, e^{i pi/n}) and the lift -i*sigma of a perpendicular
-    half turn about the x axis.  ``family="Cnv"``: the second generator is
-    the lift of the mirror normal to the x axis, built as the parity lift
-    times the half-turn lift; the parity convention is selectable,
-    ``parity_square=-1`` meaning the parity lift squares to -I (the mirror
-    lift then squares to +I) and ``parity_square=+1`` the reverse.
-    ``element_source`` maps each label to its ``(swap, k1, k2)`` triple.
-    """
+def _double_generators(family: str, n: int, parity_square: int) -> tuple[Monomial, Monomial]:
+    """The two generators of :func:`double_group`'s group, after checking
+    its arguments: the principal-axis lift, then the half-turn or mirror
+    lift."""
     if not (DOUBLE_GROUP_MIN_N <= _as_order(n, "axis order") <= DOUBLE_GROUP_MAX_N):
         raise ValueError(
             f"axis order must be between {DOUBLE_GROUP_MIN_N} and {DOUBLE_GROUP_MAX_N}"
@@ -658,10 +663,29 @@ def double_group(family: str, n: int, parity_square: int = -1) -> FiniteGroup:
     # The mirror lift is the parity lift (i*I when it squares to -I, else
     # I) times the half-turn lift.
     second = pauli_x if family == "Cnv" and parity_square == -1 else half_turn
+    return (0, 4 * n - 2, 2), second
+
+
+def _close_double(generators: tuple[Monomial, Monomial], family: str, n: int) -> FiniteGroup:
     modulus = 4 * n
-    axis_gen = (0, modulus - 2, 2)
-    elements, rows = _close([axis_gen, second], (0, 0, 0), _monomial_mul(modulus), modulus)
+    elements, rows = _close(generators, (0, 0, 0), _monomial_mul(modulus), modulus)
     return _closure_group(elements, rows, f"double[{family}:{n}]")
+
+
+def double_group(family: str, n: int, parity_square: int = -1) -> FiniteGroup:
+    """The spinor double of a rotation or reflection point group of axis
+    order n, closed exactly over monomial matrices; resulting order is 4n.
+
+    ``family="Dn"``: generators are the principal-axis lift
+    diag(e^{-i pi/n}, e^{i pi/n}) and the lift -i*sigma of a perpendicular
+    half turn about the x axis.  ``family="Cnv"``: the second generator is
+    the lift of the mirror normal to the x axis, built as the parity lift
+    times the half-turn lift; the parity convention is selectable,
+    ``parity_square=-1`` meaning the parity lift squares to -I (the mirror
+    lift then squares to +I) and ``parity_square=+1`` the reverse.
+    ``element_source`` maps each label to its ``(swap, k1, k2)`` triple.
+    """
+    return _close_double(_double_generators(family, n, parity_square), family, n)
 
 
 class DoubleGroupVerdict(Record):
@@ -699,21 +723,38 @@ class DoubleGroupVerdict(Record):
         return out
 
 
-def double_group_verdict(n: int) -> list[DoubleGroupVerdict]:
+def double_group_verdict(
+    n: int, conventions: Sequence[int] = (1, -1)
+) -> list[DoubleGroupVerdict]:
     """Compare the reflection and rotation double groups of axis order n
-    under both parity conventions, by :func:`decide_isomorphism`.
+    under each parity convention of ``conventions``, in that order, by
+    :func:`decide_isomorphism`.
 
     The expectation being tested: with a parity lift squaring to +I the two
     doubles are isomorphic, and with the lift squaring to -I they are not.
     ``claim_match`` records whether the computed verdict agrees; a mismatch
     is reported, not raised.  ``invariant_used`` is the text of the
     :class:`Refutation` of a pair that is not isomorphic.
+
+    A call closes each distinct generating set once.  A parity lift that
+    squares to +I is I itself, so the mirror lift is the half-turn lift and
+    the reflection double is the rotation double, the same object: both
+    conventions close two groups, and ``conventions=(1,)`` closes one.  That
+    pair is still decided by the ladder and the search, like any other.
     """
-    rotation_double = double_group("Dn", n)
+    closed: dict[tuple[Monomial, Monomial], FiniteGroup] = {}
+
+    def double(family: str, parity_square: int) -> FiniteGroup:
+        generators = _double_generators(family, n, parity_square)
+        group = closed.get(generators)
+        if group is None:
+            group = closed[generators] = _close_double(generators, family, n)
+        return group
+
+    rotation_double = double("Dn", -1)
     verdicts = []
-    for convention in (1, -1):
-        reflection_double = double_group("Cnv", n, parity_square=convention)
-        outcome = decide_isomorphism(reflection_double, rotation_double)
+    for convention in conventions:
+        outcome = decide_isomorphism(double("Cnv", convention), rotation_double)
         isomorphic = isinstance(outcome, IsomorphismWitness)
         expected_isomorphic = convention == 1
         verdicts.append(

@@ -727,6 +727,17 @@ class TestDoubleGroup:
         golden = GOLDEN / f"doublegroup_n{n}.json"
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["--convention", "+1", "--format", "json"], "doublegroup_n7_plus1.json"),
+            (["--convention", "-1"], "doublegroup_n7_minus1.txt"),
+        ],
+    )
+    def test_golden_single_convention(self, capsys, argv, golden):
+        assert main(["doublegroup", "7", *argv]) == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
     def test_help_states_the_axis_range(self, capsys, monkeypatch):
         # The range in the help text is read from the two constants when the
         # parser is built; a fresh one is built here, not main's shared one.

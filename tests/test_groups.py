@@ -786,6 +786,68 @@ class TestInvariantLadder:
             "search_nodes": outcome.search_nodes,
         }
 
+    @pytest.mark.parametrize(
+        "make_pair, text, group_a, group_b",
+        [
+            (
+                lambda: (cyclic(8), dihedral(8)),
+                "element-order multiset: [1, 2, 4, 4, 8, 8, 8, 8] vs [1, 2, 2, 2, 2, 2, 4, 4]",
+                [1, 2, 4, 4, 8, 8, 8, 8],
+                [1, 2, 2, 2, 2, 2, 4, 4],
+            ),
+            (
+                lambda: (direct_product(dicyclic(8), cyclic(2)), direct_product(cyclic(4), cyclic(4))),
+                "abelian: False vs True",
+                False,
+                True,
+            ),
+            (
+                lambda: (metacyclic(24, 2, 5), metacyclic(24, 2, 17)),
+                "centre order: 4 vs 8",
+                4,
+                8,
+            ),
+            (
+                lambda: (direct_product(dicyclic(8), cyclic(2)), metacyclic(4, 4, 3)),
+                "element signatures: [[2, 16, 0, 2], [2, 16, 4, 0], [2, 16, 8, 0], [2, 16, 12, 1]]"
+                " vs [[2, 16, 0, 1], [2, 16, 4, 1], [2, 16, 8, 1], [2, 16, 12, 0]]",
+                [[2, 16, 0, 2], [2, 16, 4, 0], [2, 16, 8, 0], [2, 16, 12, 1]],
+                [[2, 16, 0, 1], [2, 16, 4, 1], [2, 16, 8, 1], [2, 16, 12, 0]],
+            ),
+        ],
+        ids=["order_multiset", "abelian", "centre", "signatures"],
+    )
+    def test_rung_refutations_hash_and_render_lists(self, make_pair, text, group_a, group_b):
+        # Each rung's values are stored as tuples, so the refutation hashes,
+        # and text() and to_json() still give lists.
+        outcome = decide_isomorphism(*make_pair())
+        assert hash(outcome) == hash(Refutation(outcome.invariant, group_a, group_b))
+        assert outcome == Refutation(outcome.invariant, group_a, group_b)
+        assert outcome.text() == text
+        assert outcome.to_json() == {
+            "invariant": outcome.invariant,
+            "group_a": group_a,
+            "group_b": group_b,
+            "search_nodes": 0,
+        }
+
+    def test_signatures_of_one_group_are_computed_once(self, monkeypatch):
+        calls = []
+        signatures = _kernels.element_signatures
+
+        def counted(*args):
+            calls.append(args)
+            return signatures(*args)
+
+        monkeypatch.setattr(_kernels, "element_signatures", counted)
+        g = double_group("Cnv", 6, parity_square=1)
+        outcome = decide_isomorphism(g, g)
+        assert len(calls) == 1
+        assert outcome == IsomorphismWitness(tuple(range(g.order)))
+        calls.clear()
+        assert decide_isomorphism(g, double_group("Cnv", 6, parity_square=1)) == outcome
+        assert len(calls) == 2
+
     def test_abelian_catalog(self):
         # Finite abelian groups are isomorphic exactly when their element-
         # order multisets agree, so every such pair of products of cyclic
@@ -969,6 +1031,39 @@ class TestDoubleGroups:
         assert not by_convention[-1].isomorphic
         assert by_convention[-1].invariant_used is not None
         assert all(v.claim_match for v in verdicts)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_reflection_double_at_plus_one_is_the_rotation_double(self, n):
+        # Under parity square +1 the parity lift is I, so the mirror lift is
+        # the half-turn lift: the same generators, elements and table.
+        rotation = double_group("Dn", n)
+        reflection = double_group("Cnv", n, parity_square=1)
+        assert reflection.table == rotation.table
+        assert reflection.element_source == rotation.element_source
+        assert double_group("Cnv", n, parity_square=-1).table != rotation.table
+
+    @pytest.mark.parametrize(
+        "conventions, closures", [((1, -1), 2), ((1,), 1), ((-1,), 2), ((-1, 1), 2)]
+    )
+    def test_verdict_closes_each_generating_set_once(self, monkeypatch, conventions, closures):
+        calls = []
+        close = groups._close
+
+        def counted(*args):
+            calls.append(args)
+            return close(*args)
+
+        monkeypatch.setattr(groups, "_close", counted)
+        verdicts = double_group_verdict(7, conventions)
+        assert len(calls) == closures
+        assert [v.convention for v in verdicts] == list(conventions)
+        monkeypatch.setattr(groups, "_close", close)
+        by_convention = {v.convention: v for v in double_group_verdict(7)}
+        assert verdicts == [by_convention[c] for c in conventions]
+
+    def test_verdict_rejects_a_bad_convention(self):
+        with pytest.raises(ValueError, match="parity_square must be \\+1 or -1, got 0"):
+            double_group_verdict(3, (1, 0))
 
     def test_axis_range_enforced(self):
         with pytest.raises(ValueError):
