@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: ``apply`` (transform a spinor field file), ``table`` (Cayley
-tables), ``iso`` (isomorphism verdicts), ``doublegroup`` (the reflection vs
-rotation double-group comparison) and ``verify`` (the seeded invariant
-suites).  Each hands its result to one writer, :func:`_emit`, as two
+Subcommands: ``apply`` (transform a spinor field file), ``table`` (the
+Cayley table of a group spec or of ``--gen`` matrices), ``iso``
+(isomorphism verdicts), ``doublegroup`` (the reflection vs rotation
+double-group comparison) and ``verify`` (the seeded invariant suites).
+``table`` and ``iso`` read group specs with one reader,
+:func:`_parse_group_spec`.  Each hands its result to one writer, :func:`_emit`, as two
 callables, the JSON payload and the text; only ``apply`` prints more,
 three stderr lines under ``--format text``.  Exit codes: 0 success or all
 assertions passed, 1 assertion failure, 2 input error, 3 resource limit.
@@ -144,46 +146,39 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
 # -- table ---------------------------------------------------------------------
 
-_NAMED_GROUPS: dict[str, Callable[[], FiniteGroup]] = {
-    "GPT_hat": spinor_pt_group,
-    "GPT_spacetime": spacetime_pt_group,
-}
-
-
-def _named_group(token: str) -> FiniteGroup:
-    if token not in _NAMED_GROUPS:
-        raise InputError(f"unknown named group {echo(token)}; expected one of {tuple(_NAMED_GROUPS)}")
-    return _NAMED_GROUPS[token]()
-
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.group and args.gen:
-        raise InputError("give either a named group or --gen matrices, not both")
+    if bool(args.group) == bool(args.gen):
+        raise InputError("give one group spec or --gen matrices")
     if args.group:
-        group = _named_group(args.group)
+        group = _parse_group_spec(args.group)()
         omit_identity = True
-    elif args.gen:
+    else:
         try:
             generators = [UnitaryMat2.from_text(g) for g in args.gen]
         except (ScalarParseError, ValueError) as exc:
             raise InputError(f"bad generator: {exc}") from exc
         group = generate_closure(generators)
         omit_identity = False
-    else:
-        raise InputError("expected a named group or at least one --gen matrix")
     _emit(args, group.cayley_json, lambda: group.cayley_text(omit_identity=omit_identity))
     return EXIT_OK
 
 
-# -- iso -----------------------------------------------------------------------
+# -- group specs ---------------------------------------------------------------
+
+_NAMED_GROUPS: dict[str, Callable[[], FiniteGroup]] = {
+    "GPT_hat": spinor_pt_group,
+    "GPT_spacetime": spacetime_pt_group,
+}
 
 
 def _parse_group_spec(spec: str) -> Callable[[], FiniteGroup]:
     """Parse GPT_hat, GPT_spacetime, or a direct product of factors Zn,
     Dih<order> and Dic<order> joined by x (Z4xZ2, Dic8xZ2xZ2) into a builder
-    for its table.  The order is read off the spec and checked against the
-    search cap here, before any table exists.  A product is built as one
-    table and validated once, with no group for a partial product.
+    for its table: the one reader of ``table``'s and ``iso``'s groups.  The
+    order is read off the spec and checked against the cap here, before any
+    table exists.  A product is built as one table and validated once, with
+    no group for a partial product.
     """
     if spec in _NAMED_GROUPS:
         return _NAMED_GROUPS[spec]
@@ -203,8 +198,7 @@ def _parse_group_spec(spec: str) -> Callable[[], FiniteGroup]:
     if order > ISOMORPHISM_ORDER_LIMIT:
         shown = order if order < 10**_ORDER_DIGITS else f"at least 10^{_ORDER_DIGITS}"
         raise IsomorphismSizeError(
-            f"{echo(spec, str)} has order {shown}; isomorphism search supports orders up to "
-            f"{ISOMORPHISM_ORDER_LIMIT}"
+            f"{echo(spec, str)} has order {shown}; groups are supported up to order {ISOMORPHISM_ORDER_LIMIT}"
         )
 
     def build() -> FiniteGroup:
@@ -237,6 +231,9 @@ def _parse_positive(text: str, spec: str) -> int:
     if not value:
         raise InputError(f"bad group spec {echo(spec)}: factor order must be a positive decimal integer")
     return value
+
+
+# -- iso -----------------------------------------------------------------------
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
@@ -389,7 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_apply)
 
     p_table = sub.add_parser("table", help="render a Cayley table")
-    p_table.add_argument("group", nargs="?", help=f"named group: {', '.join(_NAMED_GROUPS)}")
+    p_table.add_argument(
+        "group", nargs="?",
+        help=f"group spec, as iso reads it: {', '.join(_NAMED_GROUPS)}, Zn, Dih<order>, Dic<order> "
+        "or a product of those factors like Dic8xZ2",
+    )
     p_table.add_argument(
         "--gen",
         action="append",

@@ -22,13 +22,13 @@ sorting, the action and printing work on these int tuples and build
 no :class:`Event` or :class:`SpinorValue` per sample; the objects are built
 only at the library surface.  A field line (ending only at a line feed)
 is split at ``;`` into its time, place and two value tokens; each distinct
-token of a text is read once, by one match of a pattern built from the
-scalar patterns of :mod:`spincover.scalars`, and remembered for the rest of
-that text.  The per-token parser, through the scalar parsers, reads only
-the lines those patterns reject and says why.  Time
-signs are checked by :func:`~spincover.scalars.as_sign`.  The one field
-action, :func:`apply_symmetry`, chooses the sector's rebind in one ``if``:
-the rotation R(U) when det U = +1 and a = +1, else the flip
+token of a text is read once, by the scalar parsers of
+:mod:`spincover.scalars`, and remembered for the rest of that text.  The
+per-token parser, through the same parsers, reads only the lines they
+reject and says why.  Time signs are checked by
+:func:`~spincover.scalars.as_sign`.  The one field action,
+:func:`apply_symmetry`, chooses the sector's rebind in one ``if``: the
+rotation R(U) when det U = +1 and a = +1, else the flip
 (t, x) -> (a t, det U x).  In the antiunitary sectors it conjugates values
 by negating their imaginary numerators inside the matrix product, so
 every transformation law is checked by exact equality on the sampled
@@ -38,11 +38,10 @@ A ray is held as its exact slope, so ray equality is value equality.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from functools import total_ordering
-from math import gcd, lcm
-from typing import Callable, Mapping, Optional
+from functools import cache, total_ordering
+from math import lcm
+from typing import Mapping, Optional
 
 from .cover import (
     HALF_TURN_Y,
@@ -54,9 +53,7 @@ from .cover import (
     parity_operator,
 )
 from .scalars import (
-    COMPLEX_PATTERN,
     ONE,
-    RATIO_PATTERN,
     ZERO,
     ExactKey,
     GaussianRational,
@@ -66,13 +63,13 @@ from .scalars import (
     as_rational,
     as_sign,
     common_key,
-    complex_key,
     echo,
     format_complex,
     format_complex_key,
     format_ratio,
     lowest_terms,
     parse_complex,
+    parse_complex_key,
     parse_ratio,
 )
 
@@ -465,29 +462,41 @@ class SpinorSampleField(Immutable):
 
         Lines end only at a line feed (a carriage return is whitespace).
         Each line is split at ``;`` into its time, place and two value
-        tokens, and each token is looked up in a memo of this call, so a
-        distinct token is matched and converted once however many lines
-        repeat it (sample grids repeat most of theirs).  A line that does
-        not split into four tokens or holds a token the memos reject (a
-        blank line, or a bad one) goes to :func:`_parse_line_by_tokens`,
-        which skips it or raises the :class:`FieldParseError` that
-        explains it.
+        tokens, which the scalar parsers read through three readers
+        memoized for this call, so a distinct token is read once however
+        many lines repeat it (sample grids repeat most of theirs): a ratio
+        reader, :func:`~spincover.scalars.parse_ratio` in lowest terms, for
+        the time and each coordinate; a place reader, which splits its
+        token at ``,`` into exactly three coordinates and joins their
+        ratios with :func:`~spincover.scalars.common_key`; and
+        :func:`~spincover.scalars.parse_complex_key` for the values.  A
+        line that does not split into four tokens or holds a token a reader
+        rejects (a blank line, or a bad one) goes to
+        :func:`_parse_line_by_tokens`, which skips it or raises the
+        :class:`FieldParseError` that explains it.
         """
-        times, places, values = _TokenMemo(_read_time), _TokenMemo(_read_place), _TokenMemo(_read_value)
+        ratio = cache(lambda token: lowest_terms(parse_ratio(token)))
+
+        @cache
+        def place(token: str) -> tuple[int, ...]:
+            x1, x2, x3 = token.split(",")
+            return common_key([ratio(x1), ratio(x2), ratio(x3)])
+
+        complex_value = cache(parse_complex_key)
         samples: dict[tuple[int, ...], tuple[int, ...]] = {}
         for number, raw in enumerate(text.split("\n"), start=1):
             try:
                 t, x, u, v = raw.split(";")
-                n, d = times[t]
-                a, b, c, e = places[x]
+                n, d = ratio(t)
+                a, b, c, e = place(x)
                 m = lcm(d, e)
                 # Already in lowest terms, as (n, d) and (a, b, c, e) are: a
                 # prime that divides m fails to divide m // d, and then
                 # divides d but not n, or fails to divide m // e, and then
                 # divides e but not all of a, b, c.
                 event = (n * (m // d), a * (m // e), b * (m // e), c * (m // e), m)
-                value = values[u] + values[v]
-            except (ValueError, ZeroDivisionError):  # not four tokens, or a token the memos reject
+                value = complex_value(u) + complex_value(v)
+            except ValueError:  # not four tokens, or a token a reader rejects
                 sample = _parse_line_by_tokens(raw, number)
                 if sample is None:
                     continue
@@ -499,64 +508,6 @@ class SpinorSampleField(Immutable):
 
 
 _set_keys = SpinorSampleField._keys.__set__
-
-
-# The tokens of a field line, t; x1,x2,x3; u; v, split at ";": the scalar
-# patterns of the grammar with any whitespace (\s in a str pattern is
-# exactly str.isspace) around each scalar and separator.
-_TIME_RE = re.compile(rf"\s*{RATIO_PATTERN}\s*")
-_PLACE_RE = re.compile(rf"\s*{RATIO_PATTERN}\s*,\s*{RATIO_PATTERN}\s*,\s*{RATIO_PATTERN}\s*")
-_VALUE_RE = re.compile(rf"\s*{COMPLEX_PATTERN}\s*")
-
-
-class _TokenMemo(dict):
-    """Token text -> its parse, for one :meth:`SpinorSampleField.from_text`
-    call: a missing token is parsed by ``read`` and stored, and a token
-    ``read`` rejects raises ValueError or ZeroDivisionError and is not
-    stored."""
-
-    __slots__ = ("read",)
-
-    def __init__(self, read: Callable[[str], tuple[int, ...]]) -> None:
-        super().__init__()
-        self.read = read
-
-    def __missing__(self, token: str) -> tuple[int, ...]:
-        parsed = self[token] = self.read(token)
-        return parsed
-
-
-def _groups(pattern: re.Pattern, token: str) -> tuple[Optional[str], ...]:
-    m = pattern.fullmatch(token)
-    if m is None:
-        raise ValueError("not a token of the grammar")
-    return m.groups()
-
-
-def _read_time(token: str) -> tuple[int, int]:
-    """(n, d) of a time token, in lowest terms.  ``int()`` raises
-    ValueError on more digits than it reads, and a zero denominator
-    raises ZeroDivisionError."""
-    n, d = _groups(_TIME_RE, token)
-    n, d = int(n), int(d or 1)
-    if d == 0:
-        raise ZeroDivisionError("zero denominator")
-    g = gcd(n, d)
-    return n // g, d // g
-
-
-def _read_place(token: str) -> tuple[int, int, int, int]:
-    """The key (x1, x2, x3, e) of a place token, in lowest terms; a zero
-    denominator makes e zero, and then e // 0 raises."""
-    a, aq, b, bq, c, cq = _groups(_PLACE_RE, token)
-    aq, bq, cq = int(aq or 1), int(bq or 1), int(cq or 1)
-    e = lcm(aq, bq, cq)
-    return lowest_terms((int(a) * (e // aq), int(b) * (e // bq), int(c) * (e // cq), e))
-
-
-def _read_value(token: str) -> tuple[int, int, int]:
-    """The key (a, b, d) of a complex value token."""
-    return complex_key(*_groups(_VALUE_RE, token))
 
 
 def _parse_line_by_tokens(raw: str, number: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:

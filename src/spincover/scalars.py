@@ -12,8 +12,8 @@ copied and pickled by those fields.  Both kinds are :class:`Immutable`.
 
 A :class:`GaussianRational` is the key (a, b, d) of (a + b i)/d.  ``re``,
 ``im`` and ``norm_sq()`` return :class:`fractions.Fraction` values; the
-text grammar below, defined once for the scalar parsers and the field
-lines of :mod:`spincover.ptgroup`, is read into and written from the ints.
+text grammar below is read into and written from the ints by the scalar
+parsers, which the field reader of :mod:`spincover.ptgroup` calls too.
 
 A caller's number enters the exact layer only through :func:`as_rational`,
 which takes ints and Fractions and refuses everything else, and a
@@ -28,7 +28,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 _RationalLike = Union[int, Fraction]
 
@@ -279,17 +279,16 @@ I_UNIT = GaussianRational(0, 1)
 #              ("2/4", "+0i", "1+0i"), but no whitespace inside a scalar,
 #              and ASCII digits only.
 #
-# RATIO_PATTERN captures a numerator and a denominator (absent when it is
-# 1).  COMPLEX_PATTERN, which the lookahead keeps from being empty, captures
-# a real part (absent in "2i"), which nothing but a signed imaginary part
-# may follow, then the imaginary part's sign (absent when there is no
-# imaginary part), numerator (absent in "i" and "-i") and denominator: the
-# five arguments of complex_key.
-RATIO_PATTERN = r"([+-]?[0-9]+)(?:/([0-9]+))?"
+# _RATIO_PATTERN captures a numerator and a denominator (absent when it is
+# 1).  The complex pattern, which the lookahead keeps from being empty,
+# captures a real part (absent in "2i"), which nothing but a signed
+# imaginary part may follow, then the imaginary part's sign (absent when
+# there is no imaginary part), numerator (absent in "i" and "-i") and
+# denominator: the five captures parse_complex_key converts.
+_RATIO_PATTERN = r"([+-]?[0-9]+)(?:/([0-9]+))?"
 _IMAGINARY_PATTERN = r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?)?i"
-COMPLEX_PATTERN = rf"(?=[-+0-9i])(?:{RATIO_PATTERN}(?![0-9/i]))?(?:{_IMAGINARY_PATTERN})?"
-_RATIO_RE = re.compile(RATIO_PATTERN)
-_COMPLEX_RE = re.compile(COMPLEX_PATTERN)
+_RATIO_RE = re.compile(_RATIO_PATTERN)
+_COMPLEX_RE = re.compile(rf"(?=[-+0-9i])(?:{_RATIO_PATTERN}(?![0-9/i]))?(?:{_IMAGINARY_PATTERN})?")
 _DIGITS_MESSAGE = "rational scalar has more than {} digits, the most Python reads"
 _ECHO_LIMIT = 40
 
@@ -339,24 +338,26 @@ def format_rational(value: Fraction) -> str:
     return format_ratio(value.numerator, value.denominator)
 
 
-def complex_key(
-    re_n: Optional[str], re_d: Optional[str], im_sign: Optional[str], im_n: Optional[str], im_d: Optional[str]
-) -> tuple[int, int, int]:
-    """The key (a, b, d) of the captures of :data:`COMPLEX_PATTERN`.
+def parse_complex_key(text: str) -> tuple[int, int, int]:
+    """The key (a, b, d) of a complex scalar in the grammar: the key-level
+    half of :func:`parse_complex`, with the same refusals.
 
-    ``int()`` raises ValueError on more digits than it reads, and a zero
-    denominator raises ZeroDivisionError.  The imaginary part is read
-    first, and in each part the digits before the denominator's check:
-    that order decides which fault :func:`parse_complex` reports in a
-    token with two.
+    The imaginary part is read first, and in each part the digits before
+    the denominator's check: that order decides which fault a token with
+    two reports.
     """
-    b, e = (0, 1) if im_sign is None else (int(im_sign + (im_n or "1")), int(im_d or 1))
-    if e == 0:
-        raise ZeroDivisionError("zero denominator")
-    a, f = int(re_n or 0), int(re_d or 1)
-    if f == 0:
-        raise ZeroDivisionError("zero denominator")
-    return lowest_terms((a * e, b * f, f * e))
+    m = _COMPLEX_RE.fullmatch(text.strip())
+    if m is not None:
+        re_n, re_d, im_sign, im_n, im_d = m.groups()
+        try:
+            b, e = (0, 1) if im_sign is None else (int(im_sign + (im_n or "1")), int(im_d or 1))
+            if e != 0:
+                a, f = int(re_n or 0), int(re_d or 1)
+                if f != 0:
+                    return lowest_terms((a * e, b * f, f * e))
+        except ValueError:  # more digits than int() reads
+            raise ScalarDigitsError(_DIGITS_MESSAGE.format(sys.get_int_max_str_digits())) from None
+    raise ScalarParseError(f"not a complex scalar: {echo(text)}")
 
 
 def parse_complex(text: str) -> GaussianRational:
@@ -366,15 +367,7 @@ def parse_complex(text: str) -> GaussianRational:
     :class:`ScalarDigitsError`; any other token that is not a complex
     scalar, a zero denominator too, raises ``not a complex scalar: ...``.
     """
-    m = _COMPLEX_RE.fullmatch(text.strip())
-    if m is not None:
-        try:
-            return GaussianRational._from_key(complex_key(*m.groups()))
-        except ValueError:  # more digits than int() reads
-            raise ScalarDigitsError(_DIGITS_MESSAGE.format(sys.get_int_max_str_digits())) from None
-        except ZeroDivisionError:
-            pass
-    raise ScalarParseError(f"not a complex scalar: {echo(text)}")
+    return GaussianRational._from_key(parse_complex_key(text))
 
 
 def _imag_text(b: int, d: int) -> str:

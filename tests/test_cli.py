@@ -414,7 +414,8 @@ class TestTable:
         assert lines[0].split() == ["P", "T", "PT"]
         assert lines[1].split() == ["P", "1", "PT", "T"]
 
-    @pytest.mark.parametrize("name", ["GPT_hat", "GPT_spacetime"])
+    # Dic8's golden is the library's compact table, dicyclic(8).cayley_text(omit_identity=True).
+    @pytest.mark.parametrize("name", ["GPT_hat", "GPT_spacetime", "Dic8"])
     def test_named_golden(self, capsys, name):
         assert main(["table", name]) == 0
         golden = GOLDEN / f"table_{name}.txt"
@@ -452,12 +453,33 @@ class TestTable:
         golden = GOLDEN / "table_gen_octahedral.json"
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "spec, build",
+        [
+            ("Dic8", lambda: groups.dicyclic(8)),
+            ("Z4xZ2", lambda: groups.direct_product(groups.cyclic(4), groups.cyclic(2))),
+            ("Dih8xZ2", lambda: groups.direct_product(groups.dihedral(8), groups.cyclic(2))),
+            ("GPT_hat", groups.spinor_pt_group),
+        ],
+        ids=["Dic8", "Z4xZ2", "Dih8xZ2", "GPT_hat"],
+    )
+    def test_spec_is_the_library_table(self, capsys, spec, build):
+        # Any spec iso reads: the library's table, the text without its identity row.
+        group = build()
+        assert main(["table", spec, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"schema_version": 1, **group.cayley_json()}
+        assert main(["table", spec]) == 0
+        assert capsys.readouterr().out == group.cayley_text(omit_identity=True)
+
     def test_requires_exactly_one_source(self, capsys):
         assert main(["table"]) == 2
+        assert capsys.readouterr().err == "error: give one group spec or --gen matrices\n"
         assert main(["table", "GPT_hat", "--gen", "1,0;0,1"]) == 2
+        assert capsys.readouterr().err == "error: give one group spec or --gen matrices\n"
 
-    def test_unknown_name(self):
+    def test_unknown_name(self, capsys):
         assert main(["table", "GPT_bogus"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown group spec 'GPT_bogus'; expected Zn, ")
 
     def test_max_order_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -571,10 +593,11 @@ class TestIso:
         assert len(payload["witness"]) == 16
 
     def test_size_limit_exit_code(self, capsys):
+        message = "resource limit: Z32xZ16 has order 512; groups are supported up to order 256\n"
         assert main(["iso", "Z32xZ16", "Z32xZ16"]) == 3
-        assert capsys.readouterr().err == (
-            "resource limit: Z32xZ16 has order 512; isomorphism search supports orders up to 256\n"
-        )
+        assert capsys.readouterr().err == message
+        assert main(["table", "Z32xZ16"]) == 3
+        assert capsys.readouterr().err == message
 
     def test_node_budget_exit_code(self, capsys, monkeypatch):
         assert main(["iso", "Dih16", "Dih16"]) == 0
@@ -586,33 +609,39 @@ class TestIso:
         )
 
     def test_bad_spec(self, capsys):
-        assert main(["iso", "Q8", "Z8"]) == 2
-        assert main(["iso", "Dih3", "Z3"]) == 2
-        assert main(["iso", "Dic6", "Z6"]) == 2
+        def refused(spec, other="Z2"):
+            # table reads its spec as iso does: the same exit code and stderr bytes.
+            code = main(["iso", spec, other])
+            err = capsys.readouterr().err
+            assert main(["table", spec]) == code
+            assert capsys.readouterr() == ("", err)
+            assert "Traceback" not in err
+            return code, err
+
+        assert refused("Q8", "Z8")[0] == 2
+        assert refused("Dih3", "Z3")[0] == 2
+        assert refused("Dic6", "Z6")[0] == 2
         for spec in ("Z+2", "Z\u0663", "Z1_000", "Dih+8", "Dih3xZ2", "Z2xDic6", "Q8xZ2",
                      "Dic8x", "xZ2", "Dic8xDih", "Z2xY2"):
-            assert main(["iso", spec, "Z2"]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+            assert refused(spec)[0] == 2
         for spec in ("Z0", "Dih0", "Z2xZ0", "Z-2", "Z+2", "Z\u0663", "Z1_000"):
-            assert main(["iso", spec, "Z2"]) == 2
-            assert capsys.readouterr().err == (
-                f"error: bad group spec {spec!r}: factor order must be a positive decimal integer\n"
+            assert refused(spec) == (
+                2, f"error: bad group spec {spec!r}: factor order must be a positive decimal integer\n"
             )
         for spec, name in (("GPT_hatxZ2", "GPT_hat"), ("Z2xGPT_spacetime", "GPT_spacetime")):
-            assert main(["iso", spec, "Z2"]) == 2
-            assert capsys.readouterr().err == f"error: bad group spec {spec!r}: {name} cannot be a product factor\n"
+            assert refused(spec) == (2, f"error: bad group spec {spec!r}: {name} cannot be a product factor\n")
 
     def test_digit_limit_spec_is_resource_limit(self, capsys, int_digit_limit):
         # An order one digit longer than Python reads is over the cap, and
         # is refused without reading it.
         spec = "Z1" + "0" * int_digit_limit
-        assert main(["iso", spec, "Z2"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
+        message = (
             f"resource limit: {spec[:40]}... ({len(spec)} characters) has order at least "
-            "10^40; isomorphism search supports orders up to 256\n"
+            "10^40; groups are supported up to order 256\n"
         )
+        for argv in (["iso", spec, "Z2"], ["table", spec]):
+            assert main(argv) == 3
+            assert capsys.readouterr() == ("", message)
 
     @pytest.mark.parametrize(
         "spec, code",
@@ -694,6 +723,8 @@ class TestIso:
         assert main(["iso", "Dih512", "Dic512"]) == 3
         assert main(["iso", "Dic8xZ4xZ4xZ4", "Z2"]) == 3
         assert main(["iso", "Dih3xDic256", "Z2"]) == 3
+        for spec in ("Z300", "Z32xZ16", "Z2x" * 8 + "Z2", "Dih512", "Dic8xZ4xZ4xZ4", "Dih3xDic256"):
+            assert main(["table", spec]) == 3
 
 
 class TestDoubleGroup:

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -847,6 +848,38 @@ class TestOneGrammar:
         with pytest.raises(FieldParseError) as err:
             SpinorSampleField.from_text(f"1/2; 0,0,0; 1; i\n0; 1,0,0; 1; i\n{bad}\n")
         assert str(err.value) == f"line 3: {message}" and err.value.line_number == 3
+
+    def test_each_distinct_token_is_read_once(self, monkeypatch):
+        # 81 lines over 3 times, 4 coordinates and 4 values.  " 1" is a
+        # token of its own, read once, though it is the value of "1".  The
+        # memo reads each distinct token once per call, the time and the
+        # coordinates through one ratio reader.
+        times, coordinates, values = ["0", "1/2", "-1"], ["0", "1", "-1/3"], ["1", "i", "3/5+4/5i", "-2"]
+        lines = [
+            f"{t};{x1},{x2},{x3};{values[k % 4]};{values[(k + 1) % 4]}"
+            for k, (t, x1, x2, x3) in enumerate(product(times, coordinates, coordinates, ["0", " 1", "-1/3"]))
+        ]
+        text = "\n".join(lines) + "\n"
+        distinct_ratios = ["0", "1/2", "-1", "1", "-1/3", " 1"]
+        ratio_reads, value_reads = Counter(), Counter()
+
+        def counted(read, reads):
+            def counting(token):
+                reads[token] += 1
+                return read(token)
+            return counting
+
+        monkeypatch.setattr(ptgroup, "parse_ratio", counted(ptgroup.parse_ratio, ratio_reads))
+        monkeypatch.setattr(ptgroup, "parse_complex_key", counted(ptgroup.parse_complex_key, value_reads))
+        field = SpinorSampleField.from_text(text)
+        assert len(field.events()) == len(lines) == 81
+        assert ratio_reads == Counter(distinct_ratios)
+        assert value_reads == Counter(values)
+        # The memo lives for one call: a second call reads each token again.
+        assert SpinorSampleField.from_text(text) == field
+        assert ratio_reads == Counter(distinct_ratios * 2)
+        assert value_reads == Counter(values * 2)
+        assert _in_order(field) == _in_order(_fields_by_tokens(text))
 
     def test_one_time_in_two_spellings_gives_one_key(self):
         f = SpinorSampleField.from_text("1/2; 0,0,0; 1; 0\n2/4; 1/3,0,0; 1; 0\n")
