@@ -148,9 +148,9 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if bool(args.group) == bool(args.gen):
+    if (args.group is not None) == bool(args.gen):
         raise InputError("give one group spec or --gen matrices")
-    if args.group:
+    if args.group is not None:
         group = _parse_group_spec(args.group)()
         omit_identity = True
     else:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .scalars import (
     I_UNIT,
@@ -152,21 +152,27 @@ class UnitaryMat2(ExactKey):
     def apply(self, u: GaussianRational, v: GaussianRational) -> tuple[GaussianRational, GaussianRational]:
         if not (isinstance(u, GaussianRational) and isinstance(v, GaussianRational)):
             raise TypeError("UnitaryMat2.apply takes two GaussianRational components")
-        key = self.integer_apply(*u._key, *v._key)
+        (key,) = self.integer_apply_all([u._key + v._key])
         return GaussianRational._from_key(key[:3]), GaussianRational._from_key(key[3:])
 
-    def integer_apply(self, p: int, q: int, m: int, r: int, s: int, n: int) -> tuple[int, ...]:
-        """The product with u = (p + q i)/m and v = (r + s i)/n, m, n > 0, as
-        the two keys of its components joined, each in lowest terms."""
+    def integer_apply_all(self, values: Iterable[tuple[int, ...]], conjugate: bool = False) -> list[tuple[int, ...]]:
+        """The product with each value key (p, q, m, r, s, n), the spinor
+        u = (p + q i)/m, v = (r + s i)/n with m, n > 0, or with its
+        conjugate when ``conjugate`` is set: each result the two keys of
+        its components joined, each in lowest terms, in the values' order."""
         a, b, c, e, f, g, h, k, d = self._key
-        # Entry times u over d m, entry times v over d n: both over d m n.
-        x, y = p * n, q * n
-        z, w = r * m, s * m
-        den = d * m * n
-        ur, ui = a * x - b * y + c * z - e * w, a * y + b * x + c * w + e * z
-        vr, vi = f * x - g * y + h * z - k * w, f * y + g * x + h * w + k * z
-        gu, gv = gcd(ur, ui, den), gcd(vr, vi, den)
-        return (ur // gu, ui // gu, den // gu, vr // gv, vi // gv, den // gv)
+        sign = -1 if conjugate else 1
+        out = []
+        for p, q, m, r, s, n in values:
+            # Entry times u over d m, entry times v over d n: both over d m n.
+            x, y = p * n, sign * q * n
+            z, w = r * m, sign * s * m
+            den = d * m * n
+            ur, ui = a * x - b * y + c * z - e * w, a * y + b * x + c * w + e * z
+            vr, vi = f * x - g * y + h * z - k * w, f * y + g * x + h * w + k * z
+            gu, gv = gcd(ur, ui, den), gcd(vr, vi, den)
+            out.append((ur // gu, ui // gu, den // gu, vr // gv, vi // gv, den // gv))
+        return out
 
     def to_text(self) -> str:
         return ";".join(",".join(format_complex(v) for v in row) for row in self.rows)

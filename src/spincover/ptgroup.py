@@ -41,6 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, total_ordering
 from math import lcm
+from operator import is_
 from typing import Mapping, Optional
 
 from .cover import (
@@ -322,7 +323,14 @@ def _rotated(key: tuple[int, ...], rotation: OrthogonalMat3) -> tuple[int, ...]:
 
 
 def _event_text(key: tuple[int, ...]) -> str:
+    """The text of an event key; a whole-number event (d = 1) prints its
+    numerators as they are."""
     t, a, b, c, d = key
+    if d == 1:
+        try:
+            return f"{t}; {a},{b},{c}"
+        except ValueError:  # more digits than str() writes: format_ratio says so
+            pass
     return f"{format_ratio(t, d)}; {format_ratio(a, d)},{format_ratio(b, d)},{format_ratio(c, d)}"
 
 
@@ -336,7 +344,10 @@ _SCALED_ORDER_MAX_BITS = 256
 
 
 def _in_event_order(samples: dict[tuple[int, ...], tuple[int, ...]]) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The key dict sorted by event value: by t, then by x."""
+    """The key dict sorted by event value: by t, then by x.  A dict the
+    sort leaves in order, as a field file written in event order is, is
+    returned itself; on any other the check stops at the first key the
+    sort moved."""
     common = 1
     for d in {key[4] for key in samples}:
         common = lcm(common, d)
@@ -350,6 +361,8 @@ def _in_event_order(samples: dict[tuple[int, ...], tuple[int, ...]]) -> dict[tup
             return (t * m, a * m, b * m, c * m)
 
         order = sorted(samples, key=scaled)
+    if all(map(is_, order, samples)):
+        return samples
     return {key: samples[key] for key in order}
 
 
@@ -454,7 +467,9 @@ class SpinorSampleField(Immutable):
 
     def to_text(self) -> str:
         """One line per sample, each ending in a newline; "" for no samples."""
-        return "".join([f"{line}\n" for line in self.to_lines()])
+        lines = self.to_lines()
+        lines.append("")
+        return "\n".join(lines)
 
     @classmethod
     def from_text(cls, text: str) -> "SpinorSampleField":
@@ -469,11 +484,14 @@ class SpinorSampleField(Immutable):
         the time and each coordinate; a place reader, which splits its
         token at ``,`` into exactly three coordinates and joins their
         ratios with :func:`~spincover.scalars.common_key`; and
-        :func:`~spincover.scalars.parse_complex_key` for the values.  A
-        line that does not split into four tokens or holds a token a reader
-        rejects (a blank line, or a bad one) goes to
+        :func:`~spincover.scalars.parse_complex_key` for the values.  The
+        time and the place join over the lcm of their denominators, or
+        over the one they share when they are equal, as on every line of a
+        whole-number grid.  A line that does not split into four tokens or
+        holds a token a reader rejects (a blank line, or a bad one) goes to
         :func:`_parse_line_by_tokens`, which skips it or raises the
-        :class:`FieldParseError` that explains it.
+        :class:`FieldParseError` that explains it.  The samples are put in
+        event order by :func:`_in_event_order`.
         """
         ratio = cache(lambda token: lowest_terms(parse_ratio(token)))
 
@@ -489,12 +507,15 @@ class SpinorSampleField(Immutable):
                 t, x, u, v = raw.split(";")
                 n, d = ratio(t)
                 a, b, c, e = place(x)
-                m = lcm(d, e)
-                # Already in lowest terms, as (n, d) and (a, b, c, e) are: a
-                # prime that divides m fails to divide m // d, and then
-                # divides d but not n, or fails to divide m // e, and then
-                # divides e but not all of a, b, c.
-                event = (n * (m // d), a * (m // e), b * (m // e), c * (m // e), m)
+                if d == e:
+                    event = (n, a, b, c, d)
+                else:
+                    m = lcm(d, e)
+                    # Already in lowest terms, as (n, d) and (a, b, c, e)
+                    # are: a prime that divides m fails to divide m // d,
+                    # and then divides d but not n, or fails to divide
+                    # m // e, and then divides e but not all of a, b, c.
+                    event = (n * (m // d), a * (m // e), b * (m // e), c * (m // e), m)
                 value = complex_value(u) + complex_value(v)
             except ValueError:  # not four tokens, or a token a reader rejects
                 sample = _parse_line_by_tokens(raw, number)
@@ -538,11 +559,14 @@ def apply_symmetry(g: SpinorSymmetry, f: SpinorSampleField) -> SpinorSampleField
     """Act by g = (U, a) on f: (g f)(e) = U conj^a(f(rebind(e))).
 
     The values follow the operator product: acting by h and then by g
-    multiplies them as g * h does.  In an antiunitary sector (a = -1) a
-    value is conjugated by negating its two imaginary numerators on the way
-    into the product.  The sector choice is one ``if``: rotate by R, the
-    covering image of U, when det U = +1 and a = +1, else flip (t, x) to
-    (a t, det U x).  So time reversal (+1, -1) rebinds to (-t, x), parity
+    multiplies them as g * h does.  The rebound source events are listed
+    first, their values looked up, and the values multiplied by U in one
+    call, :meth:`~spincover.cover.UnitaryMat2.integer_apply_all`; in an
+    antiunitary sector (a = -1) it conjugates each value by negating its
+    two imaginary numerators on the way into the product.  The sector
+    choice is one ``if``: rotate by R, the covering image of U, when
+    det U = +1 and a = +1, else flip (t, x) to (a t, det U x), written
+    out on each event key.  So time reversal (+1, -1) rebinds to (-t, x), parity
     (-1, +1) to (t, -x) and parity-time (-1, -1) to (-t, -x).
 
     That is the point map of :func:`spacetime_projection` when the spatial
@@ -555,20 +579,18 @@ def apply_symmetry(g: SpinorSymmetry, f: SpinorSampleField) -> SpinorSampleField
     A missing source event raises :class:`DomainClosureError`.
     """
     matrix, a, det = g.matrix, g.time_sign, g.matrix.det_sign
+    keys = f._keys
     if det == 1 and a == 1:
         rotation = covering_map(matrix)
-        rebind = lambda key: _rotated(key, rotation)
+        sources = [_rotated(event, rotation) for event in keys]
     else:
-        rebind = lambda key: _flipped(key, a, det)
-    keys, times, out = f._keys, matrix.integer_apply, {}
-    for event in keys:
-        source = rebind(event)
-        try:
-            p, q, m, r, s, n = keys[source]
-        except KeyError:
-            raise DomainClosureError(Event._from_key(source)) from None
-        out[event] = times(p, a * q, m, r, a * s, n)
-    return SpinorSampleField._from_keys(out)
+        sources = [(a * t, det * x1, det * x2, det * x3, d) for t, x1, x2, x3, d in keys]
+    try:
+        values = list(map(keys.__getitem__, sources))
+    except KeyError:
+        missing = next(source for source in sources if source not in keys)
+        raise DomainClosureError(Event._from_key(missing)) from None
+    return SpinorSampleField._from_keys(dict(zip(keys, matrix.integer_apply_all(values, a == -1))))
 
 
 class CompositionDefect(Record):

@@ -153,7 +153,7 @@ _set_key = ExactKey._key.__set__
 def lowest_terms(key: tuple[int, ...]) -> tuple[int, ...]:
     """A key (numerators, then d > 0) in any terms, divided by its gcd."""
     g = gcd(*key)
-    return key if g == 1 else tuple(n // g for n in key)
+    return key if g == 1 else tuple([n // g for n in key])
 
 
 def common_key(ratios: Sequence[tuple[int, int]]) -> tuple[int, ...]:
@@ -274,22 +274,26 @@ I_UNIT = GaussianRational(0, 1)
 # Rationals:   p/q with the /q omitted when q = 1, e.g. "3/5", "-2", "0".
 # Complex:     a+bi / a-bi, compressed: "0", "3/5", "i", "-i", "2i",
 #              "1+i", "1-2/3i".  Printing always emits the reduced
-#              canonical form.  The parser also accepts a leading "+",
-#              leading zeros, unreduced fractions and zero coefficients
-#              ("2/4", "+0i", "1+0i"), but no whitespace inside a scalar,
-#              and ASCII digits only.
+#              canonical form: each nonzero part over its own denominator
+#              in lowest terms, the imaginary one with a unit coefficient
+#              written as its sign alone.  The parser also accepts a
+#              leading "+", leading zeros, unreduced fractions and zero
+#              coefficients ("2/4", "+0i", "1+0i"), but no whitespace
+#              inside a scalar, and ASCII digits only.
 #
 # _RATIO_PATTERN captures a numerator and a denominator (absent when it is
 # 1).  The complex pattern, which the lookahead keeps from being empty,
 # captures a real part (absent in "2i"), which nothing but a signed
 # imaginary part may follow, then the imaginary part's sign (absent when
-# there is no imaginary part), numerator (absent in "i" and "-i") and
-# denominator: the five captures parse_complex_key converts.
+# there is no imaginary part), numerator (absent in "i" and "-i", where it
+# is 1) and denominator: the five captures parse_complex_key converts to
+# ints, each on its own, and joins over one denominator.
 _RATIO_PATTERN = r"([+-]?[0-9]+)(?:/([0-9]+))?"
 _IMAGINARY_PATTERN = r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?)?i"
 _RATIO_RE = re.compile(_RATIO_PATTERN)
 _COMPLEX_RE = re.compile(rf"(?=[-+0-9i])(?:{_RATIO_PATTERN}(?![0-9/i]))?(?:{_IMAGINARY_PATTERN})?")
 _DIGITS_MESSAGE = "rational scalar has more than {} digits, the most Python reads"
+_SIZE_MESSAGE = "a scalar has more than {} digits, the most Python prints"
 _ECHO_LIMIT = 40
 
 
@@ -328,9 +332,7 @@ def format_ratio(n: int, d: int) -> str:
     try:
         return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:  # more digits than str() writes
-        raise ScalarSizeError(
-            f"a scalar has more than {sys.get_int_max_str_digits()} digits, the most Python prints"
-        ) from None
+        raise ScalarSizeError(_SIZE_MESSAGE.format(sys.get_int_max_str_digits())) from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -350,11 +352,20 @@ def parse_complex_key(text: str) -> tuple[int, int, int]:
     if m is not None:
         re_n, re_d, im_sign, im_n, im_d = m.groups()
         try:
-            b, e = (0, 1) if im_sign is None else (int(im_sign + (im_n or "1")), int(im_d or 1))
+            if im_sign is None:
+                b, e = 0, 1
+            else:
+                b = 1 if im_n is None else int(im_n)
+                e = 1 if im_d is None else int(im_d)
+                if im_sign == "-":
+                    b = -b
             if e != 0:
-                a, f = int(re_n or 0), int(re_d or 1)
+                a = 0 if re_n is None else int(re_n)
+                f = 1 if re_d is None else int(re_d)
                 if f != 0:
-                    return lowest_terms((a * e, b * f, f * e))
+                    a, b, d = a * e, b * f, f * e
+                    g = gcd(a, b, d)
+                    return (a // g, b // g, d // g)
         except ValueError:  # more digits than int() reads
             raise ScalarDigitsError(_DIGITS_MESSAGE.format(sys.get_int_max_str_digits())) from None
     raise ScalarParseError(f"not a complex scalar: {echo(text)}")
@@ -370,22 +381,31 @@ def parse_complex(text: str) -> GaussianRational:
     return GaussianRational._from_key(parse_complex_key(text))
 
 
-def _imag_text(b: int, d: int) -> str:
-    """The imaginary term of b/d i, signed, with a unit coefficient omitted."""
-    coefficient = format_ratio(b, d)
-    if coefficient in ("1", "-1"):
-        return coefficient[:-1] + "i"
-    return coefficient + "i"
-
-
 def format_complex(value: GaussianRational) -> str:
     return format_complex_key(*value._key)
 
 
 def format_complex_key(a: int, b: int, d: int) -> str:
-    """Canonical text of (a + b i)/d for d > 0, written straight from the ints."""
+    """Canonical text of (a + b i)/d for d > 0, written straight from the
+    ints: each part reduced by its own gcd with d."""
     if b == 0:
         return format_ratio(a, d)
-    if a == 0:
-        return _imag_text(b, d)
-    return format_ratio(a, d) + ("+" if b > 0 else "") + _imag_text(b, d)
+    g = gcd(b, d)
+    n, m = b // g, d // g
+    try:
+        if m != 1:
+            imag = f"{n}/{m}i"
+        elif n == 1:
+            imag = "i"
+        elif n == -1:
+            imag = "-i"
+        else:
+            imag = f"{n}i"
+        if a == 0:
+            return imag
+        g = gcd(a, d)
+        a, d = a // g, d // g
+        real = f"{a}" if d == 1 else f"{a}/{d}"
+    except ValueError:  # more digits than str() writes
+        raise ScalarSizeError(_SIZE_MESSAGE.format(sys.get_int_max_str_digits())) from None
+    return f"{real}+{imag}" if b > 0 else real + imag

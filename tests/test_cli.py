@@ -476,10 +476,19 @@ class TestTable:
         assert capsys.readouterr().err == "error: give one group spec or --gen matrices\n"
         assert main(["table", "GPT_hat", "--gen", "1,0;0,1"]) == 2
         assert capsys.readouterr().err == "error: give one group spec or --gen matrices\n"
+        # An empty spec is a spec given, not an absent one.
+        assert main(["table", "", "--gen=-1,0;0,-1"]) == 2
+        assert capsys.readouterr().err == "error: give one group spec or --gen matrices\n"
 
     def test_unknown_name(self, capsys):
         assert main(["table", "GPT_bogus"]) == 2
         assert capsys.readouterr().err.startswith("error: unknown group spec 'GPT_bogus'; expected Zn, ")
+        # The empty spec is refused as iso refuses it, with the same line.
+        assert main(["table", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown group spec ''; expected Zn, ") and err.count("\n") == 1
+        assert main(["iso", "", "Z2"]) == 2
+        assert capsys.readouterr().err == err
 
     def test_max_order_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -56,7 +56,7 @@ from spincover.ptgroup import (
     spacetime_projection,
     transform_value,
 )
-from spincover.scalars import GaussianRational, ScalarParseError, parse_ratio
+from spincover.scalars import GaussianRational, ScalarParseError, ScalarSizeError, parse_ratio
 from spincover.semidirect import from_unitary, parity_element, to_unitary
 from spincover.verify import sample_extended, sample_symmetry, sample_unit_spinor
 
@@ -960,7 +960,8 @@ def complex_text(rng, z):
 
 
 def field_text(rng, field):
-    """The field's samples as non-canonical lines in a random order."""
+    """The field's samples as non-canonical lines, on a coin flip in event
+    order or shuffled, so that the reader meets both."""
     lines = []
     for event, value in field.samples.items():
         scalars = [ratio_text(rng, q) for q in (event.t, *event.x)]
@@ -969,7 +970,8 @@ def field_text(rng, field):
         for separator, scalar in zip(";,,;;", scalars[1:]):
             line += rng.choice(["", " ", "\t", "\u00a0"]) + separator + rng.choice(["", " "]) + scalar
         lines.append(line)
-    rng.shuffle(lines)
+    if rng.random() < 0.5:
+        rng.shuffle(lines)
     return "\n".join(lines) + "\n"
 
 
@@ -1110,6 +1112,15 @@ class TestIntegerEvents:
         assert reference(event.space_flipped()) == (t, *(-q for q in x))
         for derived in (event.rotated(r), event.time_flipped(), event.space_flipped()):
             assert_canonical(derived)
+
+    @pytest.mark.parametrize("denominator", [1, 3])
+    def test_unprintable_event_is_size_error(self, int_digit_limit, denominator):
+        # A whole-number event prints its numerators with str, any other
+        # through format_ratio: both refuse one digit too many alike.
+        event = Event.make(0, Fraction(10**int_digit_limit, denominator), 0, 0)
+        with pytest.raises(ScalarSizeError) as err:
+            event.to_text()
+        assert str(err.value) == f"a scalar has more than {int_digit_limit} digits, the most Python prints"
 
     @given(coordinates, st.integers(2, 12))
     def test_unreduced_text_is_a_duplicate(self, c, k):

@@ -2,6 +2,7 @@ import copy
 import pickle
 import sys
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -33,7 +34,9 @@ from spincover.scalars import (
     GaussianRational,
     ScalarDigitsError,
     ScalarParseError,
+    ScalarSizeError,
     format_complex,
+    format_complex_key,
     format_rational,
     parse_complex,
     parse_ratio,
@@ -455,3 +458,29 @@ class TestTextGrammar:
         text = format_complex(x)
         assert format_complex(parse_complex(text)) == text
 
+    def test_printer_matches_fraction_reference(self):
+        # Every key with |a|, |b| <= 6 and 1 <= d <= 6: zero parts, unit
+        # imaginary coefficients and parts that reduce by different gcds.
+        for a, b, d in product(range(-6, 7), range(-6, 7), range(1, 7)):
+            assert format_complex_key(a, b, d) == canonical_text(Fraction(a, d), Fraction(b, d))
+
+    def test_unprintable_imaginary_part_alone(self, int_digit_limit):
+        # i/10^4300: a zero real part, and a denominator one digit longer
+        # than Python writes.
+        with pytest.raises(ScalarSizeError) as err:
+            format_complex_key(0, 1, 10**int_digit_limit)
+        assert str(err.value) == f"a scalar has more than {int_digit_limit} digits, the most Python prints"
+
+
+def canonical_text(re: Fraction, im: Fraction) -> str:
+    """The canonical form of the grammar comment in spincover.scalars,
+    written from two Fractions: the real part alone when the imaginary one
+    is zero, else the imaginary term (its sign, its coefficient unless that
+    is 1, then "i"), after the real part and a "+" when the real part is
+    nonzero and the imaginary one positive."""
+    if im == 0:
+        return str(re)
+    term = ("-" if im < 0 else "") + ("" if abs(im) == 1 else str(abs(im))) + "i"
+    if re == 0:
+        return term
+    return f"{re}{'+' if im > 0 else ''}{term}"
