@@ -320,9 +320,9 @@ def _verify_integer(text: str) -> int:
         raise argparse.ArgumentTypeError("too many digits") from None
 
 
-#: The most samples ``verify`` takes: ``verify all`` at the cap takes 15-21 s
-#: and 100 MB peak RSS in one process (Python 3.11.7, one core of a 2-vCPU
-#: Intel Xeon).
+#: The most samples ``verify`` takes: ``verify all`` at the cap takes 27-30 s
+#: and 97 MB peak RSS in one process (Python 3.11.7, one core of a 2-vCPU
+#: Intel Xeon under varying load).
 VERIFY_SAMPLE_LIMIT = 100_000
 
 

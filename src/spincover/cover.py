@@ -400,7 +400,7 @@ def _rotation(a: int, b: int, c: int, e: int, d: int, sign: int) -> OrthogonalMa
         2 * (a * c + b * e), 2 * (b * c - a * e), a * a + b * b - c * c - e * e,
     )
     if sign == -1:
-        numerators = tuple(-x for x in numerators)
+        numerators = [-x for x in numerators]
     return OrthogonalMat3._from_key(lowest_terms((*numerators, d * d)))
 
 

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cache, total_ordering
 from math import lcm
 from operator import is_
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .cover import (
     HALF_TURN_Y,
@@ -100,6 +100,15 @@ class SpinorSymmetry(Record):
         _set_symmetry_matrix(self, matrix)
         _set_symmetry_sign(self, as_sign(time_sign, "time sign"))
 
+    @classmethod
+    def _from_fields(cls, matrix: UnitaryMat2, time_sign: int) -> "SpinorSymmetry":
+        """The symmetry of a matrix and a time sign taken from validated
+        symmetries, without the constructor's checks."""
+        symmetry = object.__new__(cls)
+        _set_symmetry_matrix(symmetry, matrix)
+        _set_symmetry_sign(symmetry, time_sign)
+        return symmetry
+
     def __eq__(self, other: object) -> bool:
         if type(other) is not SpinorSymmetry:
             return NotImplemented
@@ -109,8 +118,10 @@ class SpinorSymmetry(Record):
         return hash((self.matrix, self.time_sign))
 
     def __mul__(self, other: "SpinorSymmetry") -> "SpinorSymmetry":
+        if type(other) is not SpinorSymmetry:
+            return NotImplemented
         right = other.matrix.conjugate() if self.time_sign == -1 else other.matrix
-        return SpinorSymmetry(self.matrix * right, self.time_sign * other.time_sign)
+        return SpinorSymmetry._from_fields(self.matrix * right, self.time_sign * other.time_sign)
 
     @classmethod
     def identity(cls) -> "SpinorSymmetry":
@@ -150,6 +161,15 @@ class SpacetimeSymmetry(Record):
         _set_spatial(self, spatial)
         _set_spacetime_sign(self, as_sign(time_sign, "time sign"))
 
+    @classmethod
+    def _from_fields(cls, spatial: OrthogonalMat3, time_sign: int) -> "SpacetimeSymmetry":
+        """The symmetry of a spatial matrix and a time sign taken from
+        validated values, without the constructor's checks."""
+        symmetry = object.__new__(cls)
+        _set_spatial(symmetry, spatial)
+        _set_spacetime_sign(symmetry, time_sign)
+        return symmetry
+
     def __eq__(self, other: object) -> bool:
         if type(other) is not SpacetimeSymmetry:
             return NotImplemented
@@ -159,7 +179,9 @@ class SpacetimeSymmetry(Record):
         return hash((self.spatial, self.time_sign))
 
     def __mul__(self, other: "SpacetimeSymmetry") -> "SpacetimeSymmetry":
-        return SpacetimeSymmetry(self.spatial * other.spatial, self.time_sign * other.time_sign)
+        if type(other) is not SpacetimeSymmetry:
+            return NotImplemented
+        return SpacetimeSymmetry._from_fields(self.spatial * other.spatial, self.time_sign * other.time_sign)
 
     def to_text(self) -> str:
         return f"{self.spatial.to_text()} @ {self.time_sign:+d}"
@@ -188,7 +210,7 @@ def spacetime_projection(g: SpinorSymmetry) -> SpacetimeSymmetry:
     spatial = extended_covering_map(g.matrix)
     if g.time_sign == -1:
         spatial = spatial._times_diagonal(HALF_TURN_Y)
-    return SpacetimeSymmetry(spatial, g.time_sign)
+    return SpacetimeSymmetry._from_fields(spatial, g.time_sign)
 
 
 # -- spinor values and sample fields ---------------------------------------
@@ -299,7 +321,8 @@ class Event(ExactKey):
         return Event._from_key(_flipped(self._key, 1, -1))
 
     def rotated(self, rotation: OrthogonalMat3) -> "Event":
-        return Event._from_key(_rotated(self._key, rotation))
+        (key,) = _rotated_all([self._key], rotation)
+        return Event._from_key(key)
 
     def to_text(self) -> str:
         return _event_text(self._key)
@@ -316,10 +339,14 @@ def _flipped(key: tuple[int, ...], time_sign: int, space_sign: int) -> tuple[int
     return (time_sign * t, space_sign * a, space_sign * b, space_sign * c, d)
 
 
-def _rotated(key: tuple[int, ...], rotation: OrthogonalMat3) -> tuple[int, ...]:
-    t, a, b, c, d = key
-    x1, x2, x3, e = rotation.integer_apply(a, b, c)
-    return lowest_terms((t * e, x1, x2, x3, d * e))
+def _rotated_all(keys: Iterable[tuple[int, ...]], rotation: OrthogonalMat3) -> list[tuple[int, ...]]:
+    """The key of (t, R x) for each event key (t, x), in the keys' order:
+    R's nine numerators times x over R's denominator times the event's."""
+    n0, n1, n2, n3, n4, n5, n6, n7, n8, e = rotation._key
+    return [
+        lowest_terms((t * e, n0 * a + n1 * b + n2 * c, n3 * a + n4 * b + n5 * c, n6 * a + n7 * b + n8 * c, d * e))
+        for t, a, b, c, d in keys
+    ]
 
 
 def _event_text(key: tuple[int, ...]) -> str:
@@ -582,7 +609,7 @@ def apply_symmetry(g: SpinorSymmetry, f: SpinorSampleField) -> SpinorSampleField
     keys = f._keys
     if det == 1 and a == 1:
         rotation = covering_map(matrix)
-        sources = [_rotated(event, rotation) for event in keys]
+        sources = _rotated_all(keys, rotation)
     else:
         sources = [(a * t, det * x1, det * x2, det * x3, d) for t, x1, x2, x3, d in keys]
     try:

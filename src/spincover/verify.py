@@ -7,13 +7,16 @@ an item-wise assertion is a law, a bool of one sampled item, and records as
 its witness the first item that breaks it, its parts' texts joined by
 ``" ; "`` (:meth:`_Checks.check`).  :class:`CheckResult` and
 :class:`SuiteReport` are the only assertion records, also for the split
-extension checks of :func:`check_exact_sequence`.
+extension checks of :func:`check_exact_sequence`.  A ptgroup run computes
+the projection of each symmetry its laws reuse, and the ray of each base
+spinor, once, in caches built by that run and dropped with it.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import chain, product
 from typing import Callable, Iterable, Optional
 
@@ -102,9 +105,17 @@ class _Checks(list):
 # -- seeded exact sampling ----------------------------------------------------
 
 
+# rng.choice over a range draws, from the same one _randbelow call, the
+# value rng.randint draws over its bounds; a sign is -1 where randint(0, 1)
+# draws 1.
+_NUMERATORS = range(-3, 4)
+_DENOMINATORS = range(1, 4)
+_SIGNS = (1, -1)
+
+
 def sample_ratio(rng: random.Random) -> tuple[int, int]:
     """A rational in [-3, 3] as an unreduced pair (n, d), 1 <= d <= 3."""
-    return rng.randint(-3, 3), rng.randint(1, 3)
+    return rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)
 
 
 def sample_su2(rng: random.Random) -> UnitaryMat2:
@@ -113,18 +124,18 @@ def sample_su2(rng: random.Random) -> UnitaryMat2:
 
 def sample_extended(rng: random.Random) -> UnitaryMat2:
     m = sample_su2(rng)
-    if rng.randint(0, 1):
-        return m.scalar_mul(I_UNIT)  # m times the parity lift i I
+    if rng.choice(_SIGNS) == -1:  # the det -1 coset: m times the parity lift i I
+        return m.scalar_mul(I_UNIT)
     return m
 
 
 def sample_pair_element(rng: random.Random) -> SemidirectElement:
-    sign = -1 if rng.randint(0, 1) else 1
+    sign = rng.choice(_SIGNS)
     return SemidirectElement(sample_su2(rng), sign)
 
 
 def sample_symmetry(rng: random.Random) -> SpinorSymmetry:
-    return SpinorSymmetry(sample_extended(rng), -1 if rng.randint(0, 1) else 1)
+    return SpinorSymmetry(sample_extended(rng), rng.choice(_SIGNS))
 
 
 def sample_unit_spinor(rng: random.Random) -> SpinorValue:
@@ -329,6 +340,11 @@ def _canonical_symmetries() -> list[SpinorSymmetry]:
 def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     rng = random.Random(seed)
     checks = _Checks()
+    # Each sampled or canonical element is projected, and each base spinor
+    # rayed, once per call; products, negations and rescaled values, which
+    # no other law meets, are projected and rayed directly.
+    project = cache(spacetime_projection)
+    ray = cache(ray_project)
 
     # The order-8 subgroup generated by the canonical parity and
     # time-reversal pairs, in discovery order.
@@ -342,7 +358,7 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     exhaustive = chain(product(canonical, repeat=2), product(lifted, repeat=2))
 
     def projection_hom(g, h):
-        return spacetime_projection(g * h) == spacetime_projection(g) * spacetime_projection(h)
+        return spacetime_projection(g * h) == project(g) * project(h)
 
     checks.check("spacetime projection is multiplicative on the canonical pairs", exhaustive, projection_hom)
 
@@ -353,7 +369,7 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     ]
 
     def canonical_values(element, expected):
-        return spacetime_projection(element) == expected
+        return project(element) == expected
 
     checks.check(
         "canonical reversals project to pure time flip, inversion, full reversal", expected_values, canonical_values
@@ -363,10 +379,10 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     checks.check("spacetime projection is multiplicative on sampled pairs", sampled_pairs, projection_hom)
 
     def two_to_one(g, h):
-        image = spacetime_projection(g)
+        image = project(g)
         negated = SpinorSymmetry(-g.matrix, g.time_sign)
         antipodal = h.time_sign == g.time_sign and h.matrix in (g.matrix, -g.matrix)
-        return spacetime_projection(negated) == image and (spacetime_projection(h) == image) == antipodal
+        return spacetime_projection(negated) == image and (project(h) == image) == antipodal
 
     checks.check("spacetime projection identifies exactly antipodal elements", sampled_pairs, two_to_one)
 
@@ -426,12 +442,12 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     ]
 
     def phase_invariance(value, phase):
-        return ray_project(value.scale(phase)) == ray_project(value)
+        return ray_project(value.scale(phase)) == ray(value)
 
     checks.check("rays are invariant under unit phases", product(spinors, phases), phase_invariance)
 
     def parity_on_rays(value):
-        return ray_project(transform_value(parity, value)) == ray_project(value)
+        return ray_project(transform_value(parity, value)) == ray(value)
 
     checks.check("parity acts trivially on rays", zip(spinors), parity_on_rays)
 

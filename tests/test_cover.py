@@ -23,13 +23,17 @@ from spincover.cover import (
     stereographic_su2,
     su2_from_zw,
 )
+from spincover.ptgroup import SpinorSymmetry
 from spincover.scalars import GaussianRational
+from spincover.semidirect import SemidirectElement
 from spincover.verify import (
     CheckResult,
     SuiteReport,
     check_exact_sequence,
     sample_extended,
+    sample_pair_element,
     sample_su2,
+    sample_symmetry,
 )
 
 
@@ -167,12 +171,26 @@ class TestStereographicSU2:
         assert stereographic_su2(*[(k * q.numerator, k * q.denominator) for q in v]) == m
 
     def test_sampler_matches_the_fraction_route(self):
-        # sample_su2 draws (n, d) pairs; the route it replaced built a
-        # Fraction from each pair.  Same draws, same matrices, same RNG state.
+        # The samplers draw (n, d) pairs and signs by rng.choice; the route
+        # they replaced built a Fraction from each randint pair and drew each
+        # coin by randint(0, 1).  Same draws, same values, same RNG state.
         pairs, fractions = random.Random(2004), random.Random(2004)
-        for _ in range(5000):
+
+        def su2():
             x, y, z = (Fraction(fractions.randint(-3, 3), fractions.randint(1, 3)) for _ in range(3))
-            assert sample_su2(pairs) == quaternion_to_su2(rational_unit_quaternion(x, y, z))
+            return quaternion_to_su2(rational_unit_quaternion(x, y, z))
+
+        def extended():
+            m = su2()
+            return m.scalar_mul(GaussianRational(0, 1)) if fractions.randint(0, 1) else m
+
+        for _ in range(5000):
+            assert sample_su2(pairs) == su2()
+            assert sample_extended(pairs) == extended()
+            sign = -1 if fractions.randint(0, 1) else 1
+            assert sample_pair_element(pairs) == SemidirectElement(su2(), sign)
+            matrix = extended()
+            assert sample_symmetry(pairs) == SpinorSymmetry(matrix, -1 if fractions.randint(0, 1) else 1)
         assert pairs.getstate() == fractions.getstate()
 
 

@@ -445,10 +445,26 @@ class TestPTOperatorGroup:
         assert failures == []
 
     def test_projection_onto_plain_product(self, rng):
+        # The products and the projection build their results without the
+        # constructors' checks: each equals, in type and value and field by
+        # field, what the validating constructors build.
+        def same(built, checked):
+            fields = zip(built._fields(), checked._fields(), strict=True)
+            return type(built) is type(checked) and all(type(a) is type(b) and a == b for a, b in fields)
+
         elements, _ = pt_closure()
         sampled = [(sample_symmetry(rng), sample_symmetry(rng)) for _ in range(200)]
         for g, h in [*product(elements, repeat=2), *sampled]:
-            assert spacetime_projection(g * h) == plain_product(spacetime_projection(g), spacetime_projection(h))
+            right = h.matrix.conjugate() if g.time_sign == -1 else h.matrix
+            assert same(g * h, SpinorSymmetry(g.matrix * right, g.time_sign * h.time_sign))
+            pg, ph = spacetime_projection(g), spacetime_projection(h)
+            assert same(pg, SpacetimeSymmetry(pg.spatial, pg.time_sign))
+            assert same(pg * ph, plain_product(pg, ph))
+            assert spacetime_projection(g * h) == plain_product(pg, ph)
+        g, pg = elements[1], spacetime_projection(elements[1])
+        for left, right in [(g, pg), (pg, g), (g, g.matrix), (pg, pg.spatial), (g, -1), (pg, 1)]:
+            with pytest.raises(TypeError):
+                left * right
 
     def test_operators_form_dic8_and_matrices_z4xz2(self):
         _, group = pt_closure()
