@@ -71,7 +71,7 @@ def _emit(args: argparse.Namespace, payload: Callable[[], dict], text: Callable[
     """Write a subcommand's result: ``payload()`` plus ``schema_version`` as
     sorted JSON under ``--format json``, else ``text()``, to ``--out`` or
     stdout.  Only the form printed is built.  An unwritable ``--out`` is an
-    input error; :func:`main` has refused a missing directory already."""
+    input error; :func:`main` has refused a missing directory or a directory."""
     if args.fmt == "json":
         payload_json = {"schema_version": SCHEMA_VERSION, **payload()}
         output = json.dumps(payload_json, indent=2, sort_keys=True) + "\n"
@@ -320,8 +320,8 @@ def _verify_integer(text: str) -> int:
         raise argparse.ArgumentTypeError("too many digits") from None
 
 
-#: The most samples ``verify`` takes: ``verify all`` at the cap takes 27-30 s
-#: and 97 MB peak RSS in one process (Python 3.11.7, one core of a 2-vCPU
+#: The most samples ``verify`` takes: ``verify all`` at the cap takes 20-26 s
+#: and 96 MB peak RSS in one process (Python 3.11.7, one core of a 2-vCPU
 #: Intel Xeon under varying load).
 VERIFY_SAMPLE_LIMIT = 100_000
 
@@ -439,11 +439,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # A missing --out directory is refused before the work, not after it.
+        # A missing --out directory, or an --out that is a directory, is
+        # refused before the work, not after it.
         if args.out:
             out_dir = os.path.dirname(args.out) or "."
             if not os.path.isdir(out_dir):
                 raise InputError(f"cannot write --out {args.out!r}: no directory {out_dir!r}")
+            if os.path.isdir(args.out):
+                raise InputError(f"cannot write --out {args.out!r}: it is a directory")
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

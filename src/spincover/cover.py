@@ -18,15 +18,17 @@ eight integer numerators, and an :class:`OrthogonalMat3` its nine entries,
 each over one positive denominator in lowest terms.  A product is integer
 matrix work plus one gcd, negation and conjugation only flip signs, and
 the det sign is read off the key.  A product with a fixed signed
-diagonal matrix (the section diag(-1, 1), HALF_TURN_Y, XY_MIRROR) only
-changes signs too: diag(r) M diag(c) has entries r_i M_ij c_j, which
-``UnitaryMat2._between_diagonals`` and ``OrthogonalMat3._times_diagonal``
-write on the key.  ``rows`` gives GaussianRational and Fraction entries.
-:func:`covering_map` writes the rotation's numerators over d^2 straight
-from the numerators of z and w over d; :func:`extended_covering_map` sends
-the det = -1 coset through the same formula, since C = A (i I) with A's
-entries read off C's by a sign change and a swap of real and imaginary
-parts.
+diagonal matrix only changes signs too: diag(r) M diag(c) has entries
+r_i M_ij c_j, which ``UnitaryMat2._between_diagonals`` writes on the key
+for the section diag(-1, 1).  ``rows`` gives GaussianRational and
+Fraction entries.  :func:`covering_map` writes the rotation's numerators
+over d^2 straight from the numerators of z and w over d;
+:func:`extended_covering_map` sends the det = -1 coset through the same
+formula, since C = A (i I) with A's entries read off C's by a sign change
+and a swap of real and imaginary parts.  That one kernel takes a sign
+for each column, so an image times a signed diagonal diag(s0, s1, s2),
+such as HALF_TURN_Y in the spacetime projection or XY_MIRROR in the pair
+projection, is written as one key with one reduction.
 
 Topology is out of scope: the two-component group here double-covers O(3)
 but, being disconnected, is not a universal cover; nothing in this package
@@ -36,7 +38,7 @@ asserts or depends on connectivity statements, only on finite algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .scalars import (
@@ -227,10 +229,13 @@ class OrthogonalMat3(ExactKey):
     def __mul__(self, other: "OrthogonalMat3") -> "OrthogonalMat3":
         if not isinstance(other, OrthogonalMat3):
             return NotImplemented
-        a, b = self._key, other._key
+        a, b, c, e, f, g, h, k, m, d = self._key
+        p, q, r, s, t, u, v, w, x, n = other._key
         return OrthogonalMat3._from_key(lowest_terms((
-            *[a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6] for i in (0, 3, 6) for j in (0, 1, 2)],
-            a[9] * b[9],
+            a * p + b * s + c * v, a * q + b * t + c * w, a * r + b * u + c * x,
+            e * p + f * s + g * v, e * q + f * t + g * w, e * r + f * u + g * x,
+            h * p + k * s + m * v, h * q + k * t + m * w, h * r + k * u + m * x,
+            d * n,
         )))
 
     def __neg__(self) -> "OrthogonalMat3":
@@ -240,18 +245,6 @@ class OrthogonalMat3(ExactKey):
     def transpose(self) -> "OrthogonalMat3":
         n = self._key
         return OrthogonalMat3._from_key((n[0], n[3], n[6], n[1], n[4], n[7], n[2], n[5], n[8], n[9]))
-
-    def _times_diagonal(self, diagonal: "OrthogonalMat3") -> "OrthogonalMat3":
-        """``self * diagonal`` for a signed diagonal matrix: column j times
-        the diagonal's entry j, a sign change on the key."""
-        n, m = self._key, diagonal._key
-        s0, s1, s2 = m[0], m[4], m[8]
-        return OrthogonalMat3._from_key((
-            s0 * n[0], s1 * n[1], s2 * n[2],
-            s0 * n[3], s1 * n[4], s2 * n[5],
-            s0 * n[6], s1 * n[7], s2 * n[8],
-            n[9],
-        ))
 
     def integer_apply(self, x: int, y: int, z: int) -> tuple[int, int, int, int]:
         """(X, Y, Z, d) with R (x, y, z)/e = (X, Y, Z)/(d e) for every e > 0:
@@ -369,7 +362,7 @@ def covering_map(matrix: UnitaryMat2) -> OrthogonalMat3:
     if not matrix.is_special():
         raise ValueError("covering_map requires det = +1; use extended_covering_map")
     a, b, c, e, *_, d = matrix._key
-    return _rotation(a, b, c, e, d, 1)
+    return _rotation(a, b, c, e, d, 1, 1, 1)
 
 
 def extended_covering_map(matrix: UnitaryMat2) -> OrthogonalMat3:
@@ -382,26 +375,30 @@ def extended_covering_map(matrix: UnitaryMat2) -> OrthogonalMat3:
     numerators negated; no factor A is built.  The image determinant
     matches the input determinant and the kernel stays {I, -I}.
     """
+    return _signed_image(matrix, 1, 1, 1)
+
+
+def _signed_image(matrix: UnitaryMat2, s0: int, s1: int, s2: int) -> OrthogonalMat3:
+    """``extended_covering_map(matrix)`` times diag(s0, s1, s2), in one step."""
     a, b, c, e, *_, d = matrix._key
     if matrix.is_special():
-        return _rotation(a, b, c, e, d, 1)
-    return _rotation(b, -a, e, -c, d, -1)
+        return _rotation(a, b, c, e, d, s0, s1, s2)
+    return _rotation(b, -a, e, -c, d, -s0, -s1, -s2)
 
 
-def _rotation(a: int, b: int, c: int, e: int, d: int, sign: int) -> OrthogonalMat3:
+def _rotation(a: int, b: int, c: int, e: int, d: int, s0: int, s1: int, s2: int) -> OrthogonalMat3:
     """The rotation of ((z, w), (-conj w, conj z)) for z = (a + b i)/d and
-    w = (c + e i)/d, each of its nine numerators over d^2 times ``sign``."""
+    w = (c + e i)/d, times the signed diagonal diag(s0, s1, s2): its nine
+    numerators over d^2, column j times the sign s_j, in lowest terms."""
     # Orthogonality with det +1 is automatic for unit (z, w); the invariant
     # suites recheck it sample by sample via is_orthogonal().
     z2_re, w2_re, z2_im, w2_im = a * a - b * b, c * c - e * e, 2 * a * b, 2 * c * e
-    numerators = (
-        z2_re - w2_re, z2_im + w2_im, -2 * (a * c - b * e),
-        w2_im - z2_im, z2_re + w2_re, 2 * (a * e + b * c),
-        2 * (a * c + b * e), 2 * (b * c - a * e), a * a + b * b - c * c - e * e,
-    )
-    if sign == -1:
-        numerators = [-x for x in numerators]
-    return OrthogonalMat3._from_key(lowest_terms((*numerators, d * d)))
+    return OrthogonalMat3._from_key(lowest_terms((
+        s0 * (z2_re - w2_re), s1 * (z2_im + w2_im), -2 * s2 * (a * c - b * e),
+        s0 * (w2_im - z2_im), s1 * (z2_re + w2_re), 2 * s2 * (a * e + b * c),
+        2 * s0 * (a * c + b * e), 2 * s1 * (b * c - a * e), s2 * (a * a + b * b - c * c - e * e),
+        d * d,
+    )))
 
 
 _MINUS_SECTION = -PAULI_Z
@@ -422,9 +419,12 @@ Ratio = tuple[int, int]
 
 def _stereographic(ratios: Sequence[Ratio]) -> tuple[int, int, int, int, int]:
     """(D^2 - S, 2XD, 2YD, 2ZD, D^2 + S) for the ratios x = X/D, y = Y/D and
-    z = Z/D over their least common denominator D, with S = X^2 + Y^2 + Z^2;
-    :func:`common_key` gives that key from the ratios in any terms."""
-    big_x, big_y, big_z, d = common_key(ratios)
+    z = Z/D over the lcm D of their denominators, with S = X^2 + Y^2 + Z^2.
+    For ratios not in lowest terms D, and so the result, may carry a common
+    factor; both callers divide it out."""
+    (x, p), (y, q), (z, r) = ratios
+    d = lcm(p, q, r)
+    big_x, big_y, big_z = x * (d // p), y * (d // q), z * (d // r)
     d_sq, s = d * d, big_x * big_x + big_y * big_y + big_z * big_z
     return d_sq - s, 2 * big_x * d, 2 * big_y * d, 2 * big_z * d, d_sq + s
 
@@ -452,7 +452,12 @@ def stereographic_su2(x: Ratio, y: Ratio, z: Ratio) -> UnitaryMat2:
     z = (a + b i)/n and w = (c + e i)/n it is ((z, w), (-conj w, conj z)).
     The unitarity check still runs on the key."""
     a, b, c, e, n = _stereographic((x, y, z))
-    key = lowest_terms((a, b, c, e, -c, e, a, -b, n))
+    # Reduced before the key repeats them, so the key's two copies of a
+    # and of e are one int each, as in a key built from reduced ratios.
+    g = gcd(a, b, c, e, n)
+    if g != 1:
+        a, b, c, e, n = a // g, b // g, c // g, e // g, n // g
+    key = (a, b, c, e, -c, e, a, -b, n)
     _check_unitary(key)
     return UnitaryMat2._from_key(key)
 

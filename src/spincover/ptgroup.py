@@ -45,12 +45,11 @@ from operator import is_
 from typing import Iterable, Mapping, Optional
 
 from .cover import (
-    HALF_TURN_Y,
     IDENTITY2,
     OrthogonalMat3,
     UnitaryMat2,
+    _signed_image,
     covering_map,
-    extended_covering_map,
     parity_operator,
 )
 from .scalars import (
@@ -61,6 +60,7 @@ from .scalars import (
     Immutable,
     Record,
     ScalarParseError,
+    _reduced,
     as_rational,
     as_sign,
     common_key,
@@ -200,17 +200,16 @@ def spacetime_projection(g: SpinorSymmetry) -> SpacetimeSymmetry:
     The spatial part is the extended covering image of the matrix; when the
     time sign is -1 it is multiplied by the half turn about y,
     diag(-1, 1, -1), the image of the time-reversal matrix T, because
-    U K = (U T^-1)(T K) and T K projects to the pure time flip.  That
-    product negates columns 0 and 2 of the image.  So the canonical
-    time-reversal pair maps to (identity, -1) and the parity-time pair to
-    (-identity, -1).  This is a homomorphism from the operator product onto
-    the componentwise product of :class:`SpacetimeSymmetry`, with kernel
-    {(I, +1), (-I, +1)}.
+    U K = (U T^-1)(T K) and T K projects to the pure time flip.  So for
+    time sign a the spatial part is the image times diag(a, 1, a), which
+    the covering map's column-signed kernel writes in one step.  The
+    canonical time-reversal pair maps to (identity, -1) and the
+    parity-time pair to (-identity, -1).  This is a homomorphism from the
+    operator product onto the componentwise product of
+    :class:`SpacetimeSymmetry`, with kernel {(I, +1), (-I, +1)}.
     """
-    spatial = extended_covering_map(g.matrix)
-    if g.time_sign == -1:
-        spatial = spatial._times_diagonal(HALF_TURN_Y)
-    return SpacetimeSymmetry._from_fields(spatial, g.time_sign)
+    a = g.time_sign
+    return SpacetimeSymmetry._from_fields(_signed_image(g.matrix, a, 1, a), a)
 
 
 # -- spinor values and sample fields ---------------------------------------
@@ -700,6 +699,12 @@ _set_slope = RayPoint.slope.__set__
 
 def ray_project(value: SpinorValue) -> RayPoint:
     """Project a nonzero spinor value (u, v) to its ray, the slope v/u."""
-    if value.is_zero():
-        raise ZeroSpinorError("cannot project the zero spinor to a ray")
-    return RayPoint(None if value.u.is_zero() else value.v / value.u)
+    # For u = (a + b i)/d and v = (p + q i)/n the slope is
+    # d (p + q i)(a - b i) / (n (a^2 + b^2)), reduced by one gcd.
+    a, b, d = value.u._key
+    if a == 0 and b == 0:
+        if value.v.is_zero():
+            raise ZeroSpinorError("cannot project the zero spinor to a ray")
+        return RayPoint(None)
+    p, q, n = value.v._key
+    return RayPoint(_reduced(d * (p * a + q * b), d * (q * a - p * b), n * (a * a + b * b)))

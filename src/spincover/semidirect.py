@@ -17,8 +17,7 @@ from .cover import (
     IDENTITY2,
     OrthogonalMat3,
     UnitaryMat2,
-    XY_MIRROR,
-    covering_map,
+    _signed_image,
     determinant_section,
     parity_operator,
 )
@@ -120,14 +119,12 @@ def from_unitary(c: UnitaryMat2) -> SemidirectElement:
 def project_to_o3(e: SemidirectElement) -> OrthogonalMat3:
     """The bundle projection of a pair onto O(3).
 
-    Sign +1: the rotation of the special part.  Sign -1: that rotation
-    times the xy-plane mirror diag(1, 1, -1), which negates its third
-    column.  Always equal to the extended covering map of the fused matrix.
+    Sign s: the rotation of the special part times diag(1, 1, s), the
+    xy-plane mirror for s = -1, which negates its third column; the
+    covering map's column-signed kernel writes it in one step.  Always
+    equal to the extended covering map of the fused matrix.
     """
-    rotation = covering_map(e.su2_part)
-    if e.sign == 1:
-        return rotation
-    return rotation._times_diagonal(XY_MIRROR)
+    return _signed_image(e.su2_part, 1, 1, e.sign)
 
 
 def parity_element() -> SemidirectElement:

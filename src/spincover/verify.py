@@ -105,17 +105,30 @@ class _Checks(list):
 # -- seeded exact sampling ----------------------------------------------------
 
 
-# rng.choice over a range draws, from the same one _randbelow call, the
-# value rng.randint draws over its bounds; a sign is -1 where randint(0, 1)
+# Each draw of one of n values reads rng.getrandbits as Random.choice does
+# (Random._randbelow): k = n.bit_length() bits, drawn again while the value
+# is n or more.  So every seed gives the samples, and ends in the RNG state,
+# of rng.randint over the same bounds; a sign is -1 where randint(0, 1)
 # draws 1.
-_NUMERATORS = range(-3, 4)
-_DENOMINATORS = range(1, 4)
-_SIGNS = (1, -1)
 
 
 def sample_ratio(rng: random.Random) -> tuple[int, int]:
     """A rational in [-3, 3] as an unreduced pair (n, d), 1 <= d <= 3."""
-    return rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)
+    bits = rng.getrandbits
+    n = bits(3)  # one of the 7 numerators -3..3
+    while n == 7:
+        n = bits(3)
+    d = bits(2)  # one of the 3 denominators 1..3
+    while d == 3:
+        d = bits(2)
+    return n - 3, d + 1
+
+
+def _sample_sign(rng: random.Random) -> int:
+    bit = rng.getrandbits(2)
+    while bit > 1:
+        bit = rng.getrandbits(2)
+    return -1 if bit else 1
 
 
 def sample_su2(rng: random.Random) -> UnitaryMat2:
@@ -124,18 +137,19 @@ def sample_su2(rng: random.Random) -> UnitaryMat2:
 
 def sample_extended(rng: random.Random) -> UnitaryMat2:
     m = sample_su2(rng)
-    if rng.choice(_SIGNS) == -1:  # the det -1 coset: m times the parity lift i I
+    if _sample_sign(rng) == -1:  # the det -1 coset: m times the parity lift i I
         return m.scalar_mul(I_UNIT)
     return m
 
 
 def sample_pair_element(rng: random.Random) -> SemidirectElement:
-    sign = rng.choice(_SIGNS)
+    sign = _sample_sign(rng)
     return SemidirectElement(sample_su2(rng), sign)
 
 
 def sample_symmetry(rng: random.Random) -> SpinorSymmetry:
-    return SpinorSymmetry(sample_extended(rng), rng.choice(_SIGNS))
+    # Both parts come validated: a sampled unitary and a drawn sign.
+    return SpinorSymmetry._from_fields(sample_extended(rng), _sample_sign(rng))
 
 
 def sample_unit_spinor(rng: random.Random) -> SpinorValue:

@@ -994,11 +994,10 @@ class TestOutput:
 
     @pytest.mark.parametrize("command", list(EMIT_CALLS))
     def test_out_that_is_a_directory_is_input_error(self, tmp_path, capsys, command):
-        # The directory exists, so the work runs and the write fails: only
-        # apply prints stderr lines of its own, before the error.
-        argv = EMIT_CALLS[command]
-        assert main(argv) == 0
-        header = capsys.readouterr().err
-        assert main(argv + ["--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(header + "error: ") and err.count("\n") == header.count("\n") + 1
+        # Refused before the subcommand runs, as a missing directory is, so
+        # not even apply's own stderr lines come first.
+        assert main(EMIT_CALLS[command] + ["--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write --out {str(tmp_path)!r}: it is a directory\n"
+        assert list(tmp_path.iterdir()) == []

@@ -8,7 +8,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from spincover import ptgroup
@@ -476,6 +476,11 @@ class TestPTOperatorGroup:
         assert isinstance(decide_isomorphism(spinor_pt_group(), z4xz2), IsomorphismWitness)
 
 
+gaussian_values = st.builds(
+    G, st.fractions(min_value=-9, max_value=9, max_denominator=12), st.fractions(min_value=-9, max_value=9, max_denominator=12)
+)
+
+
 class TestRaySpace:
     def test_phase_does_not_matter(self):
         a = ray_project(SpinorValue(gr(1), gr(0)))
@@ -531,6 +536,22 @@ class TestRaySpace:
         assert ray_project(SpinorValue(gr(0), gr(3))) == RayPoint(None)
         with pytest.raises(TypeError, match="RayPoint takes a GaussianRational slope or None"):
             RayPoint(Fraction(1, 2))
+
+    @given(gaussian_values, gaussian_values)
+    @example(G(0), G(0))
+    @example(G(0), G(Fraction(-7, 6), 2))
+    @example(G(Fraction(4, 9), Fraction(-2, 3)), G(0))
+    def test_slope_is_the_quotient(self, u, v):
+        # The slope is written from the numerators with one gcd; the
+        # reference is GaussianRational division, on values of any norm.
+        value = SpinorValue(u, v)
+        if value.is_zero():
+            with pytest.raises(ZeroSpinorError):
+                ray_project(value)
+        elif u.is_zero():
+            assert ray_project(value).slope is None
+        else:
+            assert ray_project(value).slope == v / u
 
     def test_hash_consistent_with_equality(self, rng):
         for _ in range(50):
