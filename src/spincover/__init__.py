@@ -50,6 +50,7 @@ from .ptgroup import (
     SpinorValue,
     apply_symmetry,
     composition_defect,
+    pt_symmetries,
     ray_project,
     spacetime_projection,
     time_reversal_operator,

@@ -50,6 +50,7 @@ from .ptgroup import (
     SpinorSampleField,
     SpinorSymmetry,
     apply_symmetry,
+    pt_symmetries,
     spacetime_projection,
 )
 from .scalars import ScalarParseError, ScalarSizeError, echo
@@ -97,13 +98,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _parse_transform(token: str) -> SpinorSymmetry:
     """P, T, PT, a matrix literal, or a matrix@sign pair like `i,0;0,i@-1`."""
-    named = {
-        "P": SpinorSymmetry.parity,
-        "T": SpinorSymmetry.time_reversal,
-        "PT": SpinorSymmetry.parity_time,
-    }
+    named = pt_symmetries()
     if token in named:
-        return named[token]()
+        return named[token]
     matrix_text, at, sign_text = token.partition("@")
     time_sign = 1
     if at:

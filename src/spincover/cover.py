@@ -246,21 +246,16 @@ class OrthogonalMat3(ExactKey):
         n = self._key
         return OrthogonalMat3._from_key((n[0], n[3], n[6], n[1], n[4], n[7], n[2], n[5], n[8], n[9]))
 
-    def integer_apply(self, x: int, y: int, z: int) -> tuple[int, int, int, int]:
-        """(X, Y, Z, d) with R (x, y, z)/e = (X, Y, Z)/(d e) for every e > 0:
-        the integer numerators times (x, y, z), then the denominator."""
-        n = self._key
-        return (
-            n[0] * x + n[1] * y + n[2] * z,
-            n[3] * x + n[4] * y + n[5] * z,
-            n[6] * x + n[7] * y + n[8] * z,
-            n[9],
-        )
-
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
-        *xyz, e = common_key([(c.numerator, c.denominator) for c in map(as_rational, v)])
-        x, y, z, d = self.integer_apply(*xyz)
-        return (Fraction(x, d * e), Fraction(y, d * e), Fraction(z, d * e))
+        """R v: with v = (x, y, z)/e, the integer numerators times (x, y, z), over d e."""
+        x, y, z, e = common_key([(c.numerator, c.denominator) for c in map(as_rational, v)])
+        n = self._key
+        de = n[9] * e
+        return (
+            Fraction(n[0] * x + n[1] * y + n[2] * z, de),
+            Fraction(n[3] * x + n[4] * y + n[5] * z, de),
+            Fraction(n[6] * x + n[7] * y + n[8] * z, de),
+        )
 
     def to_text(self) -> str:
         return ";".join(",".join(format_rational(v) for v in row) for row in self.rows)

@@ -16,7 +16,9 @@ the monomial matrices of the double groups, whose entries are 4n-th roots
 of unity stored as integer exponents.  One breadth-first pass lists the
 elements in the order it finds them and multiplies each element by each
 generator once; the Cayley table is read off those N × len(generators)
-products, with no product per table entry.
+products, with no product per table entry.  The named P/T tables,
+:func:`spinor_pt_group` and :func:`spacetime_pt_group`, are built from
+:func:`spincover.ptgroup.pt_symmetries`, the one definition of P, T and PT.
 
 Isomorphism testing climbs an invariant ladder before it searches: the
 element-order multiset, then, read off the element signatures (order,
@@ -36,14 +38,8 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence, Union
 
 from . import _kernels
-from .cover import (
-    IDENTITY2,
-    IDENTITY3,
-    SPACE_INVERSION,
-    UnitaryMat2,
-    parity_operator,
-)
-from .ptgroup import SpacetimeSymmetry, time_reversal_operator
+from .cover import IDENTITY2, IDENTITY3, UnitaryMat2
+from .ptgroup import SpacetimeSymmetry, pt_symmetries, spacetime_projection
 from .scalars import Record, as_sign
 
 #: Largest order of any :class:`FiniteGroup`, and so of the isomorphism
@@ -592,37 +588,35 @@ def _listed_group(named: dict, identity, name: str) -> FiniteGroup:
     )
 
 
+def _pt_matrices() -> dict[UnitaryMat2, str]:
+    """The eight matrices of :func:`spinor_pt_group` by label, in its order:
+    the matrices of :func:`~spincover.ptgroup.pt_symmetries`, their
+    negatives, then -I and I."""
+    named = {symmetry.matrix: label for label, symmetry in pt_symmetries().items()}
+    return {**named, **{-m: "-" + label for m, label in named.items()}, -IDENTITY2: "-I", IDENTITY2: "I"}
+
+
 def spinor_pt_group() -> FiniteGroup:
     """The order-8 group of the parity and time-reversal matrices, Z4 x Z2.
 
     As operators, with time reversal antiunitary, the same lifts generate
     the quaternion group instead (see :mod:`spincover.ptgroup`).
 
-    Elements are labelled I, -I, P, T, PT and negatives, ordered so that a
-    rendering without the identity row gives the conventional 7x7 table.
+    Elements are the matrices of P, T and PT from
+    :func:`~spincover.ptgroup.pt_symmetries`, their negatives, then -I and
+    I, so that a rendering without the identity row gives the conventional
+    7x7 table.
     """
-    parity = parity_operator()
-    treverse = time_reversal_operator()
-    named = {
-        parity: "P",
-        treverse: "T",
-        parity * treverse: "PT",
-        -parity: "-P",
-        -treverse: "-T",
-        -(parity * treverse): "-PT",
-        -IDENTITY2: "-I",
-        IDENTITY2: "I",
-    }
-    return _listed_group(named, IDENTITY2, "spinor-PT")
+    return _listed_group(_pt_matrices(), IDENTITY2, "spinor-PT")
 
 
 def spacetime_pt_group() -> FiniteGroup:
-    """The Klein-type group generated by spatial inversion and time flip,
-    at the level of spacetime symmetries (no spinor lift)."""
-    p = SpacetimeSymmetry(SPACE_INVERSION, 1)
-    t = SpacetimeSymmetry(IDENTITY3, -1)
+    """The Klein group that P, T and PT project to in O(3) x Z2: the
+    :func:`~spincover.ptgroup.spacetime_projection` of each, then the
+    identity, so the table is computed from the cover."""
     identity = SpacetimeSymmetry(IDENTITY3, 1)
-    return _listed_group({p: "P", t: "T", p * t: "PT", identity: "1"}, identity, "spacetime-PT")
+    named = {spacetime_projection(symmetry): label for label, symmetry in pt_symmetries().items()}
+    return _listed_group({**named, identity: "1"}, identity, "spacetime-PT")
 
 
 # -- double groups -------------------------------------------------------------

@@ -10,7 +10,10 @@ matrix and a time flip; :func:`spacetime_projection` is the two-to-one
 homomorphism onto it, normalised so that the canonical time-reversal pair
 projects to a pure time flip with no spatial rotation.  P and T generate
 the quaternion group Dic8 under this product, while their matrices alone
-generate Z4 x Z2 (``spinor_pt_group``).
+generate Z4 x Z2 (``spinor_pt_group``).  :func:`pt_symmetries` is the one
+definition of P, T and PT: the tables ``GPT_hat`` and ``GPT_spacetime``,
+the named transforms of ``apply`` and the P/T pools of ``verify`` are
+built from it.
 
 Spinor fields are finite exact sample maps from events (t, x) to
 two-component Gaussian-rational values.  An :class:`Event` is an
@@ -139,7 +142,7 @@ class SpinorSymmetry(Record):
     def parity_time(cls) -> "SpinorSymmetry":
         """The transformation that reverses both space and time: parity
         times time reversal, the matrix ((0, -i), (i, 0)) at time sign -1."""
-        return cls.parity() * cls.time_reversal()
+        return pt_symmetries()["PT"]
 
     def to_text(self) -> str:
         return f"{self.matrix.to_text()} @ {self.time_sign:+d}"
@@ -147,6 +150,18 @@ class SpinorSymmetry(Record):
 
 _set_symmetry_matrix = SpinorSymmetry.matrix.__set__
 _set_symmetry_sign = SpinorSymmetry.time_sign.__set__
+
+
+def pt_symmetries() -> dict[str, SpinorSymmetry]:
+    """P, T and PT by name, in table order: the one definition of the three.
+
+    P is (i I, +1) and T is (((0, -1), (1, 0)), -1); PT is their operator
+    product.  The tables ``GPT_hat`` and ``GPT_spacetime`` of
+    :mod:`spincover.groups`, the named transforms of ``apply`` and the
+    P/T pools of ``verify`` are all built from this map.
+    """
+    p, t = SpinorSymmetry.parity(), SpinorSymmetry.time_reversal()
+    return {"P": p, "T": t, "PT": p * t}
 
 
 class SpacetimeSymmetry(Record):

@@ -31,7 +31,7 @@ from .cover import (
     parity_operator,
     stereographic_su2,
 )
-from .groups import _close, spinor_pt_group
+from .groups import _close, _pt_matrices
 from .ptgroup import (
     Event,
     SpacetimeSymmetry,
@@ -39,9 +39,9 @@ from .ptgroup import (
     SpinorSymmetry,
     SpinorValue,
     apply_symmetry,
+    pt_symmetries,
     ray_project,
     spacetime_projection,
-    time_reversal_operator,
     transform_value,
 )
 from .scalars import I_UNIT, GaussianRational, Record
@@ -156,12 +156,6 @@ def sample_unit_spinor(rng: random.Random) -> SpinorValue:
     return SpinorValue(*sample_su2(rng).rows[0])
 
 
-def _order8_matrices() -> list[UnitaryMat2]:
-    group = spinor_pt_group()
-    assert group.element_source is not None
-    return [group.element_source[label] for label in group.labels]
-
-
 # -- cover suite ---------------------------------------------------------------
 
 
@@ -230,7 +224,7 @@ def run_cover_suite(seed: int, samples: int) -> SuiteReport:
 
     checks.check("extended projection is multiplicative across both components", extended_pairs, extended_hom)
 
-    kernel_pool = zip(chain(*extended_pairs, _order8_matrices()))
+    kernel_pool = zip(chain(*extended_pairs, _pt_matrices()))
 
     def kernel(c):
         return (extended_covering_map(c) == IDENTITY3) == (c in (IDENTITY2, -IDENTITY2))
@@ -273,7 +267,7 @@ def run_semidirect_suite(seed: int, samples: int) -> SuiteReport:
 
     checks.check("fusing pairs to matrices preserves products", pairs, fuse_hom)
 
-    order8 = _order8_matrices()
+    order8 = list(_pt_matrices())
 
     def round_trip_matrix(c):
         return to_unitary(from_unitary(c)) == c
@@ -338,19 +332,6 @@ def _standard_field() -> SpinorSampleField:
     return SpinorSampleField(samples)
 
 
-def _canonical_symmetries() -> list[SpinorSymmetry]:
-    parity = parity_operator()
-    treverse = time_reversal_operator()
-    out = []
-    for matrix in (IDENTITY2, -IDENTITY2):
-        for sign in (1, -1):
-            out.append(SpinorSymmetry(matrix, sign))
-    for sign in (1, -1):
-        out.append(SpinorSymmetry(parity, sign))
-        out.append(SpinorSymmetry(treverse, sign))
-    return out
-
-
 def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     rng = random.Random(seed)
     checks = _Checks()
@@ -359,16 +340,14 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     # no other law meets, are projected and rayed directly.
     project = cache(spacetime_projection)
     ray = cache(ray_project)
+    p_elem, t_elem, pt_elem = pt_symmetries().values()
 
-    # The order-8 subgroup generated by the canonical parity and
-    # time-reversal pairs, in discovery order.
-    lifted, _ = _close(
-        [SpinorSymmetry.parity(), SpinorSymmetry.time_reversal()],
-        SpinorSymmetry.identity(),
-        lambda a, b: a * b,
-        8,
-    )
-    canonical = _canonical_symmetries()
+    # The order-8 subgroup that P and T generate, in discovery order.
+    lifted, _ = _close([p_elem, t_elem], SpinorSymmetry.identity(), lambda a, b: a * b, 8)
+    # +/-I, then the P and T matrices, each at both time signs.
+    canonical = [SpinorSymmetry(m, sign) for m in (IDENTITY2, -IDENTITY2) for sign in (1, -1)] + [
+        SpinorSymmetry(g.matrix, sign) for sign in (1, -1) for g in (p_elem, t_elem)
+    ]
     exhaustive = chain(product(canonical, repeat=2), product(lifted, repeat=2))
 
     def projection_hom(g, h):
@@ -377,9 +356,9 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     checks.check("spacetime projection is multiplicative on the canonical pairs", exhaustive, projection_hom)
 
     expected_values = [
-        (SpinorSymmetry.time_reversal(), SpacetimeSymmetry(IDENTITY3, -1)),
-        (SpinorSymmetry.parity(), SpacetimeSymmetry(SPACE_INVERSION, 1)),
-        (SpinorSymmetry.parity_time(), SpacetimeSymmetry(SPACE_INVERSION, -1)),
+        (t_elem, SpacetimeSymmetry(IDENTITY3, -1)),
+        (p_elem, SpacetimeSymmetry(SPACE_INVERSION, 1)),
+        (pt_elem, SpacetimeSymmetry(SPACE_INVERSION, -1)),
     ]
 
     def canonical_values(element, expected):
@@ -401,22 +380,18 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     checks.check("spacetime projection identifies exactly antipodal elements", sampled_pairs, two_to_one)
 
     field = _standard_field()
-    parity = parity_operator()
 
     full_turn = SpinorSymmetry(-IDENTITY2, 1)
     ok = apply_symmetry(full_turn, field) == -field
     checks.append(CheckResult("the lift of a full turn negates every field value", ok))
 
-    p_elem = SpinorSymmetry.parity()
     ok = apply_symmetry(p_elem, apply_symmetry(p_elem, field)) == -field
     checks.append(CheckResult("applying parity twice negates the field", ok))
 
-    t_elem = SpinorSymmetry.time_reversal()
     ok = apply_symmetry(t_elem, apply_symmetry(t_elem, field)) == -field
     checks.append(CheckResult("applying time reversal twice negates the field", ok))
 
     # As matrices (iT)^2 = +I; as operators (iT K)^2 = iT conj(iT) = -I.
-    pt_elem = SpinorSymmetry.parity_time()
     pt_squares = (pt_elem.matrix * pt_elem.matrix == IDENTITY2) and (
         apply_symmetry(pt_elem, apply_symmetry(pt_elem, field)) == -field
     )
@@ -461,7 +436,7 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
     checks.check("rays are invariant under unit phases", product(spinors, phases), phase_invariance)
 
     def parity_on_rays(value):
-        return ray_project(transform_value(parity, value)) == ray(value)
+        return ray_project(transform_value(p_elem.matrix, value)) == ray(value)
 
     checks.check("parity acts trivially on rays", zip(spinors), parity_on_rays)
 

@@ -421,6 +421,13 @@ class TestTable:
         golden = GOLDEN / f"table_{name}.txt"
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
+    # The JSON goldens keep the identity row, so they pin where the identity sits.
+    @pytest.mark.parametrize("name", ["GPT_hat", "GPT_spacetime"])
+    def test_named_json_golden(self, capsys, name):
+        assert main(["table", name, "--format", "json"]) == 0
+        golden = GOLDEN / f"table_{name}.json"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     def test_generated_table(self, capsys):
         assert main(["table", "--gen=-1,0;0,-1"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]

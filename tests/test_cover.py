@@ -171,9 +171,10 @@ class TestStereographicSU2:
         assert stereographic_su2(*[(k * q.numerator, k * q.denominator) for q in v]) == m
 
     def test_sampler_matches_the_fraction_route(self):
-        # The samplers draw (n, d) pairs and signs by rng.choice; the route
-        # they replaced built a Fraction from each randint pair and drew each
-        # coin by randint(0, 1).  Same draws, same values, same RNG state.
+        # The samplers draw (n, d) pairs and signs by rng.getrandbits, read
+        # as Random.choice reads it; the route they replaced built a Fraction
+        # from each randint pair and drew each coin by randint(0, 1).  Same
+        # draws, same values, same RNG state.
         pairs, fractions = random.Random(2004), random.Random(2004)
 
         def su2():

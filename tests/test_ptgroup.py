@@ -34,6 +34,7 @@ from spincover.groups import (
     decide_isomorphism,
     dicyclic,
     direct_product,
+    spacetime_pt_group,
     spinor_pt_group,
 )
 from spincover.ptgroup import (
@@ -52,6 +53,7 @@ from spincover.ptgroup import (
     apply_symmetry,
     composition_defect,
     inner_product,
+    pt_symmetries,
     ray_project,
     spacetime_projection,
     transform_value,
@@ -474,6 +476,33 @@ class TestPTOperatorGroup:
             ORDER_MULTISET, [1, 2, 4, 4, 4, 4, 4, 4], [1, 2, 2, 2, 4, 4, 4, 4]
         )
         assert isinstance(decide_isomorphism(spinor_pt_group(), z4xz2), IsomorphismWitness)
+
+    def test_pt_symmetries_are_the_paper_elements(self):
+        # P = i I, T = ((0, -1), (1, 0)) K, and PT their operator product.
+        named = [(name, g.matrix, g.time_sign) for name, g in pt_symmetries().items()]
+        assert named == [
+            ("P", UnitaryMat2.from_text("i,0;0,i"), 1),
+            ("T", UnitaryMat2.from_text("0,-1;1,0"), -1),
+            ("PT", UnitaryMat2.from_text("0,-i;i,0"), -1),
+        ]
+
+    def test_named_tables_are_what_p_and_t_generate(self):
+        # The oracle is the operator closure of P and T, built here.
+        elements, _ = pt_closure()
+        spinor = spinor_pt_group()
+        matrices = [spinor.element_source[label] for label in spinor.labels]
+        assert len(matrices) == 8
+        assert set(matrices) == {g.matrix for g in elements}
+
+        projections = {spacetime_projection(g) for g in elements}
+        assert len(projections) == 4
+        spacetime = spacetime_pt_group()
+        assert {spacetime.element_source[label] for label in spacetime.labels} == projections
+        assert len(spacetime.labels) == 4
+        p, t = SpinorSymmetry.parity(), SpinorSymmetry.time_reversal()
+        assert p in elements and t in elements
+        for label, g in [("P", p), ("T", t), ("PT", p * t)]:
+            assert spacetime.element_source[label] == spacetime_projection(g)
 
 
 gaussian_values = st.builds(
