@@ -54,7 +54,7 @@ from .ptgroup import (
     spacetime_projection,
 )
 from .scalars import ScalarParseError, ScalarSizeError, echo
-from .verify import SUITE_NAMES, run_suites
+from .verify import SUITE_NAMES, VERIFY_SAMPLE_LIMIT, run_suites
 
 SCHEMA_VERSION = 1
 
@@ -317,12 +317,6 @@ def _verify_integer(text: str) -> int:
         raise argparse.ArgumentTypeError("too many digits") from None
 
 
-#: The most samples ``verify`` takes: ``verify all`` at the cap takes 20-26 s
-#: and 96 MB peak RSS in one process (Python 3.11.7, one core of a 2-vCPU
-#: Intel Xeon under varying load).
-VERIFY_SAMPLE_LIMIT = 100_000
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise InputError("--samples must be at least 1")
@@ -451,7 +445,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ClosureLimitError, IsomorphismSizeError, ScalarSizeError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

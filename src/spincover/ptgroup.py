@@ -48,7 +48,6 @@ from operator import is_
 from typing import Iterable, Mapping, Optional
 
 from .cover import (
-    IDENTITY2,
     OrthogonalMat3,
     UnitaryMat2,
     _signed_image,
@@ -126,24 +125,6 @@ class SpinorSymmetry(Record):
         right = other.matrix.conjugate() if self.time_sign == -1 else other.matrix
         return SpinorSymmetry._from_fields(self.matrix * right, self.time_sign * other.time_sign)
 
-    @classmethod
-    def identity(cls) -> "SpinorSymmetry":
-        return cls(IDENTITY2, 1)
-
-    @classmethod
-    def parity(cls) -> "SpinorSymmetry":
-        return cls(parity_operator(), 1)
-
-    @classmethod
-    def time_reversal(cls) -> "SpinorSymmetry":
-        return cls(time_reversal_operator(), -1)
-
-    @classmethod
-    def parity_time(cls) -> "SpinorSymmetry":
-        """The transformation that reverses both space and time: parity
-        times time reversal, the matrix ((0, -i), (i, 0)) at time sign -1."""
-        return pt_symmetries()["PT"]
-
     def to_text(self) -> str:
         return f"{self.matrix.to_text()} @ {self.time_sign:+d}"
 
@@ -160,7 +141,7 @@ def pt_symmetries() -> dict[str, SpinorSymmetry]:
     :mod:`spincover.groups`, the named transforms of ``apply`` and the
     P/T pools of ``verify`` are all built from this map.
     """
-    p, t = SpinorSymmetry.parity(), SpinorSymmetry.time_reversal()
+    p, t = SpinorSymmetry(parity_operator(), 1), SpinorSymmetry(time_reversal_operator(), -1)
     return {"P": p, "T": t, "PT": p * t}
 
 

@@ -51,16 +51,8 @@ class SemidirectElement(Record):
         if not su2_part.is_special():
             raise ValueError("special part must have det = +1")
         determinant_section(sign)  # raises unless the sign is the int 1 or -1
-        _set_su2_part(self, su2_part)
-        _set_sign(self, sign)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not SemidirectElement:
-            return NotImplemented
-        return self.su2_part == other.su2_part and self.sign == other.sign
-
-    def __hash__(self) -> int:
-        return hash((self.su2_part, self.sign))
+        object.__setattr__(self, "su2_part", su2_part)
+        object.__setattr__(self, "sign", sign)
 
     def inverse(self) -> "SemidirectElement":
         return from_unitary(to_unitary(self).inverse())
@@ -82,9 +74,6 @@ class SemidirectElement(Record):
             raise ValueError("section matrix must be I or diag(-1, 1)")
         return cls(su2_part, section.det_sign)
 
-
-_set_su2_part = SemidirectElement.su2_part.__set__
-_set_sign = SemidirectElement.sign.__set__
 
 IDENTITY_ELEMENT = SemidirectElement(IDENTITY2, 1)
 

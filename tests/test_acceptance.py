@@ -39,6 +39,7 @@ from spincover.ptgroup import (
     SpinorSymmetry,
     SpinorValue,
     apply_symmetry,
+    pt_symmetries,
     ray_project,
     spacetime_projection,
     time_reversal_operator,
@@ -198,8 +199,8 @@ def test_criterion_06_spacetime_projection_properties():
             SpinorSymmetry(parity * treverse, -1)
         ) == SpacetimeSymmetry(SPACE_INVERSION, -1)
 
-        lifted = [SpinorSymmetry.identity()]
-        generators = [SpinorSymmetry.parity(), SpinorSymmetry.time_reversal()]
+        lifted = [SpinorSymmetry(IDENTITY2, 1)]
+        generators = [pt_symmetries()["P"], pt_symmetries()["T"]]
         while True:
             fresh = [
                 a * g
@@ -232,8 +233,8 @@ def test_criterion_07_spinor_action_laws():
         ]
         field = SpinorSampleField(dict(zip(events, values)))
 
-        p = SpinorSymmetry.parity()
-        t = SpinorSymmetry.time_reversal()
+        p = pt_symmetries()["P"]
+        t = pt_symmetries()["T"]
         assert apply_symmetry(p, apply_symmetry(p, field)) == -field
         assert apply_symmetry(t, apply_symmetry(t, field)) == -field
         assert apply_symmetry(SpinorSymmetry(-IDENTITY2, 1), field) == -field
@@ -251,7 +252,7 @@ def test_criterion_07_spinor_action_laws():
             src = field.value_at(e.space_flipped())
             assert reversed_space.value_at(e) == SpinorValue(i * src.u, i * src.v)
 
-        reversed_both = apply_symmetry(SpinorSymmetry.parity_time(), field)
+        reversed_both = apply_symmetry(pt_symmetries()["PT"], field)
         for e in events:
             src = field.value_at(e.time_flipped().space_flipped())
             assert reversed_both.value_at(e) == SpinorValue(

@@ -1,4 +1,7 @@
 import codecs
+import contextlib
+import errno
+import io
 import json
 import os
 import subprocess
@@ -6,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincover import _kernels, cli, groups
 from spincover.cli import main
@@ -914,7 +919,7 @@ class TestVerify:
 
     def test_byte_identical_across_processes(self):
         cmd = [
-            sys.executable, "-m", "spincover.cli",
+            sys.executable, "-m", "spincover",
             "verify", "cover", "--seed", "42", "--samples", "25", "--format", "json",
         ]
         runs = [subprocess.run(cmd, capture_output=True, check=True) for _ in range(2)]
@@ -1008,3 +1013,90 @@ class TestOutput:
         assert captured.out == ""
         assert captured.err == f"error: cannot write --out {str(tmp_path)!r}: it is a directory\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_the_system_cannot_open_is_input_error(self, tmp_path, capsys):
+        # The directory exists, so the work runs and open() fails in _emit.
+        # The error is ENAMETOOLONG, which holds for root as for anyone.
+        out = tmp_path / ("x" * 300)
+        assert main(["table", "Z2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        too_long = errno.ENAMETOOLONG
+        assert captured.err == f"error: [Errno {too_long}] {os.strerror(too_long)}: {str(out)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+# -- robustness: random input never ends in a traceback -------------------------
+
+SCALAR_TEXTS = ["0", "1", "-1", "i", "-i", "2", "1/2", "-1/2+1/2i", "1/2-1/2i", "3/5+4/5i", "1/0", "x", ""]
+ORDER_TEXTS = st.one_of(
+    st.integers(0, 600).map(str), st.sampled_from(["", "-4", "08", "1_0", "١", "9" * 45])
+)
+FACTOR_SPECS = st.builds(lambda kind, order: kind + order, st.sampled_from(["Z", "Dih", "Dic", "Q", ""]), ORDER_TEXTS)
+GROUP_SPECS = st.one_of(
+    st.sampled_from(["GPT_hat", "GPT_spacetime", "GPT_hatxZ2"]),
+    st.lists(FACTOR_SPECS, min_size=1, max_size=3).map("x".join),
+    st.text(max_size=10),
+)
+MATRIX_TEXTS = st.one_of(
+    st.lists(st.sampled_from(SCALAR_TEXTS), min_size=4, max_size=4).map(lambda e: f"{e[0]},{e[1]};{e[2]},{e[3]}"),
+    st.text(max_size=12),
+)
+TRANSFORMS = st.one_of(
+    st.sampled_from(["P", "T", "PT", "p", ""]),
+    MATRIX_TEXTS,
+    st.builds(lambda m, s: f"{m}@{s}", MATRIX_TEXTS, st.sampled_from(["1", "+1", "-1", "0", "", "x"])),
+)
+FIELD_LINES = st.one_of(
+    st.builds(
+        lambda t, x, u, v: f"{t}; {','.join(x)}; {u}; {v}",
+        st.sampled_from(["0", "1", "-1", "1/2"]),
+        st.lists(st.sampled_from(["0", "1", "-1", "2/4"]), min_size=3, max_size=3),
+        st.sampled_from(SCALAR_TEXTS),
+        st.sampled_from(SCALAR_TEXTS),
+    ),
+    st.text(max_size=12),
+)
+# Random lines, or random values on the events (t, 0) for t in {-1, 0, 1},
+# a domain that every transform maps onto itself.
+FIELD_TEXTS = st.one_of(
+    st.lists(FIELD_LINES, max_size=6),
+    st.lists(st.sampled_from(SCALAR_TEXTS), min_size=6, max_size=6).map(
+        lambda v: [f"{t}; 0,0,0; {v[2 * k]}; {v[2 * k + 1]}" for k, t in enumerate((-1, 0, 1))]
+    ),
+).map("\n".join)
+FORMATS = st.sampled_from([[], ["--format", "text"], ["--format", "json"], ["--format", "xml"]])
+
+
+@pytest.fixture(scope="module")
+def fuzz_field(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "field.txt"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_random_input_exits_with_a_documented_code(fuzz_field, data):
+    # In process and in memory: exit 0, 2 (input error) or 3 (resource
+    # limit), or argparse's SystemExit(2), never a traceback or exit 1.
+    command = data.draw(st.sampled_from(["iso", "table", "gen", "doublegroup", "apply"]))
+    if command == "iso":
+        argv = ["iso", data.draw(GROUP_SPECS), data.draw(GROUP_SPECS)]
+    elif command == "table":
+        argv = ["table", data.draw(GROUP_SPECS)]
+    elif command == "gen":
+        argv = ["table", *(f"--gen={m}" for m in data.draw(st.lists(MATRIX_TEXTS, min_size=1, max_size=3)))]
+    elif command == "doublegroup":
+        n = data.draw(st.one_of(st.integers(-3, 15).map(str), st.text(max_size=5)))
+        convention = data.draw(st.sampled_from([[], ["--convention", "+1"], ["--convention", "-1"]]))
+        argv = ["doublegroup", n, *convention]
+    else:
+        fuzz_field.write_text(data.draw(FIELD_TEXTS), encoding="utf-8")
+        argv = ["apply", data.draw(TRANSFORMS), str(fuzz_field)]
+    argv += data.draw(FORMATS)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 2, 3), argv

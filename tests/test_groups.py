@@ -207,6 +207,12 @@ class TestFiniteGroupValidation:
         for group in (dicyclic(256), dihedral(256), direct_product(cyclic(16), cyclic(16)), z2_8):
             assert group.order == 256
 
+    def test_entries_the_latin_check_accepts_keep_their_error(self):
+        # The Latin-square pass reads 0.0 and 1.0 as a Latin square, so the
+        # TypeError that bytes() raised on the floats is raised again.
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            FiniteGroup(["a", "b"], [[0.0, 1.0], [1.0, 0.0]], 0)
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             FiniteGroup(["a", "a"], [[0, 1], [1, 0]], 0)

@@ -125,19 +125,20 @@ class TestSymmetryTypes:
 
 class TestSpacetimeProjection:
     def test_identity(self):
-        g = SpinorSymmetry.identity()
+        g = SpinorSymmetry(IDENTITY2, 1)
         assert spacetime_projection(g) == SpacetimeSymmetry(IDENTITY3, 1)
 
     def test_time_reversal_is_pure_time_flip(self):
-        g = SpinorSymmetry.time_reversal()
+        g = pt_symmetries()["T"]
         assert spacetime_projection(g) == SpacetimeSymmetry(IDENTITY3, -1)
 
     def test_parity_is_space_inversion(self):
-        g = SpinorSymmetry.parity()
+        g = pt_symmetries()["P"]
         assert spacetime_projection(g) == SpacetimeSymmetry(SPACE_INVERSION, 1)
 
     def test_product_element_is_full_reversal(self):
-        g = SpinorSymmetry.parity() * SpinorSymmetry.time_reversal()
+        p, t = pt_symmetries()["P"], pt_symmetries()["T"]
+        g = p * t
         assert spacetime_projection(g) == SpacetimeSymmetry(SPACE_INVERSION, -1)
 
     def test_kernel(self):
@@ -179,10 +180,10 @@ class TestSemidirectBridge:
 
     def test_parity_pair(self):
         g = SpinorSymmetry(to_unitary(parity_element()), 1)
-        assert g == SpinorSymmetry.parity()
+        assert g == pt_symmetries()["P"]
 
     def test_time_reversal_pair(self, treverse):
-        g = SpinorSymmetry.time_reversal()
+        g = pt_symmetries()["T"]
         e, sign = from_unitary(g.matrix), g.time_sign
         assert sign == -1
         assert e == from_unitary(treverse)
@@ -290,7 +291,7 @@ class TestParityAction:
 
 class TestParityTimeAction:
     def test_basis_spinor_formulas(self):
-        pt = SpinorSymmetry.parity_time()
+        pt = pt_symmetries()["PT"]
         f = constant(gr(1), gr(0))
         g = apply_symmetry(pt, f)
         for e in f.events():
@@ -302,13 +303,13 @@ class TestParityTimeAction:
 
     def test_combined_matrix_is_parity_times_time_reversal(self, parity, treverse):
         # parity * time reversal is ((0,-i),(i,0)) at time sign -1
-        combined = SpinorSymmetry.parity_time()
+        combined = pt_symmetries()["PT"]
         i = gr(0, 1)
         assert combined == SpinorSymmetry(parity * treverse, -1)
         assert combined.matrix.rows == ((gr(0), -i), (i, gr(0)))
 
     def test_full_argument_flip(self):
-        pt = SpinorSymmetry.parity_time()
+        pt = pt_symmetries()["PT"]
         f = varied_field()
         g = apply_symmetry(pt, f)
         for e in f.events():
@@ -319,7 +320,7 @@ class TestParityTimeAction:
 class TestDispatch:
     def test_identity_element(self):
         f = varied_field()
-        assert apply_symmetry(SpinorSymmetry.identity(), f) == f
+        assert apply_symmetry(SpinorSymmetry(IDENTITY2, 1), f) == f
 
     def test_full_turn_negates(self):
         f = varied_field()
@@ -357,7 +358,7 @@ HALF_TURN_Z = SpinorSymmetry(UnitaryMat2.from_text("i,0;0,-i"), 1)
 
 class TestCompositionDefect:
     def test_double_time_reversal_has_no_defect(self):
-        g = SpinorSymmetry.time_reversal()
+        g = pt_symmetries()["T"]
         f = varied_field()
         report = composition_defect(g, g, f)
         assert report.law_holds
@@ -383,8 +384,8 @@ class TestCompositionDefect:
         [
             # Time reversal after parity: one improper antiunitary element.
             (
-                SpinorSymmetry.time_reversal(),
-                SpinorSymmetry.parity(),
+                pt_symmetries()["T"],
+                pt_symmetries()["P"],
                 lambda: SpinorSampleField({Event.make(0, 0, 0, 0): SpinorValue(gr(1), gr(1))}),
                 0,
             ),
@@ -403,7 +404,7 @@ class TestCompositionDefect:
         assert report.law_holds == (witnesses == 0)
 
     def test_json_schema(self):
-        g = SpinorSymmetry.time_reversal()
+        g = pt_symmetries()["T"]
         payload = composition_defect(g, g, varied_field()).to_json()
         assert set(payload) == {"pair", "law_holds", "witnesses"}
         assert payload["law_holds"] is True
@@ -419,7 +420,7 @@ def pt_closure():
     """P and T closed under SpinorSymmetry.__mul__: the elements in discovery
     order and the group of their table."""
     elements, table = _close(
-        [SpinorSymmetry.parity(), SpinorSymmetry.time_reversal()], SpinorSymmetry.identity(), lambda a, b: a * b, 8
+        [pt_symmetries()["P"], pt_symmetries()["T"]], SpinorSymmetry(IDENTITY2, 1), lambda a, b: a * b, 8
     )
     return elements, _closure_group(elements, table, "P/T operators")
 
@@ -499,7 +500,7 @@ class TestPTOperatorGroup:
         spacetime = spacetime_pt_group()
         assert {spacetime.element_source[label] for label in spacetime.labels} == projections
         assert len(spacetime.labels) == 4
-        p, t = SpinorSymmetry.parity(), SpinorSymmetry.time_reversal()
+        p, t = pt_symmetries()["P"], pt_symmetries()["T"]
         assert p in elements and t in elements
         for label, g in [("P", p), ("T", t), ("PT", p * t)]:
             assert spacetime.element_source[label] == spacetime_projection(g)
@@ -961,9 +962,7 @@ class TestOneGrammar:
 ROTATION_120 = UnitaryMat2.from_text("1/2-1/2i,-1/2-1/2i;1/2-1/2i,1/2+1/2i")
 # The six transforms of the benchmark's apply workload.
 BENCHMARK_TRANSFORMS = [
-    SpinorSymmetry.parity(),
-    SpinorSymmetry.time_reversal(),
-    SpinorSymmetry.parity_time(),
+    *pt_symmetries().values(),
     SpinorSymmetry(UnitaryMat2.from_text("i,0;0,-i"), 1),
     SpinorSymmetry(ROTATION_120, 1),
     SpinorSymmetry(ROTATION_120, -1),

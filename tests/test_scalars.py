@@ -28,6 +28,7 @@ from spincover.ptgroup import (
     SpinorSampleField,
     SpinorSymmetry,
     SpinorValue,
+    pt_symmetries,
 )
 from spincover.semidirect import SemidirectElement
 from spincover.scalars import (
@@ -134,8 +135,8 @@ RECORDS = {
     "SpinorValue": (lambda: SpinorValue(_Z, -_Z), SpinorValue(_Z, _Z)),
     "RayPoint": (lambda: RayPoint(_Z), RayPoint(None)),
     "CompositionDefect": (
-        lambda: CompositionDefect(SpinorSymmetry.parity(), SpinorSymmetry(_M, 1), (Event.make(0, 1, 0, 0),)),
-        CompositionDefect(SpinorSymmetry.parity(), SpinorSymmetry(_M, 1), ()),
+        lambda: CompositionDefect(pt_symmetries()["P"], SpinorSymmetry(_M, 1), (Event.make(0, 1, 0, 0),)),
+        CompositionDefect(pt_symmetries()["P"], SpinorSymmetry(_M, 1), ()),
     ),
     "SemidirectElement": (lambda: SemidirectElement(_M, -1), SemidirectElement(_M, 1)),
     "IsomorphismWitness": (lambda: IsomorphismWitness((0, 2, 1)), IsomorphismWitness((0, 1, 2))),

@@ -12,6 +12,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -178,6 +179,38 @@ def test_ptgroup_suite_projects_each_reused_value_once(monkeypatch):
 def test_unknown_suite_is_refused():
     with pytest.raises(ValueError, match=r"unknown suite 'bogus'; choose from"):
         verify.run_suites("bogus", 0, 1)
+
+
+class _Drawing(Exception):
+    """Raised by a stand-in for random.Random: the suite took its samples."""
+
+
+def _no_generator(monkeypatch):
+    def generator(seed):
+        raise _Drawing(seed)
+
+    monkeypatch.setattr(verify, "random", SimpleNamespace(Random=generator))
+
+
+@pytest.mark.parametrize("samples", [0, -5, verify.VERIFY_SAMPLE_LIMIT + 1])
+def test_sample_count_out_of_bounds_is_refused_before_any_draw(monkeypatch, samples):
+    # With no samples the sampled laws would check no item and pass.
+    _no_generator(monkeypatch)
+    refusal = rf"^samples must be in 1\.\.100000, got {samples}$"
+    with pytest.raises(ValueError, match=refusal):
+        verify.run_suites("all", 1, samples)
+    with pytest.raises(ValueError, match=refusal):
+        verify.run_semidirect_suite(1, samples)
+
+
+@pytest.mark.parametrize("samples", [1, verify.VERIFY_SAMPLE_LIMIT])
+def test_sample_count_at_the_bounds_is_taken(monkeypatch, samples):
+    _no_generator(monkeypatch)
+    for run in (verify.run_cover_suite, verify.run_semidirect_suite, verify.run_ptgroup_suite):
+        with pytest.raises(_Drawing):
+            run(1, samples)
+    with pytest.raises(_Drawing):
+        verify.run_suites("all", 1, samples)
 
 
 # -- one fault per witness branch ------------------------------------------------
