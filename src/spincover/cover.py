@@ -121,7 +121,9 @@ class UnitaryMat2(ExactKey):
 
     def scalar_mul(self, phase: GaussianRational) -> "UnitaryMat2":
         """Multiply by a fourth root of unity; det scales by phase squared."""
-        p, q, den = phase._key if isinstance(phase, GaussianRational) else (0, 0, 0)
+        if not isinstance(phase, GaussianRational):
+            raise TypeError(f"scalar factor must be a GaussianRational, not {type(phase).__name__}")
+        p, q, den = phase._key
         if den != 1 or p * p + q * q != 1:
             raise ValueError("scalar factor must be one of 1, -1, i, -i")
         a, b, c, e, f, g, h, k, d = self._key

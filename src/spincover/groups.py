@@ -438,9 +438,6 @@ class IsomorphismWitness(Record):
 
     __slots__ = ("mapping",)
 
-    def __init__(self, mapping: tuple[int, ...]) -> None:
-        object.__setattr__(self, "mapping", mapping)
-
 
 def verify_isomorphism(g: FiniteGroup, h: FiniteGroup, mapping: Sequence[int]) -> bool:
     """Exhaustively check a candidate mapping for bijectivity and the
@@ -473,10 +470,7 @@ class Refutation(Record):
     def __init__(
         self, invariant: str, group_a: object = None, group_b: object = None, search_nodes: int = 0
     ) -> None:
-        object.__setattr__(self, "invariant", invariant)
-        object.__setattr__(self, "group_a", _as_tuples(group_a))
-        object.__setattr__(self, "group_b", _as_tuples(group_b))
-        object.__setattr__(self, "search_nodes", search_nodes)
+        super().__init__(invariant, _as_tuples(group_a), _as_tuples(group_b), search_nodes)
 
     def text(self) -> str:
         if self.invariant == EXHAUSTIVE_SEARCH:
@@ -686,22 +680,6 @@ class DoubleGroupVerdict(Record):
     """Outcome of comparing the two double groups for one axis order."""
 
     __slots__ = ("n", "convention", "isomorphic", "witness", "invariant_used", "claim_match")
-
-    def __init__(
-        self,
-        n: int,
-        convention: int,
-        isomorphic: bool,
-        witness: Optional[tuple[int, ...]],
-        invariant_used: Optional[str],
-        claim_match: bool,
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "convention", convention)
-        object.__setattr__(self, "isomorphic", isomorphic)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "invariant_used", invariant_used)
-        object.__setattr__(self, "claim_match", claim_match)
 
     def to_json(self) -> dict:
         out: dict = {

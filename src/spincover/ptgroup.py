@@ -624,11 +624,6 @@ class CompositionDefect(Record):
 
     __slots__ = ("left", "right", "witnesses")
 
-    def __init__(self, left: SpinorSymmetry, right: SpinorSymmetry, witnesses: tuple[Event, ...]) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "witnesses", witnesses)
-
     @property
     def law_holds(self) -> bool:
         return not self.witnesses

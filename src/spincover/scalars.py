@@ -84,15 +84,25 @@ class Immutable:
 class Record(Immutable):
     """An immutable record whose fields are the names in its ``__slots__``.
 
-    A subclass lists its fields in constructor order and writes its own
-    ``__init__``, which checks the arguments and sets the slots.  Records
-    are equal when they have one type and equal fields, and hash by their
-    fields; against any other type ``==`` is NotImplemented, so a record
-    never equals a tuple.  The repr is a keyword constructor call, and
-    copy, deepcopy and pickle call the constructor on the fields.
+    A subclass lists its fields in constructor order; this constructor sets
+    them by position, then by name, and a missing field, an unknown name or
+    a value too many is a TypeError.  A subclass writes its own ``__init__``
+    only to check, convert or default its arguments, or as a fast path that
+    a profile of ``verify`` pays for.  Records are equal when they have one
+    type and equal fields, and hash by their fields; against any other type
+    ``==`` is NotImplemented, so a record never equals a tuple.  The repr is
+    a keyword constructor call, and copy, deepcopy and pickle call the
+    constructor on the fields.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self.__slots__
+        if len(values) > len(fields) or named.keys() != set(fields[len(values):]):
+            raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)}), by position or by name")
+        for name, value in (*zip(fields, values), *named.items()):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -21,7 +21,7 @@ from .cover import (
     determinant_section,
     parity_operator,
 )
-from .scalars import Record
+from .scalars import Record, as_sign
 
 
 def twist_automorphism(sign: int, a: UnitaryMat2) -> UnitaryMat2:
@@ -50,7 +50,7 @@ class SemidirectElement(Record):
             raise TypeError(f"SemidirectElement takes a UnitaryMat2, not {type(su2_part).__name__}")
         if not su2_part.is_special():
             raise ValueError("special part must have det = +1")
-        determinant_section(sign)  # raises unless the sign is the int 1 or -1
+        as_sign(sign)
         object.__setattr__(self, "su2_part", su2_part)
         object.__setattr__(self, "sign", sign)
 

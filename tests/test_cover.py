@@ -297,6 +297,18 @@ class TestIntegerUnitary:
         with pytest.raises(ValueError, match="scalar factor must be one of 1, -1, i, -i"):
             IDENTITY2.scalar_mul(GaussianRational(Fraction(3, 5), Fraction(4, 5)))
 
+    @pytest.mark.parametrize("phase", [GaussianRational(2), GaussianRational(1, 1), GaussianRational(0, -2)])
+    def test_a_gaussian_rational_off_the_four_roots_is_a_value_error(self, phase):
+        with pytest.raises(ValueError, match="^scalar factor must be one of 1, -1, i, -i$"):
+            IDENTITY2.scalar_mul(phase)
+
+    @pytest.mark.parametrize(
+        "phase, type_name", [(1, "int"), (1.0, "float"), (True, "bool"), ("i", "str"), (1j, "complex")]
+    )
+    def test_phase_of_another_type_is_a_type_error(self, phase, type_name):
+        with pytest.raises(TypeError, match=f"^scalar factor must be a GaussianRational, not {type_name}$"):
+            IDENTITY2.scalar_mul(phase)
+
 
 class TestExtendedCoveringMap:
     def test_parity_maps_to_space_inversion(self, parity):

@@ -19,7 +19,14 @@ from spincover.cover import (
     quaternion_to_su2,
     rational_unit_quaternion,
 )
-from spincover.groups import ABELIAN, DoubleGroupVerdict, IsomorphismWitness, Refutation
+from spincover.groups import (
+    ABELIAN,
+    EXHAUSTIVE_SEARCH,
+    SIGNATURES,
+    DoubleGroupVerdict,
+    IsomorphismWitness,
+    Refutation,
+)
 from spincover.ptgroup import (
     CompositionDefect,
     Event,
@@ -179,6 +186,44 @@ def test_record_semantics(name):
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             delattr(value, field)
     assert value == twin
+
+
+# The records whose fields Record's own constructor sets.
+GENERIC_RECORDS = [name for name, (make, _) in RECORDS.items() if "__init__" not in vars(type(make()))]
+
+
+def test_only_the_records_that_check_nothing_use_the_generic_constructor():
+    assert GENERIC_RECORDS == ["CompositionDefect", "IsomorphismWitness", "DoubleGroupVerdict", "SuiteReport"]
+
+
+@pytest.mark.parametrize("name", GENERIC_RECORDS)
+def test_record_constructor_sets_fields_by_position_then_name(name):
+    value = RECORDS[name][0]()
+    cls, fields, values = type(value), type(value).__slots__, value._fields()
+    named = dict(zip(fields, values))
+    assert cls(*values) == cls(**named) == cls(*values[:1], **dict(list(named.items())[1:])) == value
+    refusal = rf"^{name} takes the fields \({', '.join(fields)}\), by position or by name$"
+    for args, kwargs in [
+        (values[:-1], {}),  # a field missing
+        ((), dict(list(named.items())[:-1])),  # a field missing by name
+        ((), {**named, "extra": None}),  # an unknown field
+        ((*values, None), {}),  # one value too many
+        (values, {fields[0]: values[0]}),  # a field given twice
+    ]:
+        with pytest.raises(TypeError, match=refusal):
+            cls(*args, **kwargs)
+
+
+def test_check_result_witness_defaults_to_none():
+    assert CheckResult("a law", True) == CheckResult(name="a law", passed=True, witness=None)
+
+
+def test_refutation_stores_lists_as_tuples():
+    refutation = Refutation(SIGNATURES, [[2, 4, 1, 3]], [[2, 8, 1, 1], [4, 4, 0, 2]])
+    assert refutation.group_a == ((2, 4, 1, 3),) and refutation.group_b == ((2, 8, 1, 1), (4, 4, 0, 2))
+    assert refutation.search_nodes == 0 and hash(refutation) == hash(eval(repr(refutation), RECORD_NAMES))
+    assert refutation.to_json()["group_b"] == [[2, 8, 1, 1], [4, 4, 0, 2]]
+    assert Refutation(EXHAUSTIVE_SEARCH, search_nodes=7)._fields() == (EXHAUSTIVE_SEARCH, None, None, 7)
 
 
 class TestArithmetic:

@@ -1,5 +1,6 @@
 import pytest
 
+from spincover import semidirect
 from spincover.cover import (
     IDENTITY2,
     IDENTITY3,
@@ -50,8 +51,20 @@ class TestZ2Rep:
         with pytest.raises(ValueError, match="section matrix"):
             SemidirectElement.from_text(f"(1,0;0,1 | {PAULI_Z.to_text()})")
         for sign in (0, 2, -2):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^sign must be \\+1 or -1, got {sign}$"):
                 SemidirectElement(IDENTITY2, sign)
+
+    @pytest.mark.parametrize("sign, type_name", [(True, "bool"), (1.0, "float"), ("1", "str"), (None, "NoneType")])
+    def test_sign_of_another_type_is_a_type_error(self, sign, type_name):
+        with pytest.raises(TypeError, match=f"^sign must be the int 1 or -1, not {type_name}$"):
+            SemidirectElement(IDENTITY2, sign)
+
+    def test_sign_is_checked_without_building_its_section(self, monkeypatch):
+        def no_section(sign):
+            raise AssertionError("the constructor built a section matrix")
+
+        monkeypatch.setattr(semidirect, "determinant_section", no_section)
+        assert SemidirectElement(IDENTITY2, -1).sign == -1
 
     def test_special_part_must_have_det_plus_one(self):
         with pytest.raises(ValueError, match=r"special part must have det = \+1"):

@@ -148,13 +148,14 @@ def test_ptgroup_suite_projects_each_reused_value_once(monkeypatch):
     """One ptgroup run projects each element it reuses, and rays each base
     spinor, once; a second run computes them all again and reports the same.
 
-    At seed 42 with 100 samples the 2,068 projections are the 128 products
-    of the canonical pairs, the 500 sampled products and the 500 negated
-    elements, each projected directly, and the 940 distinct elements of the
-    canonical and the 500 sampled pairs.  The 799 rays are the 600 rescaled
-    values, the 100 parity images and the 2 basis spinors, each rayed
-    directly, and the 97 distinct base spinors.  Projecting and raying
-    every operand where a law names it takes 3,387 and 1,402 calls.
+    At seed 42 with 100 samples the 1,991 projections are the 48 products
+    of the canonical generator x element pairs, the 500 sampled products
+    and the 500 negated elements, each projected directly, and the 943
+    distinct elements of the 16-element canonical closure and the 500
+    sampled pairs.  The 799 rays are the 600 rescaled values, the 100
+    parity images and the 2 basis spinors, each rayed directly, and the 97
+    distinct base spinors.  Projecting and raying every operand where a
+    law names it takes 3,147 and 1,402 calls.
     """
     counts = Counter()
 
@@ -167,7 +168,7 @@ def test_ptgroup_suite_projects_each_reused_value_once(monkeypatch):
 
     monkeypatch.setattr(verify, "spacetime_projection", counted(ptgroup.spacetime_projection))
     monkeypatch.setattr(verify, "ray_project", counted(ptgroup.ray_project))
-    expected = {"spacetime_projection": 2068, "ray_project": 799}
+    expected = {"spacetime_projection": 1991, "ray_project": 799}
     first = verify.run_ptgroup_suite(42, 100)
     assert counts == expected
     counts.clear()
