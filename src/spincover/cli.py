@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Optional, Sequence
 
 from .cover import UnitaryMat2
@@ -68,14 +68,52 @@ class InputError(ValueError):
     """User-facing input problem; maps to exit code 2."""
 
 
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value: object, newline: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
+
+    With ``indent`` set the stdlib runs its pure-Python encoder; here the
+    strings go through its C escaper, and a list of plain ints, as every
+    Cayley-table row and witness is, is one join.  Only dicts with str keys,
+    lists, tuples, str, int, bool and None are written; any other type is a
+    ``TypeError``.  ``newline`` is a line break plus the indent of
+    ``value``'s own level.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None or value is True or value is False:
+        return _JSON_WORDS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:  # exact ints: a bool prints as a word
+            items = map(str, value)
+        else:
+            items = (_json_text(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (_json_string(key) + ": " + _json_text(item, inner) for key, item in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(args: argparse.Namespace, payload: Callable[[], dict], text: Callable[[], str]) -> None:
-    """Write a subcommand's result: ``payload()`` plus ``schema_version`` as
-    sorted JSON under ``--format json``, else ``text()``, to ``--out`` or
-    stdout.  Only the form printed is built.  An unwritable ``--out`` is an
-    input error; :func:`main` has refused a missing directory or a directory."""
+    """Write a subcommand's result: under ``--format json``, ``payload()``
+    plus ``schema_version`` as JSON with a two-space indent, keys sorted,
+    non-ASCII escaped and one trailing newline, the form
+    ``json.dumps(..., indent=2, sort_keys=True)`` gives; else ``text()``.
+    It goes to ``--out`` or stdout.  Only the form printed is built.  An
+    unwritable ``--out`` is an input error; :func:`main` has refused a
+    missing directory or a directory."""
     if args.fmt == "json":
-        payload_json = {"schema_version": SCHEMA_VERSION, **payload()}
-        output = json.dumps(payload_json, indent=2, sort_keys=True) + "\n"
+        output = _json_text({"schema_version": SCHEMA_VERSION, **payload()}) + "\n"
     else:
         output = text()
     if args.out:

@@ -356,6 +356,8 @@ def covering_map(matrix: UnitaryMat2) -> OrthogonalMat3:
 
     computed exactly.  A and -A map to the same rotation.
     """
+    if type(matrix) is not UnitaryMat2:
+        raise TypeError(f"covering_map takes a UnitaryMat2, not {type(matrix).__name__}")
     if not matrix.is_special():
         raise ValueError("covering_map requires det = +1; use extended_covering_map")
     a, b, c, e, *_, d = matrix._key
@@ -372,6 +374,8 @@ def extended_covering_map(matrix: UnitaryMat2) -> OrthogonalMat3:
     numerators negated; no factor A is built.  The image determinant
     matches the input determinant and the kernel stays {I, -I}.
     """
+    if type(matrix) is not UnitaryMat2:
+        raise TypeError(f"extended_covering_map takes a UnitaryMat2, not {type(matrix).__name__}")
     return _signed_image(matrix, 1, 1, 1)
 
 

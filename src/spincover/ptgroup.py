@@ -204,6 +204,8 @@ def spacetime_projection(g: SpinorSymmetry) -> SpacetimeSymmetry:
     operator product onto the componentwise product of
     :class:`SpacetimeSymmetry`, with kernel {(I, +1), (-I, +1)}.
     """
+    if type(g) is not SpinorSymmetry:
+        raise TypeError(f"spacetime_projection takes a SpinorSymmetry, not {type(g).__name__}")
     a = g.time_sign
     return SpacetimeSymmetry._from_fields(_signed_image(g.matrix, a, 1, a), a)
 
@@ -600,6 +602,10 @@ def apply_symmetry(g: SpinorSymmetry, f: SpinorSampleField) -> SpinorSampleField
 
     A missing source event raises :class:`DomainClosureError`.
     """
+    if type(g) is not SpinorSymmetry:
+        raise TypeError(f"apply_symmetry takes a SpinorSymmetry, not {type(g).__name__}")
+    if type(f) is not SpinorSampleField:
+        raise TypeError(f"apply_symmetry acts on a SpinorSampleField, not {type(f).__name__}")
     matrix, a, det = g.matrix, g.time_sign, g.matrix.det_sign
     keys = f._keys
     if det == 1 and a == 1:
@@ -690,6 +696,8 @@ _set_slope = RayPoint.slope.__set__
 
 def ray_project(value: SpinorValue) -> RayPoint:
     """Project a nonzero spinor value (u, v) to its ray, the slope v/u."""
+    if type(value) is not SpinorValue:
+        raise TypeError(f"ray_project takes a SpinorValue, not {type(value).__name__}")
     # For u = (a + b i)/d and v = (p + q i)/n the slope is
     # d (p + q i)(a - b i) / (n (a^2 + b^2)), reduced by one gcd.
     a, b, d = value.u._key

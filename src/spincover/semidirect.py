@@ -32,6 +32,8 @@ def twist_automorphism(sign: int, a: UnitaryMat2) -> UnitaryMat2:
     and B A B has entries B_i A_ij B_j, so it negates the off-diagonal
     entries: the involution ((z, w), ...) -> ((z, -w), ...).
     """
+    if type(a) is not UnitaryMat2:
+        raise TypeError(f"twist_automorphism takes a UnitaryMat2, not {type(a).__name__}")
     if not a.is_special():
         raise ValueError("the twist acts on det = +1 matrices")
     section = determinant_section(sign)
@@ -81,6 +83,9 @@ IDENTITY_ELEMENT = SemidirectElement(IDENTITY2, 1)
 def compose(e1: SemidirectElement, e2: SemidirectElement) -> SemidirectElement:
     """Twisted composition: (A', s') (A, s) = (A' B' A B'^-1, s' s), B' the
     section matrix of s'."""
+    for e in (e1, e2):
+        if type(e) is not SemidirectElement:
+            raise TypeError(f"compose takes two SemidirectElements, not {type(e).__name__}")
     twisted = twist_automorphism(e1.sign, e2.su2_part)
     return SemidirectElement(e1.su2_part * twisted, e1.sign * e2.sign)
 
@@ -91,6 +96,8 @@ def to_unitary(e: SemidirectElement) -> UnitaryMat2:
     B is I or diag(-1, 1), so A * B is A with its first column negated
     when the sign is -1.
     """
+    if type(e) is not SemidirectElement:
+        raise TypeError(f"to_unitary takes a SemidirectElement, not {type(e).__name__}")
     if e.sign == 1:
         return e.su2_part
     return e.su2_part._between_diagonals(IDENTITY2, determinant_section(-1))
@@ -98,6 +105,8 @@ def to_unitary(e: SemidirectElement) -> UnitaryMat2:
 
 def from_unitary(c: UnitaryMat2) -> SemidirectElement:
     """Split a det = +/-1 matrix back into a pair; inverse of :func:`to_unitary`."""
+    if type(c) is not UnitaryMat2:
+        raise TypeError(f"from_unitary takes a UnitaryMat2, not {type(c).__name__}")
     if c.is_special():
         return SemidirectElement(c, 1)
     # The section matrix B of -1 is an involution, so c = (c B) B; c B is
@@ -113,6 +122,8 @@ def project_to_o3(e: SemidirectElement) -> OrthogonalMat3:
     covering map's column-signed kernel writes it in one step.  Always
     equal to the extended covering map of the fused matrix.
     """
+    if type(e) is not SemidirectElement:
+        raise TypeError(f"project_to_o3 takes a SemidirectElement, not {type(e).__name__}")
     return _signed_image(e.su2_part, 1, 1, e.sign)
 
 

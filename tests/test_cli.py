@@ -1026,6 +1026,44 @@ class TestOutput:
         assert list(tmp_path.iterdir()) == []
 
 
+# -- the JSON writer: the bytes json.dumps(value, indent=2, sort_keys=True) gives --
+
+# Any text, or text built from the characters an escaper can get wrong:
+# quote, backslash, controls, DEL, non-ASCII, a line separator, a character
+# outside the BMP and a lone surrogate.
+JSON_TEXTS = st.one_of(
+    st.text(max_size=8),
+    st.lists(
+        st.sampled_from(
+            ['"', "\\", "/", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀", "\ud800"]
+        ),
+        max_size=6,
+    ).map("".join),
+)
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-(2**200), 2**200), JSON_TEXTS)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(st.one_of(st.booleans(), st.integers()), max_size=6),
+        st.dictionaries(JSON_TEXTS, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+def test_json_writer_writes_the_bytes_of_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value, type_name", [(0.5, "float"), (object(), "object")])
+def test_json_writer_refuses_other_types(value, type_name):
+    with pytest.raises(TypeError, match=f"^Object of type {type_name} is not JSON serializable$"):
+        cli._json_text({"a": [1, value]})
+
+
 # -- robustness: random input never ends in a traceback -------------------------
 
 SCALAR_TEXTS = ["0", "1", "-1", "i", "-i", "2", "1/2", "-1/2+1/2i", "1/2-1/2i", "3/5+4/5i", "1/0", "x", ""]

@@ -21,6 +21,7 @@ from spincover.cover import (
     UnitaryMat2,
     covering_map,
     determinant_section,
+    extended_covering_map,
     quaternion_to_su2,
     rational_unit_quaternion,
 )
@@ -59,7 +60,15 @@ from spincover.ptgroup import (
     transform_value,
 )
 from spincover.scalars import GaussianRational, ScalarParseError, ScalarSizeError, parse_ratio
-from spincover.semidirect import from_unitary, parity_element, to_unitary
+from spincover.semidirect import (
+    IDENTITY_ELEMENT,
+    compose,
+    from_unitary,
+    parity_element,
+    project_to_o3,
+    to_unitary,
+    twist_automorphism,
+)
 from spincover.verify import sample_extended, sample_symmetry, sample_unit_spinor
 
 G = GaussianRational
@@ -107,6 +116,50 @@ class TestTimeReversalOperator:
         from spincover.cover import covering_map
 
         assert covering_map(treverse) == HALF_TURN_Y
+
+
+# The module functions check the type of each argument at their entry: a
+# wrong type is a TypeError naming the expected type, not an AttributeError
+# from an attribute lookup further in.
+WRONG_TYPE_CALLS = [
+    pytest.param(lambda: covering_map("x"), "covering_map takes a UnitaryMat2, not str", id="covering_map"),
+    pytest.param(
+        lambda: extended_covering_map(1),
+        "extended_covering_map takes a UnitaryMat2, not int",
+        id="extended_covering_map",
+    ),
+    pytest.param(
+        lambda: twist_automorphism(1, "x"), "twist_automorphism takes a UnitaryMat2, not str", id="twist_automorphism"
+    ),
+    pytest.param(lambda: from_unitary(1), "from_unitary takes a UnitaryMat2, not int", id="from_unitary"),
+    pytest.param(
+        lambda: compose(IDENTITY_ELEMENT, "x"), "compose takes two SemidirectElements, not str", id="compose"
+    ),
+    pytest.param(lambda: to_unitary(1), "to_unitary takes a SemidirectElement, not int", id="to_unitary"),
+    pytest.param(lambda: project_to_o3(1), "project_to_o3 takes a SemidirectElement, not int", id="project_to_o3"),
+    pytest.param(
+        lambda: spacetime_projection(1),
+        "spacetime_projection takes a SpinorSymmetry, not int",
+        id="spacetime_projection",
+    ),
+    pytest.param(lambda: ray_project(1), "ray_project takes a SpinorValue, not int", id="ray_project"),
+    pytest.param(
+        lambda: apply_symmetry(1, SpinorSampleField.from_text("0; 0,0,0; 1; 0\n")),
+        "apply_symmetry takes a SpinorSymmetry, not int",
+        id="apply_symmetry",
+    ),
+    pytest.param(
+        lambda: apply_symmetry(pt_symmetries()["P"], "x"),
+        "apply_symmetry acts on a SpinorSampleField, not str",
+        id="apply_symmetry-field",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", WRONG_TYPE_CALLS)
+def test_module_functions_give_a_type_error_for_a_wrong_type(call, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
 
 
 class TestSymmetryTypes:
