@@ -60,7 +60,6 @@ from .semidirect import (
     SemidirectElement,
     compose,
     from_unitary,
-    parity_element,
     project_to_o3,
     to_unitary,
     twist_automorphism,

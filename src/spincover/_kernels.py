@@ -31,7 +31,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Hashable, Optional, Sequence
 
-#: Name of the kernel implementation, reported in benchmark run records.
+#: Name of the kernel implementation; perfbench/run.py records it in each run record.
 BACKEND = "python"
 
 
@@ -151,6 +151,7 @@ def element_orders(rows: list[bytes], identity: int) -> list[int]:
     return orders
 
 
+# No caller in the package; perfbench/tracer.py wraps it by name, so it stays.
 def is_abelian(rows: list[bytes]) -> bool:
     return rows == list(map(bytes, zip(*rows)))
 

@@ -178,9 +178,6 @@ class FiniteGroup:
     def order_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(self._orders))
 
-    def is_abelian(self) -> bool:
-        return _kernels.is_abelian(self._rows)
-
     # -- rendering --------------------------------------------------------
 
     def cayley_text(self, omit_identity: bool = False) -> str:
@@ -283,7 +280,8 @@ def generate_closure(generators: Sequence[UnitaryMat2], backend: str = "exact") 
     """Close a set of :class:`UnitaryMat2` matrices under multiplication
     into a finite group, comparing elements by exact equality.
 
-    ``backend`` must be ``"exact"``, the only backend.  Element order is
+    ``backend`` must be ``"exact"``, the only backend; perfbench/tracer.py's
+    closure wrapper binds the argument by name, so it stays.  Element order is
     deterministic: identity first, then the generators in the order given,
     then each new product in the order the breadth-first walk finds it.
     Labels are ``e0``, ``e1``, ... in that order.
@@ -338,7 +336,7 @@ def cyclic(n: int) -> FiniteGroup:
     if _as_order(n, "cyclic order") < 1:
         raise ValueError("cyclic order must be at least 1")
     _check_order(n)
-    labels = ["1"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
+    labels = [_power_label("g", k) for k in range(n)]
     # Row i is (i + j) mod n: the run 0..n-1 rotated left by i.
     run = bytes(range(n))
     rows = [run[i:] + run[:i] for i in range(n)]

@@ -7,8 +7,8 @@ diag(-1, 1); that function is the only place the section is chosen.  Pairs
 compose with a twist: the left factor's section conjugates the right
 factor's special part, and the signs multiply.  Fusing a pair into the
 single matrix A * section(s) is an isomorphism onto the det = +/-1 group,
-and the bundle projection onto O(3) transports along it.  In text a pair
-is written ``(A | B)`` with B the section matrix.
+and the bundle projection onto O(3) transports along it.  A pair prints
+as ``(A | B)`` with B the section matrix; no input reads one.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .cover import (
     UnitaryMat2,
     _signed_image,
     determinant_section,
-    parity_operator,
 )
 from .scalars import Record, as_sign
 
@@ -56,28 +55,8 @@ class SemidirectElement(Record):
         object.__setattr__(self, "su2_part", su2_part)
         object.__setattr__(self, "sign", sign)
 
-    def inverse(self) -> "SemidirectElement":
-        return from_unitary(to_unitary(self).inverse())
-
     def to_text(self) -> str:
         return f"({self.su2_part.to_text()} | {determinant_section(self.sign).to_text()})"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SemidirectElement":
-        body = text.strip()
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ValueError(f"expected '(A | B)', got {text!r}")
-        left, sep, right = body[1:-1].partition("|")
-        if not sep:
-            raise ValueError(f"expected '(A | B)', got {text!r}")
-        su2_part = UnitaryMat2.from_text(left)
-        section = UnitaryMat2.from_text(right)
-        if section != determinant_section(section.det_sign):
-            raise ValueError("section matrix must be I or diag(-1, 1)")
-        return cls(su2_part, section.det_sign)
-
-
-IDENTITY_ELEMENT = SemidirectElement(IDENTITY2, 1)
 
 
 def compose(e1: SemidirectElement, e2: SemidirectElement) -> SemidirectElement:
@@ -125,8 +104,3 @@ def project_to_o3(e: SemidirectElement) -> OrthogonalMat3:
     if type(e) is not SemidirectElement:
         raise TypeError(f"project_to_o3 takes a SemidirectElement, not {type(e).__name__}")
     return _signed_image(e.su2_part, 1, 1, e.sign)
-
-
-def parity_element() -> SemidirectElement:
-    """The pair that fuses to the parity lift i*I: (diag(-i, i), -1)."""
-    return from_unitary(parity_operator())

@@ -22,6 +22,7 @@ from spincover.cover import (
     covering_map,
     determinant_section,
     extended_covering_map,
+    parity_operator,
     quaternion_to_su2,
     rational_unit_quaternion,
 )
@@ -61,10 +62,9 @@ from spincover.ptgroup import (
 )
 from spincover.scalars import GaussianRational, ScalarParseError, ScalarSizeError, parse_ratio
 from spincover.semidirect import (
-    IDENTITY_ELEMENT,
+    SemidirectElement,
     compose,
     from_unitary,
-    parity_element,
     project_to_o3,
     to_unitary,
     twist_automorphism,
@@ -133,7 +133,9 @@ WRONG_TYPE_CALLS = [
     ),
     pytest.param(lambda: from_unitary(1), "from_unitary takes a UnitaryMat2, not int", id="from_unitary"),
     pytest.param(
-        lambda: compose(IDENTITY_ELEMENT, "x"), "compose takes two SemidirectElements, not str", id="compose"
+        lambda: compose(SemidirectElement(IDENTITY2, 1), "x"),
+        "compose takes two SemidirectElements, not str",
+        id="compose",
     ),
     pytest.param(lambda: to_unitary(1), "to_unitary takes a SemidirectElement, not int", id="to_unitary"),
     pytest.param(lambda: project_to_o3(1), "project_to_o3 takes a SemidirectElement, not int", id="project_to_o3"),
@@ -232,7 +234,7 @@ class TestSemidirectBridge:
     (to_unitary(pair), sign), and from_unitary splits its matrix back."""
 
     def test_parity_pair(self):
-        g = SpinorSymmetry(to_unitary(parity_element()), 1)
+        g = SpinorSymmetry(to_unitary(from_unitary(parity_operator())), 1)
         assert g == pt_symmetries()["P"]
 
     def test_time_reversal_pair(self, treverse):
@@ -252,7 +254,7 @@ class TestSemidirectBridge:
         def projection(e):
             return spacetime_projection(SpinorSymmetry(to_unitary(e), 1))
 
-        assert projection(parity_element()) == SpacetimeSymmetry(SPACE_INVERSION, 1)
+        assert projection(from_unitary(parity_operator())) == SpacetimeSymmetry(SPACE_INVERSION, 1)
         assert projection(from_unitary(IDENTITY2)) == SpacetimeSymmetry(IDENTITY3, 1)
         assert projection(from_unitary(-IDENTITY2)) == SpacetimeSymmetry(IDENTITY3, 1)
 
