@@ -26,9 +26,9 @@ no :class:`Event` or :class:`SpinorValue` per sample; the objects are built
 only at the library surface.  A field line (ending only at a line feed)
 is split at ``;`` into its time, place and two value tokens; each distinct
 token of a text is read once, by the scalar parsers of
-:mod:`spincover.scalars`, and remembered for the rest of that text.  The
-per-token parser, through the same parsers, reads only the lines they
-reject and says why.  Time signs are checked by
+:mod:`spincover.scalars`, and remembered for the rest of that text.  A
+line they reject is read again, its tokens stripped, by the same
+readers, to name its first fault.  Time signs are checked by
 :func:`~spincover.scalars.as_sign`.  The one field action,
 :func:`apply_symmetry`, chooses the sector's rebind in one ``if``: the
 rotation R(U) when det U = +1 and a = +1, else the flip
@@ -71,7 +71,6 @@ from .scalars import (
     format_complex_key,
     format_ratio,
     lowest_terms,
-    parse_complex,
     parse_complex_key,
     parse_ratio,
 )
@@ -512,10 +511,12 @@ class SpinorSampleField(Immutable):
         time and the place join over the lcm of their denominators, or
         over the one they share when they are equal, as on every line of a
         whole-number grid.  A line that does not split into four tokens or
-        holds a token a reader rejects (a blank line, or a bad one) goes to
-        :func:`_parse_line_by_tokens`, which skips it or raises the
-        :class:`FieldParseError` that explains it.  The samples are put in
-        event order by :func:`_in_event_order`.
+        holds a token a reader rejects is skipped when it is blank or
+        whitespace only; else its tokens and coordinates are stripped and
+        read again, by the same readers, and the
+        :class:`FieldParseError` names the first fault in the order: line
+        shape, coordinate count, time, the three coordinates, u, v.  The
+        samples are put in event order by :func:`_in_event_order`.
         """
         ratio = cache(lambda token: lowest_terms(parse_ratio(token)))
 
@@ -541,11 +542,23 @@ class SpinorSampleField(Immutable):
                     # m // e, and then divides e but not all of a, b, c.
                     event = (n * (m // d), a * (m // e), b * (m // e), c * (m // e), m)
                 value = complex_value(u) + complex_value(v)
-            except ValueError:  # not four tokens, or a token a reader rejects
-                sample = _parse_line_by_tokens(raw, number)
-                if sample is None:
+            except ValueError:  # a blank line, or the first fault below
+                if not raw.strip():
                     continue
-                event, value = sample
+                tokens = [token.strip() for token in raw.split(";")]
+                if len(tokens) != 4:
+                    raise FieldParseError(number, f"expected 't; x1,x2,x3; u; v', got {echo(raw)}") from None
+                t, x, u, v = tokens
+                coords = [c.strip() for c in x.split(",")]
+                if len(coords) != 3:
+                    raise FieldParseError(number, f"expected three spatial coordinates, got {echo(x)}") from None
+                try:  # the line was rejected, so one of these reads raises
+                    for token in (t, *coords):
+                        ratio(token)
+                    complex_value(u)
+                    complex_value(v)
+                except ScalarParseError as exc:
+                    raise FieldParseError(number, str(exc)) from None
             if event in samples:
                 raise FieldParseError(number, f"duplicate event ({_event_text(event)})")
             samples[event] = value
@@ -553,27 +566,6 @@ class SpinorSampleField(Immutable):
 
 
 _set_keys = SpinorSampleField._keys.__set__
-
-
-def _parse_line_by_tokens(raw: str, number: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Read one field line token by token: None for a blank line, else its
-    (event key, value key), or the :class:`FieldParseError` that says what
-    is wrong."""
-    line = raw.strip()
-    if not line:
-        return None
-    parts = [p.strip() for p in line.split(";")]
-    if len(parts) != 4:
-        raise FieldParseError(number, f"expected 't; x1,x2,x3; u; v', got {echo(raw)}")
-    coords = [c.strip() for c in parts[1].split(",")]
-    if len(coords) != 3:
-        raise FieldParseError(number, f"expected three spatial coordinates, got {echo(parts[1])}")
-    try:
-        event = common_key([parse_ratio(parts[0]), *map(parse_ratio, coords)])
-        value = parse_complex(parts[2])._key + parse_complex(parts[3])._key
-    except ScalarParseError as exc:
-        raise FieldParseError(number, str(exc)) from None
-    return event, value
 
 
 # -- the field action -------------------------------------------------------

@@ -87,6 +87,12 @@ MALFORMED_FIELDS = [
     pytest.param(
         "0; 0,0,0,0; 1; 0\n", "line 1: expected three spatial coordinates, got '0,0,0,0'", id="four-coordinates"
     ),
+    # A line with two faults names the first in the order: coordinate count,
+    # time, the three coordinates, u, v; each echo is the token stripped.
+    pytest.param("1/0; 0,0; 1; 0\n", "line 1: expected three spatial coordinates, got '0,0'", id="count-before-time"),
+    pytest.param("x; 0,0,y; 1; 0\n", "line 1: not a rational scalar: 'x'", id="time-before-coordinate"),
+    pytest.param("0; 0,0,y; z; 0\n", "line 1: not a rational scalar: 'y'", id="coordinate-before-value"),
+    pytest.param("0;\t0 , 0 , 0 ;  1/0+i ; 0\n", "line 1: not a complex scalar: '1/0+i'", id="echo-stripped"),
     pytest.param("0; 0,0,0; 1; 0\n0; 0,0,0; 0; 1\n", "line 2: duplicate event (0; 0,0,0)", id="duplicate"),
     pytest.param(
         "1/2; 0,0,0; 1; 0\n\n2/4; 0,0,0; 0; 1\n", "line 3: duplicate event (1/2; 0,0,0)", id="duplicate-unreduced"

@@ -51,7 +51,6 @@ from spincover.ptgroup import (
     ZeroSpinorError,
     _SCALED_ORDER_MAX_BITS,
     _in_event_order,
-    _parse_line_by_tokens,
     apply_symmetry,
     composition_defect,
     inner_product,
@@ -60,7 +59,15 @@ from spincover.ptgroup import (
     spacetime_projection,
     transform_value,
 )
-from spincover.scalars import GaussianRational, ScalarParseError, ScalarSizeError, parse_ratio
+from spincover.scalars import (
+    GaussianRational,
+    ScalarParseError,
+    ScalarSizeError,
+    common_key,
+    echo,
+    parse_complex,
+    parse_ratio,
+)
 from spincover.semidirect import (
     SemidirectElement,
     compose,
@@ -813,7 +820,7 @@ class TestClosureMetadata:
         assert apply_symmetry(SpinorSymmetry(parity, 1), f).events() == f.events()
 
 
-# -- one grammar: the token reader against the per-token parser ---------------
+# -- one grammar: the field reader against a per-token oracle -----------------
 
 # str.isspace() characters, with the eight that str.splitlines() also breaks
 # lines at: a field line ends only at "\n".
@@ -879,22 +886,31 @@ def _outcome(parse):
 
 
 def _fields_by_tokens(text):
-    """from_text with every line read by the per-token parser alone, and the
-    field built from Event and SpinorValue objects by the constructor."""
+    """from_text as an independent oracle: each line stripped, split and read
+    token by token with parse_ratio, parse_complex and common_key, its first
+    fault named in the order line shape, coordinate count, time, the three
+    coordinates, u, v; the field built from Event and SpinorValue objects by
+    the constructor."""
     samples = {}
     for number, raw in enumerate(text.split("\n"), start=1):
-        sample = _parse_line_by_tokens(raw, number)
-        if sample is None:
+        line = raw.strip()
+        if not line:
             continue
-        event, value = Event._from_key(sample[0]), value_of_key(sample[1])
+        parts = [p.strip() for p in line.split(";")]
+        if len(parts) != 4:
+            raise FieldParseError(number, f"expected 't; x1,x2,x3; u; v', got {echo(raw)}")
+        coords = [c.strip() for c in parts[1].split(",")]
+        if len(coords) != 3:
+            raise FieldParseError(number, f"expected three spatial coordinates, got {echo(parts[1])}")
+        try:
+            event = Event._from_key(common_key([parse_ratio(parts[0]), *map(parse_ratio, coords)]))
+            value = SpinorValue(parse_complex(parts[2]), parse_complex(parts[3]))
+        except ScalarParseError as exc:
+            raise FieldParseError(number, str(exc)) from None
         if event in samples:
             raise FieldParseError(number, f"duplicate event ({event.to_text()})")
         samples[event] = value
     return SpinorSampleField(samples)
-
-
-def value_of_key(key):
-    return SpinorValue(G._from_key(key[:3]), G._from_key(key[3:]))
 
 
 def _in_order(field):
@@ -956,7 +972,7 @@ class TestOneGrammar:
 
     def test_examples_accepted_by_both(self):
         for raw in ("+0;\t-0 , 0,\u00a00 ;\u30001+0i ; +0i", "2/4; 007,0,0; i; -i", "1;0,0,0;1-2/3i;-1/2+i"):
-            assert _parse_line_by_tokens(raw, 1) is not None
+            assert len(_fields_by_tokens(raw).events()) == 1
             assert _in_order(SpinorSampleField.from_text(raw)) == _in_order(_fields_by_tokens(raw))
 
     @pytest.mark.parametrize("bad, message", [
