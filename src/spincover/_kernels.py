@@ -205,8 +205,9 @@ def element_signatures(
     return list(zip(orders, centralizers, roots))
 
 
-class NodeBudgetError(RuntimeError):
-    """An isomorphism search entered more nodes than its budget allows."""
+class IsomorphismSizeError(RuntimeError):
+    """A group beyond the supported order, or an isomorphism search beyond
+    its node budget."""
 
 
 class SearchNodes:
@@ -246,7 +247,8 @@ def find_isomorphism(
     isomorphism can take, so it does not change which map that is.
 
     Every call of the inner ``search`` is one node, counted in ``nodes``;
-    passing ``nodes.budget`` raises :class:`NodeBudgetError`.
+    passing ``nodes.budget`` raises :class:`IsomorphismSizeError`, naming
+    the budget and the order.
     """
     n = len(g_rows)
     phi = [-1] * n
@@ -281,7 +283,7 @@ def find_isomorphism(
     def search(depth: int) -> bool:
         nodes.count += 1
         if nodes.count > nodes.budget:
-            raise NodeBudgetError(f"isomorphism search passed its budget of {nodes.budget} nodes")
+            raise IsomorphismSizeError(f"isomorphism search passed its budget of {nodes.budget} nodes at order {n}")
         if depth == len(g_generators):
             return True
         s = g_generators[depth]

@@ -53,7 +53,7 @@ from .ptgroup import (
     pt_symmetries,
     spacetime_projection,
 )
-from .scalars import ScalarParseError, ScalarSizeError, echo
+from .scalars import ScalarSizeError, echo
 from .verify import SUITE_NAMES, VERIFY_SAMPLE_LIMIT, run_suites
 
 SCHEMA_VERSION = 1
@@ -147,7 +147,7 @@ def _parse_transform(token: str) -> SpinorSymmetry:
         time_sign = int(sign_text)
     try:
         matrix = UnitaryMat2.from_text(matrix_text)
-    except (ScalarParseError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad transform {echo(token)}: {exc}") from exc
     return SpinorSymmetry(matrix, time_sign)
 
@@ -191,7 +191,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     else:
         try:
             generators = [UnitaryMat2.from_text(g) for g in args.gen]
-        except (ScalarParseError, ValueError) as exc:
+        except ValueError as exc:
             raise InputError(f"bad generator: {exc}") from exc
         group = generate_closure(generators)
         omit_identity = False

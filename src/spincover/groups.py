@@ -38,6 +38,7 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence, Union
 
 from . import _kernels
+from ._kernels import IsomorphismSizeError
 from .cover import IDENTITY2, IDENTITY3, UnitaryMat2
 from .ptgroup import SpacetimeSymmetry, pt_symmetries, spacetime_projection
 from .scalars import Record, as_sign
@@ -47,10 +48,11 @@ from .scalars import Record, as_sign
 #: row is read as a 256-entry :meth:`bytes.translate` table.
 ISOMORPHISM_ORDER_LIMIT = 256
 
-#: Most nodes one isomorphism search may enter.  A node costs about 1.2 ms
-#: at order 256 (Python 3.11.7, one core of a 2-vCPU Intel Xeon), so a
-#: search that passes the budget there ends in about 12 s; every pair of
-#: product specs the CLI can spell up to order 256 is decided within 789.
+#: Most nodes one isomorphism search may enter.  A node costs about 1.45 ms
+#: at order 256 (1.3-2.0 ms; Python 3.11.7, one core of a 2-vCPU Intel
+#: Xeon), so a search that passes the budget there ends in about 15 s;
+#: every pair of product specs the CLI can spell up to order 256 is
+#: decided within 789.
 ISOMORPHISM_NODE_BUDGET = 10_000
 
 #: Range of principal-axis orders accepted by the double-group builder.
@@ -60,11 +62,6 @@ DOUBLE_GROUP_MAX_N = 12
 
 class ClosureLimitError(RuntimeError):
     """Closure passed the most elements a finite group of its generators can have."""
-
-
-class IsomorphismSizeError(RuntimeError):
-    """A group beyond the supported order, or an isomorphism search beyond
-    its node budget."""
 
 
 def _as_order(value: int, name: str) -> int:
@@ -544,13 +541,9 @@ def decide_isomorphism(
     if g_rows:
         return Refutation(SIGNATURES, g_rows, h_rows)
     nodes = _kernels.SearchNodes(ISOMORPHISM_NODE_BUDGET)
-    try:
-        mapping = _kernels.find_isomorphism(
-            g._rows, h._rows, g.identity_index, h.identity_index, g._generators,
-            g_keys, h_keys, nodes,
-        )
-    except _kernels.NodeBudgetError as exc:
-        raise IsomorphismSizeError(f"{exc} at order {g.order}") from None
+    mapping = _kernels.find_isomorphism(
+        g._rows, h._rows, g.identity_index, h.identity_index, g._generators, g_keys, h_keys, nodes,
+    )
     if mapping is None:
         return Refutation(EXHAUSTIVE_SEARCH, search_nodes=nodes.count)
     if not verify_isomorphism(g, h, mapping):  # defensive; the search verifies

@@ -18,9 +18,10 @@ built from it.
 Spinor fields are finite exact sample maps from events (t, x) to
 two-component Gaussian-rational values.  An :class:`Event` is an
 :class:`~spincover.scalars.ExactKey` of four integer numerators (t, x1, x2,
-x3) over one denominator.  A :class:`SpinorSampleField` stores one dict, in
-event order, from each event key (those five ints) to a value key (the
-keys (a, b, d) of the two components joined into six ints).  Parsing,
+x3) over one denominator.  A :class:`SpinorSampleField` is an
+:class:`~spincover.scalars.ExactKey` too: its key is one dict, in event
+order, from each event key (those five ints) to a value key (the keys
+(a, b, d) of the two components joined into six ints).  Parsing,
 sorting, the action and printing work on these int tuples and build
 no :class:`Event` or :class:`SpinorValue` per sample; the objects are built
 only at the library surface.  A field line (ending only at a line feed)
@@ -59,7 +60,6 @@ from .scalars import (
     ZERO,
     ExactKey,
     GaussianRational,
-    Immutable,
     Record,
     ScalarParseError,
     _reduced,
@@ -424,13 +424,15 @@ class FieldParseError(ValueError):
         super().__init__(f"line {line_number}: {message}")
 
 
-class SpinorSampleField(Immutable):
+class SpinorSampleField(ExactKey):
     """A finite exact map from events to spinor values.
 
-    Immutable and unhashable.  Stored as one dict, sorted by event once when
-    the field is built, from each event key (``Event._key``) to a value key
-    (the keys of the two components joined into six ints); fields derived
-    from a sorted one keep its order and are not sorted again.  The
+    Immutable and unhashable.  An :class:`~spincover.scalars.ExactKey`
+    whose key is one dict, sorted by event once when the field is built,
+    from each event key (``Event._key``) to a value key (the keys of the
+    two components joined into six ints), so ``==``, copy and pickle are
+    the key's; fields derived from a sorted one keep its order and are not
+    sorted again.  The
     constructor takes a mapping of :class:`Event` to :class:`SpinorValue`
     (anything else is a TypeError), and ``samples``, :meth:`events` and
     :meth:`value_at` build fresh objects on each call.  The transformations
@@ -438,46 +440,32 @@ class SpinorSampleField(Immutable):
     naming the first missing one.
     """
 
-    __slots__ = ("_keys",)
+    __slots__ = ()
+    __hash__ = None
 
     def __init__(self, samples: Mapping[Event, SpinorValue]) -> None:
         keys = {_event_key(event): _value_key(value) for event, value in samples.items()}
-        _set_keys(self, _in_event_order(keys))
-
-    @classmethod
-    def _from_keys(cls, keys: dict[tuple[int, ...], tuple[int, ...]]) -> "SpinorSampleField":
-        """The field of a key dict already sorted by event, without sorting again."""
-        field = object.__new__(cls)
-        _set_keys(field, keys)
-        return field
-
-    def __reduce__(self) -> tuple:
-        return (SpinorSampleField._from_keys, (self._keys,))
+        super().__init__(_in_event_order(keys))
 
     @property
     def samples(self) -> dict[Event, SpinorValue]:
         """A new dict of the samples, in event order."""
-        return {Event._from_key(e): _value_of(v) for e, v in self._keys.items()}
+        return {Event._from_key(e): _value_of(v) for e, v in self._key.items()}
 
     def events(self) -> list[Event]:
-        return [Event._from_key(e) for e in self._keys]
+        return [Event._from_key(e) for e in self._key]
 
     def value_at(self, event: Event) -> SpinorValue:
         try:
-            return _value_of(self._keys[_event_key(event)])
+            return _value_of(self._key[_event_key(event)])
         except KeyError:
             raise DomainClosureError(event) from None
 
     def map_values(self, fn) -> "SpinorSampleField":
-        return SpinorSampleField._from_keys({e: _value_key(fn(_value_of(v))) for e, v in self._keys.items()})
+        return SpinorSampleField._from_key({e: _value_key(fn(_value_of(v))) for e, v in self._key.items()})
 
     def __neg__(self) -> "SpinorSampleField":
         return self.map_values(lambda v: -v)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpinorSampleField):
-            return NotImplemented
-        return self._keys == other._keys
 
     def __repr__(self) -> str:
         return f"SpinorSampleField({self.samples!r})"
@@ -485,7 +473,7 @@ class SpinorSampleField(Immutable):
     def to_lines(self) -> list[str]:
         return [
             f"{_event_text(e)}; {format_complex_key(a, b, d)}; {format_complex_key(p, q, n)}"
-            for e, (a, b, d, p, q, n) in self._keys.items()
+            for e, (a, b, d, p, q, n) in self._key.items()
         ]
 
     def to_text(self) -> str:
@@ -562,10 +550,7 @@ class SpinorSampleField(Immutable):
             if event in samples:
                 raise FieldParseError(number, f"duplicate event ({_event_text(event)})")
             samples[event] = value
-        return cls._from_keys(_in_event_order(samples))
-
-
-_set_keys = SpinorSampleField._keys.__set__
+        return cls._from_key(_in_event_order(samples))
 
 
 # -- the field action -------------------------------------------------------
@@ -599,7 +584,7 @@ def apply_symmetry(g: SpinorSymmetry, f: SpinorSampleField) -> SpinorSampleField
     if type(f) is not SpinorSampleField:
         raise TypeError(f"apply_symmetry acts on a SpinorSampleField, not {type(f).__name__}")
     matrix, a, det = g.matrix, g.time_sign, g.matrix.det_sign
-    keys = f._keys
+    keys = f._key
     if det == 1 and a == 1:
         rotation = covering_map(matrix)
         sources = _rotated_all(keys, rotation)
@@ -610,7 +595,7 @@ def apply_symmetry(g: SpinorSymmetry, f: SpinorSampleField) -> SpinorSampleField
     except KeyError:
         missing = next(source for source in sources if source not in keys)
         raise DomainClosureError(Event._from_key(missing)) from None
-    return SpinorSampleField._from_keys(dict(zip(keys, matrix.integer_apply_all(values, a == -1))))
+    return SpinorSampleField._from_key(dict(zip(keys, matrix.integer_apply_all(values, a == -1))))
 
 
 class CompositionDefect(Record):

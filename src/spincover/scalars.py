@@ -1,14 +1,17 @@
 """Exact values as canonical integer keys, and the Gaussian rationals.
 
-Every exact value in this package (a scalar, a matrix, a sample event) is
-an :class:`ExactKey`: one tuple of Python ints holding its numerators and
-then one positive denominator, in lowest terms (gcd 1).  That key is the
-only representation of its value, so equality and hashing compare it, copy
-and pickle rebuild from it, and arithmetic is integer work plus one gcd.
-:func:`lowest_terms` and :func:`common_key` are the one place the form is
-made.  The package's other values, such as a symmetry (U, a) or a spinor
-value (u, v), are each a :class:`Record` of named fields, compared, hashed,
-copied and pickled by those fields.  Both kinds are :class:`Immutable`.
+Every exact value in this package (a scalar, a matrix, a sample event, a
+sample field) is an :class:`ExactKey`: one canonical key, the only
+representation of its value, so equality and hashing compare it and copy
+and pickle rebuild from it.  For a scalar, a matrix or an event the key is
+one tuple of Python ints holding its numerators and then one positive
+denominator, in lowest terms (gcd 1), so arithmetic is integer work plus
+one gcd; :func:`lowest_terms` and :func:`common_key` are the one place
+that form is made.  For a sample field the key is one dict, in event
+order, from event keys to value keys.  The package's other values, such
+as a symmetry (U, a) or a spinor value (u, v), are each a :class:`Record`
+of named fields, compared, hashed, copied and pickled by those fields.
+Both kinds are :class:`Immutable`.
 
 A :class:`GaussianRational` is the key (a, b, d) of (a + b i)/d.  ``re``,
 ``im`` and ``norm_sq()`` return :class:`fractions.Fraction` values; the
@@ -124,23 +127,26 @@ class Record(Immutable):
 
 
 class ExactKey(Immutable):
-    """An immutable exact value stored as one canonical integer key.
+    """An immutable exact value stored as one canonical key.
 
-    ``_key`` holds the numerators, then one positive denominator, with gcd
-    1, so equal values have equal keys: ``==`` and ``hash`` compare the key
-    and copy and pickle rebuild from it.  A subclass gives the numerators
-    their meaning, and its constructor checks a caller's value and passes
-    the key on to this one.
+    Equal values have equal keys: ``==`` and ``hash`` compare ``_key``,
+    and copy and pickle rebuild from it.  A scalar, matrix or event key
+    holds the numerators, then one positive denominator, with gcd 1; a
+    sample field's key is its dict, in event order, from event keys to
+    value keys, and the field sets ``__hash__`` to None.  A subclass gives
+    the key its meaning, and its constructor checks a caller's value and
+    passes the key on to this one.
     """
 
     __slots__ = ("_key",)
 
-    def __init__(self, key: tuple[int, ...]) -> None:
+    def __init__(self, key: tuple[int, ...] | dict) -> None:
         _set_key(self, key)
 
     @classmethod
-    def _from_key(cls, key: tuple[int, ...]):
-        """The value of a key already in lowest terms with d > 0."""
+    def _from_key(cls, key: tuple[int, ...] | dict):
+        """The value of a key already canonical: a tuple in lowest terms
+        with d > 0, or a field's dict already in event order."""
         value = object.__new__(cls)
         _set_key(value, key)
         return value

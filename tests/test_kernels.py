@@ -217,7 +217,9 @@ class TestKernelBasics:
         nodes = _kernels.SearchNodes(3)
         assert _kernels.find_isomorphism(g, g, 0, 0, generators, orders, orders, nodes)
         assert nodes.count == 3
-        with pytest.raises(_kernels.NodeBudgetError):
+        # The kernel raises the error the CLI reports, naming budget and order.
+        assert IsomorphismSizeError is _kernels.IsomorphismSizeError  # imported from groups
+        with pytest.raises(IsomorphismSizeError, match="^isomorphism search passed its budget of 2 nodes at order 16$"):
             _kernels.find_isomorphism(
                 g, g, 0, 0, generators, orders, orders, _kernels.SearchNodes(2)
             )

@@ -60,6 +60,7 @@ from spincover.ptgroup import (
     transform_value,
 )
 from spincover.scalars import (
+    ExactKey,
     GaussianRational,
     ScalarParseError,
     ScalarSizeError,
@@ -734,10 +735,13 @@ class TestFieldSurface:
 
     def test_immutable_unhashable_copyable(self):
         f = varied_field()
+        # Equality, copy and pickle are ExactKey's, over the one dict key.
+        assert isinstance(f, ExactKey)
+        assert not {"__eq__", "__reduce__", "_from_keys"} & set(vars(SpinorSampleField))
         with pytest.raises(AttributeError):
             f.samples = {}
         with pytest.raises(AttributeError, match="^SpinorSampleField is immutable$"):
-            del f._keys
+            del f._key
         assert f == varied_field()
         with pytest.raises(TypeError):
             hash(f)
@@ -1023,7 +1027,7 @@ class TestOneGrammar:
         f = SpinorSampleField.from_text("1/2; 0,0,0; 1; 0\n2/4; 1/3,0,0; 1; 0\n")
         half = Fraction(1, 2)
         assert f.events() == [Event.make(half, 0, 0, 0), Event.make(half, Fraction(1, 3), 0, 0)]
-        assert list(f._keys) == [(1, 0, 0, 0, 2), (3, 2, 0, 0, 6)]
+        assert list(f._key) == [(1, 0, 0, 0, 2), (3, 2, 0, 0, 6)]
         with pytest.raises(FieldParseError, match=r"^line 2: duplicate event \(1/2; 0,0,0\)$"):
             SpinorSampleField.from_text("1/2; 0,0,0; 1; 0\n2/4; 0,0,0; 1; 0\n")
 
