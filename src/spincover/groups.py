@@ -64,9 +64,9 @@ class ClosureLimitError(RuntimeError):
     """Closure passed the most elements a finite group of its generators can have."""
 
 
-def _as_order(value: int, name: str) -> int:
-    """The one type check of an order: an int.  Any other type, a bool or
-    a float too, is a TypeError."""
+def _as_int(value: int, name: str) -> int:
+    """The one type check of an int argument (an order, an index, a sample
+    count): any other type, a bool or a float too, is a TypeError."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
     return value
@@ -106,7 +106,7 @@ class FiniteGroup:
     ) -> None:
         _check_order(len(labels))
         self.labels = [str(x) for x in labels]
-        self.identity_index = int(identity_index)
+        self.identity_index = _as_int(identity_index, "identity index")
         self.element_source = dict(element_source) if element_source else None
         self.name = name
         if len(set(self.labels)) != len(self.labels):
@@ -203,6 +203,18 @@ class FiniteGroup:
     def __repr__(self) -> str:
         name = self.name or "FiniteGroup"
         return f"<{name} of order {self.order}>"
+
+
+# The class itself, so that the check below is of the type whatever the
+# module name ``FiniteGroup`` is later bound to.
+_FINITE_GROUP = FiniteGroup
+
+
+def _check_groups(entry: str, *groups: object) -> None:
+    """Refuse an argument of ``entry`` that is not a :class:`FiniteGroup`."""
+    for group in groups:
+        if not isinstance(group, _FINITE_GROUP):
+            raise TypeError(f"{entry} takes a FiniteGroup, not {type(group).__name__}")
 
 
 def _raise_if_not_latin(table: Sequence[Sequence[int]]) -> None:
@@ -330,7 +342,7 @@ def generate_closure(generators: Sequence[UnitaryMat2], backend: str = "exact") 
 
 def cyclic(n: int) -> FiniteGroup:
     """The cyclic group of order n, labels 1, g, g^2, ..."""
-    if _as_order(n, "cyclic order") < 1:
+    if _as_int(n, "cyclic order") < 1:
         raise ValueError("cyclic order must be at least 1")
     _check_order(n)
     labels = [_power_label("g", k) for k in range(n)]
@@ -344,7 +356,7 @@ def dihedral(order: int) -> FiniteGroup:
     """The dihedral group of the given (even) order 2m:
     <r, s | r^m = s^2 = 1, s r s^-1 = r^-1>.  Elements are the m rotations
     r^k followed by the m reflections r^k·s."""
-    if _as_order(order, "dihedral order") < 2 or order % 2 != 0:
+    if _as_int(order, "dihedral order") < 2 or order % 2 != 0:
         raise ValueError("dihedral order must be an even number >= 2")
     return _inverting_extension(order // 2, 0, "r", "s", f"Dih{order}")
 
@@ -353,7 +365,7 @@ def dicyclic(order: int) -> FiniteGroup:
     """The dicyclic group of the given order 4n (order 8 is the quaternion
     group): <a, b | a^{2n} = 1, b^2 = a^n, b a b^-1 = a^-1>.  Elements are
     the powers a^k followed by the a^k·b."""
-    if _as_order(order, "dicyclic order") < 4 or order % 4 != 0:
+    if _as_int(order, "dicyclic order") < 4 or order % 4 != 0:
         raise ValueError("dicyclic order must be a multiple of 4, at least 4")
     return _inverting_extension(order // 2, order // 4, "a", "b", f"Dic{order}")
 
@@ -401,9 +413,10 @@ def direct_product(g: FiniteGroup, *others: FiniteGroup) -> FiniteGroup:
     give it.  Only the full product becomes a :class:`FiniteGroup`, so it
     is validated once; a single factor is returned as it is.
     """
+    factors = (g, *others)
+    _check_groups("direct_product", *factors)
     if not others:
         return g
-    factors = (g, *others)
     _check_order(prod(f.order for f in factors))
     labels, identity = g.labels, g.identity_index
     for h in others:
@@ -437,6 +450,7 @@ class IsomorphismWitness(Record):
 def verify_isomorphism(g: FiniteGroup, h: FiniteGroup, mapping: Sequence[int]) -> bool:
     """Exhaustively check a candidate mapping for bijectivity and the
     homomorphism law on every pair."""
+    _check_groups("verify_isomorphism", g, h)
     return _kernels.check_isomorphism(g._rows, h._padded, list(mapping))
 
 
@@ -523,6 +537,7 @@ def decide_isomorphism(
     the lexicographically smallest mapping by element index.  When ``h`` is
     ``g``, the one object, its signatures are computed once.
     """
+    _check_groups("decide_isomorphism", g, h)
     if g.order_multiset() != h.order_multiset():
         return Refutation(ORDER_MULTISET, g.order_multiset(), h.order_multiset())
     g_keys = _kernels.element_signatures(g._rows, g.identity_index, g._generators, g._orders)
@@ -555,6 +570,7 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> Optional[IsomorphismWitn
     """The verified, lexicographically smallest isomorphism from ``g`` to
     ``h``; None if the groups are not isomorphic.  :func:`decide_isomorphism`
     does the work and also says why a pair is not isomorphic."""
+    _check_groups("find_isomorphism", g, h)
     outcome = decide_isomorphism(g, h)
     return outcome if isinstance(outcome, IsomorphismWitness) else None
 
@@ -629,7 +645,7 @@ def _double_generators(family: str, n: int, parity_square: int) -> tuple[Monomia
     """The two generators of :func:`double_group`'s group, after checking
     its arguments: the principal-axis lift, then the half-turn or mirror
     lift."""
-    if not (DOUBLE_GROUP_MIN_N <= _as_order(n, "axis order") <= DOUBLE_GROUP_MAX_N):
+    if not (DOUBLE_GROUP_MIN_N <= _as_int(n, "axis order") <= DOUBLE_GROUP_MAX_N):
         raise ValueError(
             f"axis order must be between {DOUBLE_GROUP_MIN_N} and {DOUBLE_GROUP_MAX_N}"
         )

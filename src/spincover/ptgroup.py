@@ -31,9 +31,9 @@ token of a text is read once, by the scalar parsers of
 line they reject is read again, its tokens stripped, by the same
 readers, to name its first fault.  Time signs are checked by
 :func:`~spincover.scalars.as_sign`.  The one field action,
-:func:`apply_symmetry`, chooses the sector's rebind in one ``if``: the
-rotation R(U) when det U = +1 and a = +1, else the flip
-(t, x) -> (a t, det U x).  In the antiunitary sectors it conjugates values
+:func:`apply_symmetry`, moves every event key by one kernel to (a t, S x);
+its one ``if`` only picks S: the rotation R(U) when det U = +1 and
+a = +1, else det U I.  In the antiunitary sectors it conjugates values
 by negating their imaginary numerators inside the matrix product, so
 every transformation law is checked by exact equality on the sampled
 events.
@@ -49,6 +49,8 @@ from operator import is_
 from typing import Iterable, Mapping, Optional
 
 from .cover import (
+    IDENTITY3,
+    SPACE_INVERSION,
     OrthogonalMat3,
     UnitaryMat2,
     _signed_image,
@@ -310,16 +312,6 @@ class Event(ExactKey):
         u, p, q, r, e = other._key
         return (t * e, a * e, b * e, c * e) < (u * d, p * d, q * d, r * d)
 
-    def time_flipped(self) -> "Event":
-        return Event._from_key(_flipped(self._key, -1, 1))
-
-    def space_flipped(self) -> "Event":
-        return Event._from_key(_flipped(self._key, 1, -1))
-
-    def rotated(self, rotation: OrthogonalMat3) -> "Event":
-        (key,) = _rotated_all([self._key], rotation)
-        return Event._from_key(key)
-
     def to_text(self) -> str:
         return _event_text(self._key)
 
@@ -327,22 +319,21 @@ class Event(ExactKey):
         return f"Event(t={self.t!r}, x={self.x!r})"
 
 
-# Event keys (t, x1, x2, x3, d): the flip and rotation rebinds, and text.
+# Event keys (t, x1, x2, x3, d): the one rebind, and text.
 
 
-def _flipped(key: tuple[int, ...], time_sign: int, space_sign: int) -> tuple[int, ...]:
-    t, a, b, c, d = key
-    return (time_sign * t, space_sign * a, space_sign * b, space_sign * c, d)
-
-
-def _rotated_all(keys: Iterable[tuple[int, ...]], rotation: OrthogonalMat3) -> list[tuple[int, ...]]:
-    """The key of (t, R x) for each event key (t, x), in the keys' order:
-    R's nine numerators times x over R's denominator times the event's."""
-    n0, n1, n2, n3, n4, n5, n6, n7, n8, e = rotation._key
-    return [
-        lowest_terms((t * e, n0 * a + n1 * b + n2 * c, n3 * a + n4 * b + n5 * c, n6 * a + n7 * b + n8 * c, d * e))
+def _moved_keys(keys: Iterable[tuple[int, ...]], spatial: OrthogonalMat3, time_sign: int) -> list[tuple[int, ...]]:
+    """The key of (a t, S x) for each event key (t, x), in order: S's nine
+    numerators times x, and a e t, over S's denominator e times the event's."""
+    n0, n1, n2, n3, n4, n5, n6, n7, n8, e = spatial._key
+    scale = time_sign * e
+    moved = [
+        (scale * t, n0 * a + n1 * b + n2 * c, n3 * a + n4 * b + n5 * c, n6 * a + n7 * b + n8 * c, d * e)
         for t, a, b, c, d in keys
     ]
+    # With e = 1, S is an integer orthogonal matrix, so a signed permutation,
+    # which keeps gcd(t, x, d) = 1: the keys are already in lowest terms.
+    return moved if e == 1 else list(map(lowest_terms, moved))
 
 
 def _event_text(key: tuple[int, ...]) -> str:
@@ -564,10 +555,10 @@ def apply_symmetry(g: SpinorSymmetry, f: SpinorSampleField) -> SpinorSampleField
     first, their values looked up, and the values multiplied by U in one
     call, :meth:`~spincover.cover.UnitaryMat2.integer_apply_all`; in an
     antiunitary sector (a = -1) it conjugates each value by negating its
-    two imaginary numerators on the way into the product.  The sector
-    choice is one ``if``: rotate by R, the covering image of U, when
-    det U = +1 and a = +1, else flip (t, x) to (a t, det U x), written
-    out on each event key.  So time reversal (+1, -1) rebinds to (-t, x), parity
+    two imaginary numerators on the way into the product.  Every source
+    event is (a t, S x), by one kernel on the event keys; the sector ``if``
+    only picks S: R, the covering image of U, when det U = +1 and a = +1,
+    else det U I.  So time reversal (+1, -1) rebinds to (-t, x), parity
     (-1, +1) to (t, -x) and parity-time (-1, -1) to (-t, -x).
 
     That is the point map of :func:`spacetime_projection` when the spatial
@@ -584,12 +575,12 @@ def apply_symmetry(g: SpinorSymmetry, f: SpinorSampleField) -> SpinorSampleField
     if type(f) is not SpinorSampleField:
         raise TypeError(f"apply_symmetry acts on a SpinorSampleField, not {type(f).__name__}")
     matrix, a, det = g.matrix, g.time_sign, g.matrix.det_sign
-    keys = f._key
     if det == 1 and a == 1:
-        rotation = covering_map(matrix)
-        sources = _rotated_all(keys, rotation)
+        spatial = covering_map(matrix)
     else:
-        sources = [(a * t, det * x1, det * x2, det * x3, d) for t, x1, x2, x3, d in keys]
+        spatial = IDENTITY3 if det == 1 else SPACE_INVERSION
+    keys = f._key
+    sources = _moved_keys(keys, spatial, a)
     try:
         values = list(map(keys.__getitem__, sources))
     except KeyError:
@@ -626,8 +617,9 @@ def composition_defect(
 
     Both paths apply the same matrix with the same conjugation, so a
     witness is an event the two paths read from different source events.
-    It takes a pair of rotations that do not commute there, or an element
-    whose spatial part is not +/-I (see :func:`apply_symmetry`).
+    It takes a pair of rotations that do not commute there, as the rotation
+    sector rebinds by S = R, not R^-1, or an element whose spatial part is
+    not +/-I (see :func:`apply_symmetry`).
     """
     two_step = apply_symmetry(g, apply_symmetry(h, f))
     one_step = apply_symmetry(g * h, f)

@@ -34,7 +34,7 @@ from .cover import (
     parity_operator,
     stereographic_su2,
 )
-from .groups import _close, _pt_matrices
+from .groups import _as_int, _close, _pt_matrices
 from .ptgroup import (
     Event,
     SpacetimeSymmetry,
@@ -106,9 +106,9 @@ VERIFY_SAMPLE_LIMIT = 100_000
 
 
 def _check_samples(samples: int) -> None:
-    """Refuse a sample count outside 1..VERIFY_SAMPLE_LIMIT, before any draw:
-    with no samples the sampled laws would hold on no item and pass."""
-    if not 1 <= samples <= VERIFY_SAMPLE_LIMIT:
+    """Refuse a non-int sample count, or one outside 1..VERIFY_SAMPLE_LIMIT,
+    before any draw: with no samples the sampled laws would pass on no item."""
+    if not 1 <= _as_int(samples, "samples") <= VERIFY_SAMPLE_LIMIT:
         raise ValueError(f"samples must be in 1..{VERIFY_SAMPLE_LIMIT}, got {samples}")
 
 
@@ -416,26 +416,21 @@ def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
         CheckResult("the parity-time matrix squares to +I and its double action negates the field", pt_squares)
     )
 
-    def follows(element, source_of, formula):
-        """Law on events: the transformed value at an event is ``formula``
-        of the field value at ``source_of(event)``."""
+    # The transformed value at (t, x) is a formula of the field value at
+    # (a t, b x), an Event built from Fractions apart from the action's kernel.
+    componentwise = [
+        ("time reversal", t_elem, -1, 1, lambda s: SpinorValue(-s.v.conjugate(), s.u.conjugate())),
+        ("parity", p_elem, 1, -1, lambda s: SpinorValue(I_UNIT * s.u, I_UNIT * s.v)),
+        ("parity-time", pt_elem, -1, -1, lambda s: SpinorValue(-I_UNIT * s.v.conjugate(), I_UNIT * s.u.conjugate())),
+    ]
+    for name, element, a, b, formula in componentwise:
         transformed = apply_symmetry(element, field)
 
         def law(event):
-            return formula(field.value_at(source_of(event))) == transformed.value_at(event)
+            source = Event(a * event.t, tuple(b * q for q in event.x))
+            return formula(field.value_at(source)) == transformed.value_at(event)
 
-        return law
-
-    reversal = follows(t_elem, Event.time_flipped, lambda s: SpinorValue(-s.v.conjugate(), s.u.conjugate()))
-    checks.check("time reversal matches its componentwise formula", zip(field.events()), reversal)
-    inversion = follows(p_elem, Event.space_flipped, lambda s: SpinorValue(I_UNIT * s.u, I_UNIT * s.v))
-    checks.check("parity matches its componentwise formula", zip(field.events()), inversion)
-    full_reversal = follows(
-        pt_elem,
-        lambda e: e.time_flipped().space_flipped(),
-        lambda s: SpinorValue(-I_UNIT * s.v.conjugate(), I_UNIT * s.u.conjugate()),
-    )
-    checks.check("parity-time matches its componentwise formula", zip(field.events()), full_reversal)
+        checks.check(f"{name} matches its componentwise formula", zip(field.events()), law)
 
     spinors = [sample_unit_spinor(rng) for _ in range(min(samples, 100))]
     phases = [

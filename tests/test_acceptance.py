@@ -241,7 +241,7 @@ def test_criterion_07_spinor_action_laws():
 
         reversed_time = apply_symmetry(t, field)
         for e in events:
-            src = field.value_at(e.time_flipped())
+            src = field.value_at(Event(-e.t, e.x))
             assert reversed_time.value_at(e) == SpinorValue(
                 -src.v.conjugate(), src.u.conjugate()
             )
@@ -249,12 +249,12 @@ def test_criterion_07_spinor_action_laws():
         reversed_space = apply_symmetry(p, field)
         i = G(0, 1)
         for e in events:
-            src = field.value_at(e.space_flipped())
+            src = field.value_at(Event(e.t, tuple(-q for q in e.x)))
             assert reversed_space.value_at(e) == SpinorValue(i * src.u, i * src.v)
 
         reversed_both = apply_symmetry(pt_symmetries()["PT"], field)
         for e in events:
-            src = field.value_at(e.time_flipped().space_flipped())
+            src = field.value_at(Event(-e.t, tuple(-q for q in e.x)))
             assert reversed_both.value_at(e) == SpinorValue(
                 -i * src.v.conjugate(), i * src.u.conjugate()
             )

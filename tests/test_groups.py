@@ -218,6 +218,13 @@ class TestFiniteGroupValidation:
         with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
             FiniteGroup(["a", "b"], [[0.0, 1.0], [1.0, 0.0]], 0)
 
+    @pytest.mark.parametrize("identity", [0.7, "0", True, None], ids=["float", "str", "bool", "none"])
+    def test_identity_index_that_is_not_an_int_is_refused(self, identity):
+        # 0.7 is not truncated to 0, "0" not read through int(), and True
+        # not taken for element 1.
+        with pytest.raises(TypeError, match=rf"^identity index must be an int, not {type(identity).__name__}$"):
+            FiniteGroup(["a", "b"], [[0, 1], [1, 0]], identity)
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             FiniteGroup(["a", "a"], [[0, 1], [1, 0]], 0)
@@ -618,6 +625,21 @@ class TestAbstractGroups:
 
 
 class TestIsomorphism:
+    @pytest.mark.parametrize(
+        "entry, args",
+        [
+            ("direct_product", (1,)),
+            ("direct_product", (cyclic(2), 1)),
+            ("decide_isomorphism", (cyclic(2), 1)),
+            ("find_isomorphism", (1, cyclic(2))),
+            ("verify_isomorphism", (cyclic(2), [[0, 1], [1, 0]], [0, 1])),
+        ],
+    )
+    def test_argument_that_is_not_a_group_is_refused(self, entry, args):
+        wrong = next(type(a).__name__ for a in args if not isinstance(a, FiniteGroup))
+        with pytest.raises(TypeError, match=rf"^{entry} takes a FiniteGroup, not {wrong}$"):
+            getattr(groups, entry)(*args)
+
     def test_witnesses_are_verified(self, monkeypatch):
         g = direct_product(cyclic(2), cyclic(4))
         h = direct_product(cyclic(4), cyclic(2))

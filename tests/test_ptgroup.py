@@ -110,6 +110,22 @@ def constant(u, v):
     return SpinorSampleField({e: SpinorValue(u, v) for e in symmetric_events()})
 
 
+# Rebinds written on an event's Fraction coordinates, apart from the key
+# kernel apply_symmetry moves events by: the test oracles use these.
+
+
+def time_flipped(e: Event) -> Event:
+    return Event(-e.t, e.x)
+
+
+def space_flipped(e: Event) -> Event:
+    return Event(e.t, tuple(-q for q in e.x))
+
+
+def rotated(e: Event, rotation) -> Event:
+    return Event(e.t, rotation.apply(e.x))
+
+
 class TestTimeReversalOperator:
     def test_matrix(self, treverse):
         assert treverse.rows == ((gr(0), gr(-1)), (gr(1), gr(0)))
@@ -316,7 +332,7 @@ class TestTimeReversalAction:
         f = varied_field()
         g = apply_symmetry(SpinorSymmetry(IDENTITY2, -1), f)
         for e in f.events():
-            assert g.value_at(e) == f.value_at(e.time_flipped()).conjugate()
+            assert g.value_at(e) == f.value_at(time_flipped(e)).conjugate()
 
     def test_real_field_with_identity_matrix_only_flips_time(self):
         events = symmetric_events()
@@ -326,7 +342,7 @@ class TestTimeReversalAction:
         f = SpinorSampleField(samples)
         g = apply_symmetry(SpinorSymmetry(IDENTITY2, -1), f)
         for e in events:
-            assert g.value_at(e) == f.value_at(e.time_flipped())
+            assert g.value_at(e) == f.value_at(time_flipped(e))
 
 
 class TestParityAction:
@@ -376,7 +392,7 @@ class TestParityTimeAction:
         f = varied_field()
         g = apply_symmetry(pt, f)
         for e in f.events():
-            source = f.value_at(e.time_flipped().space_flipped())
+            source = f.value_at(space_flipped(time_flipped(e)))
             assert g.value_at(e) == transform_value(pt.matrix, source.conjugate())
 
 
@@ -806,7 +822,7 @@ class TestClosureMetadata:
         rotation = covering_map(treverse)
         with pytest.raises(DomainClosureError) as err:
             apply_symmetry(SpinorSymmetry(treverse, 1), f)
-        assert err.value.missing == Event.make(0, 1, 0, 0).rotated(rotation)
+        assert err.value.missing == rotated(Event.make(0, 1, 0, 0), rotation)
 
     def test_flips_report_first_missing_event(self, treverse, parity):
         one = SpinorValue(gr(1), gr(0))
@@ -1135,11 +1151,11 @@ def reference_action(g, f):
     matrix = g.matrix
     if g.matrix.is_special():
         rotation = covering_map(matrix)
-        rebind = (lambda e: e.rotated(rotation)) if g.time_sign == 1 else Event.time_flipped
+        rebind = (lambda e: rotated(e, rotation)) if g.time_sign == 1 else time_flipped
     elif g.time_sign == 1:
-        rebind = Event.space_flipped
+        rebind = space_flipped
     else:
-        rebind = lambda e: e.time_flipped().space_flipped()
+        rebind = lambda e: space_flipped(time_flipped(e))
     antiunitary = g.time_sign == -1
     out = {}
     for event in f.events():
@@ -1168,6 +1184,18 @@ class TestKeyLevelAction:
         for g in random_symmetries + BENCHMARK_TRANSFORMS:
             expected = _outcome_of_action(lambda: reference_action(g, f))
             assert _outcome_of_action(lambda: apply_symmetry(g, parsed)) == expected
+
+    def test_rotation_over_25_reduces_the_moved_keys(self):
+        # A rotation about z with denominator 25 maps the z axis to itself:
+        # each moved key comes out over 25 times the event's denominator and
+        # is reduced back to the event's own key.
+        golden = Path(__file__).parent / "golden"
+        f = SpinorSampleField.from_text((golden / "apply_field_z_axis.txt").read_text(encoding="utf-8"))
+        g = SpinorSymmetry(UnitaryMat2.from_text("3/5+4/5i,0;0,3/5-4/5i"), 1)
+        assert lcm(*[q.denominator for row in covering_map(g.matrix).rows for q in row]) == 25
+        result = apply_symmetry(g, f)
+        assert result == reference_action(g, f)
+        assert result.to_text() == (golden / "apply_rotation_z_25.txt").read_text(encoding="utf-8")
 
 
 # -- integer events against a Fraction-tuple reference ------------------------
@@ -1205,6 +1233,12 @@ def parsed(c, k: int) -> Event:
     return SpinorSampleField.from_text(field_line(c, k)).events()[0]
 
 
+def moved(event: Event, spatial, time_sign: int) -> Event:
+    """The event (a t, S x) by the key kernel of the field action."""
+    (key,) = ptgroup._moved_keys([event.as_integer_tuple()], spatial, time_sign)
+    return Event._from_key(key)
+
+
 def assert_canonical(event: Event) -> None:
     t, a, b, c, d = event.as_integer_tuple()
     assert d > 0 and gcd(t, a, b, c, d) == 1
@@ -1221,10 +1255,11 @@ class TestIntegerEvents:
             built,
             Event.make(*c),
             parsed(c, k),
-            built.time_flipped().time_flipped(),
-            built.space_flipped().space_flipped(),
-            built.rotated(IDENTITY3),
-            built.rotated(r).rotated(r.transpose()),
+            moved(moved(built, IDENTITY3, -1), IDENTITY3, -1),
+            moved(moved(built, SPACE_INVERSION, 1), SPACE_INVERSION, 1),
+            moved(built, IDENTITY3, 1),
+            moved(moved(built, r, 1), r.transpose(), 1),
+            moved(moved(built, r, -1), r.transpose(), -1),
         ]
         for event in same:
             assert reference(event) == c
@@ -1242,15 +1277,15 @@ class TestIntegerEvents:
         ra, rb = reference(a), reference(b)
         assert (a < b, a <= b, a > b, a >= b, a == b) == (ra < rb, ra <= rb, ra > rb, ra >= rb, ra == rb)
 
-    @given(coordinates, orthogonals)
-    def test_derived_events(self, c, r):
+    @given(coordinates, orthogonals, st.sampled_from([1, -1]))
+    def test_derived_events(self, c, r, a):
         t, *x = c
         event = Event.make(*c)
-        assert event.rotated(r) == Event(t, r.apply(x))
-        assert reference(event.rotated(r)) == (t, *r.apply(x))
-        assert reference(event.time_flipped()) == (-t, *x)
-        assert reference(event.space_flipped()) == (t, *(-q for q in x))
-        for derived in (event.rotated(r), event.time_flipped(), event.space_flipped()):
+        assert moved(event, r, a) == Event(a * t, r.apply(x))
+        assert reference(moved(event, r, a)) == (a * t, *r.apply(x))
+        assert reference(moved(event, IDENTITY3, -1)) == (-t, *x)
+        assert reference(moved(event, SPACE_INVERSION, 1)) == (t, *(-q for q in x))
+        for derived in (moved(event, r, a), moved(event, IDENTITY3, -1), moved(event, SPACE_INVERSION, 1)):
             assert_canonical(derived)
 
     @pytest.mark.parametrize("denominator", [1, 3])

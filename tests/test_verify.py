@@ -204,6 +204,18 @@ def test_sample_count_out_of_bounds_is_refused_before_any_draw(monkeypatch, samp
         verify.run_semidirect_suite(1, samples)
 
 
+@pytest.mark.parametrize("samples", [True, 2.0, "20", None], ids=["bool", "float", "str", "none"])
+def test_sample_count_that_is_not_an_int_is_refused_before_any_draw(monkeypatch, samples):
+    # True is not one sample, and a float is not refused later by range().
+    _no_generator(monkeypatch)
+    refusal = rf"^samples must be an int, not {type(samples).__name__}$"
+    for run in (verify.run_cover_suite, verify.run_semidirect_suite, verify.run_ptgroup_suite):
+        with pytest.raises(TypeError, match=refusal):
+            run(1, samples)
+    with pytest.raises(TypeError, match=refusal):
+        verify.run_suites("all", 1, samples)
+
+
 @pytest.mark.parametrize("samples", [1, verify.VERIFY_SAMPLE_LIMIT])
 def test_sample_count_at_the_bounds_is_taken(monkeypatch, samples):
     _no_generator(monkeypatch)
