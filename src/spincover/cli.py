@@ -105,25 +105,30 @@ def _json_text(value: object, newline: str = "\n") -> str:
 
 
 def _emit(args: argparse.Namespace, payload: Callable[[], dict], text: Callable[[], str]) -> None:
-    """Write a subcommand's result: under ``--format json``, ``payload()``
-    plus ``schema_version`` as JSON with a two-space indent, keys sorted,
-    non-ASCII escaped and one trailing newline, the form
-    ``json.dumps(..., indent=2, sort_keys=True)`` gives; else ``text()``.
-    It goes to ``--out`` or stdout.  Only the form printed is built.  An
-    unwritable ``--out`` is an input error; :func:`main` has refused a
-    missing directory or a directory."""
+    """Write a subcommand's result: under ``--format json``, ``payload()`` plus
+    ``schema_version`` as JSON with a two-space indent, keys sorted, non-ASCII
+    escaped and one trailing newline, as ``json.dumps(..., indent=2,
+    sort_keys=True)`` gives; else ``text()``.  Only the form printed is built.
+    It goes to ``--out`` or to stdout, flushed; a failed write is an input
+    error.  :func:`main` has refused a missing ``--out`` directory or a directory."""
     if args.fmt == "json":
         output = _json_text({"schema_version": SCHEMA_VERSION, **payload()}) + "\n"
     else:
         output = text()
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(output)
-        except OSError as exc:
-            raise InputError(str(exc)) from exc
-    else:
-        sys.stdout.write(output)
+        else:
+            print(output, end="", flush=True)
+    except OSError as exc:
+        if not args.out:
+            # The unwritten bytes stay in stdout's buffer, and the flush at
+            # interpreter exit would fail on them again: send them to the
+            # null device instead.
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise InputError(str(exc)) from exc
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

@@ -387,6 +387,15 @@ def _signed_image(matrix: UnitaryMat2, s0: int, s1: int, s2: int) -> OrthogonalM
     return _rotation(b, -a, e, -c, d, -s0, -s1, -s2)
 
 
+def su2_trace(matrix: UnitaryMat2) -> tuple[int, int]:
+    """(n, d) with tr A = n/d, for ``matrix`` = A or A * (i I), A in SU(2)."""
+    # tr A = 2 Re z for A's first row (z, w).  For det -1, A = matrix * (-i I)
+    # as in extended_covering_map: z is the first entry times -i, and Re z
+    # is that entry's imaginary part.
+    a, b, *_, d = matrix._key
+    return (2 * a if matrix.is_special() else 2 * b), d
+
+
 def _rotation(a: int, b: int, c: int, e: int, d: int, s0: int, s1: int, s2: int) -> OrthogonalMat3:
     """The rotation of ((z, w), (-conj w, conj z)) for z = (a + b i)/d and
     w = (c + e i)/d, times the signed diagonal diag(s0, s1, s2): its nine

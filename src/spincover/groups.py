@@ -39,9 +39,9 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import _kernels
 from ._kernels import IsomorphismSizeError
-from .cover import IDENTITY2, IDENTITY3, UnitaryMat2
+from .cover import IDENTITY2, IDENTITY3, UnitaryMat2, su2_trace
 from .ptgroup import SpacetimeSymmetry, pt_symmetries, spacetime_projection
-from .scalars import Record, as_sign
+from .scalars import Record, as_sign, echo
 
 #: Largest order of any :class:`FiniteGroup`, and so of the isomorphism
 #: search: tables are kept as byte rows, one byte per element index, and a
@@ -205,15 +205,10 @@ class FiniteGroup:
         return f"<{name} of order {self.order}>"
 
 
-# The class itself, so that the check below is of the type whatever the
-# module name ``FiniteGroup`` is later bound to.
-_FINITE_GROUP = FiniteGroup
-
-
 def _check_groups(entry: str, *groups: object) -> None:
     """Refuse an argument of ``entry`` that is not a :class:`FiniteGroup`."""
     for group in groups:
-        if not isinstance(group, _FINITE_GROUP):
+        if not isinstance(group, FiniteGroup):
             raise TypeError(f"{entry} takes a FiniteGroup, not {type(group).__name__}")
 
 
@@ -299,16 +294,13 @@ def generate_closure(generators: Sequence[UnitaryMat2], backend: str = "exact") 
     and so does a closure that passes 48 elements, because every finite
     group of det +/-1 unitaries over Q(i) has at most 48:
 
-    1. A finite-order element g has roots of unity as eigenvalues, of
-       degree at most 2 over Q(i) (the characteristic polynomial has
-       coefficients in Q(i)).  So they are in {+-1, +-i}, or a Q(i)-conjugate
-       pair of primitive 3rd, 6th, 8th or 12th roots.  A conjugate pair of
-       primitive 8th roots, z and -z, has product -z^2 = -+i, not det = +-1.
-       Hence g^24 = I, the test applied to each generator.
-    2. The ratio of the two eigenvalues therefore has order at most 3: it is
-       +-1 for eigenvalues in {+-1, +-i} with product +-1, and a primitive
-       cube root of unity for the conjugate pairs (z, 1/z) of primitive 3rd
-       and 6th roots and (z, z^5) of primitive 12th roots.
+    1. Every g is A or A·(iI) for A = ((z, w), (-conj w, conj z)) in SU(2)
+       over Q(i), and has finite order exactly when A's eigenvalues e^(+-iθ)
+       are roots of unity.  As tr A = 2 cos θ = 2 Re z is rational, Niven's
+       theorem says that is when tr A is 0, +-1 or +-2: the test applied to
+       each generator, cover.su2_trace reading tr A off the key.
+    2. So θ is in {0, π/3, π/2, 2π/3, π}, and the ratio e^(2iθ) of the
+       eigenvalues, A's or g's (i times A's), has order at most 3.
     3. The image of the group in PGL2(C) is a finite group whose elements
        have order at most 3 (a unitary element's image has the order of its
        eigenvalue ratio).  By Klein's classification of the finite
@@ -326,13 +318,10 @@ def generate_closure(generators: Sequence[UnitaryMat2], backend: str = "exact") 
     for g in gens:
         if not isinstance(g, UnitaryMat2):
             raise TypeError("generate_closure takes UnitaryMat2 generators")
-        power = g * g * g
-        for _ in range(3):
-            power = power * power
-        if power != IDENTITY2:
-            raise ClosureLimitError(
-                f"generator {g.to_text()} has infinite order: its 24th power is not I"
-            )
+        trace, d = su2_trace(g)
+        if abs(trace) not in (0, d, 2 * d):
+            reason = "the trace of its SU(2) factor is not 0, +-1 or +-2"
+            raise ClosureLimitError(f"generator {echo(g.to_text(), str)} has infinite order: {reason}")
     elements, rows = _close(gens, IDENTITY2, lambda a, b: a * b, UNITARY_CLOSURE_BOUND)
     return _closure_group(elements, rows, f"closure[{backend}]")
 

@@ -105,11 +105,12 @@ class _Checks(list):
 VERIFY_SAMPLE_LIMIT = 100_000
 
 
-def _check_samples(samples: int) -> None:
-    """Refuse a non-int sample count, or one outside 1..VERIFY_SAMPLE_LIMIT,
-    before any draw: with no samples the sampled laws would pass on no item."""
+def _seeded(seed: int, samples: int) -> random.Random:
+    """random.Random(seed) once seed and samples are ints, samples in 1..VERIFY_SAMPLE_LIMIT:
+    Random takes a float, str or None seed, and no samples would pass every sampled law."""
     if not 1 <= _as_int(samples, "samples") <= VERIFY_SAMPLE_LIMIT:
         raise ValueError(f"samples must be in 1..{VERIFY_SAMPLE_LIMIT}, got {samples}")
+    return random.Random(_as_int(seed, "seed"))
 
 
 # -- seeded exact sampling ----------------------------------------------------
@@ -202,8 +203,7 @@ def check_exact_sequence(samples: Iterable[UnitaryMat2]) -> SuiteReport:
 
 
 def run_cover_suite(seed: int, samples: int) -> SuiteReport:
-    _check_samples(samples)
-    rng = random.Random(seed)
+    rng = _seeded(seed, samples)
     pairs = [(sample_su2(rng), sample_su2(rng)) for _ in range(samples)]
     specials = [a for a, _ in pairs]
     checks = _Checks()
@@ -268,8 +268,7 @@ def run_cover_suite(seed: int, samples: int) -> SuiteReport:
 
 
 def run_semidirect_suite(seed: int, samples: int) -> SuiteReport:
-    _check_samples(samples)
-    rng = random.Random(seed)
+    rng = _seeded(seed, samples)
     pairs = [(sample_pair_element(rng), sample_pair_element(rng)) for _ in range(samples)]
     firsts = [e for e, _ in pairs]
     checks = _Checks()
@@ -345,8 +344,7 @@ def _standard_field() -> SpinorSampleField:
 
 
 def run_ptgroup_suite(seed: int, samples: int) -> SuiteReport:
-    _check_samples(samples)
-    rng = random.Random(seed)
+    rng = _seeded(seed, samples)
     checks = _Checks()
     # Each sampled or canonical element is projected, and each base spinor
     # rayed, once per call; products, negations and rescaled values, which

@@ -537,6 +537,22 @@ class TestTable:
         assert err.startswith("resource limit: generator 3/5+4/5i,0;0,3/5-4/5i ")
         assert "infinite order" in err
 
+    @pytest.mark.parametrize("m", [10**2000 + 7, 8 * 10**2149 + 1], ids=["4001_digits", "4300_digits"])
+    def test_infinite_order_refusal_is_one_bounded_line(self, m, capsys):
+        # diag(z, conj z) for z = (p + q i)/r on a primitive Pythagorean
+        # triple: the generator is echoed as every rejected token is, its
+        # first 40 characters and its length.  For the second m, p has
+        # 4,300 digits, the most Python prints, and leads with 6, so its
+        # trace 2p/r has one digit more; no trace value is printed.
+        p, q, r = m * m - 4, 4 * m, m * m + 4
+        generator = f"{p}/{r}+{q}/{r}i,0;0,{p}/{r}-{q}/{r}i"
+        assert main(["table", f"--gen={generator}"]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            f"resource limit: generator {generator[:40]}... ({len(generator)} characters) has infinite order: "
+            "the trace of its SU(2) factor is not 0, +-1 or +-2\n"
+        )
+
     def test_infinite_group_is_refused(self, capsys):
         # two order-4 generators whose product has trace -8/5, so infinite order
         argv = ["table", "--gen", "0,i;i,0", "--gen", "3/5i,4/5i;4/5i,-3/5i"]
@@ -1019,6 +1035,32 @@ class TestOutput:
         assert captured.out == ""
         assert captured.err == f"error: cannot write --out {str(tmp_path)!r}: it is a directory\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("command", list(EMIT_CALLS))
+    def test_failed_stdout_write_is_input_error(self, command):
+        # Every write to /dev/full fails with ENOSPC.  The process itself,
+        # interpreter exit included, ends with code 2 and one stderr line,
+        # with stdout buffered as by default.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        argv = [sys.executable, "-m", "spincover", *EMIT_CALLS[command], "--format", "json"]
+        with open("/dev/full", "w") as full:
+            run = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        no_space = errno.ENOSPC
+        assert (run.returncode, run.stderr) == (2, f"error: [Errno {no_space}] {os.strerror(no_space)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_failed_stdout_write_drops_the_unwritten_bytes(self, monkeypatch, capsys):
+        # In process, with stdout a buffered file on /dev/full: the bytes
+        # left in its buffer go to the null device, so the flush at close,
+        # as at interpreter exit, succeeds.
+        with open("/dev/full", "w") as full, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", full)
+            assert main(["table", "Dic8"]) == 2
+            full.flush()
+        no_space = errno.ENOSPC
+        assert capsys.readouterr().err == f"error: [Errno {no_space}] {os.strerror(no_space)}\n"
 
     def test_out_the_system_cannot_open_is_input_error(self, tmp_path, capsys):
         # The directory exists, so the work runs and open() fails in _emit.

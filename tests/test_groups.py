@@ -1,11 +1,13 @@
 import cmath
+import functools
 import itertools
 import operator
+import random
 
 import pytest
 
 from spincover import _kernels, cli, groups
-from spincover.cover import IDENTITY2, PAULI_X, PAULI_Y, PAULI_Z, UnitaryMat2
+from spincover.cover import IDENTITY2, PAULI_X, PAULI_Y, PAULI_Z, UnitaryMat2, stereographic_su2, su2_trace
 from spincover.groups import (
     ABELIAN,
     CENTRE_ORDER,
@@ -70,6 +72,24 @@ OCTAHEDRAL = [
     UnitaryMat2.from_text(text)
     for text in ("1/2-1/2i,-1/2-1/2i;1/2-1/2i,1/2+1/2i", "0,-1;1,0", "i,0;0,i")
 ]
+# The order-48 closure, found by the walk alone, with no order test.
+OCTAHEDRAL_CLOSURE, _ = groups._close(OCTAHEDRAL, IDENTITY2, operator.mul, groups.UNITARY_CLOSURE_BOUND)
+
+
+def has_order_dividing_24(g):
+    """The oracle for generate_closure's order test: g^24 = I, multiplied out."""
+    return functools.reduce(operator.mul, [g] * 24) == IDENTITY2
+
+
+def refused_for_infinite_order(g):
+    try:
+        generate_closure([g])
+    except ClosureLimitError as exc:
+        assert "has infinite order" in str(exc)
+        return True
+    return False
+
+
 CLOSURE_GENERATORS = {
     "pt_lifts": [PARITY, TREVERSE],
     "tp_lifts": [TREVERSE, PARITY],
@@ -338,7 +358,8 @@ class TestClosure:
     def test_refused_closure_products_are_bounded(self, monkeypatch):
         # Each element is multiplied by each generator at most once before
         # element 49 would be added, so a refused closure makes at most
-        # 48 x 2 products; the two g^24 tests add five products each.
+        # 48 x 2 products; the generators' order test reads their keys and
+        # adds none.
         gens = [UnitaryMat2.from_text("0,i;i,0"), UnitaryMat2.from_text("3/5i,4/5i;4/5i,-3/5i")]
         closure_products = []
 
@@ -360,7 +381,7 @@ class TestClosure:
         monkeypatch.setattr(UnitaryMat2, "__mul__", counted)
         with pytest.raises(ClosureLimitError, match="passed 48 elements"):
             generate_closure(gens)
-        assert len(all_products) == 5 * len(gens) + len(closure_products)
+        assert len(all_products) == len(closure_products)
 
     @pytest.mark.parametrize("name", CLOSURE_GENERATORS)
     def test_table_is_the_product_table(self, name):
@@ -402,7 +423,7 @@ class TestClosure:
         assert double_group("Dn", 12).order == 48
         assert len(monomial_products) == 48 * 2
 
-        # generate_closure adds the five products of each g^24 test.
+        # generate_closure adds none: the order test reads each key's trace.
         all_products = []
         times = UnitaryMat2.__mul__
 
@@ -412,7 +433,7 @@ class TestClosure:
 
         monkeypatch.setattr(UnitaryMat2, "__mul__", counted)
         assert generate_closure(OCTAHEDRAL).order == 48
-        assert len(all_products) == 5 * 3 + 48 * 3
+        assert len(all_products) == 48 * 3
 
     def test_discovery_order(self, parity, treverse):
         # Identity, then the generators as given, then each new product x*g
@@ -425,13 +446,45 @@ class TestClosure:
 
     def test_infinite_order_generator_refused(self, parity):
         # i times an order-6 element of the binary tetrahedral group has
-        # order 12 and passes the g^24 = I test; diag(a, conj a) with
-        # a = 3/5+4/5i, which is no root of unity, fails it at once.
+        # order 12, and its SU(2) factor has trace 1; diag(a, conj a) with
+        # a = 3/5+4/5i, which is no root of unity, has trace 6/5 and is
+        # refused at once.
         order6 = UnitaryMat2.from_text("1/2+1/2i,1/2+1/2i;-1/2+1/2i,1/2-1/2i")
         assert generate_closure([order6.scalar_mul(GaussianRational(0, 1))]).order == 12
         irrational = UnitaryMat2.from_text("3/5+4/5i,0;0,3/5-4/5i")
-        with pytest.raises(ClosureLimitError, match="infinite order"):
+        assert su2_trace(irrational) == (6, 5)
+        with pytest.raises(ClosureLimitError, match="infinite order: the trace of its SU"):
             generate_closure([parity, irrational])
+        # Times i it has det -1 and the same SU(2) factor, so the same trace,
+        # read off its key through the (b, -a) rewrite, not 2a/d = -8/5.
+        times_i = irrational.scalar_mul(GaussianRational(0, 1))
+        assert su2_trace(times_i) == (6, 5)
+        with pytest.raises(ClosureLimitError, match="infinite order: the trace of its SU"):
+            generate_closure([times_i])
+
+    def test_finite_order_elements_pass(self):
+        # The order-48 closure, its i-multiples and negatives, and det -1 literals.
+        pool = [
+            *OCTAHEDRAL_CLOSURE,
+            *(g.scalar_mul(GaussianRational(0, 1)) for g in OCTAHEDRAL_CLOSURE),
+            *(-g for g in OCTAHEDRAL_CLOSURE),
+            *map(UnitaryMat2.from_text, ("1,0;0,-1", "0,i;i,0", "i,0;0,i")),
+        ]
+        for g in pool:
+            assert has_order_dividing_24(g), g.to_text()
+            assert not refused_for_infinite_order(g), g.to_text()
+
+    def test_order_test_matches_the_24th_power_on_seeded_draws(self):
+        rng = random.Random(45)
+        outcomes = set()
+        for _ in range(400):
+            ratios = [(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+            special = stereographic_su2(*ratios)
+            for g in (special, special.scalar_mul(GaussianRational(0, 1))):
+                finite = has_order_dividing_24(g)
+                assert refused_for_infinite_order(g) is not finite, g.to_text()
+                outcomes.add((g.det_sign, finite))
+        assert outcomes == {(1, True), (1, False), (-1, True), (-1, False)}
 
     def test_closed_under_products(self, parity, treverse):
         group = generate_closure([parity, treverse], backend="exact")
@@ -730,10 +783,10 @@ class TestIsomorphism:
         # a 10^12-entry table is never attempted.
         z1, factors = cyclic(1), (cyclic(32), cyclic(16))
 
-        def no_group(*args, **kwargs):
+        def no_group(self, *args, **kwargs):
             raise AssertionError("a table over the cap was built")
 
-        monkeypatch.setattr(groups, "FiniteGroup", no_group)
+        monkeypatch.setattr(groups.FiniteGroup, "__init__", no_group)
         for build in (
             lambda: cyclic(10**12),
             lambda: dihedral(2 * 10**12),

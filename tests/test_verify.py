@@ -216,6 +216,18 @@ def test_sample_count_that_is_not_an_int_is_refused_before_any_draw(monkeypatch,
         verify.run_suites("all", 1, samples)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "seed", None], ids=["bool", "float", "str", "none"])
+def test_seed_that_is_not_an_int_is_refused_before_any_draw(monkeypatch, seed):
+    # random.Random takes each of these: True as seed 1, None as OS entropy.
+    _no_generator(monkeypatch)
+    refusal = rf"^seed must be an int, not {type(seed).__name__}$"
+    for run in (verify.run_cover_suite, verify.run_semidirect_suite, verify.run_ptgroup_suite):
+        with pytest.raises(TypeError, match=refusal):
+            run(seed, 10)
+    with pytest.raises(TypeError, match=refusal):
+        verify.run_suites("all", seed, 10)
+
+
 @pytest.mark.parametrize("samples", [1, verify.VERIFY_SAMPLE_LIMIT])
 def test_sample_count_at_the_bounds_is_taken(monkeypatch, samples):
     _no_generator(monkeypatch)
