@@ -279,7 +279,10 @@ def _parse_positive(text: str, spec: str) -> int:
 def _cmd_iso(args: argparse.Namespace) -> int:
     build_a = _parse_group_spec(args.group_a)
     build_b = _parse_group_spec(args.group_b)
-    group_a, group_b = build_a(), build_b()
+    group_a = build_a()
+    # Equal specs name one group: one table is built and validated, and
+    # decide_isomorphism computes its signatures once.
+    group_b = group_a if args.group_b == args.group_a else build_b()
     outcome = decide_isomorphism(group_a, group_b)
     isomorphic = isinstance(outcome, IsomorphismWitness)
 

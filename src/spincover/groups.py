@@ -524,7 +524,9 @@ def decide_isomorphism(
     The search then matches each generator only with elements of its
     signature.  Any witness returned has been verified exhaustively and is
     the lexicographically smallest mapping by element index.  When ``h`` is
-    ``g``, the one object, its signatures are computed once.
+    ``g``, the one object, its signatures are computed once: ``iso`` passes
+    one group for two equal specs, and :func:`double_group_verdict` one for
+    its +1 pair.
     """
     _check_groups("decide_isomorphism", g, h)
     if g.order_multiset() != h.order_multiset():

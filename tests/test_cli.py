@@ -717,6 +717,8 @@ class TestIso:
             # Order 256, non-abelian with many conjugacy classes, and a
             # witness that is not the identity.
             ("Dih8xDic8xZ4", "Dic8xDih8xZ4"),
+            # Equal specs, decided on one table: the witness is the identity map.
+            ("Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2"),
         ],
     )
     def test_golden_witness(self, capsys, group_a, group_b):
@@ -727,7 +729,8 @@ class TestIso:
     def test_generating_set_once_per_group(self, capsys, monkeypatch):
         # Validation computes each table's generating set; Light's test, the
         # signatures and the search reuse it, so an isomorphic pair that
-        # reaches the search computes one per table built.
+        # reaches the search computes one per table built.  Two equal specs
+        # build one table, and each call builds its own.
         orders = []
         generating_set = _kernels.generating_set
 
@@ -738,12 +741,27 @@ class TestIso:
         monkeypatch.setattr(_kernels, "generating_set", counted)
         assert main(["iso", "Dic16", "Dic16", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["isomorphic"] is True
+        assert orders == [16]
+        assert main(["iso", "Dic16", "Dic16", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["isomorphic"] is True
         assert orders == [16, 16]
         # A product spec validates each factor, then the product once.
         orders.clear()
         assert main(["iso", "Dih8xDic8xZ4", "Dic8xDih8xZ4", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["isomorphic"] is True
         assert orders == [8, 8, 4, 256, 8, 8, 4, 256]
+
+    @pytest.mark.parametrize("spec", ["Dic256", "Dih256", "Z16xZ16", "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "GPT_hat"])
+    def test_equal_specs_print_the_two_table_witness(self, capsys, spec):
+        # Equal specs share one table; the witness is the one that two
+        # separately built tables of the spec give.
+        build = cli._parse_group_spec(spec)
+        g, h = build(), build()
+        assert g is not h
+        witness = list(groups.decide_isomorphism(g, h).mapping)
+        payload = {"group_a": spec, "group_b": spec, "isomorphic": True, "schema_version": 1, "witness": witness}
+        assert main(["iso", spec, spec, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(
         "group_a, group_b", [("Dih8xZ2xZ2", "Dih8xZ2xZ2"), ("Z2xZ2xZ2", "Z2xZ4")]

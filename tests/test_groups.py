@@ -630,8 +630,12 @@ class TestAbstractGroups:
 
         monkeypatch.setattr(FiniteGroup, "_validate", counting_validate)
         assert cli.main(["iso", "Z2xZ2xZ2", "Z2xZ2xZ2", "--format", "json"]) == 0
-        # Each side validates its three factors and the order-8 product.
-        assert sorted(validated) == [2] * 6 + [8] * 2
+        # Equal specs build one table: its three factors, then the order-8 product.
+        assert validated == [2] * 3 + [8]
+        validated.clear()
+        assert cli.main(["iso", "Z2xZ2xZ2", "Z2xZ4", "--format", "json"]) == 0
+        # Distinct specs: each side validates its factors, then its product.
+        assert validated == [2] * 3 + [8] + [2, 4] + [8]
 
     def test_dihedral_involution_count(self):
         g = dihedral(8)

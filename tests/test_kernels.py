@@ -258,6 +258,18 @@ class TestKernelBasics:
             assert by_order is not None and by_signature == by_order
             assert _kernels.check_isomorphism(g_rows, _kernels.padded(h_rows), by_order)
 
+    def test_uninformative_keys_give_a_bijection(self):
+        # With every key equal, the key filter drops no candidate, so only
+        # the used-element marks keep the map injective: with the identity's
+        # image left unmarked, Z2 maps both elements to it.
+        for group in [cyclic(2), *sample_groups(), *order_256_groups()]:
+            rows, e = rows_of(group.table), group.identity_index
+            keys = [0] * group.order
+            mapping = _kernels.find_isomorphism(
+                rows, rows, e, e, _kernels.generating_set(rows, e), keys, keys, _kernels.SearchNodes(10_000)
+            )
+            assert sorted(mapping) == list(range(group.order)), group
+
     def test_element_signatures(self):
         # Centralizer sizes come from conjugacy classes; the oracle counts
         # the commuting pairs, on abelian groups and on non-abelian groups
